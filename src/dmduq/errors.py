@@ -85,7 +85,8 @@ class MomentComputationError(DmduqError):
             f"(t={t}, k={'*' if k is None else k}): {err.code}" for t, k, err in failures[:8]
         )
         more = "" if len(failures) <= 8 else f" and {len(failures) - 8} more"
-        super().__init__(f"{len(failures)} element(s) failed: {locs}{more}")
+        first = f"; first: {failures[0][2]}" if failures else ""
+        super().__init__(f"{len(failures)} element(s) failed: {locs}{more}{first}")
 
 
 class NegativeVarianceInput(DmduqError):

@@ -26,11 +26,11 @@ problem shape and partial sums reduce in chunk order.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .numerics import cholesky_logdet, sort_eigenvalue_rows, spd_solve
 from .operator_moments import OperatorMoments
-from .pinv_moments import _column_gram, _default_threads
+from .pinv_moments import _check_inputs, gram_complement_inverses
 
 logger = logging.getLogger(__name__)
 
@@ -113,10 +113,22 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_CHUNK_SCALARS = 4_000_000
+
+
 def _chunk_size(m: int, n: int) -> int:
-    # Bounded working set (~4e6 scalars per chunk); a function of problem
-    # shape only, so the reduction order never depends on the thread count.
-    return max(1, min(4096, int(4_000_000 // max(1, m * n * n))))
+    # Bounded working set: a trial holds m n^2 noise draws (independent mode)
+    # and an m x m operator, which _MomentAccumulator.add_block copies four
+    # times.  A function of problem shape only, so the reduction order never
+    # depends on the thread count.
+    return max(1, min(4096, _CHUNK_SCALARS // max(m * n * n, m * m)))
+
+
+def _default_threads() -> int:
+    try:
+        return max(1, int(os.environ.get("DMDUQ_THREADS", "1")))
+    except ValueError:
+        return 1
 
 
 def _chunks(n_trials: int, size: int) -> list[tuple[int, int]]:
@@ -157,25 +169,6 @@ class _MomentAccumulator:
         return mean, second_raw, dvar, se_mean, se_second, se_var
 
 
-def _independent_r_stack(X: np.ndarray, ridge: float) -> np.ndarray:
-    n, m = X.shape
-    gram = X @ X.T
-    stack = np.empty((m, n, n))
-    for t in range(m):
-        V = _column_gram(X, t, ridge, gram=gram)
-        try:
-            factor, _ = cholesky_logdet(V)
-        except NotPositiveDefinite as exc:
-            raise SingularV(
-                f"Gram complement singular at column t={t} with ridge={ridge}"
-            ) from exc
-        L = factor.lower_triangular_factor
-        inv_L = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
-        R = inv_L.T @ inv_L
-        stack[t] = 0.5 * (R + R.T)
-    return stack
-
-
 def run_mc(
     snapshots: SnapshotSet,
     noise: NoiseModel,
@@ -185,12 +178,9 @@ def run_mc(
 ) -> McSummary:
     """Sample N trials and summarize pseudoinverse and operator moments."""
     config = config or McConfig()
-    if ridge < 0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
     X, Y = snapshots.states, snapshots.shifted
     n, m = X.shape
-    if noise.state_count != n:
-        raise DimensionMismatch("noise model does not match state count")
+    _check_inputs(X, noise, ridge)
 
     sigma_L = cholesky_logdet(noise.covariance())[0].lower_triangular_factor
     y_std = np.sqrt(noise.variances)
@@ -203,11 +193,12 @@ def run_mc(
     pinv_point = spd_solve(gram_factor, X).T  # (m, n)
     operator_point = pinv_point @ Y
 
+    r_stack = trajectory = None
     if config.sampling_mode == INDEPENDENT:
-        r_stack = _independent_r_stack(X, ridge)
-        trajectory = None
+        r_stack, singular = gram_complement_inverses(X, ridge, np.arange(m))
+        if singular:
+            raise singular[0][1]
     else:
-        r_stack = None
         trajectory = snapshots.trajectory_columns()
 
     n_trials = config.trials

@@ -9,6 +9,7 @@ order, and Gauss-Laguerre rules for semi-infinite integrals weighted by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,45 @@ def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(L.T, y, lower=False)
 
 
+def spd_inverses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of symmetric positive definite matrices, shape (B, n, n).
+
+    Returns ``(inverses, positive)``.  ``positive[i]`` is False where matrix i
+    has no Cholesky factor; ``inverses[i]`` is NaN there.  Each inverse is
+    ``inv(L).T @ inv(L)`` with ``inv(L)`` from forward substitution on the
+    stacked factors, so rounding grows with cond(L) = sqrt(cond(V)), not
+    with cond(V) as in an LU solve of V itself.
+    """
+    a = np.asarray(stack, dtype=float)
+    positive = np.ones(a.shape[0], dtype=bool)
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        lower = np.full_like(a, np.nan)
+        for i, matrix in enumerate(a):
+            try:
+                lower[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                positive[i] = False
+    inv_lower = lower_triangular_inverses(lower)
+    inverses = inv_lower.transpose(0, 2, 1) @ inv_lower
+    return 0.5 * (inverses + inverses.transpose(0, 2, 1)), positive
+
+
+def lower_triangular_inverses(lower: np.ndarray) -> np.ndarray:
+    """Inverses of a stack (B, n, n) of lower-triangular matrices, by forward substitution.
+
+    Each matrix is inverted on its own, so its bits do not depend on the
+    rest of the stack.
+    """
+    eye = np.eye(lower.shape[-1])
+    inverse = np.zeros_like(lower)
+    for i in range(lower.shape[-1]):
+        row = eye[i] - (lower[:, i : i + 1, :i] @ inverse[:, :i])[:, 0]
+        inverse[:, i] = row / lower[:, i, i, None]
+    return inverse
+
+
 def sort_eigenvalues(values: np.ndarray) -> np.ndarray:
     """Deterministic total order: |z| desc, then Im desc, then Re desc."""
     v = np.asarray(values, dtype=complex)
@@ -141,31 +181,37 @@ def sort_eigenvalue_rows(values: np.ndarray) -> np.ndarray:
 def gauss_laguerre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the rule ``integral f(p) exp(-p) dp ~ sum w_i f(p_i)``.
 
-    Exact for polynomials up to degree ``2 * count - 1``.
+    Exact for polynomials up to degree ``2 * count - 1``.  Each rule is
+    computed once per process and returned as read-only arrays.
     """
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= 256:
         raise CountOutOfRange(f"node count must be in [1, 256], got {count!r}")
-    nodes, weights = scipy.special.roots_laguerre(int(count))
+    return _laguerre_rule(int(count))
+
+
+@functools.cache
+def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = scipy.special.roots_laguerre(count)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 
-def signed_log_sum(log_magnitudes: np.ndarray, signs: np.ndarray) -> float:
-    """Combine signed terms given in log-magnitude form into a plain float.
+def signed_log_sum(log_magnitudes: np.ndarray, signs: np.ndarray | float) -> float | np.ndarray:
+    """Combine signed terms given in log-magnitude form, summing over the last axis.
 
     Positive and negative contributions are reduced separately (each via a
     max-shifted exponential sum) and combined once, so a result much smaller
-    than the individual terms is not lost to accumulation order.
+    than the individual terms is not lost to accumulation order.  ``signs``
+    broadcasts against ``log_magnitudes``.  A 1-D input gives a plain float;
+    a stacked input gives one value per leading index.
     """
     lm = np.asarray(log_magnitudes, dtype=float)
-    sg = np.asarray(signs, dtype=float)
-    if lm.size == 0:
-        return 0.0
-    finite = lm > -np.inf
-    if not np.any(finite):
-        return 0.0
-    shift = lm[finite].max()
-    terms = np.zeros_like(lm)
-    terms[finite] = np.exp(lm[finite] - shift)
-    pos = float(terms[sg > 0].sum())
-    neg = float(terms[sg < 0].sum())
-    return float(np.exp(shift) * (pos - neg)) if shift > -np.inf else 0.0
+    sg = np.broadcast_to(np.asarray(signs, dtype=float), lm.shape)
+    shift = lm.max(axis=-1, keepdims=True, initial=-np.inf)
+    shift[shift == -np.inf] = 0.0  # every term underflowed: the sum is 0
+    terms = np.exp(lm - shift)
+    pos = np.where(sg > 0, terms, 0.0).sum(axis=-1)
+    neg = np.where(sg < 0, terms, 0.0).sum(axis=-1)
+    out = np.exp(shift[..., 0]) * (pos - neg)
+    return float(out) if out.ndim == 0 else out

@@ -158,6 +158,7 @@ def estimate_operator_moments(
     """Full pipeline: pseudoinverse moment tables once, then both assemblies.
 
     Pass ``pinv`` to reuse tables already computed with the same inputs.
+    ``threads`` is passed on to :func:`pinv_moments`, where it has no effect.
     """
     quad = quad or QuadratureConfig()
     if pinv is None:

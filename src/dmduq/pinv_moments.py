@@ -27,24 +27,27 @@ Numerical core: the factors of the integrand overflow/underflow separately
     r.T S^-1 r / 2  ==  g.T K^-1 g          (strictly positive)
 
 with ``a = L^-1 mu``, ``bt = L.T R mu``, ``g = L.T r``.  One symmetric
-eigendecomposition of ``G`` per context turns every quadrature node into
+eigendecomposition of ``G`` per column turns every quadrature node into
 O(n) work, cancellation-free for any noise scale.  The log of the whole
 integrand is bounded above by zero, so nothing overflows.
 
-Element computations for distinct (t, k) are independent pure functions;
-``pinv_moments`` writes results to pre-assigned slots, so output is
-bit-identical regardless of scheduling.
+All of this is computed per snapshot column t, for every k at once:
+within a column only ``g`` depends on k, so the decay rate, the envelope
+and the weights ``1 / (1 + 2 p2 lambda)`` are shared.  ``pinv_moments``
+runs one batched kernel over fixed-size blocks of columns: a stacked
+Cholesky of the Gram complements, a stacked whitening ``eigh``, and two
+matrix products per column for all k and all quadrature nodes.  The
+element-level functions run the same kernel on a block of one column, so
+they agree with the tables.  Every column is computed from its own data
+only, so the tables do not depend on the block size or on scheduling.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import (
@@ -56,12 +59,24 @@ from .errors import (
     QuadratureNotConverged,
     SingularV,
 )
-from .numerics import SpdFactor, cholesky_logdet, gauss_laguerre_nodes, signed_log_sum
+from .numerics import (
+    SpdFactor,
+    cholesky_logdet,
+    gauss_laguerre_nodes,
+    lower_triangular_inverses,
+    signed_log_sum,
+    spd_inverses,
+    spd_solve,
+)
 
 JENSEN_SLACK = 1e-12
 
 GAUSS_LAGUERRE = "gauss_laguerre"
 ADAPTIVE_TRUNCATED = "adaptive_truncated"
+
+# Snapshot columns per kernel call.  Bounds the (block, n, nodes) temporaries
+# to a few tens of MB at n = 34; results do not depend on it.
+_BLOCK_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -91,43 +106,61 @@ class QuadratureConfig:
             raise ConfigError(f"p2_max must be positive, got {self.p2_max}")
 
 
+def _whiten(R: np.ndarray, mu: np.ndarray, sigma_factor: SpdFactor) -> tuple[np.ndarray, ...]:
+    """Whitened quadrature pieces of a block of columns, stacked on axis 0.
+
+    For Gram-complement inverses R (B, n, n) and means mu (B, n), with
+    Sigma = L L.T and G = L.T R L, returns the eigenvalues of G (B, n), the
+    eigenbasis projections of L^-1 mu and L.T R mu (B, n), and (B, n, n)
+    whose column k is the projection of L.T R[:, k].
+    """
+    L = sigma_factor.lower_triangular_factor
+    # Per-column products, never one solve with the block as right-hand
+    # sides, so a column's bits do not depend on the block it is in.
+    inv_L = lower_triangular_inverses(L[None])[0]
+    G = L.T @ R @ L
+    lam, Q = np.linalg.eigh(0.5 * (G + G.transpose(0, 2, 1)))
+    Qt = Q.transpose(0, 2, 1)
+    proj_mu = (Qt @ (inv_L @ mu[:, :, None]))[:, :, 0]
+    proj_rmu = (Qt @ (L.T @ (R @ mu[:, :, None])))[:, :, 0]
+    return np.maximum(lam, 0.0), proj_mu, proj_rmu, Qt @ (L.T @ R)
+
+
 @dataclass(frozen=True)
 class MgfContext:
-    """Per-element quadrature context for one pseudoinverse element (t, k).
+    """Quadrature context for one pseudoinverse element (t, k).
 
-    Carries the raw ingredients (R, r, b, mu, the Cholesky factor of Sigma,
-    log_c) plus the eigendecomposition of the noise-whitened information
-    matrix G = L.T R L that makes the integrand evaluation stable:
-    ``eig_values`` are the eigenvalues of G and ``proj_*`` are the
-    eigenbasis projections of L^-1 mu, L.T R mu, and L.T r.
+    Holds column t's Gram-complement inverse ``R``, its recorded mean ``mu``,
+    the Cholesky factor of Sigma, ``k``, and the column's pieces from
+    ``_whiten``: ``eig_values``, ``proj_mu``, ``proj_rmu`` and ``proj_r``,
+    the last with one column per state index.
     """
 
     R: np.ndarray
-    r: np.ndarray
-    b: np.ndarray
     mu: np.ndarray
+    k: int
     sigma_factor: SpdFactor
-    log_c: float
     eig_values: np.ndarray
     proj_mu: np.ndarray
     proj_rmu: np.ndarray
     proj_r: np.ndarray
 
-    def __post_init__(self):
-        n = self.mu.size
-        L = self.sigma_factor.lower_triangular_factor
-        if self.R.shape != (n, n) or self.r.shape != (n,) or self.b.shape != (n,):
-            raise DimensionMismatch("inconsistent context dimensions")
-        recon = L @ (L.T @ self.b)
-        scale = max(np.abs(self.mu).max(), 1.0)
-        if np.abs(recon - self.mu).max() > 1e-12 * scale:
-            raise DimensionMismatch("b is not Sigma^-1 @ mu")
-        if not np.isfinite(self.log_c):
-            raise DimensionMismatch("log_c must be finite")
+    @property
+    def r(self) -> np.ndarray:
+        return self.R[:, self.k]
 
     @property
-    def dimension(self) -> int:
-        return self.mu.size
+    def b(self) -> np.ndarray:
+        """Sigma^-1 mu."""
+        return spd_solve(self.sigma_factor, self.mu)
+
+    def pieces(self) -> tuple[np.ndarray, ...]:
+        """This context's column pieces as a block of one."""
+        return self.eig_values[None], self.proj_mu[None], self.proj_rmu[None], self.proj_r[None]
+
+
+def _context(R, mu, pieces, i: int, k: int, sigma_factor: SpdFactor) -> MgfContext:
+    return MgfContext(R[i], mu[i], k, sigma_factor, *(piece[i] for piece in pieces))
 
 
 @dataclass(frozen=True)
@@ -152,86 +185,48 @@ class PinvMoments:
         object.__setattr__(self, "second_raw", second)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DMDUQ_THREADS", "1")))
-    except ValueError:
-        return 1
+def _check_inputs(X: np.ndarray, noise: NoiseModel, ridge: float) -> None:
+    if noise.state_count != X.shape[0]:
+        raise DimensionMismatch("noise model does not match state count")
+    if ridge < 0:
+        raise ConfigError(f"ridge must be >= 0, got {ridge}")
 
 
-def _noise_factor(noise: NoiseModel) -> SpdFactor:
-    factor, _ = cholesky_logdet(noise.covariance())
-    return factor
+def gram_complement_inverses(
+    X: np.ndarray, ridge: float, columns: np.ndarray, gram: np.ndarray | None = None
+) -> tuple[np.ndarray, list[tuple[int, SingularV]]]:
+    """``R_t = inv(X X.T - x_t x_t.T + ridge I)`` for each column index t given.
 
-
-@dataclass(frozen=True)
-class _ColumnWorkspace:
-    """Everything that depends on the column index t but not on k."""
-
-    R: np.ndarray
-    mu: np.ndarray
-    sigma_factor: SpdFactor
-    log_c: float
-    eig_values: np.ndarray
-    proj_mu: np.ndarray
-    proj_rmu: np.ndarray
-    proj_r_all: np.ndarray  # column k is the projection of L.T @ R[:, k]
-
-
-def _workspace_from_parts(
-    R: np.ndarray, mu: np.ndarray, sigma_factor: SpdFactor, sigma_logdet: float
-) -> _ColumnWorkspace:
-    n = mu.size
-    L = sigma_factor.lower_triangular_factor
-    alpha = scipy.linalg.solve_triangular(L, mu, lower=True)
-    G = L.T @ R @ L
-    lam, Q = np.linalg.eigh(0.5 * (G + G.T))
-    lam = np.maximum(lam, 0.0)
-    proj_mu = Q.T @ alpha
-    proj_rmu = Q.T @ (L.T @ (R @ mu))
-    proj_r_all = Q.T @ (L.T @ R)
-    log_c = -0.5 * float(alpha @ alpha) - 0.5 * n * np.log(2.0) - 0.5 * sigma_logdet
-    return _ColumnWorkspace(
-        R=R,
-        mu=mu,
-        sigma_factor=sigma_factor,
-        log_c=log_c,
-        eig_values=lam,
-        proj_mu=proj_mu,
-        proj_rmu=proj_rmu,
-        proj_r_all=proj_r_all,
-    )
-
-
-def _context_from_workspace(ws: _ColumnWorkspace, k: int) -> MgfContext:
-    L = ws.sigma_factor.lower_triangular_factor
-    b = scipy.linalg.solve_triangular(
-        L.T, scipy.linalg.solve_triangular(L, ws.mu, lower=True), lower=False
-    )
-    return MgfContext(
-        R=ws.R,
-        r=ws.R[:, k].copy(),
-        b=b,
-        mu=ws.mu,
-        sigma_factor=ws.sigma_factor,
-        log_c=ws.log_c,
-        eig_values=ws.eig_values,
-        proj_mu=ws.proj_mu,
-        proj_rmu=ws.proj_rmu,
-        proj_r=ws.proj_r_all[:, k].copy(),
-    )
-
-
-def _column_gram(
-    states: np.ndarray, t: int, ridge: float, gram: np.ndarray | None = None
-) -> np.ndarray:
-    x_t = states[:, t]
+    Returns the stack (len(columns), n, n) and a ``(t, SingularV)`` pair for
+    every column whose complement has no Cholesky factor (its R is NaN).
+    ``gram`` is ``X @ X.T`` when the caller already has it.
+    """
+    n = X.shape[0]
     if gram is None:
-        gram = states @ states.T
-    V = gram - np.outer(x_t, x_t)
+        gram = X @ X.T
+    x = X.T[columns]
+    V = gram - x[:, :, None] * x[:, None, :]
     if ridge:
-        V = V + ridge * np.eye(states.shape[0])
-    return 0.5 * (V + V.T)
+        V = V + ridge * np.eye(n)
+    R, positive = spd_inverses(0.5 * (V + V.transpose(0, 2, 1)))
+    singular = np.asarray(columns)[~positive]
+    if singular.size == 0:
+        return R, []
+    # V_t is a rank-one downdate of X X.T + ridge I, singular exactly when the
+    # leverage h_t = x_t.T inv(X X.T + ridge I) x_t reaches 1 (or when
+    # X X.T + ridge I is singular itself).
+    ridged = gram + ridge * np.eye(n)
+    rank = np.linalg.matrix_rank(ridged, hermitian=True)
+    inverse = np.linalg.pinv(ridged, hermitian=True)
+    errors = []
+    for t in singular:
+        h = float(X[:, t] @ inverse @ X[:, t])
+        errors.append((int(t), SingularV(
+            f"Gram complement singular at column t={t} with ridge={ridge}: leverage "
+            f"h_t = {h:.6g} (x_t.T inv(X X.T + ridge I) x_t; V_t is singular as "
+            f"h_t -> 1), X X.T + ridge I has rank {rank} of {n}"
+        )))
+    return R, errors
 
 
 def build_context(
@@ -247,8 +242,9 @@ def build_context(
     than t (plus ``ridge * I`` when requested); R is its inverse, obtained
     through an SPD factorization.  Indices are 0-based.
 
-    Raises SingularV when V cannot be factored at ridge 0, which happens
-    whenever m - 1 < n or the remaining columns are collinear.
+    Raises SingularV, naming the column's leverage, when V cannot be
+    factored, which happens whenever m - 1 < n or the remaining columns are
+    collinear.
     """
     X = snapshots.states
     n, m = X.shape
@@ -256,25 +252,11 @@ def build_context(
         raise DimensionMismatch(f"column index t={t} outside [0, {m})")
     if not 0 <= k < n:
         raise DimensionMismatch(f"state index k={k} outside [0, {n})")
-    if noise.state_count != n:
-        raise DimensionMismatch("noise model does not match state count")
-    if ridge < 0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
-    V = _column_gram(X, t, ridge)
-    try:
-        factor, _ = cholesky_logdet(V)
-    except NotPositiveDefinite as exc:
-        raise SingularV(
-            f"Gram complement singular at column t={t} with ridge={ridge} "
-            f"(m-1 < n or collinear snapshots)"
-        ) from exc
-    L = factor.lower_triangular_factor
-    inv_L = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
-    R = inv_L.T @ inv_L
-    R = 0.5 * (R + R.T)
-    sigma_factor, sigma_logdet = cholesky_logdet(noise.covariance())
-    ws = _workspace_from_parts(R, X[:, t].copy(), sigma_factor, sigma_logdet)
-    return _context_from_workspace(ws, k)
+    _check_inputs(X, noise, ridge)
+    R, singular = gram_complement_inverses(X, ridge, np.array([t]))
+    if singular:
+        raise singular[0][1]
+    return context_from_parts(R[0], X[:, t], noise, k)
 
 
 def context_from_parts(
@@ -287,9 +269,9 @@ def context_from_parts(
     """
     R = 0.5 * (np.asarray(R, dtype=float) + np.asarray(R, dtype=float).T)
     mu = np.asarray(mu, dtype=float).ravel()
-    sigma_factor, sigma_logdet = cholesky_logdet(noise.covariance())
-    ws = _workspace_from_parts(R, mu, sigma_factor, sigma_logdet)
-    return _context_from_workspace(ws, k)
+    sigma_factor, _ = cholesky_logdet(noise.covariance())
+    R, mu = R[None], mu[None]
+    return _context(R, mu, _whiten(R, mu, sigma_factor), 0, k, sigma_factor)
 
 
 def deterministic_pinv_element(context: MgfContext) -> float:
@@ -299,8 +281,8 @@ def deterministic_pinv_element(context: MgfContext) -> float:
     return s1 / s2
 
 
-def _decay_rate(context: MgfContext) -> float:
-    """Initial decay rate of the weighted integrand: 1 + tr(G) + mu.T R mu.
+def _decay_rate(pieces) -> np.ndarray:
+    """Initial decay rate of the weighted integrand, per column: 1 + tr(G) + mu.T R mu.
 
     The integrand falls like exp(-rate * p2) near the origin.  When the
     Gram complement is nearly singular the rate is enormous and all the
@@ -308,29 +290,36 @@ def _decay_rate(context: MgfContext) -> float:
     quadratures therefore substitute p2 = u / rate, which flattens the
     layer to unit scale for any conditioning.
     """
-    return 1.0 + float(np.sum(context.eig_values)) + float(
-        np.sum(context.proj_mu * context.proj_rmu)
-    )
+    lam, qa, qb, _ = pieces
+    return 1.0 + lam.sum(axis=1) + (qa * qb).sum(axis=1)
+
+
+def _kernel(pieces, p2: np.ndarray):
+    """Stable evaluation of the integrand pieces of a block, p2 of shape (B, N).
+
+    Returns ``(core_log, t_rb, t_rr)`` with shapes (B, N), (B, n, N) and
+    (B, n, N), row k of the last two belonging to element k.
+    ``exp(core_log)`` is the positive envelope (always <= 1), ``t_rb =
+    r.T S^-1 b / 2`` carries the sign of the first-moment integrand, and
+    ``t_rr = r.T S^-1 r / 2 > 0``.
+    """
+    lam, qa, qb, qg = pieces
+    scaled = 2.0 * lam[:, :, None] * p2[:, None, :]
+    weight = 1.0 / (1.0 + scaled)
+    mahal = ((qa * qb)[:, None, :] @ weight)[:, 0]
+    core_log = -0.5 * np.log1p(scaled).sum(axis=1) - p2 * mahal
+    t_rb = (qa[:, :, None] * qg).transpose(0, 2, 1) @ weight
+    t_rr = (qg * qg).transpose(0, 2, 1) @ weight
+    return core_log, t_rb, t_rr
 
 
 def _kernel_pieces(context: MgfContext, p2: np.ndarray):
-    """Stable evaluation of the integrand pieces at an array of p2 values.
-
-    Returns ``(core_log, t_rb, t_rr)`` where ``exp(core_log)`` is the
-    positive envelope (always <= 1), ``t_rb = r.T S^-1 b / 2`` carries the
-    sign of the first-moment integrand, and ``t_rr = r.T S^-1 r / 2 > 0``.
-    """
-    lam = context.eig_values
-    scaled = 2.0 * np.outer(p2, lam)
-    if scaled.min() <= -1.0:
+    """:func:`_kernel` for one element at an array of p2 values."""
+    p2 = np.atleast_1d(p2)
+    if (2.0 * np.outer(p2, context.eig_values)).min() <= -1.0:
         raise NotPositiveDefinite("S = Sigma^-1/2 + p2 R is not positive definite")
-    weight = 1.0 / (1.0 + scaled)
-    logdet_k = np.log1p(scaled).sum(axis=1)
-    qa, qb, qg = context.proj_mu, context.proj_rmu, context.proj_r
-    core_log = -0.5 * logdet_k - p2 * (weight @ (qa * qb))
-    t_rb = weight @ (qa * qg)
-    t_rr = weight @ (qg * qg)
-    return core_log, t_rb, t_rr
+    core_log, t_rb, t_rr = _kernel(context.pieces(), p2[None])
+    return core_log[0], t_rb[0, context.k], t_rr[0, context.k]
 
 
 def mgf_closed_form(context: MgfContext, p1: float, p2: float) -> tuple[float, int]:
@@ -359,41 +348,25 @@ def moment_integrands(context: MgfContext, p2: np.ndarray) -> tuple[np.ndarray, 
     return envelope * t_rb, p2 * envelope * (t_rr + t_rb**2)
 
 
-def _first_gauss_laguerre(context: MgfContext, node_count: int) -> float:
-    # Substituted integral: (1/rho) * sum w_j * g(u_j / rho) * exp(u_j - u_j / rho),
-    # evaluated in log space (log w_j ~ -u_j, so the exponents stay bounded).
-    rate = _decay_rate(context)
-    nodes, weights = gauss_laguerre_nodes(node_count)
-    p2 = nodes / rate
-    core_log, t_rb, _ = _kernel_pieces(context, p2)
-    with np.errstate(divide="ignore"):
-        log_terms = (
-            np.log(weights) + core_log + np.log(np.abs(t_rb)) + nodes - p2 - np.log(rate)
-        )
-    return signed_log_sum(log_terms, np.sign(t_rb))
+def _gauss_laguerre(pieces, nodes: np.ndarray, weights: np.ndarray):
+    """Both moment tables, (B, n) each, for a block of columns.
 
-
-def _second_gauss_laguerre(context: MgfContext, node_count: int) -> float:
-    rate = _decay_rate(context)
-    nodes, weights = gauss_laguerre_nodes(node_count)
+    Substituted integral: (1/rho) * sum w_j * g(u_j / rho) * exp(u_j - u_j / rho),
+    evaluated in log space (log w_j ~ -u_j, so the exponents stay bounded).
+    """
+    rate = _decay_rate(pieces)[:, None]
     p2 = nodes / rate
-    core_log, t_rb, t_rr = _kernel_pieces(context, p2)
-    kernel = t_rr + t_rb**2
+    core_log, t_rb, t_rr = _kernel(pieces, p2)
+    shared = (np.log(weights) + core_log + nodes - p2 - np.log(rate))[:, None, :]
     with np.errstate(divide="ignore"):
-        log_terms = (
-            np.log(weights)
-            + np.log(p2, out=np.full_like(p2, -np.inf), where=p2 > 0)
-            + core_log
-            + np.log(kernel, out=np.full_like(kernel, -np.inf), where=kernel > 0)
-            + nodes
-            - p2
-            - np.log(rate)
-        )
-    return signed_log_sum(log_terms, np.ones_like(log_terms))
+        first = signed_log_sum(shared + np.log(np.abs(t_rb)), np.sign(t_rb))
+        log_kernel = np.log(p2)[:, None, :] + np.log(t_rr + t_rb**2)
+        second = signed_log_sum(shared + log_kernel, 1.0)
+    return first, second
 
 
 def _adaptive(context: MgfContext, quad: QuadratureConfig, order: int) -> tuple[float, float]:
-    rate = _decay_rate(context)
+    rate = float(_decay_rate(context.pieces())[0])
 
     def f(u: float) -> float:
         p = u / rate
@@ -415,14 +388,16 @@ def _adaptive(context: MgfContext, quad: QuadratureConfig, order: int) -> tuple[
     return float(out[0]), float(out[1])
 
 
-def _moment_element(context: MgfContext, quad: QuadratureConfig, order: int) -> float:
-    if quad.method == GAUSS_LAGUERRE or quad.cross_check:
-        if order == 1:
-            gl = _first_gauss_laguerre(context, quad.node_count)
-        else:
-            gl = _second_gauss_laguerre(context, quad.node_count)
-    if quad.method == ADAPTIVE_TRUNCATED or quad.cross_check:
-        ad, abserr = _adaptive(context, quad, order)
+def _moment_element(
+    context: MgfContext, quad: QuadratureConfig, order: int, gl: float | None = None
+) -> float:
+    """One element by the configured method; ``gl`` is its Gauss-Laguerre value if known."""
+    if gl is None and (quad.method == GAUSS_LAGUERRE or quad.cross_check):
+        rule = gauss_laguerre_nodes(quad.node_count)
+        gl = float(_gauss_laguerre(context.pieces(), *rule)[order - 1][0, context.k])
+    if quad.method == GAUSS_LAGUERRE and not quad.cross_check:
+        return gl
+    ad, abserr = _adaptive(context, quad, order)
     if quad.cross_check:
         diff = abs(gl - ad)
         tol = 100.0 * quad.rel_tol * max(abs(gl), abs(ad)) + 10.0 * abserr
@@ -454,58 +429,41 @@ def pinv_moments(
 ) -> PinvMoments:
     """Both moment tables for every element of the m x n pseudoinverse.
 
-    Elements are computed independently and written to pre-assigned slots;
-    the result is bit-identical for any thread count.  Per-element failures
-    are aggregated with their (t, k) locations.
+    Columns are processed in fixed-size blocks by one batched kernel;
+    ``threads`` is accepted for compatibility and has no effect.  The
+    adaptive method and ``cross_check`` integrate element by element from
+    the same column pieces.  Failures are aggregated with their (t, k)
+    locations, k = None for a column whose Gram complement is singular.
     """
     quad = quad or QuadratureConfig()
     X = snapshots.states
     n, m = X.shape
-    if noise.state_count != n:
-        raise DimensionMismatch("noise model does not match state count")
-    if ridge < 0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
-    sigma_factor, sigma_logdet = cholesky_logdet(noise.covariance())
+    _check_inputs(X, noise, ridge)
+    sigma_factor, _ = cholesky_logdet(noise.covariance())
     gram = X @ X.T
+    rule = gauss_laguerre_nodes(quad.node_count)
     first = np.empty((m, n))
     second = np.empty((m, n))
-    failures: list[list[tuple[int, int | None, DmduqError]]] = [[] for _ in range(m)]
+    failures: list[tuple[int, int | None, DmduqError]] = []
+    for start in range(0, m, _BLOCK_COLUMNS):
+        columns = np.arange(start, min(start + _BLOCK_COLUMNS, m))
+        R, singular = gram_complement_inverses(X, ridge, columns, gram)
+        failures.extend((t, None, err) for t, err in singular)
+        ok = np.isin(columns, [t for t, _ in singular], invert=True)
+        columns, R, mu = columns[ok], R[ok], X.T[columns[ok]]
+        pieces = _whiten(R, mu, sigma_factor)
+        first[columns], second[columns] = _gauss_laguerre(pieces, *rule)
+        if quad.method == GAUSS_LAGUERRE and not quad.cross_check:
+            continue
+        for i, t in enumerate(columns):
+            for k in range(n):
+                ctx = _context(R, mu, pieces, i, k, sigma_factor)
+                try:
+                    first[t, k] = _moment_element(ctx, quad, 1, first[t, k])
+                    second[t, k] = _moment_element(ctx, quad, 2, second[t, k])
+                except DmduqError as exc:
+                    failures.append((int(t), k, exc))
 
-    def run_column(t: int) -> None:
-        try:
-            V = _column_gram(X, t, ridge, gram=gram)
-            try:
-                factor, _ = cholesky_logdet(V)
-            except NotPositiveDefinite as exc:
-                raise SingularV(
-                    f"Gram complement singular at column t={t} with ridge={ridge}"
-                ) from exc
-            L = factor.lower_triangular_factor
-            inv_L = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
-            R = inv_L.T @ inv_L
-            ws = _workspace_from_parts(
-                0.5 * (R + R.T), X[:, t].copy(), sigma_factor, sigma_logdet
-            )
-        except DmduqError as exc:
-            failures[t].append((t, None, exc))
-            return
-        for k in range(n):
-            try:
-                ctx = _context_from_workspace(ws, k)
-                first[t, k] = _moment_element(ctx, quad, order=1)
-                second[t, k] = _moment_element(ctx, quad, order=2)
-            except DmduqError as exc:
-                failures[t].append((t, k, exc))
-
-    thread_count = threads if threads is not None else _default_threads()
-    if thread_count > 1:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            list(pool.map(run_column, range(m)))
-    else:
-        for t in range(m):
-            run_column(t)
-
-    flat = [item for per_column in failures for item in per_column]
-    if flat:
-        raise MomentComputationError(flat)
+    if failures:
+        raise MomentComputationError(sorted(failures, key=lambda f: f[0]))
     return PinvMoments(first=first, second_raw=second)

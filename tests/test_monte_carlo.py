@@ -5,9 +5,11 @@ from conftest import snapshots_from_trajectory_matrix
 from dmduq.data_model import NoiseModel
 from dmduq.errors import ConfigError, NegativeVarianceInput, TooManyFailedTrials
 from dmduq.monte_carlo import (
+    _CHUNK_SCALARS,
     INDEPENDENT,
     SHARED_TRAJECTORY,
     McConfig,
+    _chunk_size,
     run_mc,
     sample_operator_instances,
     trial_rng,
@@ -41,6 +43,16 @@ class TestTrialRng:
         a = trial_rng(5, 3).standard_normal(4)
         b = trial_rng(5, 3).standard_normal(4)
         assert np.array_equal(a, b)
+
+
+class TestChunkSize:
+    def test_operator_stack_within_budget(self):
+        # At m = 200, n = 2 the m x m operators, not the m n^2 draws, set
+        # the working set of a chunk.
+        assert _chunk_size(200, 2) * 200**2 <= _CHUNK_SCALARS
+
+    def test_draws_within_budget(self):
+        assert _chunk_size(400, 34) * 400 * 34**2 <= _CHUNK_SCALARS
 
 
 class TestRunMcDeterminism:

@@ -177,6 +177,12 @@ class TestGaussLaguerre:
             total = np.log(np.sum(np.exp(log_terms - shift))) + shift
             assert abs(np.exp(total - gammaln(d + 1)) - 1.0) <= 1e-9
 
+    def test_rule_cached_read_only(self):
+        nodes, weights = gauss_laguerre_nodes(64)
+        assert gauss_laguerre_nodes(64)[0] is nodes
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+
     @pytest.mark.parametrize("count", [0, -3, 257])
     def test_count_out_of_range(self, count):
         with pytest.raises(CountOutOfRange):

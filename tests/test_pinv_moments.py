@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from conftest import mgf_direct_mpmath, random_mgf_context
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy.integrate import quad
 
@@ -374,6 +378,65 @@ class TestPinvMomentsTable:
         b = pinv_moments(snaps, noise, threads=4)
         assert np.array_equal(a.first, b.first)
         assert np.array_equal(a.second_raw, b.second_raw)
+
+    def test_block_size_invariant(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        snaps = snapshots_from_states(rng.standard_normal((3, 11)))
+        noise = NoiseModel(variances=np.array([0.03, 0.01, 0.02]))
+        a = pinv_moments(snaps, noise)
+        # The package exports a function named like the module, so fetch
+        # the module itself.
+        monkeypatch.setattr(sys.modules["dmduq.pinv_moments"], "_BLOCK_COLUMNS", 4)
+        b = pinv_moments(snaps, noise)
+        assert np.array_equal(a.first, b.first)
+        assert np.array_equal(a.second_raw, b.second_raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        extra=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        full_covariance=st.booleans(),
+        ridge=st.sampled_from([0.0, 1e-3, 0.5]),
+        noise_scale=st.sampled_from([1e-6, 1e-2, 0.3]),
+    )
+    def test_table_equals_element_api(self, n, extra, seed, full_covariance, ridge, noise_scale):
+        # Every table element must be what the element-level API gives for
+        # the same (t, k), for any state count, covariance shape and ridge.
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        snaps = snapshots_from_states(rng.standard_normal((n, m)))
+        if full_covariance:
+            B = rng.standard_normal((n, n))
+            cov = noise_scale * (B @ B.T / n + 0.5 * np.eye(n))
+            noise = NoiseModel(variances=np.diag(cov).copy(), full_covariance=cov)
+        else:
+            noise = NoiseModel(variances=noise_scale * rng.uniform(0.5, 1.5, n))
+        table = pinv_moments(snaps, noise, ridge=ridge)
+        for t in range(m):
+            for k in range(n):
+                ctx = build_context(snaps, noise, t, k, ridge=ridge)
+                assert first_moment_element(ctx) == pytest.approx(table.first[t, k], rel=1e-12)
+                assert second_moment_element(ctx) == pytest.approx(
+                    table.second_raw[t, k], rel=1e-12
+                )
+
+    def test_only_singular_columns_reported(self):
+        # X = [e1, e2, e2]: dropping column 0 leaves two copies of e2, so only
+        # V_0 is singular; its leverage x_0.T inv(X X.T) x_0 is exactly 1.
+        snaps = snapshots_from_states([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        noise = NoiseModel(variances=np.full(2, 0.01))
+        with pytest.raises(MomentComputationError) as info:
+            pinv_moments(snaps, noise)
+        failures = info.value.failures
+        assert [(t, k) for t, k, _ in failures] == [(0, None)]
+        err = failures[0][2]
+        assert isinstance(err, SingularV)
+        assert "leverage h_t = 1 " in str(err) and "ridge=0.0" in str(err)
+        assert "leverage h_t = 1 " in str(info.value)
+        with pytest.raises(SingularV, match="leverage h_t = 1 "):
+            build_context(snaps, noise, t=0, k=0)
+        build_context(snaps, noise, t=1, k=0)
 
     def test_error_aggregation_with_locations(self):
         snaps = snapshots_from_states(2.0 * np.eye(3), extra_column=np.ones(3))
