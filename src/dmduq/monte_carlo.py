@@ -41,7 +41,7 @@ from .errors import (
     SingularV,
     TooManyFailedTrials,
 )
-from .numerics import cholesky_logdet, sort_eigenvalue_rows, spd_solve
+from .numerics import cholesky_logdet, product_eigenvalues, spd_solve
 from .operator_moments import OperatorMoments
 from .pinv_moments import _check_inputs, gram_complement_inverses
 
@@ -219,12 +219,12 @@ def run_mc(
                 zx[i] = rng.standard_normal((m, n, n))
                 zy[i] = rng.standard_normal((n, m))
             x_cols = X.T[None, :, None, :] + zx @ sigma_L.T  # (count, m, n, n)
-            y_tilde = Y[None, :, :] + y_std[:, None] * zy
-            rx = np.einsum("ctkd,tde->ctke", x_cols, r_stack)
-            num = np.einsum("tdk,ctkd->ctk", r_stack, x_cols)
+            y_draws = Y[None, :, :] + y_std[:, None] * zy
+            # Element (t, k) uses its own column draw x: (R_t x)_k / (1 + x.T R_t x).
+            # Row k of x_cols @ R_t is x.T R_t, whose entry k is (R_t.T x)_k = (R_t x)_k.
+            rx = x_cols @ r_stack  # (count, m, n, n)
             den = 1.0 + np.einsum("ctke,ctke->ctk", rx, x_cols)
-            pinv_tables = num / den  # (count, m, n)
-            operators = pinv_tables @ y_tilde
+            pinv_tables = rx.diagonal(axis1=2, axis2=3) / den  # (count, m, n)
         else:
             base = np.empty((count, n, m + 1))
             for i, trial in enumerate(range(start, stop)):
@@ -232,7 +232,7 @@ def run_mc(
                 base[i] = rng.standard_normal((n, m + 1))
             noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, base)
             x_t = noisy[:, :, :m]
-            y_t = noisy[:, :, 1:]
+            y_draws = noisy[:, :, 1:]
             grams = x_t @ x_t.transpose(0, 2, 1)
             if ridge:
                 grams = grams + ridge * np.eye(n)
@@ -249,13 +249,12 @@ def run_mc(
                         failed.append(start + i)
             if not ok.all():
                 pinv_tables = pinv_tables[ok]
-                y_t = y_t[ok]
-            operators = pinv_tables @ y_t
+                y_draws = y_draws[ok]
         pinv_acc.add_block(pinv_tables)
-        op_acc.add_block(operators)
+        op_acc.add_block(pinv_tables @ y_draws)
         eig_rows = None
         if config.compute_eigenvalues:
-            eig_rows = sort_eigenvalue_rows(np.linalg.eigvals(operators))
+            eig_rows = product_eigenvalues(pinv_tables, y_draws)
         return pinv_acc, op_acc, eig_rows, failed
 
     thread_count = threads if threads is not None else _default_threads()

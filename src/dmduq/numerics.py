@@ -3,8 +3,9 @@
 These are the shared primitives for the moment computations: Cholesky
 factorization with a log-determinant (so determinant factors can stay in
 log space), SPD solves, eigenvalue extraction with a deterministic total
-order, and Gauss-Laguerre rules for semi-infinite integrals weighted by
-``exp(-p)``.  All functions are pure and safe to call concurrently.
+order (rank-n products through their n x n factor product), and
+Gauss-Laguerre rules for semi-infinite integrals weighted by ``exp(-p)``.
+All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -166,6 +167,35 @@ def eigenvalues(matrix: np.ndarray) -> Spectrum:
         # within it surfaces here.
         raise ConvergenceFailure(f"eigenvalues: {exc}") from exc
     return Spectrum(eigenvalues=sort_eigenvalues(vals))
+
+
+def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of ``left @ right``, factors of shape (..., m, n) and (..., n, m).
+
+    For n < m, ``det(lam I_m - left right) = lam^(m-n) det(lam I_n - right left)``,
+    so the spectrum is the n eigenvalues of the n x n product plus m - n
+    exact zeros; only the small product is eigendecomposed.  Otherwise the
+    m x m product is.  Returns shape (..., m), each row in the order of
+    :func:`sort_eigenvalues`.
+    """
+    a = np.asarray(left, dtype=float)
+    b = np.asarray(right, dtype=float)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"left factor must be (..., m, n), got {a.shape}")
+    m, n = a.shape[-2:]
+    if b.shape != a.shape[:-2] + (n, m):
+        raise DimensionMismatch(f"factor shapes {a.shape} and {b.shape} do not chain")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DimensionMismatch("product_eigenvalues requires finite entries")
+    try:
+        if n < m:
+            small = np.linalg.eigvals(b @ a)
+            vals = np.concatenate([small, np.zeros(small.shape[:-1] + (m - n,))], axis=-1)
+        else:
+            vals = np.linalg.eigvals(a @ b)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"product_eigenvalues: {exc}") from exc
+    return sort_eigenvalue_rows(vals.reshape(-1, m)).reshape(vals.shape)
 
 
 def sort_eigenvalue_rows(values: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite, SingularGram
-from .numerics import Spectrum, cholesky_logdet, eigenvalues, spd_solve
+from .numerics import Spectrum, cholesky_logdet, product_eigenvalues, spd_solve
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
 logger = logging.getLogger(__name__)
@@ -79,7 +79,13 @@ class OperatorMoments:
 
 
 def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimate:
-    """A = X.T @ inv(X X.T + ridge I) @ Y, the m x m operator, with its spectrum."""
+    """A = X.T @ inv(X X.T + ridge I) @ Y, the m x m operator, with its spectrum.
+
+    A has rank at most n, so its spectrum (m entries, sorted) is the n
+    eigenvalues of the n x n product ``inv(X X.T + ridge I) @ Y @ X.T``
+    followed by m - n exact zeros; the m x m operator is never
+    eigendecomposed.  For m <= n the m x m operator itself is.
+    """
     if ridge < 0:
         raise ConfigError(f"ridge must be >= 0, got {ridge}")
     X, Y = snapshots.states, snapshots.shifted
@@ -92,8 +98,9 @@ def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimat
         raise SingularGram(
             f"X X.T is rank deficient at ridge={ridge}; supply ridge > 0"
         ) from exc
-    operator = X.T @ spd_solve(factor, Y)
-    return DmdEstimate(operator=operator, spectrum=eigenvalues(operator))
+    solved = spd_solve(factor, Y)
+    spectrum = Spectrum(eigenvalues=product_eigenvalues(X.T, solved))
+    return DmdEstimate(operator=X.T @ solved, spectrum=spectrum)
 
 
 def operator_first_moment(

@@ -254,10 +254,11 @@ def test_criterion_6_spring_mass_physics():
 
 def test_criterion_7_spectral_pipeline():
     # Short spring-mass snapshot set (m = n + 1): every sampled-instance
-    # eigenvalue index has a faithful MC counterpart.  For m >> n the MC
-    # operator instances have rank <= n with exactly-zero bulk eigenvalues
-    # while fully sampled instances do not, so per-index band comparison is
-    # only meaningful at this scale.
+    # eigenvalue index has a faithful MC counterpart.  MC operator instances
+    # have rank <= n, so their spectra are the n eigenvalues of the n x n
+    # factor product followed by m - n bulk eigenvalues that are exact zeros
+    # by construction.  Fully sampled instances have no such bulk, so for
+    # m >> n per-index band comparison is only meaningful at this scale.
     traj = dq.simulate_spring_mass(dq.SpringMassParams(duration=1.5, dt=0.01, x0=(0.53, 0.0)))
     snaps = dq.build_snapshots(dq.decimate_trajectory(traj, 50))
     rms = np.sqrt((snaps.states**2).mean(axis=1))

@@ -149,6 +149,43 @@ class TestRunMcStatistics:
         mags = np.abs(summary.eigen_samples)
         assert np.all(np.diff(mags, axis=1) <= 1e-12)
 
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_eigen_samples_match_rebuilt_trials(self, toy_system, mode):
+        # Rebuild every trial from its public stream and eigendecompose the
+        # full m x m operator: the leading n eigenvalues must agree, the
+        # remaining m - n must be exact zeros.
+        snaps, noise = toy_system
+        X, Y = snaps.states, snaps.shifted
+        n, m = X.shape
+        sigma_L = np.linalg.cholesky(noise.covariance())
+        trials = 4
+        summary = run_mc(snaps, noise, McConfig(trials=trials, master_seed=13, sampling_mode=mode))
+        tables = []
+        for trial in range(trials):
+            rng = trial_rng(13, trial)
+            if mode == INDEPENDENT:
+                zx = rng.standard_normal((m, n, n))
+                zy = rng.standard_normal((n, m))
+                table = np.empty((m, n))
+                for t in range(m):
+                    r = np.linalg.inv(X @ X.T - np.outer(X[:, t], X[:, t]))
+                    for k in range(n):
+                        x = X[:, t] + sigma_L @ zx[t, k]
+                        table[t, k] = (r @ x)[k] / (1.0 + x @ r @ x)
+                y_t = Y + np.sqrt(noise.variances)[:, None] * zy
+            else:
+                noisy = snaps.trajectory_columns() + sigma_L @ rng.standard_normal((n, m + 1))
+                x_t, y_t = noisy[:, :m], noisy[:, 1:]
+                table = np.linalg.solve(x_t @ x_t.T, x_t).T
+            tables.append(table)
+            full = np.linalg.eigvals(table @ y_t)
+            want = full[np.lexsort((-full.real, -full.imag, -np.abs(full)))]
+            got = summary.eigen_samples[trial]
+            assert np.abs(got[:n] - want[:n]).max() <= 1e-10 * np.abs(full).max()
+            assert np.all(got[n:] == 0)
+        mean = np.mean(tables, axis=0)
+        assert np.abs(summary.pinv_mean - mean).max() <= 1e-12 * np.abs(mean).max()
+
     def test_eigen_samples_disabled(self, toy_system):
         snaps, noise = toy_system
         summary = run_mc(

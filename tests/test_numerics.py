@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from dmduq.errors import (
@@ -13,6 +15,7 @@ from dmduq.numerics import (
     cholesky_logdet,
     eigenvalues,
     gauss_laguerre_nodes,
+    product_eigenvalues,
     signed_log_sum,
     sort_eigenvalue_rows,
     spd_solve,
@@ -135,6 +138,82 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvals", boom)
         with pytest.raises(ConvergenceFailure):
             eigenvalues(np.eye(2))
+
+
+def _product_factors(m, n, stack, structure, seed):
+    """Gaussian factors (stack + (m, n)) and (stack + (n, m)) with a chosen structure.
+
+    ``rank_deficient`` makes the last column of ``left`` a multiple of the
+    first (or zero when n = 1), so the n x n product has a zero eigenvalue.
+    ``rotation`` makes ``right @ left`` a block-triangular matrix whose
+    leading 2 x 2 block is a scaled rotation, so the spectrum holds a
+    complex-conjugate pair; it needs 2 <= n <= m.
+    """
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal(stack + (m, n))
+    right = rng.standard_normal(stack + (n, m))
+    if structure == "rank_deficient":
+        left[..., -1] = 0.5 * left[..., 0] if n > 1 else 0.0
+    elif structure == "rotation" and 2 <= n <= m:
+        theta, radius = rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.0)
+        small = rng.standard_normal(stack + (n, n))
+        small[..., :, :2] = 0.0
+        small[..., :2, :2] = radius * np.array(
+            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        )
+        right = small @ np.linalg.pinv(left)
+    return left, right
+
+
+class TestProductEigenvalues:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 4),
+        stack=st.sampled_from([(), (3,), (2, 2)]),
+        structure=st.sampled_from(["generic", "rank_deficient", "rotation"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_product(self, m, n, stack, structure, seed):
+        left, right = _product_factors(m, n, stack, structure, seed)
+        got = product_eigenvalues(left, right)
+        full = np.linalg.eigvals(left @ right)
+        want = sort_eigenvalue_rows(full.reshape(-1, m)).reshape(full.shape)
+        assert got.shape == stack + (m,)
+        lead = min(m, n)
+        scale = np.abs(full).max(initial=1.0)
+        assert np.abs(got[..., :lead] - want[..., :lead]).max() <= 1e-10 * scale
+        assert np.all(got[..., lead:] == 0)
+        rows = got.reshape(-1, m)
+        assert np.array_equal(sort_eigenvalue_rows(rows), rows)
+        if structure == "rank_deficient" and 2 <= n < m:
+            # One of the leading n comes from the singular n x n product.
+            assert np.abs(got[..., :lead]).min(axis=-1).max() <= 1e-10 * scale
+        if structure == "rotation" and 2 <= n <= m:
+            assert np.all(np.abs(got.imag).max(axis=-1) > 0.05)
+
+    def test_shapes_must_chain(self):
+        with pytest.raises(DimensionMismatch):
+            product_eigenvalues(np.ones((4, 2)), np.ones((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            product_eigenvalues(np.ones(4), np.ones(4))
+
+    def test_nonfinite_rejected(self):
+        left = np.ones((2, 4, 1))
+        left[1, 2, 0] = np.inf
+        with pytest.raises(DimensionMismatch):
+            product_eigenvalues(left, np.ones((2, 1, 4)))
+        with pytest.raises(DimensionMismatch):
+            product_eigenvalues(np.ones((4, 1)), np.full((1, 4), np.nan))
+
+    @pytest.mark.parametrize("m, n", [(5, 2), (2, 2)])
+    def test_failure_maps_to_convergence_error(self, monkeypatch, m, n):
+        def boom(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", boom)
+        with pytest.raises(ConvergenceFailure):
+            product_eigenvalues(np.ones((m, n)), np.ones((n, m)))
 
 
 class TestSortEigenvalueRows:

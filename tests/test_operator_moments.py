@@ -52,6 +52,19 @@ class TestDmdPointEstimate:
         est = dmd_point_estimate(snaps)
         assert est.spectrum.eigenvalues.size == 2
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_spectrum_matches_full_operator(self, ridge):
+        rng = np.random.default_rng(5)
+        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((3, 21)))
+        est = dmd_point_estimate(snaps, ridge=ridge)
+        n, m = snaps.states.shape
+        lam = est.spectrum.eigenvalues
+        full = np.linalg.eigvals(est.operator)
+        want = full[np.lexsort((-full.real, -full.imag, -np.abs(full)))]
+        assert lam.shape == (m,)
+        assert np.abs(lam[:n] - want[:n]).max() <= 1e-10 * np.abs(full).max()
+        assert np.all(lam[n:] == 0)
+
 
 @pytest.fixture(scope="module")
 def small_system():
