@@ -19,7 +19,13 @@ from .data_model import (
     save_csv,
 )
 from .metrics import ComparisonReport, compare, decimate, min_max_normalize
-from .monte_carlo import McConfig, McSummary, run_mc, sample_operator_instances
+from .monte_carlo import (
+    McConfig,
+    McSummary,
+    run_mc,
+    sample_operator_instances,
+    sample_operator_spectra,
+)
 from .numerics import (
     SpdFactor,
     Spectrum,
@@ -89,6 +95,7 @@ __all__ = [
     "McSummary",
     "run_mc",
     "sample_operator_instances",
+    "sample_operator_spectra",
     "SpdFactor",
     "Spectrum",
     "cholesky_logdet",

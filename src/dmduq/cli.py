@@ -21,14 +21,14 @@ from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, load_csv, save_csv
 from .errors import ConfigError, DmduqError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
-from .monte_carlo import run_mc, sample_operator_instances
+from .monte_carlo import run_mc, sample_operator_spectra
 from .operator_moments import (
     OperatorMoments,
     dmd_point_estimate,
     estimate_operator_moments,
 )
 from .pinv_moments import pinv_moments
-from .spectral import eigen_moments, eigen_samples, kde2d
+from .spectral import eigen_moments, kde2d
 from .systems import (
     SpringMassParams,
     random_network_params,
@@ -308,10 +308,9 @@ def cmd_spectrum(args) -> int:
         second_central=np.array(moments_data["operator_second_central"], dtype=float),
         variance_mode=moments_data["variance_mode"],
     )
-    instances = sample_operator_instances(
+    samples = sample_operator_spectra(
         moments, count=args.samples, seed=args.seed, clamp_negative=args.clamp_negative
     )
-    samples = eigen_samples(instances)
     lam1 = samples.representative_lambda1
     bandwidth = None if cfg.kde.bandwidth is None else (cfg.kde.bandwidth, cfg.kde.bandwidth)
     density = kde2d(

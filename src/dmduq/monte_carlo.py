@@ -44,6 +44,7 @@ from .errors import (
 from .numerics import cholesky_logdet, product_eigenvalues, spd_solve
 from .operator_moments import OperatorMoments
 from .pinv_moments import _check_inputs, gram_complement_inverses
+from .spectral import EigenSampleSet, eigen_samples
 
 logger = logging.getLogger(__name__)
 
@@ -307,17 +308,18 @@ def run_mc(
     )
 
 
-def sample_operator_instances(
+def _instance_blocks(
     moments: OperatorMoments,
     count: int,
     seed: int,
-    clamp_negative: bool = False,
-) -> np.ndarray:
-    """Draw operator instances with independent Gaussian entries.
+    clamp_negative: bool,
+    block: int,
+):
+    """Validate the variances, then iterate ``(start, instances)`` blocks of at most ``block``.
 
     Entry (i, j) of each instance is N(first[i][j], second_central[i][j]).
-    Negative variances beyond -1e-12 raise unless clamping is enabled, in
-    which case they are clamped to zero with a logged per-element count.
+    All blocks come in order from the one ``trial_rng(seed, 0)`` stream, so
+    they concatenate to a single draw of ``count`` instances bit for bit.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
@@ -332,5 +334,52 @@ def sample_operator_instances(
         logger.warning("clamping %d negative variance element(s) to zero", negatives)
     std = np.sqrt(np.clip(var, 0.0, None))
     rng = trial_rng(seed, 0)
-    draws = rng.standard_normal((count,) + var.shape)
-    return moments.first[None, :, :] + std[None, :, :] * draws
+
+    def blocks():
+        for start in range(0, count, block):
+            draws = rng.standard_normal((min(block, count - start),) + var.shape)
+            draws *= std
+            draws += moments.first
+            yield start, draws
+
+    return blocks()
+
+
+def sample_operator_instances(
+    moments: OperatorMoments,
+    count: int,
+    seed: int,
+    clamp_negative: bool = False,
+) -> np.ndarray:
+    """Draw operator instances with independent Gaussian entries.
+
+    Entry (i, j) of each instance is N(first[i][j], second_central[i][j]).
+    Negative variances beyond -1e-12 raise unless clamping is enabled, in
+    which case they are clamped to zero with a logged per-element count.
+    """
+    return next(_instance_blocks(moments, count, seed, clamp_negative, count))[1]
+
+
+def sample_operator_spectra(
+    moments: OperatorMoments,
+    count: int,
+    seed: int,
+    clamp_negative: bool = False,
+) -> EigenSampleSet:
+    """Sorted spectra of ``count`` instances drawn as by :func:`sample_operator_instances`.
+
+    Bit-identical to ``eigen_samples(sample_operator_instances(...))``, but
+    instances are drawn and eigendecomposed in chunks of at most
+    ``_CHUNK_SCALARS`` entries, so memory holds one chunk plus the
+    ``count x m`` complex spectra, whatever ``count`` is.
+    """
+    m = moments.first.shape[0]
+    chunk = max(1, _CHUNK_SCALARS // (m * m))
+    blocks = _instance_blocks(moments, count, seed, clamp_negative, chunk)
+    samples = np.empty((count, m), dtype=complex)
+    representative = np.empty(count, dtype=complex)
+    for start, instances in blocks:
+        part = eigen_samples(instances, first_index=start)
+        samples[start : start + len(instances)] = part.samples
+        representative[start : start + len(instances)] = part.representative_lambda1
+    return EigenSampleSet(samples=samples, representative_lambda1=representative)

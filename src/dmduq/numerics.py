@@ -148,9 +148,38 @@ def lower_triangular_inverses(lower: np.ndarray) -> np.ndarray:
 
 def sort_eigenvalues(values: np.ndarray) -> np.ndarray:
     """Deterministic total order: |z| desc, then Im desc, then Re desc."""
-    v = np.asarray(values, dtype=complex)
-    order = np.lexsort((-v.real, -v.imag, -np.abs(v)))
-    return v[order]
+    return sort_eigenvalue_rows(np.asarray(values, dtype=complex)[None, :])[0]
+
+
+def eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
+    """Eigenvalues of a stack (N, m, m) of real matrices, one sorted row per matrix.
+
+    Non-finite entries raise DimensionMismatch and a failed eigendecomposition
+    raises ConvergenceFailure.  Both name the matrix as ``first_index`` plus
+    its position in the stack, so a caller working through a longer sequence
+    in chunks reports the index in the whole sequence.
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected (N, m, m) matrices, got {a.shape}")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        bad = first_index + int(np.argmin(finite))
+        raise DimensionMismatch(f"non-finite entries in instance {bad}")
+    try:
+        values = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        # The QR iteration cap lives inside LAPACK; locate the matrix that
+        # did not converge within it.
+        for idx, matrix in enumerate(a):
+            try:
+                np.linalg.eigvals(matrix)
+            except np.linalg.LinAlgError as single:
+                raise ConvergenceFailure(
+                    f"eigendecomposition failed at instance {first_index + idx}: {single}"
+                ) from single
+        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+    return sort_eigenvalue_rows(values)
 
 
 def eigenvalues(matrix: np.ndarray) -> Spectrum:
@@ -158,15 +187,7 @@ def eigenvalues(matrix: np.ndarray) -> Spectrum:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"eigenvalues requires a square matrix, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DimensionMismatch("eigenvalues requires finite entries")
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        # The QR iteration cap lives inside LAPACK; failure to converge
-        # within it surfaces here.
-        raise ConvergenceFailure(f"eigenvalues: {exc}") from exc
-    return Spectrum(eigenvalues=sort_eigenvalues(vals))
+    return Spectrum(eigenvalues=eigenvalue_rows(a[None])[0])
 
 
 def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -176,7 +197,8 @@ def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     so the spectrum is the n eigenvalues of the n x n product plus m - n
     exact zeros; only the small product is eigendecomposed.  Otherwise the
     m x m product is.  Returns shape (..., m), each row in the order of
-    :func:`sort_eigenvalues`.
+    :func:`sort_eigenvalues` (the zeros sort last, so appending them after
+    sorting keeps that order).
     """
     a = np.asarray(left, dtype=float)
     b = np.asarray(right, dtype=float)
@@ -187,15 +209,11 @@ def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"factor shapes {a.shape} and {b.shape} do not chain")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DimensionMismatch("product_eigenvalues requires finite entries")
-    try:
-        if n < m:
-            small = np.linalg.eigvals(b @ a)
-            vals = np.concatenate([small, np.zeros(small.shape[:-1] + (m - n,))], axis=-1)
-        else:
-            vals = np.linalg.eigvals(a @ b)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"product_eigenvalues: {exc}") from exc
-    return sort_eigenvalue_rows(vals.reshape(-1, m)).reshape(vals.shape)
+    k = min(m, n)
+    product = b @ a if n < m else a @ b
+    rows = eigenvalue_rows(product.reshape(-1, k, k))
+    rows = np.concatenate([rows, np.zeros((rows.shape[0], m - k))], axis=1)
+    return rows.reshape(a.shape[:-2] + (m,))
 
 
 def sort_eigenvalue_rows(values: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
-from .numerics import sort_eigenvalue_rows
+from .errors import DegenerateData, DimensionMismatch, TooFewSamples
+from .numerics import eigenvalue_rows
 
 
 @dataclass(frozen=True)
@@ -63,24 +63,18 @@ class Kde2d:
     bandwidth_im: float
 
 
-def eigen_samples(instances: np.ndarray) -> EigenSampleSet:
-    """Eigendecompose a stack of square matrices into sorted spectra."""
+def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet:
+    """Eigendecompose a stack of square matrices into sorted spectra.
+
+    Failures name the instance as ``first_index`` plus its position in the
+    stack, for callers that pass one chunk of a longer sequence.
+    """
     arr = np.asarray(instances, dtype=float)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimensionMismatch(f"expected (N, m, m) instances, got {arr.shape}")
     if arr.shape[0] < 1:
         raise TooFewSamples("need at least one instance")
-    try:
-        values = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError:
-        # Locate the offender for the error message.
-        for idx in range(arr.shape[0]):
-            try:
-                np.linalg.eigvals(arr[idx])
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"eigendecomposition failed at instance {idx}") from exc
-        raise
-    ordered = sort_eigenvalue_rows(values)
+    ordered = eigenvalue_rows(arr, first_index)
     top = ordered[:, 0]
     representative = np.where(top.imag < 0, np.conj(top), top)
     return EigenSampleSet(samples=ordered, representative_lambda1=representative)

@@ -12,6 +12,7 @@ import pytest
 from conftest import mgf_direct_mpmath, random_mgf_context, run_cli
 from mpmath import mp
 from scipy.integrate import quad as scipy_quad
+from scipy.integrate import trapezoid
 
 import dmduq as dq
 from dmduq.spectral import density_peak, silverman_bandwidth
@@ -183,7 +184,7 @@ def test_criterion_5_identity_suite():
         u = np.stack([g.ravel() for g in grids], axis=1)
         vals = np.exp(-np.einsum("ij,jk,ik->i", u, L, u) + u @ v).reshape(grids[0].shape)
         for axis in reversed(range(dim)):
-            vals = np.trapezoid(vals, axes[axis], axis=axis)
+            vals = trapezoid(vals, axes[axis], axis=axis)
         expected = (
             np.pi ** (dim / 2.0)
             / np.sqrt(np.linalg.det(L))

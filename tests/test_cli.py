@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
+from dmduq import cli, monte_carlo
 from dmduq.cli import dumps_json, main
+from dmduq.monte_carlo import sample_operator_instances
+from dmduq.spectral import eigen_samples
 
 
 def stderr_error_code(proc) -> str:
@@ -311,6 +314,39 @@ class TestSpectrum:
             main(["spectrum", str(moments), "--samples", "200", "--seed", "7", "--out", str(out)])
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a_bands.csv").read_bytes() == (tmp_path / "b_bands.csv").read_bytes()
+
+
+    def test_chunked_matches_unchunked_reference(
+        self, small_csv, config_path, tmp_path, monkeypatch
+    ):
+        # Streamed in chunks of 3 instances, the outputs must equal, byte for
+        # byte, those written from one draw of all instances.
+        moments = tmp_path / "moments.json"
+        main(
+            [
+                "moments",
+                str(small_csv),
+                "--config",
+                str(config_path),
+                "--noise-variances",
+                "1e-4,1e-4",
+                "--out",
+                str(moments),
+            ]
+        )
+        m = len(json.loads(moments.read_text())["operator_first"])
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 3 * m * m)
+        argv = ["spectrum", str(moments), "--samples", "50", "--seed", "9", "--out"]
+        assert main(argv + [str(tmp_path / "streamed.csv")]) == 0
+
+        def reference(moments, count, seed, clamp_negative):
+            return eigen_samples(sample_operator_instances(moments, count, seed, clamp_negative))
+
+        monkeypatch.setattr(cli, "sample_operator_spectra", reference)
+        assert main(argv + [str(tmp_path / "reference.csv")]) == 0
+        for name in ("{}.csv", "{}_bands.csv"):
+            streamed = (tmp_path / name.format("streamed")).read_bytes()
+            assert streamed == (tmp_path / name.format("reference")).read_bytes()
 
 
 class TestPipeline:

@@ -1,9 +1,18 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import snapshots_from_trajectory_matrix
 
+from dmduq import monte_carlo
 from dmduq.data_model import NoiseModel
-from dmduq.errors import ConfigError, NegativeVarianceInput, TooManyFailedTrials
+from dmduq.errors import (
+    ConfigError,
+    ConvergenceFailure,
+    NegativeVarianceInput,
+    TooManyFailedTrials,
+)
 from dmduq.monte_carlo import (
     _CHUNK_SCALARS,
     INDEPENDENT,
@@ -12,6 +21,7 @@ from dmduq.monte_carlo import (
     _chunk_size,
     run_mc,
     sample_operator_instances,
+    sample_operator_spectra,
     trial_rng,
 )
 from dmduq.operator_moments import (
@@ -22,6 +32,7 @@ from dmduq.operator_moments import (
     estimate_operator_moments,
 )
 from dmduq.pinv_moments import QuadratureConfig, first_moment_element, context_from_parts
+from dmduq.spectral import eigen_samples
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +280,74 @@ class TestSampleOperatorInstances:
         )
         out = sample_operator_instances(moments, count=3, seed=0, clamp_negative=True)
         assert np.array_equal(out, np.zeros((3, 1, 1)))
+
+
+def _random_moments(m: int, seed: int) -> OperatorMoments:
+    rng = np.random.default_rng(seed)
+    return OperatorMoments(
+        first=rng.standard_normal((m, m)) / np.sqrt(m),
+        second_central=rng.uniform(0.0, 0.01, (m, m)),
+        variance_mode=CORRECTED,
+    )
+
+
+class TestSampleOperatorSpectra:
+    @pytest.mark.parametrize("chunk", [1, 3, 10])
+    def test_equals_unchunked_reference(self, monkeypatch, chunk):
+        # Chunks of 1, 3 (a short last chunk) and all 10 instances must give
+        # the spectra of one draw of every instance, bit for bit.
+        moments = _random_moments(5, seed=0)
+        want = eigen_samples(sample_operator_instances(moments, count=10, seed=4))
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", chunk * 5 * 5)
+        got = sample_operator_spectra(moments, count=10, seed=4)
+        assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
+
+    def test_failure_names_global_instance(self, monkeypatch):
+        # Instance 5 sits at position 2 of the second chunk of 3.
+        moments = _random_moments(4, seed=1)
+        target = sample_operator_instances(moments, count=8, seed=2)[5]
+        eigvals = np.linalg.eigvals
+
+        def fails_on_target(a):
+            stack = np.asarray(a).reshape((-1,) + target.shape)
+            if any(np.array_equal(matrix, target) for matrix in stack):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 3 * 4 * 4)
+        monkeypatch.setattr(np.linalg, "eigvals", fails_on_target)
+        with pytest.raises(ConvergenceFailure, match="instance 5"):
+            sample_operator_spectra(moments, count=8, seed=2)
+
+    def test_validation_once_per_call(self, monkeypatch, caplog):
+        moments = OperatorMoments(
+            first=np.eye(2),
+            second_central=np.array([[-1e-6, 0.01], [0.01, 0.01]]),
+            variance_mode=PAPER_LITERAL,
+        )
+        with pytest.raises(NegativeVarianceInput):
+            sample_operator_spectra(moments, count=6, seed=0)
+        with pytest.raises(ConfigError):
+            sample_operator_spectra(moments, count=0, seed=0, clamp_negative=True)
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 2 * 2 * 2)
+        with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
+            sample_operator_spectra(moments, count=6, seed=0, clamp_negative=True)
+        assert len([r for r in caplog.records if "clamping" in r.message]) == 1
+
+    def test_memory_bounded_by_chunk(self, monkeypatch):
+        # 2000 instances of 20 x 20 in chunks of 10: the whole stack would be
+        # 6.4 MB, one chunk is 32 kB and the kept spectra 640 kB.
+        m, count, chunk = 20, 2000, 10
+        moments = _random_moments(m, seed=3)
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", chunk * m * m)
+        chunk_bytes = chunk * m * m * 8
+        result_bytes = count * m * 16
+        tracemalloc.start()
+        try:
+            sample_operator_spectra(moments, count=count, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk_bytes + 2 * result_bytes
+        assert peak < count * m * m * 8 / 4

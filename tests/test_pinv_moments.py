@@ -6,7 +6,7 @@ from conftest import mgf_direct_mpmath, random_mgf_context
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots
 from dmduq.errors import (
@@ -334,7 +334,7 @@ class TestGaussianIntegralIdentity:
         u = np.stack([g.ravel() for g in grids], axis=1)
         values = np.exp(-np.einsum("ij,jk,ik->i", u, L, u) + u @ v).reshape(grids[0].shape)
         for axis in reversed(range(dim)):
-            values = np.trapezoid(values, axes[axis], axis=axis)
+            values = trapezoid(values, axes[axis], axis=axis)
         expected = np.pi ** (dim / 2.0) / np.sqrt(np.linalg.det(L)) * np.exp(v @ np.linalg.solve(L, v) / 4.0)
         assert values == pytest.approx(expected, rel=1e-5)
 

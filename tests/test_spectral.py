@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from dmduq.errors import DegenerateData, DimensionMismatch, TooFewSamples
 from dmduq.spectral import (
@@ -38,6 +39,14 @@ class TestEigenSamples:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             eigen_samples(np.zeros((3, 2, 4)))
+
+    def test_nonfinite_names_instance(self):
+        instances = np.tile(np.eye(2), (3, 1, 1))
+        instances[1, 0, 1] = np.inf
+        with pytest.raises(DimensionMismatch, match="instance 1"):
+            eigen_samples(instances)
+        with pytest.raises(DimensionMismatch, match="instance 11"):
+            eigen_samples(instances, first_index=10)
 
 
 class TestEigenMoments:
@@ -109,7 +118,7 @@ class TestKde:
     def test_integrates_to_one(self):
         rng = np.random.default_rng(4)
         curve = kde(rng.standard_normal(2_000))
-        total = np.trapezoid(curve.density, curve.grid)
+        total = trapezoid(curve.density, curve.grid)
         assert 0.98 <= total <= 1.02
 
     def test_degenerate_auto_bandwidth(self):
@@ -135,7 +144,7 @@ class TestKde2d:
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal(3000), rng.standard_normal(3000)
         out = kde2d(x, y)
-        total = np.trapezoid(np.trapezoid(out.density, out.grid_im, axis=1), out.grid_re)
+        total = trapezoid(trapezoid(out.density, out.grid_im, axis=1), out.grid_re)
         assert 0.97 <= total <= 1.03
 
     def test_peak_near_center(self):
