@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .data_model import NoiseModel, build_snapshots, estimate_noise, load_csv, save_csv
+from .data_model import NoiseModel, build_snapshots, estimate_noise, format_rows, load_csv, save_csv
 from .errors import ConfigError, DmduqError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
@@ -66,6 +66,8 @@ def dumps_json(obj, precision: int = 17) -> str:
         if isinstance(node, (list, tuple)):
             return "[" + ",".join(emit(v) for v in node) + "]"
         if isinstance(node, np.ndarray):
+            if node.dtype.kind == "f" and node.ndim and node.size:
+                return emit_float_array(node)
             return emit(node.tolist())
         if isinstance(node, dict):
             parts = []
@@ -75,6 +77,14 @@ def dumps_json(obj, precision: int = 17) -> str:
                 parts.append(json.dumps(key) + ":" + emit(value))
             return "{" + ",".join(parts) + "}"
         raise ConfigError(f"cannot serialize {type(node).__name__} to JSON")
+
+    def emit_float_array(array: np.ndarray) -> str:
+        # One format string per innermost row, then nest the rows by shape.
+        parts = ["[" + row + "]" for row in format_rows(array, precision)]
+        for size in reversed(array.shape[:-1]):
+            groups = range(0, len(parts), size)
+            parts = ["[" + ",".join(parts[i : i + size]) + "]" for i in groups]
+        return parts[0]
 
     return emit(obj) + "\n"
 
@@ -112,6 +122,13 @@ def _load_pipeline_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     return PipelineConfig()
+
+
+def _recording_inputs(args):
+    """Config, snapshots and noise model of a command that reads a recording."""
+    cfg = _load_pipeline_config(args)
+    trajectory = load_csv(args.data)
+    return cfg, build_snapshots(trajectory), _noise_from_args(args, trajectory)
 
 
 def _noise_from_args(args, trajectory) -> NoiseModel:
@@ -159,6 +176,27 @@ def _moments_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
     }
 
 
+def _mc_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
+    summary = run_mc(snapshots, noise, config=cfg.mc, ridge=cfg.ridge)
+    eigen = None
+    if summary.eigen_samples is not None:
+        eigen = {"re": summary.eigen_samples.real, "im": summary.eigen_samples.imag}
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "pinv_mean": summary.pinv_mean,
+        "pinv_second_raw": summary.pinv_second_raw,
+        "operator_mean": summary.operator_mean,
+        "operator_variance": summary.operator_variance,
+        "standard_errors": vars(summary.standard_errors),  # McStandardErrors field order
+        "eigen_samples": eigen,
+        "trials": summary.trials,
+        "failed_trials": summary.failed_trials,
+        "sampling_mode": summary.sampling_mode,
+        "master_seed": summary.master_seed,
+        "metadata": {"config": cfg.to_dict(), "version": __version__},
+    }
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -192,10 +230,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    cfg = _load_pipeline_config(args)
-    trajectory = load_csv(args.data)
-    snapshots = build_snapshots(trajectory)
-    noise = _noise_from_args(args, trajectory)
+    cfg, snapshots, noise = _recording_inputs(args)
     payload = _moments_payload(snapshots, noise, cfg)
     _write_json(args.out, payload, cfg.output_precision)
     print(f"wrote {args.out}")
@@ -203,36 +238,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    cfg = _load_pipeline_config(args)
-    trajectory = load_csv(args.data)
-    snapshots = build_snapshots(trajectory)
-    noise = _noise_from_args(args, trajectory)
-    summary = run_mc(snapshots, noise, config=cfg.mc, ridge=cfg.ridge)
-    eigen = None
-    if summary.eigen_samples is not None:
-        eigen = {
-            "re": summary.eigen_samples.real,
-            "im": summary.eigen_samples.imag,
-        }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "pinv_mean": summary.pinv_mean,
-        "pinv_second_raw": summary.pinv_second_raw,
-        "operator_mean": summary.operator_mean,
-        "operator_variance": summary.operator_variance,
-        "standard_errors": {
-            "pinv_mean": summary.standard_errors.pinv_mean,
-            "pinv_second_raw": summary.standard_errors.pinv_second_raw,
-            "operator_mean": summary.standard_errors.operator_mean,
-            "operator_variance": summary.standard_errors.operator_variance,
-        },
-        "eigen_samples": eigen,
-        "trials": summary.trials,
-        "failed_trials": summary.failed_trials,
-        "sampling_mode": summary.sampling_mode,
-        "master_seed": summary.master_seed,
-        "metadata": {"config": cfg.to_dict(), "version": __version__},
-    }
+    cfg, snapshots, noise = _recording_inputs(args)
+    payload = _mc_payload(snapshots, noise, cfg)
     _write_json(args.out, payload, cfg.output_precision)
     print(f"wrote {args.out}")
     return 0
@@ -316,73 +323,41 @@ def cmd_spectrum(args) -> int:
     density = kde2d(
         lam1.real, lam1.imag, bandwidths=bandwidth, grid_points=cfg.kde.grid_points
     )
-    fmt = "%.{}g".format(cfg.output_precision)
+    precision = cfg.output_precision
+    grid_re, grid_im = np.meshgrid(density.grid_re, density.grid_im, indexing="ij")
+    curve = np.column_stack([grid_re.ravel(), grid_im.ravel(), density.density.ravel()])
     out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write("grid_re,grid_im,density\n")
-        for a, re_val in enumerate(density.grid_re):
-            for b, im_val in enumerate(density.grid_im):
-                handle.write(
-                    ",".join(fmt % v for v in (re_val, im_val, density.density[a, b])) + "\n"
-                )
+        handle.writelines(row + "\n" for row in format_rows(curve, precision))
     table = eigen_moments(samples)
+    re, im, var_re, var_im = table.mean.real, table.mean.imag, table.variance_re, table.variance_im
+    half_re, half_im = 2.0 * np.sqrt(var_re), 2.0 * np.sqrt(var_im)
+    bands = np.column_stack(
+        [re, im, var_re, var_im, re - half_re, re + half_re, im - half_im, im + half_im]
+    )
     bands_path = out_path.with_name(out_path.stem + "_bands" + out_path.suffix)
     with open(bands_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(
             "index,mean_re,mean_im,var_re,var_im,"
             "band_re_lo,band_re_hi,band_im_lo,band_im_hi\n"
         )
-        for idx in range(table.mean.size):
-            sd_re = np.sqrt(table.variance_re[idx])
-            sd_im = np.sqrt(table.variance_im[idx])
-            row = (
-                table.mean[idx].real,
-                table.mean[idx].imag,
-                table.variance_re[idx],
-                table.variance_im[idx],
-                table.mean[idx].real - 2.0 * sd_re,
-                table.mean[idx].real + 2.0 * sd_re,
-                table.mean[idx].imag - 2.0 * sd_im,
-                table.mean[idx].imag + 2.0 * sd_im,
-            )
-            handle.write(str(idx) + "," + ",".join(fmt % v for v in row) + "\n")
+        handle.writelines(
+            f"{idx},{row}\n" for idx, row in enumerate(format_rows(bands, precision))
+        )
     print(f"wrote {args.out} and {bands_path}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _load_pipeline_config(args)
-    trajectory = load_csv(args.data)
-    snapshots = build_snapshots(trajectory)
-    noise = _noise_from_args(args, trajectory)
+    cfg, snapshots, noise = _recording_inputs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     moments_payload = _moments_payload(snapshots, noise, cfg)
     _write_json(out_dir / "moments.json", moments_payload, cfg.output_precision)
 
-    summary = run_mc(snapshots, noise, config=cfg.mc, ridge=cfg.ridge)
-    mc_payload = {
-        "schema_version": SCHEMA_VERSION,
-        "pinv_mean": summary.pinv_mean,
-        "pinv_second_raw": summary.pinv_second_raw,
-        "operator_mean": summary.operator_mean,
-        "operator_variance": summary.operator_variance,
-        "standard_errors": {
-            "pinv_mean": summary.standard_errors.pinv_mean,
-            "pinv_second_raw": summary.standard_errors.pinv_second_raw,
-            "operator_mean": summary.standard_errors.operator_mean,
-            "operator_variance": summary.standard_errors.operator_variance,
-        },
-        "eigen_samples": None
-        if summary.eigen_samples is None
-        else {"re": summary.eigen_samples.real, "im": summary.eigen_samples.imag},
-        "trials": summary.trials,
-        "failed_trials": summary.failed_trials,
-        "sampling_mode": summary.sampling_mode,
-        "master_seed": summary.master_seed,
-        "metadata": {"config": cfg.to_dict(), "version": __version__},
-    }
+    mc_payload = _mc_payload(snapshots, noise, cfg)
     _write_json(out_dir / "mc.json", mc_payload, cfg.output_precision)
 
     report = _report_payload(moments_payload, mc_payload, cfg.decimate_stride)

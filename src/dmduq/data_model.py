@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyWindow,
     HeaderMismatch,
@@ -27,7 +28,6 @@ from .errors import (
 from .numerics import cholesky_logdet
 
 UNIFORMITY_RTOL = 1e-9
-FLOAT_FORMAT = "%.17g"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -243,11 +243,23 @@ def load_csv(path) -> RawTrajectory:
     return RawTrajectory(times=np.array(times), samples=samples, state_names=names)
 
 
+def format_rows(table: np.ndarray, precision: int = 17) -> list[str]:
+    """Each row (last axis) of a float array as comma-separated ``%.<precision>g`` values.
+
+    One format string serves every row and one vectorized check covers the
+    whole array, so the text equals formatting each value on its own.
+    Non-finite values raise ConfigError.
+    """
+    a = np.asarray(table, dtype=float)
+    if not np.isfinite(a).all():
+        raise ConfigError("cannot serialize non-finite value")
+    fmt = ("%.{}g,".format(precision) * a.shape[-1])[:-1]
+    return [fmt % tuple(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
+
+
 def save_csv(trajectory: RawTrajectory, path) -> None:
     """Write a trajectory as CSV; 17 significant digits round-trip bit-exactly."""
+    table = np.column_stack([trajectory.times, trajectory.samples.T])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("time," + ",".join(trajectory.state_names) + "\n")
-        for j in range(trajectory.times.size):
-            cells = [FLOAT_FORMAT % trajectory.times[j]]
-            cells.extend(FLOAT_FORMAT % v for v in trajectory.samples[:, j])
-            handle.write(",".join(cells) + "\n")
+        handle.writelines(row + "\n" for row in format_rows(table))

@@ -20,13 +20,16 @@ Two sampling modes:
 Per-trial randomness comes from counter-based streams keyed by
 (master_seed, trial index), so trials never share a stream and results are
 bit-identical for any thread count: chunks are fixed functions of the
-problem shape and partial sums reduce in chunk order.
+problem shape and partial sums reduce in chunk order.  Each chunk is merged
+into the running totals as soon as it is done, with at most two chunks per
+thread in flight, so memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -109,9 +112,29 @@ class McSummary:
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Counter-keyed stream for one trial; distinct trials never collide."""
+    """Counter-keyed stream for one trial; distinct trials never collide.
+
+    The same draws as ``Generator(Philox(key=[master_seed, trial]))``.
+    """
+    return _restart(np.random.Generator(np.random.Philox(0)), master_seed, trial)
+
+
+def _restart(rng: np.random.Generator, master_seed: int, trial: int) -> np.random.Generator:
+    """Reset a Philox generator to the start of one trial's stream and return it.
+
+    Reusing one generator this way skips the OS-entropy seeding that every
+    new ``Philox(key=...)`` does before its key replaces the seed.
+    """
     key = np.array([master_seed & _MASK64, trial & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 _CHUNK_SCALARS = 4_000_000
@@ -132,8 +155,19 @@ def _default_threads() -> int:
         return 1
 
 
-def _chunks(n_trials: int, size: int) -> list[tuple[int, int]]:
-    return [(start, min(start + size, n_trials)) for start in range(0, n_trials, size)]
+def _map_in_order(func, items: range, threads: int):
+    """Yield ``func(item)`` in item order, with at most ``2 * threads`` calls in flight."""
+    if threads <= 1 or len(items) <= 1:
+        yield from map(func, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(func, item))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 class _MomentAccumulator:
@@ -204,19 +238,19 @@ def run_mc(
 
     n_trials = config.trials
     chunk = _chunk_size(m, n)
-    spans = _chunks(n_trials, chunk)
 
-    def run_chunk(span: tuple[int, int]):
-        start, stop = span
+    def run_chunk(start: int):
+        stop = min(start + chunk, n_trials)
         count = stop - start
         pinv_acc = _MomentAccumulator(pinv_point)
         op_acc = _MomentAccumulator(operator_point)
         failed: list[int] = []
+        rng = np.random.Generator(np.random.Philox(0))
         if config.sampling_mode == INDEPENDENT:
             zx = np.empty((count, m, n, n))
             zy = np.empty((count, n, m))
             for i, trial in enumerate(range(start, stop)):
-                rng = trial_rng(config.master_seed, trial)
+                _restart(rng, config.master_seed, trial)
                 zx[i] = rng.standard_normal((m, n, n))
                 zy[i] = rng.standard_normal((n, m))
             x_cols = X.T[None, :, None, :] + zx @ sigma_L.T  # (count, m, n, n)
@@ -229,7 +263,7 @@ def run_mc(
         else:
             base = np.empty((count, n, m + 1))
             for i, trial in enumerate(range(start, stop)):
-                rng = trial_rng(config.master_seed, trial)
+                _restart(rng, config.master_seed, trial)
                 base[i] = rng.standard_normal((n, m + 1))
             noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, base)
             x_t = noisy[:, :, :m]
@@ -259,16 +293,11 @@ def run_mc(
         return pinv_acc, op_acc, eig_rows, failed
 
     thread_count = threads if threads is not None else _default_threads()
-    if thread_count > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            results = list(pool.map(run_chunk, spans))
-    else:
-        results = [run_chunk(span) for span in spans]
-
     pinv_total = _MomentAccumulator(pinv_point)
     op_total = _MomentAccumulator(operator_point)
     eig_parts: list[np.ndarray] = []
     failed_indices: list[int] = []
+    results = _map_in_order(run_chunk, range(0, n_trials, chunk), thread_count)
     for pinv_acc, op_acc, eig_rows, failed in results:
         pinv_total.merge(pinv_acc)
         op_total.merge(op_acc)

@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import (
@@ -366,6 +365,8 @@ def _gauss_laguerre(pieces, nodes: np.ndarray, weights: np.ndarray):
 
 
 def _adaptive(context: MgfContext, quad: QuadratureConfig, order: int) -> tuple[float, float]:
+    import scipy.integrate  # only this opt-in path needs scipy; importing it costs ~0.6 s
+
     rate = float(_decay_rate(context.pieces())[0])
 
     def f(u: float) -> float:

@@ -18,8 +18,8 @@ from dmduq.pinv_moments import context_from_parts
 PACKAGE_ROOT = Path(dmduq.__file__).resolve().parent.parent
 
 
-def run_cli(args, cwd):
-    """Run ``python -m dmduq.cli`` in a separate process started in ``cwd``.
+def run_python(args, cwd):
+    """Run the test interpreter with ``args`` in a separate process started in ``cwd``.
 
     The child gets this process's environment with PACKAGE_ROOT put first on
     PYTHONPATH, so it imports the same dmduq as the tests whatever ``cwd`` is
@@ -30,12 +30,17 @@ def run_cli(args, cwd):
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "dmduq.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(args, cwd):
+    """Run ``python -m dmduq.cli`` in a separate process started in ``cwd``."""
+    return run_python(["-m", "dmduq.cli", *args], cwd)
 
 
 def snapshots_from_trajectory_matrix(samples, dt=0.1):

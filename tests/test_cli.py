@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import run_cli, run_python
 
 from dmduq import cli, monte_carlo
 from dmduq.cli import dumps_json, main
+from dmduq.data_model import RawTrajectory, format_rows, load_csv, save_csv
+from dmduq.errors import ConfigError
 from dmduq.monte_carlo import sample_operator_instances
 from dmduq.spectral import eigen_samples
 
@@ -64,6 +66,71 @@ class TestDumpsJson:
     def test_arrays_serialized(self):
         text = dumps_json({"m": np.array([[1.0, 2.0]])})
         assert json.loads(text)["m"] == [[1.0, 2.0]]
+
+
+# Float arrays covering the edge cases of %g formatting: signed zero,
+# subnormals, the extremes of the double range and values needing all 17 digits.
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1 + 0.2, -1.0 / 3.0])
+FLOAT_ARRAYS = [
+    EDGE_VALUES,
+    EDGE_VALUES.reshape(2, 4),
+    EDGE_VALUES.reshape(2, 2, 2),
+    np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    np.random.default_rng(0).standard_normal((7, 5)) * 10.0 ** np.arange(-150, 150, 60),
+    np.array(-0.0),
+    np.zeros(0),
+    np.zeros((0, 3)),
+    np.zeros((3, 0)),
+]
+
+
+class TestRowFormatter:
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    @pytest.mark.parametrize("index", range(len(FLOAT_ARRAYS)))
+    def test_json_matches_per_value_path(self, index, precision):
+        # A nested list takes the per-value path; the array takes the rows.
+        array = FLOAT_ARRAYS[index]
+        want = dumps_json({"a": array.tolist()}, precision)
+        assert dumps_json({"a": array}, precision) == want
+
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    def test_rows_match_per_value_format(self, precision):
+        for array in FLOAT_ARRAYS[:4]:
+            rows = array.reshape(-1, array.shape[-1])
+            want = [",".join("%.*g" % (precision, v) for v in row) for row in rows]
+            assert format_rows(array, precision) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_at_any_position(self, bad):
+        for position in range(EDGE_VALUES.size):
+            array = EDGE_VALUES.copy()
+            array[position] = bad
+            for shaped in (array, array.reshape(2, 4)):
+                with pytest.raises(ConfigError):
+                    dumps_json({"a": shaped})
+                with pytest.raises(ConfigError):
+                    format_rows(shaped)
+
+    def test_trajectory_csv_matches_per_value_format(self, tmp_path):
+        times = np.arange(6) * 0.1
+        samples = np.vstack([EDGE_VALUES[2:], -EDGE_VALUES[2:]])
+        trajectory = RawTrajectory(times=times, samples=samples)
+        path = tmp_path / "t.csv"
+        save_csv(trajectory, path)
+        lines = ["time,x1,x2"] + [
+            ",".join("%.17g" % v for v in (times[j], *samples[:, j])) for j in range(6)
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert np.array_equal(load_csv(path).samples, samples)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy costs most of a command's start-up; only the opt-in adaptive
+    # quadrature imports it.
+    code = "import sys, dmduq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -367,6 +434,12 @@ class TestPipeline:
         assert code == 0
         for name in ("moments.json", "mc.json", "report.json"):
             assert (out_dir / name).exists()
+
+    def test_mc_json_matches_mc_command(self, small_csv, config_path, tmp_path):
+        inputs = [str(small_csv), "--config", str(config_path), "--noise-variances", "1e-6,1e-6"]
+        assert main(["pipeline", *inputs, "--out-dir", str(tmp_path / "run")]) == 0
+        assert main(["mc", *inputs, "--out", str(tmp_path / "mc.json")]) == 0
+        assert (tmp_path / "run" / "mc.json").read_bytes() == (tmp_path / "mc.json").read_bytes()
 
 
 class TestConfigRejection:

@@ -55,6 +55,23 @@ class TestTrialRng:
         b = trial_rng(5, 3).standard_normal(4)
         assert np.array_equal(a, b)
 
+    def test_keyed_philox_stream(self):
+        # A reused generator restarted mid-stream, with a 32-bit half word
+        # buffered, draws what a new Philox keyed by (seed, trial) draws.
+        key = np.array([5, 3], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        rng = trial_rng(5, 0)
+        rng.integers(0, 7, size=3, dtype=np.uint32)
+        rng.standard_normal(5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        monte_carlo._restart(rng, 5, 3)
+        for draw in (
+            lambda g: g.random(3, dtype=np.float32),  # 32-bit draws
+            lambda g: g.bit_generator.random_raw(5),
+            lambda g: g.standard_normal(9),
+        ):
+            assert np.array_equal(draw(rng), draw(want))
+
 
 class TestChunkSize:
     def test_operator_stack_within_budget(self):
@@ -86,6 +103,29 @@ class TestRunMcDeterminism:
         assert np.array_equal(a.operator_mean, b.operator_mean)
         assert np.array_equal(a.operator_variance, b.operator_variance)
         assert np.array_equal(a.eigen_samples, b.eigen_samples)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_memory_flat_in_trials(self, toy_system, monkeypatch, threads):
+        # Chunks of 2 trials, each merged as it arrives: the peak holds a
+        # few chunks whatever the trial count.  Collecting every chunk's
+        # pair of accumulators first would keep 16 of them at 32 trials and
+        # 256 at 512, about 1.3 MB.
+        snaps, noise = toy_system
+        m, n = snaps.snapshot_count, snaps.state_count
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 2 * m * m)
+        peaks = []
+        for trials in (32, 512):
+            cfg = McConfig(trials=trials, master_seed=2, compute_eigenvalues=False)
+            tracemalloc.start()
+            try:
+                run_mc(snaps, noise, cfg, threads=threads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        retained_per_chunk = 2 * 4 * (m * m + m * n) * 8
+        assert peaks[1] < 1.25 * peaks[0]
+        assert peaks[1] < 256 * retained_per_chunk / 4
 
     def test_different_seeds_differ(self, toy_system):
         snaps, noise = toy_system

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_laguerre
 
 from dmduq.errors import (
     AsymmetricInput,
@@ -261,6 +261,22 @@ class TestGaussLaguerre:
         assert gauss_laguerre_nodes(64)[0] is nodes
         with pytest.raises(ValueError):
             weights[0] = 1.0
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 64, 128, 256])
+    def test_matches_scipy_rule(self, count):
+        # The in-house Golub-Welsch rule against scipy's.  The moment bound
+        # is what keeps the cancellation-heavy operator variance accurate: a
+        # rule with one Newton step on the plain recurrence and unscaled
+        # weights passes the monomial test above but misses it.
+        nodes, weights = gauss_laguerre_nodes(count)
+        ref_nodes, ref_weights = roots_laguerre(count)
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0)
+        assert np.all(weights[ref_weights > 0] > 0)
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-13
+        assert np.max(np.abs(nodes / ref_nodes - 1.0)) <= 1e-14
+        for d in range(min(2 * count, 40)):
+            moment = np.sum(weights * nodes**d) / np.exp(gammaln(d + 1))
+            assert abs(moment - 1.0) <= 3e-14
 
     @pytest.mark.parametrize("count", [0, -3, 257])
     def test_count_out_of_range(self, count):
