@@ -30,7 +30,6 @@ from .numerics import (
     SpdFactor,
     Spectrum,
     cholesky_logdet,
-    eigenvalues,
     gauss_laguerre_nodes,
     spd_solve,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "SpdFactor",
     "Spectrum",
     "cholesky_logdet",
-    "eigenvalues",
     "gauss_laguerre_nodes",
     "spd_solve",
     "CORRECTED",

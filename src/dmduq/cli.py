@@ -18,8 +18,9 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .data_model import NoiseModel, build_snapshots, estimate_noise, format_rows, load_csv, save_csv
-from .errors import ConfigError, DmduqError, ShapeMismatch
+from .data_model import NoiseModel, build_snapshots, estimate_noise, format_rows, load_csv
+from .data_model import save_csv, write_csv
+from .errors import ConfigError, DmduqError, ParseError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
 from .operator_moments import (
@@ -38,15 +39,17 @@ from .systems import (
 
 SCHEMA_VERSION = "1.0"
 
+# (moments.json table, mc.json table) pairs that `compare` reports on.
+_COMPARED = (
+    ("pinv_first", "pinv_mean"),
+    ("pinv_second_raw", "pinv_second_raw"),
+    ("operator_first", "operator_mean"),
+    ("operator_second_central", "operator_variance"),
+)
+
 
 # ---------------------------------------------------------------------------
 # Deterministic JSON with fixed-precision floats
-
-
-def _format_float(value: float, precision: int) -> str:
-    if not np.isfinite(value):
-        raise ConfigError("cannot serialize non-finite value to JSON")
-    return "%.*g" % (precision, value)
 
 
 def dumps_json(obj, precision: int = 17) -> str:
@@ -60,7 +63,7 @@ def dumps_json(obj, precision: int = 17) -> str:
         if isinstance(node, (int, np.integer)):
             return str(int(node))
         if isinstance(node, (float, np.floating)):
-            return _format_float(float(node), precision)
+            return format_rows([float(node)], precision)[0]
         if isinstance(node, str):
             return json.dumps(node)
         if isinstance(node, (list, tuple)):
@@ -93,29 +96,42 @@ def _write_json(path, obj, precision: int) -> None:
     Path(path).write_text(dumps_json(obj, precision), encoding="utf-8")
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _check_schema(data: dict, path) -> None:
+def _read_payload(path, keys) -> dict:
+    """A dmduq JSON output with a supported schema version and every key in ``keys``."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ShapeMismatch(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = str(data.get("schema_version", ""))
-    major = version.split(".", 1)[0]
-    if major != SCHEMA_VERSION.split(".", 1)[0]:
-        raise ShapeMismatch(
-            f"{path}: unsupported schema version {version!r} (supported major: 1)"
-        )
+    if version.split(".", 1)[0] != SCHEMA_VERSION.split(".", 1)[0]:
+        raise ShapeMismatch(f"{path}: unsupported schema version {version!r} (supported major: 1)")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ShapeMismatch(f"{path}: missing key(s) {missing}")
+    return data
 
 
 # ---------------------------------------------------------------------------
 # Shared option handling
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _parse_floats(text: str, flag: str, count: int) -> list[float]:
+    """``count`` numbers separated by ':' or ','; ConfigError names the flag otherwise."""
     parts = text.split(":" if ":" in text else ",")
-    if len(parts) != 2:
-        raise ConfigError(f"{flag} expects two numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        values = [float(part) for part in parts]
+    except ValueError:
+        raise ConfigError(f"{flag} expects numbers, got {text!r}") from None
+    if len(values) != count:
+        raise ConfigError(f"{flag} expects {count} numbers, got {len(values)} in {text!r}")
+    return values
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
@@ -133,27 +149,19 @@ def _recording_inputs(args):
 
 def _noise_from_args(args, trajectory) -> NoiseModel:
     if getattr(args, "noise_variances", None):
-        variances = np.array([float(v) for v in args.noise_variances.split(",")])
-        if variances.size != trajectory.state_count:
-            raise ConfigError(
-                f"got {variances.size} variances for {trajectory.state_count} states"
-            )
+        variances = np.array(
+            _parse_floats(args.noise_variances, "--noise-variances", trajectory.state_count)
+        )
         return NoiseModel(variances=variances, full_covariance=np.diag(variances))
     if getattr(args, "noise_window", None):
-        window = _parse_pair(args.noise_window, "--noise-window")
-        return estimate_noise(trajectory, window)
+        return estimate_noise(trajectory, _parse_floats(args.noise_window, "--noise-window", 2))
     raise ConfigError("provide either --noise-window a:b or --noise-variances v1,...")
 
 
 def _moments_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
     pinv = pinv_moments(snapshots, noise, quad=cfg.quadrature, ridge=cfg.ridge)
     moments = estimate_operator_moments(
-        snapshots,
-        noise,
-        quad=cfg.quadrature,
-        ridge=cfg.ridge,
-        mode=cfg.variance_mode,
-        pinv=pinv,
+        snapshots, noise, quad=cfg.quadrature, ridge=cfg.ridge, mode=cfg.variance_mode, pinv=pinv
     )
     point = dmd_point_estimate(snapshots, ridge=cfg.ridge)
     return {
@@ -203,7 +211,7 @@ def _mc_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
 
 def cmd_simulate(args) -> int:
     if args.system == "spring-mass":
-        x0 = _parse_pair(args.x0, "--x0") if args.x0 else (0.03, 0.01)
+        x0 = tuple(_parse_floats(args.x0, "--x0", 2)) if args.x0 else (0.03, 0.01)
         params = SpringMassParams(
             mass=args.mass,
             stiffness=args.stiffness,
@@ -246,14 +254,8 @@ def cmd_mc(args) -> int:
 
 
 def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
-    pairs = [
-        ("pinv_first", "pinv_mean"),
-        ("pinv_second_raw", "pinv_second_raw"),
-        ("operator_first", "operator_mean"),
-        ("operator_second_central", "operator_variance"),
-    ]
     comparisons = []
-    for est_key, mc_key in pairs:
+    for est_key, mc_key in _COMPARED:
         est = np.array(moments[est_key], dtype=float)
         ref = np.array(mc[mc_key], dtype=float)
         report = compare(est, ref)
@@ -269,8 +271,6 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
         )
     est_var = np.array(moments["operator_second_central"], dtype=float)
     mc_var = np.array(mc["operator_variance"], dtype=float)
-    if est_var.shape != mc_var.shape:
-        raise ShapeMismatch("operator variance shapes differ between files")
     delta = np.abs(mc_var - est_var)
 
     def curve(matrix: np.ndarray) -> dict:
@@ -296,10 +296,8 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
 
 def cmd_compare(args) -> int:
     cfg = _load_pipeline_config(args)
-    moments = _load_json(args.moments)
-    mc = _load_json(args.mc)
-    _check_schema(moments, args.moments)
-    _check_schema(mc, args.mc)
+    moments = _read_payload(args.moments, [est for est, _ in _COMPARED])
+    mc = _read_payload(args.mc, [ref for _, ref in _COMPARED])
     payload = _report_payload(moments, mc, cfg.decimate_stride)
     _write_json(args.out, payload, cfg.output_precision)
     print(f"wrote {args.out}")
@@ -308,8 +306,9 @@ def cmd_compare(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _load_pipeline_config(args)
-    moments_data = _load_json(args.moments)
-    _check_schema(moments_data, args.moments)
+    moments_data = _read_payload(
+        args.moments, ["operator_first", "operator_second_central", "variance_mode"]
+    )
     moments = OperatorMoments(
         first=np.array(moments_data["operator_first"], dtype=float),
         second_central=np.array(moments_data["operator_second_central"], dtype=float),
@@ -327,9 +326,7 @@ def cmd_spectrum(args) -> int:
     grid_re, grid_im = np.meshgrid(density.grid_re, density.grid_im, indexing="ij")
     curve = np.column_stack([grid_re.ravel(), grid_im.ravel(), density.density.ravel()])
     out_path = Path(args.out)
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("grid_re,grid_im,density\n")
-        handle.writelines(row + "\n" for row in format_rows(curve, precision))
+    write_csv(out_path, ["grid_re", "grid_im", "density"], curve, precision)
     table = eigen_moments(samples)
     re, im, var_re, var_im = table.mean.real, table.mean.imag, table.variance_re, table.variance_im
     half_re, half_im = 2.0 * np.sqrt(var_re), 2.0 * np.sqrt(var_im)
@@ -337,14 +334,9 @@ def cmd_spectrum(args) -> int:
         [re, im, var_re, var_im, re - half_re, re + half_re, im - half_im, im + half_im]
     )
     bands_path = out_path.with_name(out_path.stem + "_bands" + out_path.suffix)
-    with open(bands_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(
-            "index,mean_re,mean_im,var_re,var_im,"
-            "band_re_lo,band_re_hi,band_im_lo,band_im_hi\n"
-        )
-        handle.writelines(
-            f"{idx},{row}\n" for idx, row in enumerate(format_rows(bands, precision))
-        )
+    header = ["index", "mean_re", "mean_im", "var_re", "var_im"]
+    header += ["band_re_lo", "band_re_hi", "band_im_lo", "band_im_hi"]
+    write_csv(bands_path, header, bands, precision, index=True)
     print(f"wrote {args.out} and {bands_path}")
     return 0
 

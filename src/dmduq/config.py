@@ -1,13 +1,16 @@
 """Pipeline configuration: one JSON object shared by all CLI commands.
 
-Unknown keys are rejected so typos fail loudly instead of silently falling
-back to defaults.
+The JSON schema is the dataclass fields.  Unknown keys are rejected so typos
+fail loudly instead of silently falling back to defaults, and every value
+must have the JSON type of its field's default: integer fields take JSON
+integers, float fields any JSON number, bool fields ``true``/``false`` and
+string fields strings; ``kde.bandwidth`` takes a number or ``"auto"``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .monte_carlo import McConfig
@@ -48,72 +51,57 @@ class PipelineConfig:
             raise ConfigError("output_precision must be in [1, 17]")
 
     def to_dict(self) -> dict:
-        return {
-            "quadrature": {
-                "method": self.quadrature.method,
-                "node_count": self.quadrature.node_count,
-                "p2_max": self.quadrature.p2_max,
-                "rel_tol": self.quadrature.rel_tol,
-                "cross_check": self.quadrature.cross_check,
-            },
-            "variance_mode": self.variance_mode,
-            "mc": {
-                "trials": self.mc.trials,
-                "master_seed": self.mc.master_seed,
-                "sampling_mode": self.mc.sampling_mode,
-                "compute_eigenvalues": self.mc.compute_eigenvalues,
-            },
-            "ridge": self.ridge,
-            "kde": {
-                "bandwidth": "auto" if self.kde.bandwidth is None else self.kde.bandwidth,
-                "grid_points": self.kde.grid_points,
-            },
-            "decimate_stride": self.decimate_stride,
-            "output_precision": self.output_precision,
-        }
+        out = asdict(self)
+        if self.kde.bandwidth is None:
+            out["kde"]["bandwidth"] = "auto"
+        return out
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
+def _value(default, value, where: str):
+    """``value`` checked against the JSON type of a field's ``default``."""
+    if is_dataclass(default):
+        return _section(type(default), value, where, where + ".")
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif default is None and value == "auto":  # kde.bandwidth
+        return None
+    else:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        value = float(value) if ok else value
+    if not ok:
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _section(cls, data, where: str, prefix: str = ""):
+    """Build dataclass ``cls`` from a JSON object, field by field."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    specs = {spec.name: spec for spec in fields(cls)}
+    unknown = set(data) - set(specs)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    values = {}
+    for name, value in data.items():
+        spec = specs[name]
+        default = spec.default_factory() if spec.default is MISSING else spec.default
+        values[name] = _value(default, value, prefix + name)
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(
-        "config",
-        data,
-        {"quadrature", "variance_mode", "mc", "ridge", "kde", "decimate_stride", "output_precision"},
-    )
-    quad_data = data.get("quadrature", {})
-    _check_keys("quadrature", quad_data, {"method", "node_count", "p2_max", "rel_tol", "cross_check"})
-    mc_data = data.get("mc", {})
-    _check_keys("mc", mc_data, {"trials", "master_seed", "sampling_mode", "compute_eigenvalues"})
-    kde_data = data.get("kde", {})
-    _check_keys("kde", kde_data, {"bandwidth", "grid_points"})
-    bandwidth = kde_data.get("bandwidth")
-    if bandwidth == "auto":
-        bandwidth = None
-    try:
-        return PipelineConfig(
-            quadrature=QuadratureConfig(**quad_data),
-            variance_mode=data.get("variance_mode", CORRECTED),
-            mc=McConfig(**mc_data),
-            ridge=float(data.get("ridge", 0.0)),
-            kde=KdeConfig(bandwidth=bandwidth, grid_points=int(kde_data.get("grid_points", 256))),
-            decimate_stride=int(data.get("decimate_stride", 900)),
-            output_precision=int(data.get("output_precision", 17)),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    """The config a parsed JSON object describes; ConfigError names any bad key or value."""
+    return _section(PipelineConfig, data, "config")
 
 
 def load_config(path) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)

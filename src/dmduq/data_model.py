@@ -257,9 +257,22 @@ def format_rows(table: np.ndarray, precision: int = 17) -> list[str]:
     return [fmt % tuple(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
 
 
+def write_csv(
+    path, header: list[str], table: np.ndarray, precision: int = 17, index: bool = False
+) -> None:
+    """Write a header line, then one :func:`format_rows` line per row of ``table``.
+
+    With ``index`` every row starts with its 0-based row number.
+    """
+    rows = format_rows(table, precision)
+    if index:
+        rows = [f"{i},{row}" for i, row in enumerate(rows)]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(row + "\n" for row in rows)
+
+
 def save_csv(trajectory: RawTrajectory, path) -> None:
     """Write a trajectory as CSV; 17 significant digits round-trip bit-exactly."""
     table = np.column_stack([trajectory.times, trajectory.samples.T])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("time," + ",".join(trajectory.state_names) + "\n")
-        handle.writelines(row + "\n" for row in format_rows(table))
+    write_csv(path, ["time", *trajectory.state_names], table)

@@ -36,16 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NegativeVarianceInput,
-    NotPositiveDefinite,
-    SingularV,
-    TooManyFailedTrials,
-)
+from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
 from .numerics import cholesky_logdet, product_eigenvalues, spd_solve
-from .operator_moments import OperatorMoments
+from .operator_moments import OperatorMoments, gram_factor
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, eigen_samples
 
@@ -220,12 +213,7 @@ def run_mc(
     sigma_L = cholesky_logdet(noise.covariance())[0].lower_triangular_factor
     y_std = np.sqrt(noise.variances)
 
-    gram = X @ X.T + (ridge * np.eye(n) if ridge else 0.0)
-    try:
-        gram_factor, _ = cholesky_logdet(gram)
-    except NotPositiveDefinite as exc:
-        raise SingularV("X X.T is rank deficient; supply ridge > 0") from exc
-    pinv_point = spd_solve(gram_factor, X).T  # (m, n)
+    pinv_point = spd_solve(gram_factor(X, ridge), X).T  # (m, n)
     operator_point = pinv_point @ Y
 
     r_stack = trajectory = None

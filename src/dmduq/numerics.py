@@ -149,11 +149,6 @@ def lower_triangular_inverses(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def sort_eigenvalues(values: np.ndarray) -> np.ndarray:
-    """Deterministic total order: |z| desc, then Im desc, then Re desc."""
-    return sort_eigenvalue_rows(np.asarray(values, dtype=complex)[None, :])[0]
-
-
 def eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
     """Eigenvalues of a stack (N, m, m) of real matrices, one sorted row per matrix.
 
@@ -185,14 +180,6 @@ def eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
     return sort_eigenvalue_rows(values)
 
 
-def eigenvalues(matrix: np.ndarray) -> Spectrum:
-    """Eigenvalues of a real square matrix as a sorted Spectrum."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"eigenvalues requires a square matrix, got {a.shape}")
-    return Spectrum(eigenvalues=eigenvalue_rows(a[None])[0])
-
-
 def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of ``left @ right``, factors of shape (..., m, n) and (..., n, m).
 
@@ -200,8 +187,8 @@ def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     so the spectrum is the n eigenvalues of the n x n product plus m - n
     exact zeros; only the small product is eigendecomposed.  Otherwise the
     m x m product is.  Returns shape (..., m), each row in the order of
-    :func:`sort_eigenvalues` (the zeros sort last, so appending them after
-    sorting keeps that order).
+    :func:`sort_eigenvalue_rows` (the zeros sort last, so appending them
+    after sorting keeps that order).
     """
     a = np.asarray(left, dtype=float)
     b = np.asarray(right, dtype=float)
@@ -220,7 +207,7 @@ def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def sort_eigenvalue_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise version of :func:`sort_eigenvalues` for stacked spectra (N, m)."""
+    """Each row of stacked spectra (N, m) in order: |z| desc, then Im desc, then Re desc."""
     v = np.asarray(values, dtype=complex)
     n_rows, m = v.shape
     rows = np.repeat(np.arange(n_rows), m)

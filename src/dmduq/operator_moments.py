@@ -23,14 +23,14 @@ confirm.  Assembly is pure and data-parallel with deterministic output.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite, SingularGram
-from .numerics import Spectrum, cholesky_logdet, product_eigenvalues, spd_solve
+from .numerics import SpdFactor, Spectrum, cholesky_logdet, product_eigenvalues, spd_solve
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
 logger = logging.getLogger(__name__)
@@ -78,6 +78,23 @@ class OperatorMoments:
         object.__setattr__(self, "second_central", second)
 
 
+def gram_factor(X: np.ndarray, ridge: float) -> SpdFactor:
+    """Cholesky factor of ``X X.T + ridge I``.
+
+    Raises ConfigError for a negative ridge and SingularGram when the
+    ridged Gram matrix is not positive definite.
+    """
+    if ridge < 0:
+        raise ConfigError(f"ridge must be >= 0, got {ridge}")
+    gram = X @ X.T
+    if ridge:
+        gram = gram + ridge * np.eye(X.shape[0])
+    try:
+        return cholesky_logdet(gram)[0]
+    except NotPositiveDefinite as exc:
+        raise SingularGram(f"X X.T is rank deficient at ridge={ridge}; supply ridge > 0") from exc
+
+
 def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimate:
     """A = X.T @ inv(X X.T + ridge I) @ Y, the m x m operator, with its spectrum.
 
@@ -86,35 +103,29 @@ def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimat
     followed by m - n exact zeros; the m x m operator is never
     eigendecomposed.  For m <= n the m x m operator itself is.
     """
-    if ridge < 0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
     X, Y = snapshots.states, snapshots.shifted
-    gram = X @ X.T
-    if ridge:
-        gram = gram + ridge * np.eye(X.shape[0])
-    try:
-        factor, _ = cholesky_logdet(gram)
-    except NotPositiveDefinite as exc:
-        raise SingularGram(
-            f"X X.T is rank deficient at ridge={ridge}; supply ridge > 0"
-        ) from exc
-    solved = spd_solve(factor, Y)
+    solved = spd_solve(gram_factor(X, ridge), Y)
     spectrum = Spectrum(eigenvalues=product_eigenvalues(X.T, solved))
     return DmdEstimate(operator=X.T @ solved, spectrum=spectrum)
+
+
+def _shifted(pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel | None) -> np.ndarray:
+    """Y, once the pseudoinverse tables and the noise model are checked against it."""
+    Y = snapshots.shifted
+    if pinv.first.shape != (Y.shape[1], Y.shape[0]):
+        raise DimensionMismatch(
+            f"pseudoinverse table {pinv.first.shape} does not match Y {Y.shape}"
+        )
+    if noise is not None and noise.state_count != Y.shape[0]:
+        raise DimensionMismatch("noise model does not match state count")
+    return Y
 
 
 def operator_first_moment(
     pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel | None = None
 ) -> np.ndarray:
     """Mean table: first[i][j] = sum_k M1x[i][k] * Y[k][j]."""
-    Y = snapshots.shifted
-    if pinv.first.shape[1] != Y.shape[0] or pinv.first.shape[0] != Y.shape[1]:
-        raise DimensionMismatch(
-            f"pseudoinverse table {pinv.first.shape} does not match Y {Y.shape}"
-        )
-    if noise is not None and noise.state_count != Y.shape[0]:
-        raise DimensionMismatch("noise model does not match state count")
-    return pinv.first @ Y
+    return pinv.first @ _shifted(pinv, snapshots, noise)
 
 
 def operator_second_moment(
@@ -131,13 +142,7 @@ def operator_second_moment(
     """
     if mode not in VARIANCE_MODES:
         raise ConfigError(f"unknown variance mode {mode!r}")
-    Y = snapshots.shifted
-    if pinv.first.shape[1] != Y.shape[0] or pinv.first.shape[0] != Y.shape[1]:
-        raise DimensionMismatch(
-            f"pseudoinverse table {pinv.first.shape} does not match Y {Y.shape}"
-        )
-    if noise.state_count != Y.shape[0]:
-        raise DimensionMismatch("noise model does not match state count")
+    Y = _shifted(pinv, snapshots, noise)
     var = noise.variances
     y_sq = Y**2
     base = (pinv.second_raw @ var)[:, None] - pinv.first**2 @ y_sq
@@ -159,27 +164,19 @@ def estimate_operator_moments(
     quad: QuadratureConfig | None = None,
     ridge: float = 0.0,
     mode: str = CORRECTED,
-    threads: int | None = None,
     pinv: PinvMoments | None = None,
 ) -> OperatorMoments:
     """Full pipeline: pseudoinverse moment tables once, then both assemblies.
 
     Pass ``pinv`` to reuse tables already computed with the same inputs.
-    ``threads`` is passed on to :func:`pinv_moments`, where it has no effect.
     """
     quad = quad or QuadratureConfig()
     if pinv is None:
-        pinv = pinv_moments(snapshots, noise, quad=quad, ridge=ridge, threads=threads)
+        pinv = pinv_moments(snapshots, noise, quad=quad, ridge=ridge)
     first = operator_first_moment(pinv, snapshots, noise)
     second = operator_second_moment(pinv, snapshots, noise, mode=mode)
     metadata = {
-        "quadrature": {
-            "method": quad.method,
-            "node_count": quad.node_count,
-            "p2_max": quad.p2_max,
-            "rel_tol": quad.rel_tol,
-            "cross_check": quad.cross_check,
-        },
+        "quadrature": asdict(quad),
         "ridge": ridge,
         "variance_mode": mode,
     }

@@ -192,17 +192,15 @@ def _check_inputs(X: np.ndarray, noise: NoiseModel, ridge: float) -> None:
 
 
 def gram_complement_inverses(
-    X: np.ndarray, ridge: float, columns: np.ndarray, gram: np.ndarray | None = None
+    X: np.ndarray, ridge: float, columns: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, SingularV]]]:
     """``R_t = inv(X X.T - x_t x_t.T + ridge I)`` for each column index t given.
 
     Returns the stack (len(columns), n, n) and a ``(t, SingularV)`` pair for
     every column whose complement has no Cholesky factor (its R is NaN).
-    ``gram`` is ``X @ X.T`` when the caller already has it.
     """
     n = X.shape[0]
-    if gram is None:
-        gram = X @ X.T
+    gram = X @ X.T
     x = X.T[columns]
     V = gram - x[:, :, None] * x[:, None, :]
     if ridge:
@@ -411,14 +409,12 @@ def _moment_element(
 
 def first_moment_element(context: MgfContext, quad: QuadratureConfig | None = None) -> float:
     """Mean of one pseudoinverse element under the context's noise model."""
-    quad = quad or QuadratureConfig()
-    return _moment_element(context, quad, order=1)
+    return _moment_element(context, quad or QuadratureConfig(), order=1)
 
 
 def second_moment_element(context: MgfContext, quad: QuadratureConfig | None = None) -> float:
     """Raw second moment E[(x+)^2] of one pseudoinverse element."""
-    quad = quad or QuadratureConfig()
-    return _moment_element(context, quad, order=2)
+    return _moment_element(context, quad or QuadratureConfig(), order=2)
 
 
 def pinv_moments(
@@ -426,12 +422,10 @@ def pinv_moments(
     noise: NoiseModel,
     quad: QuadratureConfig | None = None,
     ridge: float = 0.0,
-    threads: int | None = None,
 ) -> PinvMoments:
     """Both moment tables for every element of the m x n pseudoinverse.
 
-    Columns are processed in fixed-size blocks by one batched kernel;
-    ``threads`` is accepted for compatibility and has no effect.  The
+    Columns are processed in fixed-size blocks by one batched kernel.  The
     adaptive method and ``cross_check`` integrate element by element from
     the same column pieces.  Failures are aggregated with their (t, k)
     locations, k = None for a column whose Gram complement is singular.
@@ -441,14 +435,13 @@ def pinv_moments(
     n, m = X.shape
     _check_inputs(X, noise, ridge)
     sigma_factor, _ = cholesky_logdet(noise.covariance())
-    gram = X @ X.T
     rule = gauss_laguerre_nodes(quad.node_count)
     first = np.empty((m, n))
     second = np.empty((m, n))
     failures: list[tuple[int, int | None, DmduqError]] = []
     for start in range(0, m, _BLOCK_COLUMNS):
         columns = np.arange(start, min(start + _BLOCK_COLUMNS, m))
-        R, singular = gram_complement_inverses(X, ridge, columns, gram)
+        R, singular = gram_complement_inverses(X, ridge, columns)
         failures.extend((t, None, err) for t, err in singular)
         ok = np.isin(columns, [t for t, _ in singular], invert=True)
         columns, R, mu = columns[ok], R[ok], X.T[columns[ok]]

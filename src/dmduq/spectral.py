@@ -69,12 +69,9 @@ def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet
     Failures name the instance as ``first_index`` plus its position in the
     stack, for callers that pass one chunk of a longer sequence.
     """
-    arr = np.asarray(instances, dtype=float)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionMismatch(f"expected (N, m, m) instances, got {arr.shape}")
-    if arr.shape[0] < 1:
+    ordered = eigenvalue_rows(instances, first_index)
+    if ordered.shape[0] < 1:
         raise TooFewSamples("need at least one instance")
-    ordered = eigenvalue_rows(arr, first_index)
     top = ordered[:, 0]
     representative = np.where(top.imag < 0, np.conj(top), top)
     return EigenSampleSet(samples=ordered, representative_lambda1=representative)
@@ -100,13 +97,10 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * min(std, iqr / 1.34) * v.size ** (-0.2)
 
 
-def kde(
-    values: np.ndarray,
-    bandwidth: float | None = None,
-    grid_points: int = 256,
-    grid: np.ndarray | None = None,
-) -> KdeCurve:
-    """Squared-exponential kernel density on a uniform grid.
+def _axis_kernel(
+    values: np.ndarray, bandwidth: float | None, grid_points: int, grid: np.ndarray | None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Bandwidth, grid and Gaussian kernel matrix (grid x samples) of one axis.
 
     With ``bandwidth=None`` Silverman's rule is used; the default grid spans
     the sample range padded by 4 bandwidths.
@@ -114,20 +108,26 @@ def kde(
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2 or not np.all(np.isfinite(v)):
         raise TooFewSamples("need at least 2 finite values")
-    if bandwidth is None:
-        h = silverman_bandwidth(v)
-        if h <= 0:
-            raise DegenerateData("samples too concentrated for automatic bandwidth")
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise DegenerateData(f"bandwidth must be positive, got {h}")
+    h = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
+    if h <= 0:
+        auto = "samples too concentrated for automatic bandwidth"
+        raise DegenerateData(auto if bandwidth is None else f"bandwidth must be positive, got {h}")
     if grid is None:
         grid = np.linspace(v.min() - 4.0 * h, v.max() + 4.0 * h, grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
-    z = (grid[:, None] - v[None, :]) / h
-    density = np.exp(-0.5 * z**2).sum(axis=1) / (v.size * h * np.sqrt(2.0 * np.pi))
+    return h, grid, np.exp(-0.5 * ((grid[:, None] - v[None, :]) / h) ** 2)
+
+
+def kde(
+    values: np.ndarray,
+    bandwidth: float | None = None,
+    grid_points: int = 256,
+    grid: np.ndarray | None = None,
+) -> KdeCurve:
+    """Squared-exponential kernel density on a uniform grid (see :func:`_axis_kernel`)."""
+    h, grid, kernel = _axis_kernel(values, bandwidth, grid_points, grid)
+    density = kernel.sum(axis=1) / (kernel.shape[1] * h * np.sqrt(2.0 * np.pi))
     return KdeCurve(grid=grid, density=density, bandwidth=h)
 
 
@@ -140,34 +140,13 @@ def kde2d(
     grid_im: np.ndarray | None = None,
 ) -> Kde2d:
     """Joint density over a product grid with per-axis Silverman bandwidths."""
-    x = np.asarray(values_re, dtype=float).ravel()
-    y = np.asarray(values_im, dtype=float).ravel()
-    if x.size != y.size:
+    if np.size(values_re) != np.size(values_im):
         raise DimensionMismatch("real and imaginary sample counts differ")
-    if x.size < 2:
-        raise TooFewSamples("need at least 2 samples")
-    if bandwidths is None:
-        hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
-        if hx <= 0 or hy <= 0:
-            raise DegenerateData("samples too concentrated for automatic bandwidth")
-    else:
-        hx, hy = float(bandwidths[0]), float(bandwidths[1])
-        if hx <= 0 or hy <= 0:
-            raise DegenerateData("bandwidths must be positive")
-    if grid_re is None:
-        grid_re = np.linspace(x.min() - 4.0 * hx, x.max() + 4.0 * hx, grid_points)
-    if grid_im is None:
-        grid_im = np.linspace(y.min() - 4.0 * hy, y.max() + 4.0 * hy, grid_points)
-    ex = np.exp(-0.5 * ((grid_re[:, None] - x[None, :]) / hx) ** 2)
-    ey = np.exp(-0.5 * ((grid_im[:, None] - y[None, :]) / hy) ** 2)
-    density = (ex @ ey.T) / (x.size * 2.0 * np.pi * hx * hy)
-    return Kde2d(
-        grid_re=grid_re,
-        grid_im=grid_im,
-        density=density,
-        bandwidth_re=hx,
-        bandwidth_im=hy,
-    )
+    bw_re, bw_im = (None, None) if bandwidths is None else bandwidths
+    hx, grid_re, ex = _axis_kernel(values_re, bw_re, grid_points, grid_re)
+    hy, grid_im, ey = _axis_kernel(values_im, bw_im, grid_points, grid_im)
+    density = (ex @ ey.T) / (ex.shape[1] * 2.0 * np.pi * hx * hy)
+    return Kde2d(grid_re, grid_im, density, bandwidth_re=hx, bandwidth_im=hy)
 
 
 def density_peak(curve: Kde2d) -> tuple[int, int]:

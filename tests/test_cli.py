@@ -461,3 +461,87 @@ class TestConfigRejection:
         )
         assert proc.returncode == 1
         assert stderr_error_code(proc) == "config_error"
+
+
+class TestMalformedInput:
+    """Bad flags and bad input files exit 1 with a JSON error record, never a traceback."""
+
+    @staticmethod
+    def error_code(argv, capsys) -> str:
+        capsys.readouterr()
+        assert main(argv) == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.fixture()
+    def outputs(self, small_csv, tmp_path):
+        """A moments.json and an mc.json of the small recording."""
+        cfg = tmp_path / "mc_cfg.json"
+        cfg.write_text(json.dumps({"mc": {"trials": 20}}))
+        common = [str(small_csv), "--noise-variances", "1e-8,1e-8", "--config", str(cfg)]
+        paths = tmp_path / "moments.json", tmp_path / "mc.json"
+        for command, path in zip(["moments", "mc"], paths):
+            assert main([command, *common, "--out", str(path)]) == 0
+        return paths
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--noise-window", "a:b"],
+            ["--noise-window", "1:2:3"],
+            ["--noise-variances", "1e-6,abc"],
+            ["--noise-variances", "1e-6"],
+        ],
+    )
+    def test_bad_noise_flag(self, small_csv, tmp_path, capsys, flags):
+        argv = ["moments", str(small_csv), *flags, "--out", str(tmp_path / "m.json")]
+        assert self.error_code(argv, capsys) == "config_error"
+
+    def test_bad_x0(self, tmp_path, capsys):
+        argv = ["simulate", "spring-mass", "--x0", "a,b", "--out", str(tmp_path / "t.csv")]
+        assert self.error_code(argv, capsys) == "config_error"
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (b"{not json", "parse_error"),
+            (b"\xd0\xff", "parse_error"),
+            (b"[1, 2]", "shape_mismatch"),
+            (b'"x"', "shape_mismatch"),
+        ],
+    )
+    def test_bad_payload_file(self, outputs, tmp_path, capsys, text, code):
+        moments, mc = outputs
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        out = str(tmp_path / "out")
+        assert self.error_code(["compare", str(bad), str(mc), "--out", out], capsys) == code
+        assert self.error_code(["compare", str(moments), str(bad), "--out", out], capsys) == code
+        assert self.error_code(["spectrum", str(bad), "--out", out], capsys) == code
+
+    def test_mc_json_as_moments(self, outputs, tmp_path, capsys):
+        _, mc = outputs
+        out = str(tmp_path / "out")
+        code = self.error_code(["compare", str(mc), str(mc), "--out", out], capsys)
+        assert code == "shape_mismatch"
+        assert self.error_code(["spectrum", str(mc), "--out", out], capsys) == "shape_mismatch"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"ridge": "abc"},
+            {"quadrature": None},
+            {"mc": {"trials": 2.5}},
+            {"mc": {"master_seed": 1.5}},
+            {"kde": {"grid_points": "many"}},
+            {"mc": {"compute_eigenvalues": "no"}},
+            {"decimate_stride": 2.5},
+            [1],
+        ],
+    )
+    def test_malformed_config(self, small_csv, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["mc", str(small_csv), "--noise-variances", "1e-6,1e-6", "--config", str(cfg)]
+        argv += ["--out", str(tmp_path / "mc.json")]
+        assert self.error_code(argv, capsys) == "config_error"
+        assert not (tmp_path / "mc.json").exists()

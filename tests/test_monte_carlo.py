@@ -11,6 +11,7 @@ from dmduq.errors import (
     ConfigError,
     ConvergenceFailure,
     NegativeVarianceInput,
+    SingularGram,
     TooManyFailedTrials,
 )
 from dmduq.monte_carlo import (
@@ -270,6 +271,31 @@ class TestRunMcStatistics:
             McConfig(trials=1)
         with pytest.raises(ConfigError):
             McConfig(sampling_mode="bogus")
+
+
+class TestSingularGram:
+    """A rank-deficient X has no Gram factor: every X.T inv(X X.T) consumer says so."""
+
+    @pytest.fixture()
+    def rank_one(self):
+        row = np.random.default_rng(30).standard_normal(9)
+        snaps = snapshots_from_trajectory_matrix(np.vstack([row, 2.0 * row]))
+        return snaps, NoiseModel(variances=np.array([1e-4, 1e-4]))
+
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_run_mc(self, rank_one, mode):
+        snaps, noise = rank_one
+        cfg = McConfig(trials=20, sampling_mode=mode)
+        with pytest.raises(SingularGram):
+            run_mc(snaps, noise, cfg)
+        summary = run_mc(snaps, noise, cfg, ridge=1e-2)
+        assert np.all(np.isfinite(summary.operator_mean))
+
+    def test_point_estimate(self, rank_one):
+        snaps, _ = rank_one
+        with pytest.raises(SingularGram):
+            dmd_point_estimate(snaps)
+        assert np.all(np.isfinite(dmd_point_estimate(snaps, ridge=1e-2).operator))
 
 
 class TestSampleOperatorInstances:

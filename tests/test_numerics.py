@@ -12,8 +12,9 @@ from dmduq.errors import (
     NotPositiveDefinite,
 )
 from dmduq.numerics import (
+    Spectrum,
     cholesky_logdet,
-    eigenvalues,
+    eigenvalue_rows,
     gauss_laguerre_nodes,
     product_eigenvalues,
     signed_log_sum,
@@ -92,6 +93,10 @@ class TestSpdSolve:
         factor, _ = cholesky_logdet(A)
         x = spd_solve(factor, b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+def eigenvalues(matrix):
+    return Spectrum(eigenvalues=eigenvalue_rows(np.asarray(matrix, dtype=float)[None])[0])
 
 
 class TestEigenvalues:

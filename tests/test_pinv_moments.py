@@ -370,15 +370,6 @@ class TestPinvMomentsTable:
         assert np.array_equal(a.first, b.first)
         assert np.array_equal(a.second_raw, b.second_raw)
 
-    def test_thread_count_invariant(self):
-        rng = np.random.default_rng(9)
-        snaps = snapshots_from_states(rng.standard_normal((3, 10)))
-        noise = NoiseModel(variances=np.full(3, 0.03))
-        a = pinv_moments(snaps, noise, threads=1)
-        b = pinv_moments(snaps, noise, threads=4)
-        assert np.array_equal(a.first, b.first)
-        assert np.array_equal(a.second_raw, b.second_raw)
-
     def test_block_size_invariant(self, monkeypatch):
         rng = np.random.default_rng(10)
         snaps = snapshots_from_states(rng.standard_normal((3, 11)))
