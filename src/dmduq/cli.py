@@ -104,17 +104,24 @@ def _load_json(path):
             raise ParseError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _read_payload(path, keys) -> dict:
-    """A dmduq JSON output with a supported schema version and every key in ``keys``."""
+def _read_payload(path, tables, keys=()) -> dict:
+    """A dmduq JSON output of a supported schema with every key, ``tables`` as 2-D float arrays."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ShapeMismatch(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = str(data.get("schema_version", ""))
     if version.split(".", 1)[0] != SCHEMA_VERSION.split(".", 1)[0]:
         raise ShapeMismatch(f"{path}: unsupported schema version {version!r} (supported major: 1)")
-    missing = [key for key in keys if key not in data]
+    missing = [key for key in [*tables, *keys] if key not in data]
     if missing:
         raise ShapeMismatch(f"{path}: missing key(s) {missing}")
+    for key in tables:
+        try:
+            data[key] = np.array(data[key], dtype=float)
+        except (TypeError, ValueError):  # a string, or a ragged table
+            data[key] = np.empty(0)
+        if data[key].ndim != 2:
+            raise ShapeMismatch(f"{path}: {key!r} is not a 2-D table of numbers")
     return data
 
 
@@ -256,9 +263,7 @@ def cmd_mc(args) -> int:
 def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
     comparisons = []
     for est_key, mc_key in _COMPARED:
-        est = np.array(moments[est_key], dtype=float)
-        ref = np.array(mc[mc_key], dtype=float)
-        report = compare(est, ref)
+        report = compare(moments[est_key], mc[mc_key])
         comparisons.append(
             {
                 "matrix": est_key,
@@ -269,8 +274,8 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
                 "shape": list(report.shape),
             }
         )
-    est_var = np.array(moments["operator_second_central"], dtype=float)
-    mc_var = np.array(mc["operator_variance"], dtype=float)
+    est_var = moments["operator_second_central"]
+    mc_var = mc["operator_variance"]
     delta = np.abs(mc_var - est_var)
 
     def curve(matrix: np.ndarray) -> dict:
@@ -288,8 +293,8 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
             "stride": stride,
             "operator_second_estimated": curve(est_var),
             "operator_second_mc": curve(mc_var),
-            "operator_first_estimated": curve(np.array(moments["operator_first"], dtype=float)),
-            "operator_first_mc": curve(np.array(mc["operator_mean"], dtype=float)),
+            "operator_first_estimated": curve(moments["operator_first"]),
+            "operator_first_mc": curve(mc["operator_mean"]),
         },
     }
 
@@ -306,13 +311,13 @@ def cmd_compare(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _load_pipeline_config(args)
-    moments_data = _read_payload(
-        args.moments, ["operator_first", "operator_second_central", "variance_mode"]
+    data = _read_payload(
+        args.moments, ["operator_first", "operator_second_central"], ["variance_mode"]
     )
     moments = OperatorMoments(
-        first=np.array(moments_data["operator_first"], dtype=float),
-        second_central=np.array(moments_data["operator_second_central"], dtype=float),
-        variance_mode=moments_data["variance_mode"],
+        first=data["operator_first"],
+        second_central=data["operator_second_central"],
+        variance_mode=data["variance_mode"],
     )
     samples = sample_operator_spectra(
         moments, count=args.samples, seed=args.seed, clamp_negative=args.clamp_negative

@@ -203,40 +203,44 @@ def decimate_trajectory(trajectory: RawTrajectory, stride: int) -> RawTrajectory
 
 def load_csv(path) -> RawTrajectory:
     """Read a trajectory from CSV with header ``time,<name1>,...,<nameN>``."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch("empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != "time":
-            raise HeaderMismatch(
-                f"expected header 'time,<name1>,...', got {','.join(header)!r}"
-            )
-        names = header[1:]
-        times: list[float] = []
-        rows: list[list[float]] = []
-        for row_idx, row in enumerate(reader, start=2):
-            if len(row) == 0 or (len(row) == 1 and row[0].strip() == ""):
-                continue  # tolerate a trailing blank line
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {row_idx}: expected {len(header)} fields, got {len(row)}",
-                    row=row_idx,
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise HeaderMismatch("empty file") from None
+            header = [h.strip() for h in header]
+            if len(header) < 2 or header[0] != "time":
+                raise HeaderMismatch(
+                    f"expected header 'time,<name1>,...', got {','.join(header)!r}"
                 )
-            parsed = []
-            for col_idx, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+            names = header[1:]
+            times: list[float] = []
+            rows: list[list[float]] = []
+            for row_idx, row in enumerate(reader, start=2):
+                if len(row) == 0 or (len(row) == 1 and row[0].strip() == ""):
+                    continue  # tolerate a trailing blank line
+                if len(row) != len(header):
                     raise ParseError(
-                        f"row {row_idx}, column {col_idx + 1}: not a number: {cell!r}",
+                        f"row {row_idx}: expected {len(header)} fields, got {len(row)}",
                         row=row_idx,
-                        column=col_idx + 1,
-                    ) from None
-            times.append(parsed[0])
-            rows.append(parsed[1:])
+                    )
+                parsed = []
+                for col_idx, cell in enumerate(row):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise ParseError(
+                            f"row {row_idx}, column {col_idx + 1}: not a number: {cell!r}",
+                            row=row_idx,
+                            column=col_idx + 1,
+                        ) from None
+                times.append(parsed[0])
+                rows.append(parsed[1:])
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
     if len(rows) < 2:
         raise TooFewSnapshots(f"need at least 2 data rows, got {len(rows)}")
     samples = np.array(rows, dtype=float).T

@@ -388,7 +388,8 @@ def sample_operator_spectra(
     Bit-identical to ``eigen_samples(sample_operator_instances(...))``, but
     instances are drawn and eigendecomposed in chunks of at most
     ``_CHUNK_SCALARS`` entries, so memory holds one chunk plus the
-    ``count x m`` complex spectra, whatever ``count`` is.
+    ``count x m`` complex spectra, whatever ``count`` is.  Each chunk is
+    eigendecomposed across the BLAS threads by :func:`eigen_samples`.
     """
     m = moments.first.shape[0]
     chunk = max(1, _CHUNK_SCALARS // (m * m))

@@ -149,6 +149,18 @@ def lower_triangular_inverses(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def finite_stack(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
+    """``stack`` as a float (N, m, m) array of finite entries, else DimensionMismatch."""
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected (N, m, m) matrices, got {a.shape}")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        bad = first_index + int(np.argmin(finite))
+        raise DimensionMismatch(f"non-finite entries in instance {bad}")
+    return a
+
+
 def eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
     """Eigenvalues of a stack (N, m, m) of real matrices, one sorted row per matrix.
 
@@ -157,13 +169,7 @@ def eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
     its position in the stack, so a caller working through a longer sequence
     in chunks reports the index in the whole sequence.
     """
-    a = np.asarray(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"expected (N, m, m) matrices, got {a.shape}")
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        bad = first_index + int(np.argmin(finite))
-        raise DimensionMismatch(f"non-finite entries in instance {bad}")
+    a = finite_stack(stack, first_index)
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -10,12 +10,22 @@ handle but is out of scope here.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, TooFewSamples
-from .numerics import eigenvalue_rows
+from .numerics import eigenvalue_rows, finite_stack
+
+# (getter, setter) of the thread count in the OpenBLAS builds numpy and scipy ship.
+_OPENBLAS_THREADS = [
+    (f"{lib}_get_num_threads{tail}", f"{lib}_set_num_threads{tail}")
+    for lib in ("scipy_openblas", "openblas") for tail in ("64_", "")
+]
+_BLAS_PIN = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -63,13 +73,57 @@ class Kde2d:
     bandwidth_im: float
 
 
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS loaded in this process at one thread; yield the most one had.
+
+    Yields 1 and changes nothing where no OpenBLAS thread setter is found
+    (another BLAS, or no ``/proc``).  Concurrent callers take turns.
+    """
+    import ctypes
+
+    with _BLAS_PIN:
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+            libraries = [ctypes.CDLL(path) for path in paths]
+        except OSError:  # no /proc, or a mapped path that cannot be opened
+            libraries = []
+        saved = []
+        for lib in libraries:
+            for get, set_ in _OPENBLAS_THREADS:
+                if hasattr(lib, get) and hasattr(lib, set_):
+                    getter, setter = getattr(lib, get), getattr(lib, set_)
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    saved.append((setter, getter()))
+                    break
+        try:
+            for setter, _ in saved:
+                setter(1)
+            yield max((count for _, count in saved), default=1)
+        finally:
+            for setter, count in saved:
+                setter(count)
+
+
 def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet:
     """Eigendecompose a stack of square matrices into sorted spectra.
 
     Failures name the instance as ``first_index`` plus its position in the
-    stack, for callers that pass one chunk of a longer sequence.
+    stack, for callers that pass one chunk of a longer sequence.  Contiguous
+    slices, one per BLAS thread, are eigendecomposed concurrently with BLAS
+    held at one thread, so the spectra do not depend on the thread setting.
     """
-    ordered = eigenvalue_rows(instances, first_index)
+    stack = finite_stack(instances, first_index)
+    with _one_blas_thread() as threads:
+        workers = max(1, min(threads, len(stack)))
+        cuts = [len(stack) * k // workers for k in range(workers + 1)]
+        with ThreadPoolExecutor(workers) as pool:
+            rows = pool.map(
+                lambda lo, hi: eigenvalue_rows(stack[lo:hi], first_index + lo), cuts, cuts[1:]
+            )
+            ordered = np.concatenate(list(rows))
     if ordered.shape[0] < 1:
         raise TooFewSamples("need at least one instance")
     top = ordered[:, 0]
@@ -145,7 +199,8 @@ def kde2d(
     bw_re, bw_im = (None, None) if bandwidths is None else bandwidths
     hx, grid_re, ex = _axis_kernel(values_re, bw_re, grid_points, grid_re)
     hy, grid_im, ey = _axis_kernel(values_im, bw_im, grid_points, grid_im)
-    density = (ex @ ey.T) / (ex.shape[1] * 2.0 * np.pi * hx * hy)
+    with _one_blas_thread():  # so the bits do not depend on the BLAS thread setting
+        density = (ex @ ey.T) / (ex.shape[1] * 2.0 * np.pi * hx * hy)
     return Kde2d(grid_re, grid_im, density, bandwidth_re=hx, bandwidth_im=hy)
 
 

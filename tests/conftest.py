@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles, dataset builders and a CLI runner."""
 
+import ctypes
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,45 @@ def run_python(args, cwd):
 def run_cli(args, cwd):
     """Run ``python -m dmduq.cli`` in a separate process started in ``cwd``."""
     return run_python(["-m", "dmduq.cli", *args], cwd)
+
+
+def fixed_blas_workers(count):
+    """A stand-in for ``spectral._one_blas_thread`` that reports ``count`` BLAS threads.
+
+    Monkeypatched in, it makes ``eigen_samples`` split each stack over
+    ``count`` workers and leaves the BLAS thread setting alone.
+    """
+
+    @contextmanager
+    def one_blas_thread():
+        yield count
+
+    return one_blas_thread
+
+
+def openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process.
+
+    Read from ``/proc/self/maps`` independently of dmduq, to check what
+    dmduq does to the BLAS thread setting; empty where there is none.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in [("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")]:
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter and setter:
+                getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+                controls.append((getter, setter))
+                break
+    return controls
 
 
 def snapshots_from_trajectory_matrix(samples, dt=0.1):

@@ -382,6 +382,26 @@ class TestSpectrum:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a_bands.csv").read_bytes() == (tmp_path / "b_bands.csv").read_bytes()
 
+    def test_output_independent_of_blas_threads(self, tmp_path, monkeypatch):
+        # From m = 256 up, multi-threaded OpenBLAS eigendecomposes with
+        # different rounding than single-threaded; spectrum holds BLAS at one
+        # thread per worker, so its outputs must not depend on the setting.
+        steps = [
+            ["simulate", "spring-mass", "--duration", "13", "--dt", "0.05", "--out", "t.csv"],
+            ["moments", "t.csv", "--noise-variances", "1e-6,1e-6", "--out", "m.json"],
+        ]
+        for args in steps:
+            assert run_cli(args, cwd=tmp_path).returncode == 0
+        assert len(json.loads((tmp_path / "m.json").read_text())["operator_first"]) >= 256
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            args = ["spectrum", "m.json", "--samples", "6", "--seed", "3"]
+            proc = run_cli(args + ["--out", f"k{threads}.csv"], cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("k{}.csv", "k{}_bands.csv"):
+            one, two = ((tmp_path / name.format(t)).read_bytes() for t in ("1", "2"))
+            assert one == two
+
 
     def test_chunked_matches_unchunked_reference(
         self, small_csv, config_path, tmp_path, monkeypatch
@@ -517,6 +537,43 @@ class TestMalformedInput:
         assert self.error_code(["compare", str(bad), str(mc), "--out", out], capsys) == code
         assert self.error_code(["compare", str(moments), str(bad), "--out", out], capsys) == code
         assert self.error_code(["spectrum", str(bad), "--out", out], capsys) == code
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)), b"time,x\n0,\xff\n"],
+        ids=["binary", "bad_cell"],
+    )
+    def test_non_utf8_recording(self, tmp_path, capsys, text):
+        recording = tmp_path / "binary.csv"
+        recording.write_bytes(text)
+        argv = ["moments", str(recording), "--noise-variances", "1e-6"]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "m.json")]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "parse_error"
+        assert str(recording) in error["message"]
+
+    @pytest.mark.parametrize("value", ["abc", [[1.0, 2.0], [3.0]]])
+    def test_bad_payload_table(self, outputs, tmp_path, capsys, value):
+        # A string or a ragged table under a matrix key: shape_mismatch naming
+        # the file and the key, from compare (either side) and spectrum.
+        out = str(tmp_path / "out")
+        for index, key, command in [
+            (0, "operator_first", "compare"),
+            (1, "operator_variance", "compare"),
+            (0, "operator_second_central", "spectrum"),
+        ]:
+            paths = list(outputs)
+            data = json.loads(paths[index].read_text())
+            data[key] = value
+            paths[index] = tmp_path / f"bad_{key}.json"
+            paths[index].write_text(json.dumps(data))
+            argv = [command, *map(str, paths[: 2 if command == "compare" else 1]), "--out", out]
+            capsys.readouterr()
+            assert main(argv) == 1
+            error = json.loads(capsys.readouterr().err)
+            assert error["error"] == "shape_mismatch"
+            assert str(paths[index]) in error["message"] and key in error["message"]
 
     def test_mc_json_as_moments(self, outputs, tmp_path, capsys):
         _, mc = outputs

@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import snapshots_from_trajectory_matrix
+from conftest import fixed_blas_workers, snapshots_from_trajectory_matrix
 
-from dmduq import monte_carlo
+from dmduq import monte_carlo, spectral
 from dmduq.data_model import NoiseModel
 from dmduq.errors import (
     ConfigError,
@@ -385,6 +385,24 @@ class TestSampleOperatorSpectra:
         monkeypatch.setattr(np.linalg, "eigvals", fails_on_target)
         with pytest.raises(ConvergenceFailure, match="instance 5"):
             sample_operator_spectra(moments, count=8, seed=2)
+        # Split over 2 or 3 workers, the chunk's slices are [3], [4, 5] or
+        # [3], [4], [5]: the failing slice is the second or the third.
+        for workers in (2, 3):
+            monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(workers))
+            with pytest.raises(ConvergenceFailure, match="instance 5"):
+                sample_operator_spectra(moments, count=8, seed=2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bits_independent_of_workers(self, monkeypatch, workers):
+        # Chunks of 3, 3 and 2 instances; the last is shorter than 3 workers.
+        moments = _random_moments(5, seed=6)
+        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(1))
+        want = eigen_samples(sample_operator_instances(moments, count=8, seed=1))
+        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(workers))
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 3 * 5 * 5)
+        got = sample_operator_spectra(moments, count=8, seed=1)
+        assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
 
     def test_validation_once_per_call(self, monkeypatch, caplog):
         moments = OperatorMoments(

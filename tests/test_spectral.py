@@ -1,8 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from conftest import fixed_blas_workers, openblas_thread_controls
 from scipy.integrate import trapezoid
 
-from dmduq.errors import DegenerateData, DimensionMismatch, TooFewSamples
+from dmduq import spectral
+from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
+from dmduq.numerics import eigenvalue_rows
 from dmduq.spectral import (
     density_peak,
     eigen_moments,
@@ -47,6 +53,134 @@ class TestEigenSamples:
             eigen_samples(instances)
         with pytest.raises(DimensionMismatch, match="instance 11"):
             eigen_samples(instances, first_index=10)
+
+
+def _blas_thread_counts():
+    return [getter() for getter, _ in openblas_thread_controls()]
+
+
+_EIGVALS = np.linalg.eigvals
+
+
+def _eigvals_failing_on(targets):
+    """np.linalg.eigvals that raises LinAlgError for a stack holding any of ``targets``."""
+
+    def patched(a):
+        stack = np.asarray(a).reshape((-1,) + targets[0].shape)
+        if any(np.array_equal(matrix, t) for matrix in stack for t in targets):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return _EIGVALS(a)
+
+    return patched
+
+
+class TestParallelEigenSamples:
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bits_independent_of_workers(self, monkeypatch, workers, count):
+        # Each matrix eigendecomposed on its own is the reference; stacks of 1
+        # and 2 are shorter than 3 workers.
+        instances = np.random.default_rng(count).standard_normal((count, 6, 6))
+        want = np.concatenate([eigenvalue_rows(matrix[None]) for matrix in instances])
+        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(workers))
+        got = eigen_samples(instances, first_index=4)
+        assert np.array_equal(got.samples, want)
+        assert np.array_equal(got.representative_lambda1.imag, np.abs(want[:, 0].imag))
+
+    def test_first_failing_slice_is_reported(self, monkeypatch):
+        # Instances 1 and 4 fail, in the first and second of two slices.
+        instances = np.random.default_rng(0).standard_normal((6, 4, 4))
+        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(2))
+        monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[1, 4]]))
+        with pytest.raises(ConvergenceFailure, match="instance 11"):
+            eigen_samples(instances, first_index=10)
+        monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[4]]))
+        with pytest.raises(ConvergenceFailure, match="instance 14"):
+            eigen_samples(instances, first_index=10)
+
+    def test_finiteness_checked_before_split(self, monkeypatch):
+        # A non-finite matrix in the second slice is reported even though the
+        # first slice would fail to converge.
+        instances = np.random.default_rng(0).standard_normal((6, 4, 4))
+        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(2))
+        monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[0]]))
+        instances[5, 0, 0] = np.nan
+        with pytest.raises(DimensionMismatch, match="instance 5"):
+            eigen_samples(instances)
+
+
+class TestBlasPin:
+    @pytest.fixture()
+    def two_blas_threads(self):
+        """Every loaded OpenBLAS at two threads for the test, its setting restored after."""
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS with thread controls is loaded")
+        saved = _blas_thread_counts()
+        for _, setter in controls:
+            setter(2)
+        yield
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
+
+    def test_pinned_during_call_restored_after(self, monkeypatch, two_blas_threads):
+        seen = []
+
+        def recording(a):
+            seen.append(_blas_thread_counts())
+            return _EIGVALS(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        eigen_samples(np.random.default_rng(0).standard_normal((4, 5, 5)))
+        assert len(seen) == 2  # two workers, one slice each
+        assert all(set(counts) == {1} for counts in seen)
+        assert set(_blas_thread_counts()) == {2}
+
+    def test_restored_after_convergence_failure(self, monkeypatch, two_blas_threads):
+        instances = np.random.default_rng(0).standard_normal((4, 5, 5))
+        monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[3]]))
+        with pytest.raises(ConvergenceFailure, match="instance 3"):
+            eigen_samples(instances)
+        assert set(_blas_thread_counts()) == {2}
+
+    def test_kde2d_bits_independent_of_blas_threads(self, two_blas_threads):
+        # A 256 x 1000 by 1000 x 256 kernel product is large enough for
+        # OpenBLAS to split it over threads.
+        values = np.random.default_rng(2).standard_normal((2, 1000))
+        at_two = kde2d(*values).density
+        controls = openblas_thread_controls()
+        for _, setter in controls:
+            setter(1)
+        at_one = kde2d(*values).density
+        for _, setter in controls:
+            setter(2)
+        assert np.array_equal(at_one, at_two)
+
+    def test_concurrent_callers(self, two_blas_threads):
+        # More callers than cores, switching often: each gets the spectra of
+        # its own stack and the setting is restored once all are done.
+        rng = np.random.default_rng(1)
+        stacks = [rng.standard_normal((5, 8, 8)) for _ in range(6)]
+        want = [np.concatenate([eigenvalue_rows(m[None]) for m in stack]) for stack in stacks]
+        got = [None] * len(stacks)
+
+        def call(index):
+            for _ in range(5):
+                got[index] = eigen_samples(stacks[index]).samples
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(stacks))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert set(_blas_thread_counts()) == {2}
 
 
 class TestEigenMoments:
