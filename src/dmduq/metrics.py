@@ -1,7 +1,8 @@
 """Matrix-comparison metrics and the normalizations used by report curves.
 
 Cosine similarity uses the standard normalized inner product of vectorized
-matrices, so it always lies in [-1, 1].
+matrices, so it always lies in [-1, 1].  Norms and inner products run with
+BLAS held at one thread, so the bits do not depend on the thread setting.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantInput, ShapeMismatch, ZeroNormCosine
+from .numerics import _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -31,14 +33,16 @@ def compare(estimated: np.ndarray, reference: np.ndarray) -> ComparisonReport:
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(ref))):
         raise ShapeMismatch("inputs must be finite")
     diff = est - ref
-    frob = float(np.linalg.norm(diff))
     rmse = float(np.sqrt(np.mean(diff**2)))
     mae = float(np.mean(np.abs(diff)))
-    norm_est = float(np.linalg.norm(est))
-    norm_ref = float(np.linalg.norm(ref))
+    with _one_blas_thread():
+        frob = float(np.linalg.norm(diff))
+        norm_est = float(np.linalg.norm(est))
+        norm_ref = float(np.linalg.norm(ref))
+        inner = float(np.vdot(est.ravel(), ref.ravel()))
     if norm_est == 0.0 or norm_ref == 0.0:
         raise ZeroNormCosine("cosine undefined for a zero matrix")
-    cosine = float(np.vdot(est.ravel(), ref.ravel()) / (norm_est * norm_ref))
+    cosine = inner / (norm_est * norm_ref)
     return ComparisonReport(rmse=rmse, mae=mae, frobenius=frob, cosine=cosine, shape=est.shape)
 
 

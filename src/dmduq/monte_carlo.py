@@ -18,19 +18,15 @@ Two sampling modes:
     independence assumptions ignore.
 
 Per-trial randomness comes from counter-based streams keyed by
-(master_seed, trial index), so trials never share a stream and results are
-bit-identical for any thread count: chunks are fixed functions of the
-problem shape and partial sums reduce in chunk order.  Each chunk is merged
-into the running totals as soon as it is done, with at most two chunks per
-thread in flight, so memory does not grow with the number of trials.
+(master_seed, trial index), so trials never share a stream.  Trials run in
+chunks whose size is a function of the problem shape only, one chunk at a
+time, and each chunk's power sums go straight into one running pair of
+accumulators, so memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,32 +131,9 @@ _CHUNK_SCALARS = 4_000_000
 
 def _chunk_size(m: int, n: int) -> int:
     # Bounded working set: a trial holds m n^2 noise draws (independent mode)
-    # and an m x m operator, which _MomentAccumulator.add_block copies four
-    # times.  A function of problem shape only, so the reduction order never
-    # depends on the thread count.
+    # and an m x m operator, which _MomentAccumulator.add_block copies twice.
+    # A function of problem shape only, so the reduction order is fixed.
     return max(1, min(4096, _CHUNK_SCALARS // max(m * n * n, m * m)))
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DMDUQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_in_order(func, items: range, threads: int):
-    """Yield ``func(item)`` in item order, with at most ``2 * threads`` calls in flight."""
-    if threads <= 1 or len(items) <= 1:
-        yield from map(func, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(func, item))
-            if len(pending) >= 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 class _MomentAccumulator:
@@ -171,16 +144,16 @@ class _MomentAccumulator:
         self.sums = [np.zeros_like(shift) for _ in range(4)]
 
     def add_block(self, values: np.ndarray) -> None:
+        # Two buffers the size of ``values``; ``values`` stays unchanged, as
+        # run_mc reuses the pseudoinverse tables for eigenvalues.
         d = values - self.shift
         d2 = d * d
         self.sums[0] += d.sum(axis=0)
         self.sums[1] += d2.sum(axis=0)
-        self.sums[2] += (d2 * d).sum(axis=0)
-        self.sums[3] += (d2 * d2).sum(axis=0)
-
-    def merge(self, other: "_MomentAccumulator") -> None:
-        for mine, theirs in zip(self.sums, other.sums):
-            mine += theirs
+        d *= d2
+        self.sums[2] += d.sum(axis=0)
+        d2 *= d2
+        self.sums[3] += d2.sum(axis=0)
 
     def statistics(self, count: int):
         c = self.shift
@@ -202,7 +175,6 @@ def run_mc(
     noise: NoiseModel,
     config: McConfig | None = None,
     ridge: float = 0.0,
-    threads: int | None = None,
 ) -> McSummary:
     """Sample N trials and summarize pseudoinverse and operator moments."""
     config = config or McConfig()
@@ -226,14 +198,13 @@ def run_mc(
 
     n_trials = config.trials
     chunk = _chunk_size(m, n)
+    failed_indices: list[int] = []
+    rng = np.random.Generator(np.random.Philox(0))
 
-    def run_chunk(start: int):
+    def sample_chunk(start: int):
+        # A function, so the chunk's draws are freed before the next chunk's.
         stop = min(start + chunk, n_trials)
         count = stop - start
-        pinv_acc = _MomentAccumulator(pinv_point)
-        op_acc = _MomentAccumulator(operator_point)
-        failed: list[int] = []
-        rng = np.random.Generator(np.random.Philox(0))
         if config.sampling_mode == INDEPENDENT:
             zx = np.empty((count, m, n, n))
             zy = np.empty((count, n, m))
@@ -269,29 +240,21 @@ def run_mc(
                         pinv_tables[i] = np.linalg.solve(grams[i], x_t[i]).T
                     except np.linalg.LinAlgError:
                         ok[i] = False
-                        failed.append(start + i)
+                        failed_indices.append(start + i)
             if not ok.all():
                 pinv_tables = pinv_tables[ok]
                 y_draws = y_draws[ok]
+        return pinv_tables, y_draws
+
+    pinv_acc = _MomentAccumulator(pinv_point)
+    op_acc = _MomentAccumulator(operator_point)
+    eig_parts: list[np.ndarray] = []
+    for start in range(0, n_trials, chunk):
+        pinv_tables, y_draws = sample_chunk(start)
         pinv_acc.add_block(pinv_tables)
         op_acc.add_block(pinv_tables @ y_draws)
-        eig_rows = None
         if config.compute_eigenvalues:
-            eig_rows = product_eigenvalues(pinv_tables, y_draws)
-        return pinv_acc, op_acc, eig_rows, failed
-
-    thread_count = threads if threads is not None else _default_threads()
-    pinv_total = _MomentAccumulator(pinv_point)
-    op_total = _MomentAccumulator(operator_point)
-    eig_parts: list[np.ndarray] = []
-    failed_indices: list[int] = []
-    results = _map_in_order(run_chunk, range(0, n_trials, chunk), thread_count)
-    for pinv_acc, op_acc, eig_rows, failed in results:
-        pinv_total.merge(pinv_acc)
-        op_total.merge(op_acc)
-        if eig_rows is not None:
-            eig_parts.append(eig_rows)
-        failed_indices.extend(failed)
+            eig_parts.append(product_eigenvalues(pinv_tables, y_draws))
 
     failed_count = len(failed_indices)
     if failed_count > _FAILURE_FRACTION * n_trials:
@@ -302,8 +265,8 @@ def run_mc(
         logger.warning("%d of %d trials had singular Gram matrices", failed_count, n_trials)
     n_eff = n_trials - failed_count
 
-    p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_total.statistics(n_eff)
-    o_mean, _, o_var, o_se_mean, _, o_se_var = op_total.statistics(n_eff)
+    p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(n_eff)
+    o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(n_eff)
     eigen = np.vstack(eig_parts) if eig_parts else None
 
     return McSummary(
@@ -392,8 +355,7 @@ def sample_operator_spectra(
     eigendecomposed across the BLAS threads by :func:`eigen_samples`.
     """
     m = moments.first.shape[0]
-    chunk = max(1, _CHUNK_SCALARS // (m * m))
-    blocks = _instance_blocks(moments, count, seed, clamp_negative, chunk)
+    blocks = _instance_blocks(moments, count, seed, clamp_negative, _chunk_size(m, 1))
     samples = np.empty((count, m), dtype=complex)
     representative = np.empty(count, dtype=complex)
     for start, instances in blocks:

@@ -5,7 +5,9 @@ factorization with a log-determinant (so determinant factors can stay in
 log space), SPD solves, eigenvalue extraction with a deterministic total
 order (rank-n products through their n x n factor product), and
 Gauss-Laguerre rules for semi-infinite integrals weighted by ``exp(-p)``.
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently.  ``_one_blas_thread``
+holds OpenBLAS at one thread around the calls whose bits would otherwise
+depend on the BLAS thread setting.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -16,6 +18,8 @@ of ``scipy.special.roots_laguerre``'s, and scipy is not imported.
 from __future__ import annotations
 
 import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,47 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-9
+
+# (getter, setter) of the thread count in the OpenBLAS builds numpy and scipy ship.
+_OPENBLAS_THREADS = [
+    (f"{lib}_get_num_threads{tail}", f"{lib}_set_num_threads{tail}")
+    for lib in ("scipy_openblas", "openblas") for tail in ("64_", "")
+]
+_BLAS_PIN = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS loaded in this process at one thread; yield the most one had.
+
+    Yields 1 and changes nothing where no OpenBLAS thread setter is found
+    (another BLAS, or no ``/proc``).  Concurrent callers take turns.
+    """
+    import ctypes
+
+    with _BLAS_PIN:
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+            libraries = [ctypes.CDLL(path) for path in paths]
+        except OSError:  # no /proc, or a mapped path that cannot be opened
+            libraries = []
+        saved = []
+        for lib in libraries:
+            for get, set_ in _OPENBLAS_THREADS:
+                if hasattr(lib, get) and hasattr(lib, set_):
+                    getter, setter = getattr(lib, get), getattr(lib, set_)
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    saved.append((setter, getter()))
+                    break
+        try:
+            for setter, _ in saved:
+                setter(1)
+            yield max((count for _, count in saved), default=1)
+        finally:
+            for setter, count in saved:
+                setter(count)
 
 
 @dataclass(frozen=True)

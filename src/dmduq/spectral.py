@@ -10,22 +10,13 @@ handle but is out of scope here.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, TooFewSamples
-from .numerics import eigenvalue_rows, finite_stack
-
-# (getter, setter) of the thread count in the OpenBLAS builds numpy and scipy ship.
-_OPENBLAS_THREADS = [
-    (f"{lib}_get_num_threads{tail}", f"{lib}_set_num_threads{tail}")
-    for lib in ("scipy_openblas", "openblas") for tail in ("64_", "")
-]
-_BLAS_PIN = threading.Lock()
+from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack
 
 
 @dataclass(frozen=True)
@@ -71,40 +62,6 @@ class Kde2d:
     density: np.ndarray  # shape (len(grid_re), len(grid_im))
     bandwidth_re: float
     bandwidth_im: float
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold every OpenBLAS loaded in this process at one thread; yield the most one had.
-
-    Yields 1 and changes nothing where no OpenBLAS thread setter is found
-    (another BLAS, or no ``/proc``).  Concurrent callers take turns.
-    """
-    import ctypes
-
-    with _BLAS_PIN:
-        try:
-            with open("/proc/self/maps", encoding="utf-8") as maps:
-                paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-            libraries = [ctypes.CDLL(path) for path in paths]
-        except OSError:  # no /proc, or a mapped path that cannot be opened
-            libraries = []
-        saved = []
-        for lib in libraries:
-            for get, set_ in _OPENBLAS_THREADS:
-                if hasattr(lib, get) and hasattr(lib, set_):
-                    getter, setter = getattr(lib, get), getattr(lib, set_)
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    saved.append((setter, getter()))
-                    break
-        try:
-            for setter, _ in saved:
-                setter(1)
-            yield max((count for _, count in saved), default=1)
-        finally:
-            for setter, count in saved:
-                setter(count)
 
 
 def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet:

@@ -84,6 +84,20 @@ def openblas_thread_controls():
     return controls
 
 
+@contextmanager
+def openblas_threads(count):
+    """Every OpenBLAS loaded in this process at ``count`` threads; old counts restored after."""
+    controls = openblas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    try:
+        for _, setter in controls:
+            setter(count)
+        yield
+    finally:
+        for (_, setter), old in zip(controls, saved):
+            setter(old)
+
+
 def snapshots_from_trajectory_matrix(samples, dt=0.1):
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     times = np.arange(samples.shape[1]) * dt

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import mgf_direct_mpmath, random_mgf_context, run_cli
+from conftest import mgf_direct_mpmath, openblas_threads, random_mgf_context, run_cli
 from mpmath import mp
 from scipy.integrate import quad as scipy_quad
 from scipy.integrate import trapezoid
@@ -340,8 +340,10 @@ def test_criterion_8_determinism(tmp_path):
     # MC with a fixed master seed is thread-count invariant.
     snaps, noise = build_random_system(2, 10, 0.03, 77)
     cfg_mc = dq.McConfig(trials=3000, master_seed=5)
-    one = dq.run_mc(snaps, noise, cfg_mc, threads=1)
-    four = dq.run_mc(snaps, noise, cfg_mc, threads=4)
+    with openblas_threads(1):
+        one = dq.run_mc(snaps, noise, cfg_mc)
+    with openblas_threads(4):
+        four = dq.run_mc(snaps, noise, cfg_mc)
     assert np.array_equal(one.pinv_mean, four.pinv_mean)
     assert np.array_equal(one.pinv_second_raw, four.pinv_second_raw)
     assert np.array_equal(one.operator_mean, four.operator_mean)

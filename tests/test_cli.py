@@ -309,6 +309,27 @@ class TestCompare:
         assert proc.returncode == 1
         assert stderr_error_code(proc) == "shape_mismatch"
 
+    def test_output_independent_of_blas_threads(self, tmp_path, monkeypatch):
+        # At m = 200 multi-threaded OpenBLAS takes norms and inner products of
+        # the operator tables with different rounding than single-threaded;
+        # compare holds BLAS at one thread, so report.json must not depend
+        # on the setting.
+        (tmp_path / "c.json").write_text('{"mc": {"trials": 20, "compute_eigenvalues": false}}')
+        noise = ["--noise-variances", "1e-6,1e-6"]
+        steps = [
+            ["simulate", "spring-mass", "--duration", "10", "--dt", "0.05", "--out", "t.csv"],
+            ["moments", "t.csv", *noise, "--out", "m.json"],
+            ["mc", "t.csv", *noise, "--config", "c.json", "--out", "mc.json"],
+        ]
+        for args in steps:
+            assert run_cli(args, cwd=tmp_path).returncode == 0
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            args = ["compare", "m.json", "mc.json", "--out", f"r{threads}.json"]
+            proc = run_cli(args, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
 
 class TestSpectrum:
     def test_writes_density_and_bands(self, small_csv, config_path, tmp_path):

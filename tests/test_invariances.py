@@ -2,8 +2,9 @@
 
 The pseudoinverse of ``c X`` is ``pinv(X) / c`` and that of ``P X`` (P a
 permutation of the states) is ``pinv(X) P.T``; with the noise covariance
-transformed to match, the moment tables must follow.  As the noise vanishes
-the tables must tend to ``pinv(X)`` and its elementwise square.
+transformed to match, the moment tables must follow.  Permuting the snapshot
+columns of X permutes the rows of the tables.  As the noise vanishes the
+tables must tend to ``pinv(X)`` and its elementwise square.
 """
 
 import numpy as np
@@ -12,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmduq.data_model import NoiseModel
-from dmduq.pinv_moments import pinv_moments
+from dmduq.numerics import cholesky_logdet, gauss_laguerre_nodes
+from dmduq.pinv_moments import (
+    QuadratureConfig,
+    _gauss_laguerre,
+    _whiten,
+    gram_complement_inverses,
+    pinv_moments,
+)
 
 SYSTEMS = {
     "n": st.integers(1, 4),
@@ -64,6 +72,31 @@ def test_state_permutation(perm_seed, n, extra, seed, full_covariance):
     first_p, second_p = _tables(samples[perm], cov[np.ix_(perm, perm)])
     assert _close(first_p, first[:, perm], 1e-9)
     assert _close(second_p, second[:, perm], 1e-9)
+
+
+def _kernel_tables(X, cov):
+    """The batched Gauss-Laguerre kernel on every column of X, without a SnapshotSet.
+
+    A SnapshotSet requires Y to be the shift of X, which a column
+    permutation breaks; the tables depend on X alone.
+    """
+    R, singular = gram_complement_inverses(X, 0.0, np.arange(X.shape[1]))
+    assert not singular
+    pieces = _whiten(R, X.T, cholesky_logdet(cov)[0])
+    return _gauss_laguerre(pieces, *gauss_laguerre_nodes(QuadratureConfig().node_count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm_seed=st.integers(0, 2**32 - 1), **SYSTEMS)
+def test_column_permutation(perm_seed, n, extra, seed, full_covariance):
+    samples, cov = _system(n, extra, seed, full_covariance)
+    X = samples[:, :-1]
+    perm = np.random.default_rng(perm_seed).permutation(X.shape[1])
+    first, second = _kernel_tables(X, cov)
+    assert np.array_equal(first, _tables(samples, cov)[0])
+    first_p, second_p = _kernel_tables(X[:, perm], cov)
+    assert _close(first_p, first[perm], 1e-9)
+    assert _close(second_p, second[perm], 1e-9)
 
 
 @settings(max_examples=40, deadline=None)

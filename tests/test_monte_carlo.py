@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fixed_blas_workers, snapshots_from_trajectory_matrix
+from conftest import fixed_blas_workers, openblas_threads, snapshots_from_trajectory_matrix
 
 from dmduq import monte_carlo, spectral
 from dmduq.data_model import NoiseModel
@@ -97,18 +97,19 @@ class TestRunMcDeterminism:
     def test_thread_count_invariant(self, toy_system):
         snaps, noise = toy_system
         cfg = McConfig(trials=2000, master_seed=9)
-        a = run_mc(snaps, noise, cfg, threads=1)
-        b = run_mc(snaps, noise, cfg, threads=4)
+        with openblas_threads(1):
+            a = run_mc(snaps, noise, cfg)
+        with openblas_threads(4):
+            b = run_mc(snaps, noise, cfg)
         assert np.array_equal(a.pinv_mean, b.pinv_mean)
         assert np.array_equal(a.pinv_second_raw, b.pinv_second_raw)
         assert np.array_equal(a.operator_mean, b.operator_mean)
         assert np.array_equal(a.operator_variance, b.operator_variance)
         assert np.array_equal(a.eigen_samples, b.eigen_samples)
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_memory_flat_in_trials(self, toy_system, monkeypatch, threads):
-        # Chunks of 2 trials, each merged as it arrives: the peak holds a
-        # few chunks whatever the trial count.  Collecting every chunk's
+    def test_memory_flat_in_trials(self, toy_system, monkeypatch):
+        # Chunks of 2 trials, each accumulated as it is done: the peak holds
+        # a few chunks whatever the trial count.  Collecting every chunk's
         # pair of accumulators first would keep 16 of them at 32 trials and
         # 256 at 512, about 1.3 MB.
         snaps, noise = toy_system
@@ -119,7 +120,7 @@ class TestRunMcDeterminism:
             cfg = McConfig(trials=trials, master_seed=2, compute_eigenvalues=False)
             tracemalloc.start()
             try:
-                run_mc(snaps, noise, cfg, threads=threads)
+                run_mc(snaps, noise, cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
