@@ -17,11 +17,11 @@ Two sampling modes:
     pseudoinverse of the realized X.  This probes the coupling the
     independence assumptions ignore.
 
-Per-trial randomness comes from counter-based streams keyed by
-(master_seed, trial index), so trials never share a stream.  Trials run in
-chunks whose size is a function of the problem shape only, one chunk at a
-time, and each chunk's power sums go straight into one running pair of
-accumulators, so memory does not grow with the number of trials.
+Trials draw from streams keyed by (master_seed, trial index) and run in chunks
+sized by the problem shape only.  A chunk's trials are drawn in one slice per
+BLAS thread and its power sums added, element slice by element slice, into one
+running accumulator pair: the bits do not depend on the thread count, and
+memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
-from .numerics import cholesky_logdet, product_eigenvalues, spd_solve
+from .numerics import cholesky_logdet, product_eigenvalues, slice_workers, spd_solve
 from .operator_moments import OperatorMoments, gram_factor
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, eigen_samples
@@ -143,31 +143,45 @@ class _MomentAccumulator:
         self.shift = shift
         self.sums = [np.zeros_like(shift) for _ in range(4)]
 
-    def add_block(self, values: np.ndarray) -> None:
-        # Two buffers the size of ``values``; ``values`` stays unchanged, as
-        # run_mc reuses the pseudoinverse tables for eigenvalues.
-        d = values - self.shift
+    def add_block(self, values: np.ndarray, lo: int, hi: int) -> None:
+        # Elements lo:hi of the first axis, each summed over the trials in order,
+        # so any split gives the same bits.  Overwrites ``values[:, lo:hi]``.
+        d = values[:, lo:hi]
+        d -= self.shift[lo:hi]
         d2 = d * d
-        self.sums[0] += d.sum(axis=0)
-        self.sums[1] += d2.sum(axis=0)
+        self.sums[0][lo:hi] += d.sum(axis=0)
+        self.sums[1][lo:hi] += d2.sum(axis=0)
         d *= d2
-        self.sums[2] += d.sum(axis=0)
+        self.sums[2][lo:hi] += d.sum(axis=0)
         d2 *= d2
-        self.sums[3] += d2.sum(axis=0)
+        self.sums[3][lo:hi] += d2.sum(axis=0)
 
-    def statistics(self, count: int):
-        c = self.shift
-        s1, s2, s3, s4 = (s / count for s in self.sums)
-        mean = c + s1
-        dvar = (self.sums[1] - self.sums[0] ** 2 / count) / (count - 1)
-        dvar = np.maximum(dvar, 0.0)
-        second_raw = c**2 + 2.0 * c * s1 + s2
-        fourth_raw = c**4 + 4.0 * c**3 * s1 + 6.0 * c**2 * s2 + 4.0 * c * s3 + s4
-        se_mean = np.sqrt(dvar / count)
-        se_second = np.sqrt(np.maximum(fourth_raw - second_raw**2, 0.0) / count)
-        m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
-        se_var = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
-        return mean, second_raw, dvar, se_mean, se_second, se_var
+    def statistics(self, count: int, map_slices, raw_second: bool = True):
+        """``(mean, second_raw, variance, se_mean, se_second, se_variance)``; the
+        second_raw pair is None unless ``raw_second``.  Row blocks of about
+        ``_CHUNK_SCALARS / 8`` elements fill preallocated tables over ``map_slices``."""
+        mean, second_raw, var, se_mean, se_second, se_var = (
+            np.empty_like(self.shift) if raw_second or i not in (1, 4) else None for i in range(6)
+        )
+        block = max(1, _CHUNK_SCALARS // 8 // self.shift[0].size)
+        def rows(lo: int, hi: int) -> None:
+            for a in range(lo, hi, block):
+                b = min(a + block, hi)
+                c = self.shift[a:b]
+                s1, s2, s3, s4 = (s[a:b] / count for s in self.sums)
+                mean[a:b] = c + s1
+                dvar = (self.sums[1][a:b] - self.sums[0][a:b] ** 2 / count) / (count - 1)
+                var[a:b] = dvar = np.maximum(dvar, 0.0)
+                se_mean[a:b] = np.sqrt(dvar / count)
+                m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
+                se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
+                if raw_second:
+                    second_raw[a:b] = raw = c**2 + 2.0 * c * s1 + s2
+                    fourth_raw = c**4 + 4.0 * c**3 * s1 + 6.0 * c**2 * s2 + 4.0 * c * s3 + s4
+                    se_second[a:b] = np.sqrt(np.maximum(fourth_raw - raw**2, 0.0) / count)
+
+        map_slices(rows, len(self.shift))
+        return mean, second_raw, var, se_mean, se_second, se_var
 
 
 def run_mc(
@@ -188,85 +202,90 @@ def run_mc(
     pinv_point = spd_solve(gram_factor(X, ridge), X).T  # (m, n)
     operator_point = pinv_point @ Y
 
-    r_stack = trajectory = None
-    if config.sampling_mode == INDEPENDENT:
+    n_trials = config.trials
+    chunk = min(_chunk_size(m, n), n_trials)
+    independent = config.sampling_mode == INDEPENDENT
+    op_buf = np.empty((chunk, m, m))
+    if independent:
         r_stack, singular = gram_complement_inverses(X, ridge, np.arange(m))
         if singular:
             raise singular[0][1]
+        pinv_buf, x_buf = np.empty((chunk, m, n)), np.empty((chunk, m, n, n))
+        # One draw call per trial (columns, then Y): each call hands the GIL over.
+        z_buf = np.empty((chunk, m * n * n + n * m))
+        zx_buf = z_buf[:, : m * n * n].reshape(chunk, m, n, n)
+        y_buf = z_buf[:, m * n * n :].reshape(chunk, n, m)
     else:
         trajectory = snapshots.trajectory_columns()
+        # Laid out as np.linalg.solve returns X+.T: products round by layout.
+        pinv_buf = np.empty((chunk, n, m)).transpose(0, 2, 1)
+        y_buf, z_buf = np.empty((chunk, n, m)), np.empty((chunk, n, m + 1))
 
-    n_trials = config.trials
-    chunk = _chunk_size(m, n)
-    failed_indices: list[int] = []
-    rng = np.random.Generator(np.random.Philox(0))
-
-    def sample_chunk(start: int):
-        # A function, so the chunk's draws are freed before the next chunk's.
-        stop = min(start + chunk, n_trials)
-        count = stop - start
-        if config.sampling_mode == INDEPENDENT:
-            zx = np.empty((count, m, n, n))
-            zy = np.empty((count, n, m))
-            for i, trial in enumerate(range(start, stop)):
-                _restart(rng, config.master_seed, trial)
-                zx[i] = rng.standard_normal((m, n, n))
-                zy[i] = rng.standard_normal((n, m))
-            x_cols = X.T[None, :, None, :] + zx @ sigma_L.T  # (count, m, n, n)
-            y_draws = Y[None, :, :] + y_std[:, None] * zy
+    def sample_slice(start: int, lo: int, hi: int) -> list[int]:
+        """Fill rows ``lo:hi`` of the chunk buffers; return the trials with a singular Gram."""
+        rng = np.random.Generator(np.random.Philox(0))  # one per slice, reset per trial
+        for i in range(lo, hi):
+            _restart(rng, config.master_seed, start + i)
+            rng.standard_normal(out=z_buf[i])
+        failed = []
+        if independent:
+            y_draws, zx, x_cols = y_buf[lo:hi], zx_buf[lo:hi], x_buf[lo:hi]
+            y_draws *= y_std[:, None]
+            y_draws += Y
+            np.matmul(zx, sigma_L.T, out=x_cols)
+            x_cols += X.T[:, None, :]  # (count, m, n, n)
             # Element (t, k) uses its own column draw x: (R_t x)_k / (1 + x.T R_t x).
             # Row k of x_cols @ R_t is x.T R_t, whose entry k is (R_t.T x)_k = (R_t x)_k.
-            rx = x_cols @ r_stack  # (count, m, n, n)
+            rx = np.matmul(x_cols, r_stack, out=zx)  # the draws are spent
             den = 1.0 + np.einsum("ctke,ctke->ctk", rx, x_cols)
-            pinv_tables = rx.diagonal(axis1=2, axis2=3) / den  # (count, m, n)
+            np.divide(rx.diagonal(axis1=2, axis2=3), den, out=pinv_buf[lo:hi])
         else:
-            base = np.empty((count, n, m + 1))
-            for i, trial in enumerate(range(start, stop)):
-                _restart(rng, config.master_seed, trial)
-                base[i] = rng.standard_normal((n, m + 1))
-            noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, base)
+            noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, z_buf[lo:hi])
             x_t = noisy[:, :, :m]
-            y_draws = noisy[:, :, 1:]
+            y_buf[lo:hi] = noisy[:, :, 1:]
             grams = x_t @ x_t.transpose(0, 2, 1)
             if ridge:
                 grams = grams + ridge * np.eye(n)
-            pinv_tables = np.empty((count, m, n))
-            ok = np.ones(count, dtype=bool)
             try:
-                pinv_tables = np.linalg.solve(grams, x_t).transpose(0, 2, 1)
+                pinv_buf[lo:hi] = np.linalg.solve(grams, x_t).transpose(0, 2, 1)
             except np.linalg.LinAlgError:
-                for i in range(count):
+                for i in range(hi - lo):
                     try:
-                        pinv_tables[i] = np.linalg.solve(grams[i], x_t[i]).T
+                        pinv_buf[lo + i] = np.linalg.solve(grams[i], x_t[i]).T
                     except np.linalg.LinAlgError:
-                        ok[i] = False
-                        failed_indices.append(start + i)
-            if not ok.all():
-                pinv_tables = pinv_tables[ok]
-                y_draws = y_draws[ok]
-        return pinv_tables, y_draws
+                        failed.append(start + lo + i)
+        np.matmul(pinv_buf[lo:hi], y_buf[lo:hi], out=op_buf[lo:hi])
+        return failed
 
-    pinv_acc = _MomentAccumulator(pinv_point)
-    op_acc = _MomentAccumulator(operator_point)
-    eig_parts: list[np.ndarray] = []
-    for start in range(0, n_trials, chunk):
-        pinv_tables, y_draws = sample_chunk(start)
-        pinv_acc.add_block(pinv_tables)
-        op_acc.add_block(pinv_tables @ y_draws)
-        if config.compute_eigenvalues:
-            eig_parts.append(product_eigenvalues(pinv_tables, y_draws))
+    pinv_acc, op_acc = _MomentAccumulator(pinv_point), _MomentAccumulator(operator_point)
+    eig_parts, failed_count = [], 0
+    # One pool and one BLAS pin for the whole run, so the BLAS calls made
+    # between the maps (the failed-trial path) also run at one thread.
+    with slice_workers() as map_slices:
+        for start in range(0, n_trials, chunk):
+            count = min(chunk, n_trials - start)
+            failed = sum(map_slices(lambda lo, hi: sample_slice(start, lo, hi), count), [])
+            failed_count += len(failed)
+            pinv_tables, y_draws, operators = pinv_buf[:count], y_buf[:count], op_buf[:count]
+            if failed:  # dropped; the rest in C order, as the per-trial solves were
+                ok = np.isin(np.arange(start, start + count), failed, invert=True)
+                pinv_tables = np.ascontiguousarray(pinv_tables[ok])
+                y_draws, operators = y_draws[ok], pinv_tables @ y_draws[ok]
+            if config.compute_eigenvalues:  # before add_block overwrites the tables
+                eig_parts += map_slices(lambda lo, hi: product_eigenvalues(
+                    pinv_tables[lo:hi], y_draws[lo:hi]), len(pinv_tables))
+            map_slices(lambda lo, hi: (pinv_acc.add_block(pinv_tables, lo, hi),
+                                       op_acc.add_block(operators, lo, hi)), m)
 
-    failed_count = len(failed_indices)
-    if failed_count > _FAILURE_FRACTION * n_trials:
-        raise TooManyFailedTrials(
-            f"{failed_count} of {n_trials} trials failed (> {_FAILURE_FRACTION:.0%})"
-        )
-    if failed_count:
-        logger.warning("%d of %d trials had singular Gram matrices", failed_count, n_trials)
-    n_eff = n_trials - failed_count
-
-    p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(n_eff)
-    o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(n_eff)
+        if failed_count > _FAILURE_FRACTION * n_trials:
+            raise TooManyFailedTrials(
+                f"{failed_count} of {n_trials} trials failed (> {_FAILURE_FRACTION:.0%})"
+            )
+        if failed_count:
+            logger.warning("%d of %d trials had singular Gram matrices", failed_count, n_trials)
+        n_eff = n_trials - failed_count
+        p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(n_eff, map_slices)
+        o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(n_eff, map_slices, False)
     eigen = np.vstack(eig_parts) if eig_parts else None
 
     return McSummary(
@@ -275,12 +294,7 @@ def run_mc(
         operator_mean=o_mean,
         operator_variance=o_var,
         eigen_samples=eigen,
-        standard_errors=McStandardErrors(
-            pinv_mean=p_se_mean,
-            pinv_second_raw=p_se_second,
-            operator_mean=o_se_mean,
-            operator_variance=o_se_var,
-        ),
+        standard_errors=McStandardErrors(p_se_mean, p_se_second, o_se_mean, o_se_var),
         trials=n_trials,
         failed_trials=failed_count,
         sampling_mode=config.sampling_mode,

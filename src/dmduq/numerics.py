@@ -7,7 +7,8 @@ order (rank-n products through their n x n factor product), and
 Gauss-Laguerre rules for semi-infinite integrals weighted by ``exp(-p)``.
 All functions are pure and safe to call concurrently.  ``_one_blas_thread``
 holds OpenBLAS at one thread around the calls whose bits would otherwise
-depend on the BLAS thread setting.
+depend on the BLAS thread setting, and ``slice_workers`` spreads such calls
+over one worker thread per BLAS thread.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -74,6 +76,21 @@ def _one_blas_thread():
         finally:
             for setter, count in saved:
                 setter(count)
+
+
+@contextmanager
+def slice_workers():
+    """Hold BLAS at one thread and yield ``map_slices(fn, count)``, which runs
+    ``fn(lo, hi)`` on one contiguous slice of ``range(count)`` per BLAS thread in
+    a pool that lives as long as the context and returns the results in slice
+    order.  ``fn`` must not enter ``_one_blas_thread``: it is not re-entrant."""
+    with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as pool:
+        def map_slices(fn, count):
+            workers = max(1, min(threads, count))
+            cuts = [count * k // workers for k in range(workers + 1)]
+            return list(pool.map(fn, cuts[:-1], cuts[1:]))
+
+        yield map_slices
 
 
 @dataclass(frozen=True)

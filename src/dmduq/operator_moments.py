@@ -79,13 +79,10 @@ class OperatorMoments:
 
 
 def gram_factor(X: np.ndarray, ridge: float) -> SpdFactor:
-    """Cholesky factor of ``X X.T + ridge I``.
+    """Cholesky factor of ``X X.T + ridge I`` for a ridge the caller has checked.
 
-    Raises ConfigError for a negative ridge and SingularGram when the
-    ridged Gram matrix is not positive definite.
+    Raises SingularGram when the ridged Gram matrix is not positive definite.
     """
-    if ridge < 0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
     gram = X @ X.T
     if ridge:
         gram = gram + ridge * np.eye(X.shape[0])
@@ -104,6 +101,8 @@ def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimat
     eigendecomposed.  For m <= n the m x m operator itself is.
     """
     X, Y = snapshots.states, snapshots.shifted
+    if ridge < 0:
+        raise ConfigError(f"ridge must be >= 0, got {ridge}")
     solved = spd_solve(gram_factor(X, ridge), Y)
     spectrum = Spectrum(eigenvalues=product_eigenvalues(X.T, solved))
     return DmdEstimate(operator=X.T @ solved, spectrum=spectrum)

@@ -10,13 +10,12 @@ handle but is out of scope here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, TooFewSamples
-from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack
+from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, slice_workers
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,10 @@ def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet
     held at one thread, so the spectra do not depend on the thread setting.
     """
     stack = finite_stack(instances, first_index)
-    with _one_blas_thread() as threads:
-        workers = max(1, min(threads, len(stack)))
-        cuts = [len(stack) * k // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            rows = pool.map(
-                lambda lo, hi: eigenvalue_rows(stack[lo:hi], first_index + lo), cuts, cuts[1:]
-            )
-            ordered = np.concatenate(list(rows))
+    with slice_workers() as map_slices:
+        rows = map_slices(lambda lo, hi: eigenvalue_rows(stack[lo:hi], first_index + lo),
+                          len(stack))
+    ordered = np.concatenate(rows)
     if ordered.shape[0] < 1:
         raise TooFewSamples("need at least one instance")
     top = ordered[:, 0]

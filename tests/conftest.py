@@ -46,10 +46,11 @@ def run_cli(args, cwd):
 
 
 def fixed_blas_workers(count):
-    """A stand-in for ``spectral._one_blas_thread`` that reports ``count`` BLAS threads.
+    """A stand-in for ``numerics._one_blas_thread`` that reports ``count`` BLAS threads.
 
-    Monkeypatched in, it makes ``eigen_samples`` split each stack over
-    ``count`` workers and leaves the BLAS thread setting alone.
+    Monkeypatched in, it makes ``numerics.slice_workers`` (so ``eigen_samples``
+    and ``run_mc``) split each job over ``count`` workers and leaves the BLAS
+    thread setting alone.
     """
 
     @contextmanager

@@ -1,11 +1,12 @@
 import logging
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import fixed_blas_workers, openblas_threads, snapshots_from_trajectory_matrix
 
-from dmduq import monte_carlo, spectral
+from dmduq import monte_carlo, numerics
 from dmduq.data_model import NoiseModel
 from dmduq.errors import (
     ConfigError,
@@ -299,6 +300,130 @@ class TestSingularGram:
         assert np.all(np.isfinite(dmd_point_estimate(snaps, ridge=1e-2).operator))
 
 
+def _summary_arrays(summary):
+    se = summary.standard_errors
+    return [
+        summary.pinv_mean, summary.pinv_second_raw, summary.operator_mean,
+        summary.operator_variance, se.pinv_mean, se.pinv_second_raw, se.operator_mean,
+        se.operator_variance, summary.eigen_samples,
+    ]
+
+
+class TestRunMcWorkers:
+    """Trial slices, element slices and statistics blocks split over 1, 2 or 3 workers."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_bits_independent_of_workers(self, toy_system, monkeypatch, mode, workers):
+        # m = 8, n = 2: chunks of 4, 4 and 2 trials; the last is shorter than
+        # 3 workers.  8 workers, more than the cores, switch threads often.
+        snaps, noise = toy_system
+        cfg = McConfig(trials=10, master_seed=4, sampling_mode=mode)
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 4 * 8 * 8)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
+        want = run_mc(snaps, noise, cfg)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_mc(snaps, noise, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(_summary_arrays(got), _summary_arrays(want)):
+            assert np.array_equal(a, b)
+
+    def test_one_singular_trial(self, toy_system, monkeypatch):
+        # Trial 9 of 120 (chunk 2 of 7 trials, position 2) has a singular Gram
+        # matrix: it is dropped from every table, whatever slice it lands in.
+        snaps, noise = toy_system
+        n, m = snaps.states.shape
+        base = trial_rng(3, 9).standard_normal((n, m + 1))
+        sigma_l = np.linalg.cholesky(noise.covariance())
+        x = (snaps.trajectory_columns() + sigma_l @ base)[:, :m]
+        target = x @ x.T
+        solve = np.linalg.solve
+
+        def singular_on_target(a, b):
+            grams = np.asarray(a).reshape((-1, n, n))
+            if any(np.allclose(g, target, rtol=1e-9, atol=0.0) for g in grams):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_on_target)
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 7 * m * m)
+        cfg = McConfig(trials=120, master_seed=3, sampling_mode=SHARED_TRAJECTORY)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
+            runs.append(run_mc(snaps, noise, cfg))
+        for summary in runs:
+            assert summary.failed_trials == 1
+            assert summary.eigen_samples.shape == (119, m)
+            for a, b in zip(_summary_arrays(summary), _summary_arrays(runs[0])):
+                assert np.array_equal(a, b)
+
+    def test_statistics_blocks_match_whole_tables(self, monkeypatch):
+        # The element-wise formulas on whole tables are the reference.
+        rng = np.random.default_rng(8)
+        shift = np.asfortranarray(rng.standard_normal((9, 5)))
+        acc = monte_carlo._MomentAccumulator(shift)
+        values = shift + 0.1 * rng.standard_normal((6, 9, 5))
+        acc.add_block(values, 0, 9)
+        count, c = 6, shift
+        s1, s2, s3, s4 = (s / count for s in acc.sums)
+        dvar = np.maximum((acc.sums[1] - acc.sums[0] ** 2 / count) / (count - 1), 0.0)
+        second_raw = c**2 + 2.0 * c * s1 + s2
+        fourth_raw = c**4 + 4.0 * c**3 * s1 + 6.0 * c**2 * s2 + 4.0 * c * s3 + s4
+        m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
+        want = (
+            c + s1, second_raw, dvar, np.sqrt(dvar / count),
+            np.sqrt(np.maximum(fourth_raw - second_raw**2, 0.0) / count),
+            np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count),
+        )
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 8 * 2 * 5)  # blocks of 2 rows
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
+            with numerics.slice_workers() as map_slices:
+                got = acc.statistics(count, map_slices)
+                some = acc.statistics(count, map_slices, raw_second=False)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert some[1] is None and some[4] is None
+            for i in (0, 2, 3, 5):
+                assert np.array_equal(some[i], want[i])
+
+    @pytest.mark.parametrize("raw_second", [True, False])
+    def test_statistics_memory(self, monkeypatch, raw_second):
+        # Beyond its output tables, statistics() holds the temporaries of one
+        # block of 4 rows; on whole tables they were about a dozen tables.
+        m, rows = 200, 4
+        rng = np.random.default_rng(1)
+        acc = monte_carlo._MomentAccumulator(rng.standard_normal((m, m)))
+        acc.add_block(rng.standard_normal((3, m, m)), 0, m)
+        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 8 * rows * m)
+
+        def serial(fn, count):
+            return [fn(0, count)]
+
+        table_bytes, block_bytes = m * m * 8, rows * m * 8
+        tracemalloc.start()
+        try:
+            acc.statistics(3, serial, raw_second)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = 6 if raw_second else 4
+        assert peak < tables * table_bytes + 16 * block_bytes
+
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_negative_ridge_rejected(self, toy_system, mode):
+        snaps, noise = toy_system
+        with pytest.raises(ConfigError, match="ridge must be >= 0"):
+            run_mc(snaps, noise, McConfig(trials=4, sampling_mode=mode), ridge=-1.0)
+        with pytest.raises(ConfigError, match="ridge must be >= 0"):
+            dmd_point_estimate(snaps, ridge=-1.0)
+
+
 class TestSampleOperatorInstances:
     def test_zero_variance_returns_mean(self):
         moments = OperatorMoments(
@@ -389,7 +514,7 @@ class TestSampleOperatorSpectra:
         # Split over 2 or 3 workers, the chunk's slices are [3], [4, 5] or
         # [3], [4], [5]: the failing slice is the second or the third.
         for workers in (2, 3):
-            monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(workers))
+            monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
             with pytest.raises(ConvergenceFailure, match="instance 5"):
                 sample_operator_spectra(moments, count=8, seed=2)
 
@@ -397,9 +522,9 @@ class TestSampleOperatorSpectra:
     def test_bits_independent_of_workers(self, monkeypatch, workers):
         # Chunks of 3, 3 and 2 instances; the last is shorter than 3 workers.
         moments = _random_moments(5, seed=6)
-        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(1))
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
         want = eigen_samples(sample_operator_instances(moments, count=8, seed=1))
-        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(workers))
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
         monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 3 * 5 * 5)
         got = sample_operator_spectra(moments, count=8, seed=1)
         assert np.array_equal(got.samples, want.samples)

@@ -6,7 +6,7 @@ import pytest
 from conftest import fixed_blas_workers, openblas_thread_controls
 from scipy.integrate import trapezoid
 
-from dmduq import spectral
+from dmduq import numerics
 from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
 from dmduq.numerics import eigenvalue_rows
 from dmduq.spectral import (
@@ -82,7 +82,7 @@ class TestParallelEigenSamples:
         # and 2 are shorter than 3 workers.
         instances = np.random.default_rng(count).standard_normal((count, 6, 6))
         want = np.concatenate([eigenvalue_rows(matrix[None]) for matrix in instances])
-        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(workers))
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
         got = eigen_samples(instances, first_index=4)
         assert np.array_equal(got.samples, want)
         assert np.array_equal(got.representative_lambda1.imag, np.abs(want[:, 0].imag))
@@ -90,7 +90,7 @@ class TestParallelEigenSamples:
     def test_first_failing_slice_is_reported(self, monkeypatch):
         # Instances 1 and 4 fail, in the first and second of two slices.
         instances = np.random.default_rng(0).standard_normal((6, 4, 4))
-        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(2))
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[1, 4]]))
         with pytest.raises(ConvergenceFailure, match="instance 11"):
             eigen_samples(instances, first_index=10)
@@ -102,7 +102,7 @@ class TestParallelEigenSamples:
         # A non-finite matrix in the second slice is reported even though the
         # first slice would fail to converge.
         instances = np.random.default_rng(0).standard_normal((6, 4, 4))
-        monkeypatch.setattr(spectral, "_one_blas_thread", fixed_blas_workers(2))
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[0]]))
         instances[5, 0, 0] = np.nan
         with pytest.raises(DimensionMismatch, match="instance 5"):
