@@ -142,9 +142,7 @@ def _parse_floats(text: str, flag: str, count: int) -> list[float]:
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return PipelineConfig()
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def _recording_inputs(args):
@@ -155,12 +153,14 @@ def _recording_inputs(args):
 
 
 def _noise_from_args(args, trajectory) -> NoiseModel:
-    if getattr(args, "noise_variances", None):
+    if args.noise_variances and args.noise_window:
+        raise ConfigError("give one of --noise-window and --noise-variances, not both")
+    if args.noise_variances:
         variances = np.array(
             _parse_floats(args.noise_variances, "--noise-variances", trajectory.state_count)
         )
         return NoiseModel(variances=variances, full_covariance=np.diag(variances))
-    if getattr(args, "noise_window", None):
+    if args.noise_window:
         return estimate_noise(trajectory, _parse_floats(args.noise_window, "--noise-window", 2))
     raise ConfigError("provide either --noise-window a:b or --noise-variances v1,...")
 
@@ -244,17 +244,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_moments(args) -> int:
+def cmd_table(args) -> int:
+    """``moments`` and ``mc``: one payload from a recording, written as JSON."""
     cfg, snapshots, noise = _recording_inputs(args)
-    payload = _moments_payload(snapshots, noise, cfg)
-    _write_json(args.out, payload, cfg.output_precision)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_mc(args) -> int:
-    cfg, snapshots, noise = _recording_inputs(args)
-    payload = _mc_payload(snapshots, noise, cfg)
+    payload = args.payload(snapshots, noise, cfg)
     _write_json(args.out, payload, cfg.output_precision)
     print(f"wrote {args.out}")
     return 0
@@ -405,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     moments.add_argument("--config", default=None)
     add_noise_options(moments)
     moments.add_argument("--out", required=True)
-    moments.set_defaults(func=cmd_moments)
+    moments.set_defaults(func=cmd_table, payload=_moments_payload)
 
     mc = sub.add_parser("mc", help="Monte Carlo verification summaries")
     mc.add_argument("data")
     mc.add_argument("--config", default=None)
     add_noise_options(mc)
     mc.add_argument("--out", required=True)
-    mc.set_defaults(func=cmd_mc)
+    mc.set_defaults(func=cmd_table, payload=_mc_payload)
 
     comp = sub.add_parser("compare", help="compare moment tables against MC summaries")
     comp.add_argument("moments")

@@ -20,12 +20,11 @@ from .errors import (
     EmptyWindow,
     HeaderMismatch,
     NonUniformSampling,
-    NotPositiveDefinite,
     ParseError,
     TooFewSnapshots,
     ZeroVariance,
 )
-from .numerics import cholesky_logdet
+from .numerics import cholesky
 
 UNIFORMITY_RTOL = 1e-9
 
@@ -124,11 +123,13 @@ class NoiseModel:
     """Per-state measurement variances, optionally with a full SPD covariance.
 
     Variances are homoscedastic in time: one sigma^2 per state, applied to
-    every snapshot of that state.
+    every snapshot of that state.  ``covariance_factor`` is the lower
+    Cholesky factor of :meth:`covariance`, computed once here.
     """
 
     variances: np.ndarray
     full_covariance: np.ndarray | None = None
+    covariance_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = _readonly(self.variances).ravel()
@@ -143,8 +144,9 @@ class NoiseModel:
                 )
             if np.abs(np.diag(cov) - v).max() > 1e-12 * max(1.0, v.max()):
                 raise DimensionMismatch("covariance diagonal does not equal variances")
-            cholesky_logdet(cov)  # raises NotPositiveDefinite if not SPD
             object.__setattr__(self, "full_covariance", cov)
+        # Raises NotPositiveDefinite if the full covariance is not SPD.
+        object.__setattr__(self, "covariance_factor", _readonly(cholesky(self.covariance())))
 
     def covariance(self) -> np.ndarray:
         if self.full_covariance is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantInput, ShapeMismatch, ZeroNormCosine
+from .errors import ConfigError, ConstantInput, ShapeMismatch, ZeroNormCosine
 from .numerics import _one_blas_thread
 
 
@@ -58,5 +58,5 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
 def decimate(values: np.ndarray, stride: int) -> np.ndarray:
     """Elements at indices 0, stride, 2*stride, ..."""
     if stride < 1:
-        raise ConstantInput(f"stride must be >= 1, got {stride}")
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     return np.asarray(values)[::stride]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
-from .numerics import cholesky_logdet, product_eigenvalues, slice_workers, spd_solve
+from .numerics import product_eigenvalues, slice_workers, spd_solve
 from .operator_moments import OperatorMoments, gram_factor
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, eigen_samples
@@ -196,7 +196,7 @@ def run_mc(
     n, m = X.shape
     _check_inputs(X, noise, ridge)
 
-    sigma_L = cholesky_logdet(noise.covariance())[0].lower_triangular_factor
+    sigma_L = noise.covariance_factor
     y_std = np.sqrt(noise.variances)
 
     pinv_point = spd_solve(gram_factor(X, ridge), X).T  # (m, n)

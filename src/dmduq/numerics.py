@@ -1,14 +1,14 @@
 """Dense symmetric linear-algebra kernels with log-domain safety.
 
 These are the shared primitives for the moment computations: Cholesky
-factorization with a log-determinant (so determinant factors can stay in
-log space), SPD solves, eigenvalue extraction with a deterministic total
-order (rank-n products through their n x n factor product), and
-Gauss-Laguerre rules for semi-infinite integrals weighted by ``exp(-p)``.
-All functions are pure and safe to call concurrently.  ``_one_blas_thread``
-holds OpenBLAS at one thread around the calls whose bits would otherwise
-depend on the BLAS thread setting, and ``slice_workers`` spreads such calls
-over one worker thread per BLAS thread.
+factors with symmetry and definiteness checks, SPD solves and stacked SPD
+inverses, eigenvalue extraction with a deterministic total order (rank-n
+products through their n x n factor product), and Gauss-Laguerre rules
+for semi-infinite integrals weighted by ``exp(-p)``.  All functions are pure
+and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
+thread around the calls whose bits would otherwise depend on the BLAS thread
+setting, and ``slice_workers`` spreads such calls over one worker thread per
+BLAS thread.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -94,22 +94,6 @@ def slice_workers():
 
 
 @dataclass(frozen=True)
-class SpdFactor:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
-
-    dimension: int
-    lower_triangular_factor: np.ndarray
-
-    def __post_init__(self):
-        L = np.asarray(self.lower_triangular_factor, dtype=float)
-        if L.shape != (self.dimension, self.dimension):
-            raise DimensionMismatch(
-                f"factor shape {L.shape} does not match dimension {self.dimension}"
-            )
-        object.__setattr__(self, "lower_triangular_factor", L)
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted by descending magnitude.
 
@@ -140,33 +124,26 @@ def _symmetrize(matrix: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def cholesky_logdet(matrix: np.ndarray) -> tuple[SpdFactor, float]:
-    """Factor a symmetric positive definite matrix and return its log-determinant.
+def cholesky(matrix: np.ndarray) -> np.ndarray:
+    """Lower-triangular Cholesky factor ``L`` of a symmetric positive definite matrix.
 
-    Returns ``(factor, logdet)`` with ``factor @ factor.T`` reconstructing the
-    (symmetrized) input and ``logdet = 2 * sum(log(diag(factor)))``.  The
-    log form is what callers need: raw determinants of the quadrature
-    matrices underflow or overflow long before their logs do.
-
-    Raises NotPositiveDefinite when any pivot is non-positive, which signals
+    ``L @ L.T`` reconstructs the (symmetrized) input.  Raises
+    NotPositiveDefinite when any pivot is non-positive, which signals
     rank-deficient accumulation upstream.
     """
-    a = _symmetrize(matrix, "cholesky_logdet")
+    a = _symmetrize(matrix, "cholesky")
     try:
-        lower = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"cholesky_logdet: {exc}") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return SpdFactor(dimension=a.shape[0], lower_triangular_factor=lower), logdet
+        raise NotPositiveDefinite(f"cholesky: {exc}") from exc
 
 
-def spd_solve(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
+def spd_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(L @ L.T) x = rhs`` for a Cholesky factor ``L``."""
-    L = factor.lower_triangular_factor
     b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != factor.dimension:
+    if b.shape[0] != L.shape[0]:
         raise DimensionMismatch(
-            f"rhs length {b.shape[0]} does not match factor dimension {factor.dimension}"
+            f"rhs length {b.shape[0]} does not match factor dimension {L.shape[0]}"
         )
     inv_lower = lower_triangular_inverses(L[None])[0]
     return inv_lower.T @ (inv_lower @ b)

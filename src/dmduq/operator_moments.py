@@ -23,14 +23,13 @@ confirm.  Assembly is pure and data-parallel with deterministic output.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite, SingularGram
-from .numerics import SpdFactor, Spectrum, cholesky_logdet, product_eigenvalues, spd_solve
+from .numerics import Spectrum, cholesky, product_eigenvalues, spd_solve
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
 logger = logging.getLogger(__name__)
@@ -59,7 +58,6 @@ class OperatorMoments:
     first: np.ndarray
     second_central: np.ndarray
     variance_mode: str
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.variance_mode not in VARIANCE_MODES:
@@ -78,7 +76,7 @@ class OperatorMoments:
         object.__setattr__(self, "second_central", second)
 
 
-def gram_factor(X: np.ndarray, ridge: float) -> SpdFactor:
+def gram_factor(X: np.ndarray, ridge: float) -> np.ndarray:
     """Cholesky factor of ``X X.T + ridge I`` for a ridge the caller has checked.
 
     Raises SingularGram when the ridged Gram matrix is not positive definite.
@@ -87,7 +85,7 @@ def gram_factor(X: np.ndarray, ridge: float) -> SpdFactor:
     if ridge:
         gram = gram + ridge * np.eye(X.shape[0])
     try:
-        return cholesky_logdet(gram)[0]
+        return cholesky(gram)
     except NotPositiveDefinite as exc:
         raise SingularGram(f"X X.T is rank deficient at ridge={ridge}; supply ridge > 0") from exc
 
@@ -169,18 +167,8 @@ def estimate_operator_moments(
 
     Pass ``pinv`` to reuse tables already computed with the same inputs.
     """
-    quad = quad or QuadratureConfig()
     if pinv is None:
         pinv = pinv_moments(snapshots, noise, quad=quad, ridge=ridge)
     first = operator_first_moment(pinv, snapshots, noise)
     second = operator_second_moment(pinv, snapshots, noise, mode=mode)
-    metadata = {
-        "quadrature": asdict(quad),
-        "ridge": ridge,
-        "variance_mode": mode,
-    }
-    if mode == PAPER_LITERAL:
-        metadata["negative_variance_elements"] = int(np.count_nonzero(second < 0))
-    return OperatorMoments(
-        first=first, second_central=second, variance_mode=mode, metadata=metadata
-    )
+    return OperatorMoments(first=first, second_central=second, variance_mode=mode)

@@ -59,13 +59,10 @@ from .errors import (
     SingularV,
 )
 from .numerics import (
-    SpdFactor,
-    cholesky_logdet,
     gauss_laguerre_nodes,
     lower_triangular_inverses,
     signed_log_sum,
     spd_inverses,
-    spd_solve,
 )
 
 JENSEN_SLACK = 1e-12
@@ -105,7 +102,7 @@ class QuadratureConfig:
             raise ConfigError(f"p2_max must be positive, got {self.p2_max}")
 
 
-def _whiten(R: np.ndarray, mu: np.ndarray, sigma_factor: SpdFactor) -> tuple[np.ndarray, ...]:
+def _whiten(R: np.ndarray, mu: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, ...]:
     """Whitened quadrature pieces of a block of columns, stacked on axis 0.
 
     For Gram-complement inverses R (B, n, n) and means mu (B, n), with
@@ -113,7 +110,6 @@ def _whiten(R: np.ndarray, mu: np.ndarray, sigma_factor: SpdFactor) -> tuple[np.
     eigenbasis projections of L^-1 mu and L.T R mu (B, n), and (B, n, n)
     whose column k is the projection of L.T R[:, k].
     """
-    L = sigma_factor.lower_triangular_factor
     # Per-column products, never one solve with the block as right-hand
     # sides, so a column's bits do not depend on the block it is in.
     inv_L = lower_triangular_inverses(L[None])[0]
@@ -130,36 +126,17 @@ class MgfContext:
     """Quadrature context for one pseudoinverse element (t, k).
 
     Holds column t's Gram-complement inverse ``R``, its recorded mean ``mu``,
-    the Cholesky factor of Sigma, ``k``, and the column's pieces from
-    ``_whiten``: ``eig_values``, ``proj_mu``, ``proj_rmu`` and ``proj_r``,
-    the last with one column per state index.
+    ``k``, and the column's ``_whiten`` output as a block of one.
     """
 
     R: np.ndarray
     mu: np.ndarray
     k: int
-    sigma_factor: SpdFactor
-    eig_values: np.ndarray
-    proj_mu: np.ndarray
-    proj_rmu: np.ndarray
-    proj_r: np.ndarray
+    pieces: tuple[np.ndarray, ...]
 
     @property
     def r(self) -> np.ndarray:
         return self.R[:, self.k]
-
-    @property
-    def b(self) -> np.ndarray:
-        """Sigma^-1 mu."""
-        return spd_solve(self.sigma_factor, self.mu)
-
-    def pieces(self) -> tuple[np.ndarray, ...]:
-        """This context's column pieces as a block of one."""
-        return self.eig_values[None], self.proj_mu[None], self.proj_rmu[None], self.proj_r[None]
-
-
-def _context(R, mu, pieces, i: int, k: int, sigma_factor: SpdFactor) -> MgfContext:
-    return MgfContext(R[i], mu[i], k, sigma_factor, *(piece[i] for piece in pieces))
 
 
 @dataclass(frozen=True)
@@ -266,9 +243,7 @@ def context_from_parts(
     """
     R = 0.5 * (np.asarray(R, dtype=float) + np.asarray(R, dtype=float).T)
     mu = np.asarray(mu, dtype=float).ravel()
-    sigma_factor, _ = cholesky_logdet(noise.covariance())
-    R, mu = R[None], mu[None]
-    return _context(R, mu, _whiten(R, mu, sigma_factor), 0, k, sigma_factor)
+    return MgfContext(R, mu, k, _whiten(R[None], mu[None], noise.covariance_factor))
 
 
 def deterministic_pinv_element(context: MgfContext) -> float:
@@ -313,9 +288,9 @@ def _kernel(pieces, p2: np.ndarray):
 def _kernel_pieces(context: MgfContext, p2: np.ndarray):
     """:func:`_kernel` for one element at an array of p2 values."""
     p2 = np.atleast_1d(p2)
-    if (2.0 * np.outer(p2, context.eig_values)).min() <= -1.0:
+    if (2.0 * np.outer(p2, context.pieces[0])).min() <= -1.0:
         raise NotPositiveDefinite("S = Sigma^-1/2 + p2 R is not positive definite")
-    core_log, t_rb, t_rr = _kernel(context.pieces(), p2[None])
+    core_log, t_rb, t_rr = _kernel(context.pieces, p2[None])
     return core_log[0], t_rb[0, context.k], t_rr[0, context.k]
 
 
@@ -365,7 +340,7 @@ def _gauss_laguerre(pieces, nodes: np.ndarray, weights: np.ndarray):
 def _adaptive(context: MgfContext, quad: QuadratureConfig, order: int) -> tuple[float, float]:
     import scipy.integrate  # only this opt-in path needs scipy; importing it costs ~0.6 s
 
-    rate = float(_decay_rate(context.pieces())[0])
+    rate = float(_decay_rate(context.pieces)[0])
 
     def f(u: float) -> float:
         p = u / rate
@@ -393,7 +368,7 @@ def _moment_element(
     """One element by the configured method; ``gl`` is its Gauss-Laguerre value if known."""
     if gl is None and (quad.method == GAUSS_LAGUERRE or quad.cross_check):
         rule = gauss_laguerre_nodes(quad.node_count)
-        gl = float(_gauss_laguerre(context.pieces(), *rule)[order - 1][0, context.k])
+        gl = float(_gauss_laguerre(context.pieces, *rule)[order - 1][0, context.k])
     if quad.method == GAUSS_LAGUERRE and not quad.cross_check:
         return gl
     ad, abserr = _adaptive(context, quad, order)
@@ -434,7 +409,6 @@ def pinv_moments(
     X = snapshots.states
     n, m = X.shape
     _check_inputs(X, noise, ridge)
-    sigma_factor, _ = cholesky_logdet(noise.covariance())
     rule = gauss_laguerre_nodes(quad.node_count)
     first = np.empty((m, n))
     second = np.empty((m, n))
@@ -445,13 +419,13 @@ def pinv_moments(
         failures.extend((t, None, err) for t, err in singular)
         ok = np.isin(columns, [t for t, _ in singular], invert=True)
         columns, R, mu = columns[ok], R[ok], X.T[columns[ok]]
-        pieces = _whiten(R, mu, sigma_factor)
+        pieces = _whiten(R, mu, noise.covariance_factor)
         first[columns], second[columns] = _gauss_laguerre(pieces, *rule)
         if quad.method == GAUSS_LAGUERRE and not quad.cross_check:
             continue
         for i, t in enumerate(columns):
             for k in range(n):
-                ctx = _context(R, mu, pieces, i, k, sigma_factor)
+                ctx = MgfContext(R[i], mu[i], k, tuple(piece[i : i + 1] for piece in pieces))
                 try:
                     first[t, k] = _moment_element(ctx, quad, 1, first[t, k])
                     second[t, k] = _moment_element(ctx, quad, 2, second[t, k])

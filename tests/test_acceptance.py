@@ -15,7 +15,20 @@ from scipy.integrate import quad as scipy_quad
 from scipy.integrate import trapezoid
 
 import dmduq as dq
-from dmduq.spectral import density_peak, silverman_bandwidth
+from dmduq.data_model import RawTrajectory
+from dmduq.monte_carlo import sample_operator_instances
+from dmduq.numerics import cholesky, gauss_laguerre_nodes
+from dmduq.operator_moments import CORRECTED, PAPER_LITERAL, operator_second_moment
+from dmduq.pinv_moments import QuadratureConfig, context_from_parts, moment_integrands
+from dmduq.spectral import (
+    EigenSampleSet,
+    density_peak,
+    eigen_moments,
+    eigen_samples,
+    kde2d,
+    silverman_bandwidth,
+)
+from dmduq.systems import spring_mass_energy
 
 # (state count, snapshot count, noise as fraction of per-state RMS,
 #  data seed, MC master seed)
@@ -31,7 +44,7 @@ MC_TRIALS = 200_000
 
 def build_random_system(n, m, pct, data_seed):
     rng = np.random.default_rng(data_seed)
-    traj = dq.RawTrajectory(
+    traj = RawTrajectory(
         times=np.arange(m + 1) * 0.1, samples=rng.standard_normal((n, m + 1))
     )
     snaps = dq.build_snapshots(traj)
@@ -46,10 +59,10 @@ def verification_runs():
     runs = []
     for n, m, pct, data_seed, mc_seed in SYSTEMS:
         snaps, noise = build_random_system(n, m, pct, data_seed)
-        gl = dq.pinv_moments(snaps, noise, quad=dq.QuadratureConfig(method="gauss_laguerre"))
-        ad = dq.pinv_moments(snaps, noise, quad=dq.QuadratureConfig(method="adaptive_truncated"))
-        corrected = dq.estimate_operator_moments(snaps, noise, mode=dq.CORRECTED)
-        literal = dq.estimate_operator_moments(snaps, noise, mode=dq.PAPER_LITERAL)
+        gl = dq.pinv_moments(snaps, noise, quad=QuadratureConfig(method="gauss_laguerre"))
+        ad = dq.pinv_moments(snaps, noise, quad=QuadratureConfig(method="adaptive_truncated"))
+        corrected = dq.estimate_operator_moments(snaps, noise, mode=CORRECTED)
+        literal = dq.estimate_operator_moments(snaps, noise, mode=PAPER_LITERAL)
         mc = dq.run_mc(
             snaps,
             noise,
@@ -80,7 +93,7 @@ def test_criterion_1_scalar_oracle_equivalence():
                 limit=200,
             )[0]
             noise = dq.NoiseModel(variances=np.array([s2]))
-            ctx = dq.context_from_parts(np.array([[1.0 / V]]), np.array([mu]), noise, k=0)
+            ctx = context_from_parts(np.array([[1.0 / V]]), np.array([mu]), noise, k=0)
             m1 = dq.first_moment_element(ctx)
             m2 = dq.second_moment_element(ctx)
             worst = max(worst, abs(m1 - e1) / abs(e1), abs(m2 - e2) / abs(e2))
@@ -143,7 +156,7 @@ def test_criterion_4_zero_noise_collapse():
     X = snaps.states
     pinv = X.T @ np.linalg.inv(X @ X.T)
     gap_first = np.abs(table.first - pinv).max()
-    spread = dq.operator_second_moment(table, snaps, noise, mode=dq.CORRECTED)
+    spread = operator_second_moment(table, snaps, noise, mode=CORRECTED)
     assert gap_first <= 1e-6
     assert spread.max() <= 1e-8
     print(
@@ -207,7 +220,7 @@ def test_criterion_5_identity_suite():
             fd1 = float((h(d1) - h(-d1)) / (2 * d1))
             fd2 = float((h(d2) - 2 * h0 + h(-d2)) / d2**2)
             envelope = float(h0)
-        f1, f2 = dq.moment_integrands(ctx, np.array([p2]))
+        f1, f2 = moment_integrands(ctx, np.array([p2]))
         assert fd1 == pytest.approx(f1[0], rel=1e-6, abs=1e-12 * envelope)
         assert fd2 == pytest.approx(f2[0] / p2, rel=1e-6)
         scale = max(abs(f1[0]), 1e-12 * envelope)
@@ -218,8 +231,8 @@ def test_criterion_5_identity_suite():
         n = int(rng.integers(1, 9))
         B = rng.standard_normal((n, n))
         V = B.T @ B + np.eye(n)
-        dq.cholesky_logdet(V)
-        dq.cholesky_logdet(np.linalg.inv(V))
+        cholesky(V)
+        cholesky(np.linalg.inv(V))
 
     print(
         f"\ncriterion 5 PASS: identity suite (rank-one {worst_sm:.2e} <= 1e-10, "
@@ -244,7 +257,7 @@ def test_criterion_6_spring_mass_physics():
     spacing_err = np.abs(np.diff(crossings) - np.pi / 2.0).max()
     assert spacing_err <= 1e-3
 
-    energy = dq.spring_mass_energy(params, traj)
+    energy = spring_mass_energy(params, traj)
     energy_drift = np.abs(energy - energy[0]).max() / energy[0]
     assert energy_drift <= 1e-6
     print(
@@ -270,16 +283,16 @@ def test_criterion_7_spectral_pipeline():
     assert abs(np.conj(lam[0]) - lam[1]) <= 1e-9, "top eigenvalues are not a conjugate pair"
     assert lam[0].imag > 0
 
-    moments = dq.estimate_operator_moments(snaps, noise, mode=dq.CORRECTED)
+    moments = dq.estimate_operator_moments(snaps, noise, mode=CORRECTED)
     n_samples = 20_000
-    instances = dq.sample_operator_instances(moments, count=n_samples, seed=42)
-    proposed = dq.eigen_samples(instances)
+    instances = sample_operator_instances(moments, count=n_samples, seed=42)
+    proposed = eigen_samples(instances)
     assert np.all(proposed.representative_lambda1.imag >= 0)
 
     mc = dq.run_mc(snaps, noise, dq.McConfig(trials=n_samples, master_seed=77))
     top = mc.eigen_samples[:, 0]
     mc_l1 = np.where(top.imag < 0, np.conj(top), top)
-    mc_set = dq.EigenSampleSet(samples=mc.eigen_samples, representative_lambda1=mc_l1)
+    mc_set = EigenSampleSet(samples=mc.eigen_samples, representative_lambda1=mc_l1)
     p_l1 = proposed.representative_lambda1
 
     def union_grid(a, b):
@@ -288,13 +301,13 @@ def test_criterion_7_spectral_pipeline():
 
     grid_re = union_grid(p_l1.real, mc_l1.real)
     grid_im = union_grid(p_l1.imag, mc_l1.imag)
-    kde_p = dq.kde2d(p_l1.real, p_l1.imag, grid_re=grid_re, grid_im=grid_im)
-    kde_m = dq.kde2d(mc_l1.real, mc_l1.imag, grid_re=grid_re, grid_im=grid_im)
+    kde_p = kde2d(p_l1.real, p_l1.imag, grid_re=grid_re, grid_im=grid_im)
+    kde_m = kde2d(mc_l1.real, mc_l1.imag, grid_re=grid_re, grid_im=grid_im)
     (pa, pb), (ma, mb) = density_peak(kde_p), density_peak(kde_m)
     assert abs(pa - ma) <= 2 and abs(pb - mb) <= 2, "KDE peaks farther than 2 grid cells"
 
-    em_p = dq.eigen_moments(proposed)
-    em_m = dq.eigen_moments(mc_set)
+    em_p = eigen_moments(proposed)
+    em_m = eigen_moments(mc_set)
     for i in range(lam.size):
         for mean_p, mean_m, var_p, var_m in (
             (em_p.mean[i].real, em_m.mean[i].real, em_p.variance_re[i], em_m.variance_re[i]),
@@ -366,7 +379,7 @@ def test_criterion_9_quadrature_robustness(verification_runs):
             worst = max(worst, float(rel.max()))
             assert rel.max() <= 1e-6, f"{label}: quadrature routes disagree beyond 1e-6"
 
-    nodes, weights = dq.gauss_laguerre_nodes(64)
+    nodes, weights = gauss_laguerre_nodes(64)
     for degree, expected in ((1, 1.0), (3, 6.0), (5, 120.0), (7, 5040.0)):
         value = float(np.sum(weights * nodes**degree))
         assert value == pytest.approx(expected, rel=1e-9)

@@ -537,6 +537,19 @@ class TestMalformedInput:
         argv = ["moments", str(small_csv), *flags, "--out", str(tmp_path / "m.json")]
         assert self.error_code(argv, capsys) == "config_error"
 
+    @pytest.mark.parametrize("command, out", [("moments", "--out"), ("mc", "--out"),
+                                              ("pipeline", "--out-dir")])
+    def test_both_noise_flags(self, small_csv, tmp_path, capsys, command, out):
+        target = tmp_path / "result"
+        argv = [command, str(small_csv), "--noise-window", "0:1",
+                "--noise-variances", "1e-6,1e-6", out, str(target)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config_error"
+        assert "--noise-window" in error["message"] and "--noise-variances" in error["message"]
+        assert not target.exists()
+
     def test_bad_x0(self, tmp_path, capsys):
         argv = ["simulate", "spring-mass", "--x0", "a,b", "--out", str(tmp_path / "t.csv")]
         assert self.error_code(argv, capsys) == "config_error"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmduq.errors import ConstantInput, ShapeMismatch, ZeroNormCosine
+from dmduq.errors import ConfigError, ConstantInput, ShapeMismatch, ZeroNormCosine
 from dmduq.metrics import compare, decimate, min_max_normalize
 
 
@@ -73,6 +73,11 @@ class TestDecimate:
 
     def test_stride_three(self):
         assert np.array_equal(decimate(np.arange(10.0), 3), [0.0, 3.0, 6.0, 9.0])
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_bad_stride_is_config_error(self, stride):
+        with pytest.raises(ConfigError):
+            decimate(np.arange(10.0), stride)
 
     def test_flattened_operator_count(self):
         # 250 x 250 operator flattened, plotted every 900 elements.

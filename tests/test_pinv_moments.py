@@ -100,13 +100,6 @@ class TestBuildContext:
         assert ctx.R[1, 1] == pytest.approx(0.25, rel=1e-5)
         assert ctx.R[2, 2] == pytest.approx(0.25, rel=1e-5)
 
-    def test_b_equals_sigma_inverse_mu(self):
-        rng = np.random.default_rng(0)
-        snaps = snapshots_from_states(rng.standard_normal((2, 6)))
-        noise = NoiseModel(variances=np.array([0.02, 0.09]))
-        ctx = build_context(snaps, noise, t=2, k=1)
-        assert np.allclose(ctx.b, ctx.mu / noise.variances, rtol=1e-12)
-
     def test_negative_ridge_rejected(self):
         snaps = snapshots_from_states([[1.0, 2.0, 1.0], [0.0, 1.0, -1.0]])
         noise = NoiseModel(variances=np.array([0.01, 0.01]))
