@@ -23,11 +23,7 @@ from .data_model import save_csv, write_csv
 from .errors import ConfigError, DmduqError, ParseError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
-from .operator_moments import (
-    OperatorMoments,
-    dmd_point_estimate,
-    estimate_operator_moments,
-)
+from .operator_moments import OperatorMoments, dmd_point_estimate, estimate_operator_moments
 from .pinv_moments import pinv_moments
 from .spectral import eigen_moments, kde2d
 from .systems import (
@@ -156,10 +152,8 @@ def _noise_from_args(args, trajectory) -> NoiseModel:
     if args.noise_variances and args.noise_window:
         raise ConfigError("give one of --noise-window and --noise-variances, not both")
     if args.noise_variances:
-        variances = np.array(
-            _parse_floats(args.noise_variances, "--noise-variances", trajectory.state_count)
-        )
-        return NoiseModel(variances=variances, full_covariance=np.diag(variances))
+        count = trajectory.state_count
+        return NoiseModel(_parse_floats(args.noise_variances, "--noise-variances", count))
     if args.noise_window:
         return estimate_noise(trajectory, _parse_floats(args.noise_window, "--noise-window", 2))
     raise ConfigError("provide either --noise-window a:b or --noise-variances v1,...")
@@ -220,22 +214,14 @@ def cmd_simulate(args) -> int:
     if args.system == "spring-mass":
         x0 = tuple(_parse_floats(args.x0, "--x0", 2)) if args.x0 else (0.03, 0.01)
         params = SpringMassParams(
-            mass=args.mass,
-            stiffness=args.stiffness,
-            gravity=args.gravity,
-            x0=x0,
-            duration=args.duration,
-            dt=args.dt,
+            mass=args.mass, stiffness=args.stiffness, gravity=args.gravity, x0=x0,
+            duration=args.duration, dt=args.dt,
         )
         trajectory = simulate_spring_mass(params)
     else:
         params = random_network_params(
-            node_count=args.nodes,
-            seed=args.seed,
-            duration=args.duration,
-            dt=args.dt,
-            coupling_strength=args.coupling_strength,
-            damping=args.damping,
+            node_count=args.nodes, seed=args.seed, duration=args.duration, dt=args.dt,
+            coupling_strength=args.coupling_strength, damping=args.damping,
         )
         trajectory = simulate_oscillator_network(params)
     save_csv(trajectory, args.out)
@@ -254,19 +240,8 @@ def cmd_table(args) -> int:
 
 
 def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
-    comparisons = []
-    for est_key, mc_key in _COMPARED:
-        report = compare(moments[est_key], mc[mc_key])
-        comparisons.append(
-            {
-                "matrix": est_key,
-                "rmse": report.rmse,
-                "mae": report.mae,
-                "frobenius": report.frobenius,
-                "cosine": report.cosine,
-                "shape": list(report.shape),
-            }
-        )
+    # Each row: "matrix", then the ComparisonReport fields in their order.
+    comparisons = [{"matrix": a, **vars(compare(moments[a], mc[b]))} for a, b in _COMPARED]
     est_var = moments["operator_second_central"]
     mc_var = mc["operator_variance"]
     delta = np.abs(mc_var - est_var)
@@ -308,18 +283,14 @@ def cmd_spectrum(args) -> int:
         args.moments, ["operator_first", "operator_second_central"], ["variance_mode"]
     )
     moments = OperatorMoments(
-        first=data["operator_first"],
-        second_central=data["operator_second_central"],
-        variance_mode=data["variance_mode"],
+        data["operator_first"], data["operator_second_central"], data["variance_mode"]
     )
     samples = sample_operator_spectra(
         moments, count=args.samples, seed=args.seed, clamp_negative=args.clamp_negative
     )
     lam1 = samples.representative_lambda1
     bandwidth = None if cfg.kde.bandwidth is None else (cfg.kde.bandwidth, cfg.kde.bandwidth)
-    density = kde2d(
-        lam1.real, lam1.imag, bandwidths=bandwidth, grid_points=cfg.kde.grid_points
-    )
+    density = kde2d(lam1.real, lam1.imag, bandwidths=bandwidth, grid_points=cfg.kde.grid_points)
     precision = cfg.output_precision
     grid_re, grid_im = np.meshgrid(density.grid_re, density.grid_im, indexing="ij")
     curve = np.column_stack([grid_re.ravel(), grid_im.ravel(), density.density.ravel()])

@@ -35,7 +35,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawTrajectory:
     """Uniformly sampled recording: times (m+1,) and samples (n, m+1)."""
 
@@ -78,7 +78,7 @@ class RawTrajectory:
         return self.samples.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotSet:
     """Paired data matrices X (n x m) and Y (n x m) with Y the one-step shift of X."""
 
@@ -118,7 +118,7 @@ class SnapshotSet:
         return np.hstack([self.states, self.shifted[:, -1:]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Per-state measurement variances, optionally with a full SPD covariance.
 
@@ -129,7 +129,7 @@ class NoiseModel:
 
     variances: np.ndarray
     full_covariance: np.ndarray | None = None
-    covariance_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    covariance_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = _readonly(self.variances).ravel()
@@ -189,7 +189,7 @@ def estimate_noise(trajectory: RawTrajectory, window: tuple[float, float]) -> No
     if np.any(variances == 0.0):
         bad = [trajectory.state_names[i] for i in np.flatnonzero(variances == 0.0)]
         raise ZeroVariance(f"state(s) {bad} are exactly constant over the window")
-    return NoiseModel(variances=variances, full_covariance=np.diag(variances))
+    return NoiseModel(variances=variances)
 
 
 def decimate_trajectory(trajectory: RawTrajectory, stride: int) -> RawTrajectory:

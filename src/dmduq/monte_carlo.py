@@ -33,7 +33,8 @@ import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
-from .numerics import product_eigenvalues, slice_workers, spd_solve
+from . import numerics
+from .numerics import map_row_blocks, product_eigenvalues, slice_workers, spd_solve
 from .operator_moments import OperatorMoments, gram_factor
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, eigen_samples
@@ -64,7 +65,7 @@ class McConfig:
             raise ConfigError("master_seed must fit in 64 unsigned bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McStandardErrors:
     pinv_mean: np.ndarray
     pinv_second_raw: np.ndarray
@@ -72,7 +73,7 @@ class McStandardErrors:
     operator_variance: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McSummary:
     """Sample-moment summaries over N trials.
 
@@ -126,14 +127,11 @@ def _restart(rng: np.random.Generator, master_seed: int, trial: int) -> np.rando
     return rng
 
 
-_CHUNK_SCALARS = 4_000_000
-
-
 def _chunk_size(m: int, n: int) -> int:
     # Bounded working set: a trial holds m n^2 noise draws (independent mode)
     # and an m x m operator, which _MomentAccumulator.add_block copies twice.
     # A function of problem shape only, so the reduction order is fixed.
-    return max(1, min(4096, _CHUNK_SCALARS // max(m * n * n, m * m)))
+    return max(1, min(4096, numerics._CHUNK_SCALARS // max(m * n * n, m * m)))
 
 
 class _MomentAccumulator:
@@ -158,29 +156,26 @@ class _MomentAccumulator:
 
     def statistics(self, count: int, map_slices, raw_second: bool = True):
         """``(mean, second_raw, variance, se_mean, se_second, se_variance)``; the
-        second_raw pair is None unless ``raw_second``.  Row blocks of about
-        ``_CHUNK_SCALARS / 8`` elements fill preallocated tables over ``map_slices``."""
+        second_raw pair is None unless ``raw_second``.  Row blocks fill preallocated
+        tables over ``map_slices``."""
         mean, second_raw, var, se_mean, se_second, se_var = (
             np.empty_like(self.shift) if raw_second or i not in (1, 4) else None for i in range(6)
         )
-        block = max(1, _CHUNK_SCALARS // 8 // self.shift[0].size)
-        def rows(lo: int, hi: int) -> None:
-            for a in range(lo, hi, block):
-                b = min(a + block, hi)
-                c = self.shift[a:b]
-                s1, s2, s3, s4 = (s[a:b] / count for s in self.sums)
-                mean[a:b] = c + s1
-                dvar = (self.sums[1][a:b] - self.sums[0][a:b] ** 2 / count) / (count - 1)
-                var[a:b] = dvar = np.maximum(dvar, 0.0)
-                se_mean[a:b] = np.sqrt(dvar / count)
-                m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
-                se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
-                if raw_second:
-                    second_raw[a:b] = raw = c**2 + 2.0 * c * s1 + s2
-                    fourth_raw = c**4 + 4.0 * c**3 * s1 + 6.0 * c**2 * s2 + 4.0 * c * s3 + s4
-                    se_second[a:b] = np.sqrt(np.maximum(fourth_raw - raw**2, 0.0) / count)
+        def rows(a: int, b: int) -> None:
+            c = self.shift[a:b]
+            s1, s2, s3, s4 = (s[a:b] / count for s in self.sums)
+            mean[a:b] = c + s1
+            dvar = (self.sums[1][a:b] - self.sums[0][a:b] ** 2 / count) / (count - 1)
+            var[a:b] = dvar = np.maximum(dvar, 0.0)
+            se_mean[a:b] = np.sqrt(dvar / count)
+            m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
+            se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
+            if raw_second:
+                second_raw[a:b] = raw = c**2 + 2.0 * c * s1 + s2
+                fourth_raw = c**4 + 4.0 * c**3 * s1 + 6.0 * c**2 * s2 + 4.0 * c * s3 + s4
+                se_second[a:b] = np.sqrt(np.maximum(fourth_raw - raw**2, 0.0) / count)
 
-        map_slices(rows, len(self.shift))
+        map_row_blocks(map_slices, rows, len(self.shift), self.shift[0].size)
         return mean, second_raw, var, se_mean, se_second, se_var
 
 
@@ -364,7 +359,7 @@ def sample_operator_spectra(
 
     Bit-identical to ``eigen_samples(sample_operator_instances(...))``, but
     instances are drawn and eigendecomposed in chunks of at most
-    ``_CHUNK_SCALARS`` entries, so memory holds one chunk plus the
+    ``numerics._CHUNK_SCALARS`` entries, so memory holds one chunk plus the
     ``count x m`` complex spectra, whatever ``count`` is.  Each chunk is
     eigendecomposed across the BLAS threads by :func:`eigen_samples`.
     """

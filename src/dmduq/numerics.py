@@ -8,7 +8,7 @@ for semi-infinite integrals weighted by ``exp(-p)``.  All functions are pure
 and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
 thread around the calls whose bits would otherwise depend on the BLAS thread
 setting, and ``slice_workers`` spreads such calls over one worker thread per
-BLAS thread.
+BLAS thread; ``map_row_blocks`` hands them the row blocks of a table.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -83,7 +83,8 @@ def slice_workers():
     """Hold BLAS at one thread and yield ``map_slices(fn, count)``, which runs
     ``fn(lo, hi)`` on one contiguous slice of ``range(count)`` per BLAS thread in
     a pool that lives as long as the context and returns the results in slice
-    order.  ``fn`` must not enter ``_one_blas_thread``: it is not re-entrant."""
+    order.  Not re-entrant: nothing inside the context, ``fn`` included, may enter
+    ``_one_blas_thread`` or ``slice_workers`` again, and no caller does."""
     with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as pool:
         def map_slices(fn, count):
             workers = max(1, min(threads, count))
@@ -93,7 +94,23 @@ def slice_workers():
         yield map_slices
 
 
-@dataclass(frozen=True)
+_CHUNK_SCALARS = 4_000_000  # per Monte Carlo chunk; a table's row block holds 1/32 (1 MB)
+
+
+def map_row_blocks(map_slices, fn, count: int, width: int) -> list:
+    """``fn(a, b)`` over ``map_slices`` for the row blocks ``a:b`` of a ``count`` x
+    ``width`` table, results in block order.  Blocks of near-equal size hold at most
+    ``_CHUNK_SCALARS / 32`` elements (or one row), so a block filled stays in a core's
+    cache to be checked, and are cut by the shape alone, so no block's BLAS call,
+    nor its bits, depends on the worker count."""
+    n_blocks = -(-count // max(1, _CHUNK_SCALARS // 32 // width))
+    cuts = [count * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    parts = map_slices(lambda lo, hi: [fn(a, b) for a, b in blocks[lo:hi]], len(blocks))
+    return [result for part in parts for result in part]
+
+
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues sorted by descending magnitude.
 

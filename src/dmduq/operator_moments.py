@@ -17,7 +17,12 @@ variance of a sum of independent products:
     sum_k M2x[i, k] * (var_k + Y[k, j]^2) - (M1x[i, k])^2 * Y[k, j]^2
 
 which is nonnegative up to roundoff and is what the Monte Carlo oracle can
-confirm.  Assembly is pure and data-parallel with deterministic output.
+confirm.
+
+The m x m tables are written once, straight into their final arrays, by
+row blocks across ``numerics.slice_workers``; each block is checked while it
+is in cache.  Blocks are cut by the table's shape alone, so the bits do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite, SingularGram
-from .numerics import Spectrum, cholesky, product_eigenvalues, spd_solve
+from .numerics import (
+    Spectrum, cholesky, map_row_blocks, product_eigenvalues, slice_workers, spd_solve,
+)
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
 logger = logging.getLogger(__name__)
@@ -39,7 +46,7 @@ CORRECTED = "corrected"
 VARIANCE_MODES = (PAPER_LITERAL, CORRECTED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmdEstimate:
     """Point estimate of the operator and its spectrum."""
 
@@ -47,7 +54,7 @@ class DmdEstimate:
     spectrum: Spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMoments:
     """Moment tables for the operator: means and per-element spread.
 
@@ -60,20 +67,48 @@ class OperatorMoments:
     variance_mode: str
 
     def __post_init__(self):
-        if self.variance_mode not in VARIANCE_MODES:
-            raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
         first = np.asarray(self.first, dtype=float)
         second = np.asarray(self.second_central, dtype=float)
-        if first.shape != second.shape:
-            raise DimensionMismatch("moment tables must share a shape")
-        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
-            raise DimensionMismatch("operator moments must be finite")
-        if self.variance_mode == CORRECTED and second.min() < -1e-12:
-            raise DimensionMismatch(
-                f"corrected-mode variance is negative: min {second.min():.3e}"
-            )
+        if first.shape != second.shape or first.ndim != 2 or not first.size:
+            raise DimensionMismatch(f"moment tables {first.shape} and {second.shape} are not "
+                                    "one non-empty 2-D shape")
+        _row_pass(first, second, self.variance_mode)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second_central", second)
+
+
+def _row_pass(first, second, mode: str, fill=None) -> tuple[int, float]:
+    """Fill each row block with ``fill(a, b)``, when given, and check it in the same pass.
+
+    Either table may be None.  Raises DimensionMismatch at the first non-finite
+    entry, by block, or a corrected-mode variance below -1e-12.  Returns the
+    number of negative entries of ``second`` and its minimum (0, inf if None).
+    """
+    if mode not in VARIANCE_MODES:
+        raise ConfigError(f"unknown variance mode {mode!r}")
+    tables = {k: t for k, t in [("first", first), ("second_central", second)] if t is not None}
+
+    def block(a: int, b: int):
+        if fill is not None:
+            fill(a, b)
+        for name, table in tables.items():  # second, when given, last
+            rows = table[a:b]
+            least = rows.min()  # min and max propagate NaN
+            if not (np.isfinite(least) and np.isfinite(rows.max())):
+                (row, col), *_ = np.argwhere(~np.isfinite(rows))
+                return (name, a + row, col, rows[row, col]), 0, np.inf
+        low = np.inf if second is None else least
+        return None, int(np.count_nonzero(rows < 0)) if low < 0 else 0, low
+
+    with slice_workers() as map_slices:
+        parts = map_row_blocks(map_slices, block, *next(iter(tables.values())).shape)
+    bad = next((part[0] for part in parts if part[0] is not None), None)
+    if bad is not None:
+        raise DimensionMismatch("operator moments must be finite: {}[{}, {}] = {}".format(*bad))
+    low = float(min(part[2] for part in parts))
+    if second is not None and mode == CORRECTED and low < -1e-12:
+        raise DimensionMismatch(f"corrected-mode variance is negative: min {low:.3e}")
+    return sum(part[1] for part in parts), low
 
 
 def gram_factor(X: np.ndarray, ridge: float) -> np.ndarray:
@@ -103,11 +138,20 @@ def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimat
         raise ConfigError(f"ridge must be >= 0, got {ridge}")
     solved = spd_solve(gram_factor(X, ridge), Y)
     spectrum = Spectrum(eigenvalues=product_eigenvalues(X.T, solved))
-    return DmdEstimate(operator=X.T @ solved, spectrum=spectrum)
+    operator = np.empty((X.shape[1], Y.shape[1]))
+    with slice_workers() as map_slices:
+        map_row_blocks(map_slices, lambda a, b: np.matmul(X.T[a:b], solved, out=operator[a:b]),
+                       *operator.shape)
+    return DmdEstimate(operator=operator, spectrum=spectrum)
 
 
-def _shifted(pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel | None) -> np.ndarray:
-    """Y, once the pseudoinverse tables and the noise model are checked against it."""
+def _operator_tables(pinv, snapshots, noise, mode=CORRECTED, first=True, second=True):
+    """The asked tables (None for the other), filled and checked in one ``_row_pass``.
+
+    With c = M2x @ var, rows a:b are ``first = M1x @ Y`` and ``second =
+    c[:, None] - M1x**2 @ Y**2 (+ M2x @ Y**2 if corrected)``, each element by the
+    same operations as on whole tables.  Negative paper_literal entries are logged.
+    """
     Y = snapshots.shifted
     if pinv.first.shape != (Y.shape[1], Y.shape[0]):
         raise DimensionMismatch(
@@ -115,21 +159,36 @@ def _shifted(pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel | None
         )
     if noise is not None and noise.state_count != Y.shape[0]:
         raise DimensionMismatch("noise model does not match state count")
-    return Y
+    m1x, m2x, y_sq = pinv.first, pinv.second_raw, Y**2
+    scale = m2x @ noise.variances if second else None
+    mean, spread = (np.empty((len(m1x), Y.shape[1])) if want else None for want in (first, second))
+
+    def fill(a: int, b: int) -> None:
+        if second:
+            rows = np.matmul(m1x[a:b] ** 2, y_sq, out=spread[a:b])
+            np.subtract(scale[a:b, None], rows, out=rows)
+            if mode == CORRECTED:  # the mean rows, written next, hold this product meanwhile
+                rows += np.matmul(m2x[a:b], y_sq, out=mean[a:b] if first else None)
+        if first:
+            np.matmul(m1x[a:b], Y, out=mean[a:b])
+
+    negatives, low = _row_pass(mean, spread, mode, fill)
+    if mode == PAPER_LITERAL and negatives:
+        logger.warning(
+            "paper_literal variance has %d negative element(s); min %.3e", negatives, low
+        )
+    return mean, spread
 
 
 def operator_first_moment(
     pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel | None = None
 ) -> np.ndarray:
     """Mean table: first[i][j] = sum_k M1x[i][k] * Y[k][j]."""
-    return pinv.first @ _shifted(pinv, snapshots, noise)
+    return _operator_tables(pinv, snapshots, noise, second=False)[0]
 
 
 def operator_second_moment(
-    pinv: PinvMoments,
-    snapshots: SnapshotSet,
-    noise: NoiseModel,
-    mode: str = CORRECTED,
+    pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel, mode: str = CORRECTED
 ) -> np.ndarray:
     """Spread table under the selected variance assembly.
 
@@ -137,22 +196,7 @@ def operator_second_moment(
     silently altered; this mode exists for fidelity, corrected mode for
     verification.
     """
-    if mode not in VARIANCE_MODES:
-        raise ConfigError(f"unknown variance mode {mode!r}")
-    Y = _shifted(pinv, snapshots, noise)
-    var = noise.variances
-    y_sq = Y**2
-    base = (pinv.second_raw @ var)[:, None] - pinv.first**2 @ y_sq
-    if mode == PAPER_LITERAL:
-        negatives = int(np.count_nonzero(base < 0))
-        if negatives:
-            logger.warning(
-                "paper_literal variance has %d negative element(s); min %.3e",
-                negatives,
-                float(base.min()),
-            )
-        return base
-    return base + pinv.second_raw @ y_sq
+    return _operator_tables(pinv, snapshots, noise, mode, first=False)[1]
 
 
 def estimate_operator_moments(
@@ -169,6 +213,7 @@ def estimate_operator_moments(
     """
     if pinv is None:
         pinv = pinv_moments(snapshots, noise, quad=quad, ridge=ridge)
-    first = operator_first_moment(pinv, snapshots, noise)
-    second = operator_second_moment(pinv, snapshots, noise, mode=mode)
-    return OperatorMoments(first=first, second_central=second, variance_mode=mode)
+    first, second = _operator_tables(pinv, snapshots, noise, mode)
+    moments = object.__new__(OperatorMoments)  # the tables were checked as they were filled
+    moments.__dict__.update(first=first, second_central=second, variance_mode=mode)
+    return moments

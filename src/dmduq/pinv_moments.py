@@ -121,7 +121,7 @@ def _whiten(R: np.ndarray, mu: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, .
     return np.maximum(lam, 0.0), proj_mu, proj_rmu, Qt @ (L.T @ R)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MgfContext:
     """Quadrature context for one pseudoinverse element (t, k).
 
@@ -139,7 +139,7 @@ class MgfContext:
         return self.R[:, self.k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PinvMoments:
     """Element-wise moment tables for the pseudoinverse: first and raw second."""
 

@@ -18,7 +18,7 @@ from .errors import DegenerateData, DimensionMismatch, TooFewSamples
 from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, slice_workers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSampleSet:
     """Sorted eigenvalue samples (N x m) plus the largest-eigenvalue representative.
 
@@ -38,7 +38,7 @@ class EigenSampleSet:
             raise DimensionMismatch("representatives must have nonnegative imaginary part")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenMoments:
     """Per-index complex sample mean and real/imaginary sample variances."""
 
@@ -47,14 +47,14 @@ class EigenMoments:
     variance_im: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KdeCurve:
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kde2d:
     grid_re: np.ndarray
     grid_im: np.ndarray

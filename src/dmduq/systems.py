@@ -41,7 +41,7 @@ class SpringMassParams:
         return float(np.sqrt(self.stiffness / self.mass))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OscillatorNetworkParams:
     """Network of unit masses: coupling[i][j] is the spring between nodes i
     and j (off-diagonal) and the grounding spring of node i (diagonal)."""

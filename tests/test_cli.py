@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import run_cli, run_python
 
-from dmduq import cli, monte_carlo
+from dmduq import cli, numerics
 from dmduq.cli import dumps_json, main
 from dmduq.data_model import RawTrajectory, format_rows, load_csv, save_csv
 from dmduq.errors import ConfigError
@@ -443,7 +443,7 @@ class TestSpectrum:
             ]
         )
         m = len(json.loads(moments.read_text())["operator_first"])
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 3 * m * m)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 3 * m * m)
         argv = ["spectrum", str(moments), "--samples", "50", "--seed", "9", "--out"]
         assert main(argv + [str(tmp_path / "streamed.csv")]) == 0
 

@@ -16,7 +16,6 @@ from dmduq.errors import (
     TooManyFailedTrials,
 )
 from dmduq.monte_carlo import (
-    _CHUNK_SCALARS,
     INDEPENDENT,
     SHARED_TRAJECTORY,
     McConfig,
@@ -79,10 +78,10 @@ class TestChunkSize:
     def test_operator_stack_within_budget(self):
         # At m = 200, n = 2 the m x m operators, not the m n^2 draws, set
         # the working set of a chunk.
-        assert _chunk_size(200, 2) * 200**2 <= _CHUNK_SCALARS
+        assert _chunk_size(200, 2) * 200**2 <= numerics._CHUNK_SCALARS
 
     def test_draws_within_budget(self):
-        assert _chunk_size(400, 34) * 400 * 34**2 <= _CHUNK_SCALARS
+        assert _chunk_size(400, 34) * 400 * 34**2 <= numerics._CHUNK_SCALARS
 
 
 class TestRunMcDeterminism:
@@ -115,7 +114,7 @@ class TestRunMcDeterminism:
         # 256 at 512, about 1.3 MB.
         snaps, noise = toy_system
         m, n = snaps.snapshot_count, snaps.state_count
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 2 * m * m)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 2 * m * m)
         peaks = []
         for trials in (32, 512):
             cfg = McConfig(trials=trials, master_seed=2, compute_eigenvalues=False)
@@ -319,7 +318,7 @@ class TestRunMcWorkers:
         # 3 workers.  8 workers, more than the cores, switch threads often.
         snaps, noise = toy_system
         cfg = McConfig(trials=10, master_seed=4, sampling_mode=mode)
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 4 * 8 * 8)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 4 * 8 * 8)
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
         want = run_mc(snaps, noise, cfg)
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
@@ -350,7 +349,7 @@ class TestRunMcWorkers:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular_on_target)
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 7 * m * m)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 7 * m * m)
         cfg = McConfig(trials=120, master_seed=3, sampling_mode=SHARED_TRAJECTORY)
         runs = []
         for workers in (1, 2, 3):
@@ -380,7 +379,7 @@ class TestRunMcWorkers:
             np.sqrt(np.maximum(fourth_raw - second_raw**2, 0.0) / count),
             np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count),
         )
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 8 * 2 * 5)  # blocks of 2 rows
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 2 * 5)  # blocks of 2 rows
         for workers in (1, 2, 3):
             monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
             with numerics.slice_workers() as map_slices:
@@ -400,7 +399,7 @@ class TestRunMcWorkers:
         rng = np.random.default_rng(1)
         acc = monte_carlo._MomentAccumulator(rng.standard_normal((m, m)))
         acc.add_block(rng.standard_normal((3, m, m)), 0, m)
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 8 * rows * m)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * rows * m)
 
         def serial(fn, count):
             return [fn(0, count)]
@@ -490,7 +489,7 @@ class TestSampleOperatorSpectra:
         # the spectra of one draw of every instance, bit for bit.
         moments = _random_moments(5, seed=0)
         want = eigen_samples(sample_operator_instances(moments, count=10, seed=4))
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", chunk * 5 * 5)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * 5 * 5)
         got = sample_operator_spectra(moments, count=10, seed=4)
         assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
@@ -507,7 +506,7 @@ class TestSampleOperatorSpectra:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigvals(a)
 
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 3 * 4 * 4)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 3 * 4 * 4)
         monkeypatch.setattr(np.linalg, "eigvals", fails_on_target)
         with pytest.raises(ConvergenceFailure, match="instance 5"):
             sample_operator_spectra(moments, count=8, seed=2)
@@ -525,7 +524,7 @@ class TestSampleOperatorSpectra:
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
         want = eigen_samples(sample_operator_instances(moments, count=8, seed=1))
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 3 * 5 * 5)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 3 * 5 * 5)
         got = sample_operator_spectra(moments, count=8, seed=1)
         assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
@@ -540,7 +539,7 @@ class TestSampleOperatorSpectra:
             sample_operator_spectra(moments, count=6, seed=0)
         with pytest.raises(ConfigError):
             sample_operator_spectra(moments, count=0, seed=0, clamp_negative=True)
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", 2 * 2 * 2)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 2 * 2 * 2)
         with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
             sample_operator_spectra(moments, count=6, seed=0, clamp_negative=True)
         assert len([r for r in caplog.records if "clamping" in r.message]) == 1
@@ -550,7 +549,7 @@ class TestSampleOperatorSpectra:
         # 6.4 MB, one chunk is 32 kB and the kept spectra 640 kB.
         m, count, chunk = 20, 2000, 10
         moments = _random_moments(m, seed=3)
-        monkeypatch.setattr(monte_carlo, "_CHUNK_SCALARS", chunk * m * m)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * m * m)
         chunk_bytes = chunk * m * m * 8
         result_bytes = count * m * 16
         tracemalloc.start()
