@@ -19,13 +19,15 @@ Two sampling modes:
 
 Trials draw from streams keyed by (master_seed, trial index) and run in chunks
 sized by the problem shape only.  A chunk's trials are drawn in one slice per
-BLAS thread and its power sums added, element slice by element slice, into one
-running accumulator pair: the bits do not depend on the thread count, and
-memory does not grow with the number of trials.
+BLAS thread and its power sums added, by blocks of table rows, into one running
+accumulator pair: the bits do not depend on the thread count, and memory does
+not grow with the number of trials.  Independent-mode column draws pass through
+row-block-sized scratch, so no chunk of m n^2 draws is held.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -128,9 +130,9 @@ def _restart(rng: np.random.Generator, master_seed: int, trial: int) -> np.rando
 
 
 def _chunk_size(m: int, n: int) -> int:
-    # Bounded working set: a trial holds m n^2 noise draws (independent mode)
-    # and an m x m operator, which _MomentAccumulator.add_block copies twice.
-    # A function of problem shape only, so the reduction order is fixed.
+    # Trials per chunk, from the problem shape only.  A chunk's power sums join the
+    # running sums as one partial sum, so the chunk size fixes the rounding and must
+    # not change; hence the m n^2 term, though no buffer holds a chunk's draws.
     return max(1, min(4096, numerics._CHUNK_SCALARS // max(m * n * n, m * m)))
 
 
@@ -179,12 +181,8 @@ class _MomentAccumulator:
         return mean, second_raw, var, se_mean, se_second, se_var
 
 
-def run_mc(
-    snapshots: SnapshotSet,
-    noise: NoiseModel,
-    config: McConfig | None = None,
-    ridge: float = 0.0,
-) -> McSummary:
+def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = None,
+           ridge: float = 0.0) -> McSummary:
     """Sample N trials and summarize pseudoinverse and operator moments."""
     config = config or McConfig()
     X, Y = snapshots.states, snapshots.shifted
@@ -200,41 +198,54 @@ def run_mc(
     n_trials = config.trials
     chunk = min(_chunk_size(m, n), n_trials)
     independent = config.sampling_mode == INDEPENDENT
-    op_buf = np.empty((chunk, m, m))
+    op_buf, y_buf = np.empty((chunk, m, m)), np.empty((chunk, n, m))
     if independent:
         r_stack, singular = gram_complement_inverses(X, ridge, np.arange(m))
         if singular:
             raise singular[0][1]
-        pinv_buf, x_buf = np.empty((chunk, m, n)), np.empty((chunk, m, n, n))
-        # One draw call per trial (columns, then Y): each call hands the GIL over.
-        z_buf = np.empty((chunk, m * n * n + n * m))
-        zx_buf = z_buf[:, : m * n * n].reshape(chunk, m, n, n)
-        y_buf = z_buf[:, m * n * n :].reshape(chunk, n, m)
+        pinv_buf = np.empty((chunk, m, n))
+        # Draws go through scratch blocks of about a table row block's budget: runs of
+        # whole trials where one fits, else columns t of one trial (Y after the last).
+        budget, per_trial = max(1, numerics._CHUNK_SCALARS // 32), m * n * (n + 1)
+        block_trials = max(1, budget // per_trial)
+        block_cols = m if per_trial <= budget else max(1, budget // (n * n))
     else:
         trajectory = snapshots.trajectory_columns()
         # Laid out as np.linalg.solve returns X+.T: products round by layout.
         pinv_buf = np.empty((chunk, n, m)).transpose(0, 2, 1)
-        y_buf, z_buf = np.empty((chunk, n, m)), np.empty((chunk, n, m + 1))
+        z_buf = np.empty((chunk, n, m + 1))
 
     def sample_slice(start: int, lo: int, hi: int) -> list[int]:
         """Fill rows ``lo:hi`` of the chunk buffers; return the trials with a singular Gram."""
         rng = np.random.Generator(np.random.Philox(0))  # one per slice, reset per trial
-        for i in range(lo, hi):
-            _restart(rng, config.master_seed, start + i)
-            rng.standard_normal(out=z_buf[i])
         failed = []
         if independent:
-            y_draws, zx, x_cols = y_buf[lo:hi], zx_buf[lo:hi], x_buf[lo:hi]
+            trials, width = min(block_trials, hi - lo), block_cols * n * n
+            z, x = np.empty((trials, width + n * m)), np.empty(trials * width)
+            for i0, t0 in itertools.product(range(lo, hi, trials), range(0, m, block_cols)):
+                i1, t1 = min(i0 + trials, hi), min(t0 + block_cols, m)
+                shape, size = (i1 - i0, t1 - t0, n, n), (t1 - t0) * n * n
+                for i in range(i0, i1):  # a trial's stream: its columns in order, then Y
+                    if t0 == 0:
+                        _restart(rng, config.master_seed, start + i)
+                    rng.standard_normal(out=z[i - i0, : size + n * m * (t1 == m)])
+                if t1 == m:
+                    y_buf[i0:i1] = z[: i1 - i0, size : size + n * m].reshape(-1, n, m)
+                zx, x_cols = z[: i1 - i0, :size].reshape(shape), x[: np.prod(shape)].reshape(shape)
+                np.matmul(zx, sigma_L.T, out=x_cols)
+                x_cols += X.T[t0:t1, None, :]
+                # Element (t, k) uses its own column draw x: (R_t x)_k / (1 + x.T R_t x).
+                # Row k of x_cols @ R_t is x.T R_t, whose entry k is (R_t.T x)_k = (R_t x)_k.
+                rx = np.matmul(x_cols, r_stack[t0:t1], out=zx)  # the draws are spent
+                den = 1.0 + np.einsum("ctke,ctke->ctk", rx, x_cols)
+                np.divide(rx.diagonal(axis1=2, axis2=3), den, out=pinv_buf[i0:i1, t0:t1])
+            y_draws = y_buf[lo:hi]
             y_draws *= y_std[:, None]
             y_draws += Y
-            np.matmul(zx, sigma_L.T, out=x_cols)
-            x_cols += X.T[:, None, :]  # (count, m, n, n)
-            # Element (t, k) uses its own column draw x: (R_t x)_k / (1 + x.T R_t x).
-            # Row k of x_cols @ R_t is x.T R_t, whose entry k is (R_t.T x)_k = (R_t x)_k.
-            rx = np.matmul(x_cols, r_stack, out=zx)  # the draws are spent
-            den = 1.0 + np.einsum("ctke,ctke->ctk", rx, x_cols)
-            np.divide(rx.diagonal(axis1=2, axis2=3), den, out=pinv_buf[lo:hi])
         else:
+            for i in range(lo, hi):
+                _restart(rng, config.master_seed, start + i)
+                rng.standard_normal(out=z_buf[i])
             noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, z_buf[lo:hi])
             x_t = noisy[:, :, :m]
             y_buf[lo:hi] = noisy[:, :, 1:]
@@ -269,8 +280,9 @@ def run_mc(
             if config.compute_eigenvalues:  # before add_block overwrites the tables
                 eig_parts += map_slices(lambda lo, hi: product_eigenvalues(
                     pinv_tables[lo:hi], y_draws[lo:hi]), len(pinv_tables))
-            map_slices(lambda lo, hi: (pinv_acc.add_block(pinv_tables, lo, hi),
-                                       op_acc.add_block(operators, lo, hi)), m)
+            map_row_blocks(map_slices, lambda a, b: (pinv_acc.add_block(pinv_tables, a, b),
+                                                     op_acc.add_block(operators, a, b)),
+                           m, len(operators) * m)
 
         if failed_count > _FAILURE_FRACTION * n_trials:
             raise TooManyFailedTrials(
@@ -297,18 +309,14 @@ def run_mc(
     )
 
 
-def _instance_blocks(
-    moments: OperatorMoments,
-    count: int,
-    seed: int,
-    clamp_negative: bool,
-    block: int,
-):
+def _instance_blocks(moments: OperatorMoments, count: int, seed: int, clamp_negative: bool,
+                     block: int):
     """Validate the variances, then iterate ``(start, instances)`` blocks of at most ``block``.
 
     Entry (i, j) of each instance is N(first[i][j], second_central[i][j]).
     All blocks come in order from the one ``trial_rng(seed, 0)`` stream, so
     they concatenate to a single draw of ``count`` instances bit for bit.
+    Every block is a view of one buffer that the next block overwrites.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
@@ -325,8 +333,10 @@ def _instance_blocks(
     rng = trial_rng(seed, 0)
 
     def blocks():
+        buf = np.empty((min(block, count),) + var.shape)
         for start in range(0, count, block):
-            draws = rng.standard_normal((min(block, count - start),) + var.shape)
+            draws = buf[: min(block, count - start)]
+            rng.standard_normal(out=draws)
             draws *= std
             draws += moments.first
             yield start, draws
@@ -334,12 +344,8 @@ def _instance_blocks(
     return blocks()
 
 
-def sample_operator_instances(
-    moments: OperatorMoments,
-    count: int,
-    seed: int,
-    clamp_negative: bool = False,
-) -> np.ndarray:
+def sample_operator_instances(moments: OperatorMoments, count: int, seed: int,
+                              clamp_negative: bool = False) -> np.ndarray:
     """Draw operator instances with independent Gaussian entries.
 
     Entry (i, j) of each instance is N(first[i][j], second_central[i][j]).
@@ -349,12 +355,8 @@ def sample_operator_instances(
     return next(_instance_blocks(moments, count, seed, clamp_negative, count))[1]
 
 
-def sample_operator_spectra(
-    moments: OperatorMoments,
-    count: int,
-    seed: int,
-    clamp_negative: bool = False,
-) -> EigenSampleSet:
+def sample_operator_spectra(moments: OperatorMoments, count: int, seed: int,
+                            clamp_negative: bool = False) -> EigenSampleSet:
     """Sorted spectra of ``count`` instances drawn as by :func:`sample_operator_instances`.
 
     Bit-identical to ``eigen_samples(sample_operator_instances(...))``, but

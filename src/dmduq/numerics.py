@@ -42,6 +42,7 @@ _OPENBLAS_THREADS = [
     for lib in ("scipy_openblas", "openblas") for tail in ("64_", "")
 ]
 _BLAS_PIN = threading.Lock()
+_PINNED = threading.local()  # .held: this thread holds _BLAS_PIN or is a slice_workers worker
 
 
 @contextmanager
@@ -49,10 +50,15 @@ def _one_blas_thread():
     """Hold every OpenBLAS loaded in this process at one thread; yield the most one had.
 
     Yields 1 and changes nothing where no OpenBLAS thread setter is found
-    (another BLAS, or no ``/proc``).  Concurrent callers take turns.
+    (another BLAS, or no ``/proc``).  Concurrent callers take turns; a thread
+    inside it, or a ``slice_workers`` worker, that enters again raises
+    RuntimeError instead of waiting on itself for ever.
     """
     import ctypes
 
+    if getattr(_PINNED, "held", False):
+        raise RuntimeError("_one_blas_thread and slice_workers are not re-entrant: "
+                           "entered again inside one, or from a slice_workers worker")
     with _BLAS_PIN:
         try:
             with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -70,10 +76,12 @@ def _one_blas_thread():
                     saved.append((setter, getter()))
                     break
         try:
+            _PINNED.held = True
             for setter, _ in saved:
                 setter(1)
             yield max((count for _, count in saved), default=1)
         finally:
+            _PINNED.held = False
             for setter, count in saved:
                 setter(count)
 
@@ -83,9 +91,10 @@ def slice_workers():
     """Hold BLAS at one thread and yield ``map_slices(fn, count)``, which runs
     ``fn(lo, hi)`` on one contiguous slice of ``range(count)`` per BLAS thread in
     a pool that lives as long as the context and returns the results in slice
-    order.  Not re-entrant: nothing inside the context, ``fn`` included, may enter
-    ``_one_blas_thread`` or ``slice_workers`` again, and no caller does."""
-    with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as pool:
+    order.  Not re-entrant: entering ``_one_blas_thread`` or ``slice_workers`` again
+    inside the context, ``fn`` included, raises RuntimeError."""
+    hold = functools.partial(setattr, _PINNED, "held", True)
+    with _one_blas_thread() as threads, ThreadPoolExecutor(threads, initializer=hold) as pool:
         def map_slices(fn, count):
             workers = max(1, min(threads, count))
             cuts = [count * k // workers for k in range(workers + 1)]
@@ -103,7 +112,7 @@ def map_row_blocks(map_slices, fn, count: int, width: int) -> list:
     ``_CHUNK_SCALARS / 32`` elements (or one row), so a block filled stays in a core's
     cache to be checked, and are cut by the shape alone, so no block's BLAS call,
     nor its bits, depends on the worker count."""
-    n_blocks = -(-count // max(1, _CHUNK_SCALARS // 32 // width))
+    n_blocks = -(-count // max(1, _CHUNK_SCALARS // 32 // max(1, width)))
     cuts = [count * k // n_blocks for k in range(n_blocks + 1)]
     blocks = list(zip(cuts[:-1], cuts[1:]))
     parts = map_slices(lambda lo, hi: [fn(a, b) for a, b in blocks[lo:hi]], len(blocks))
@@ -225,13 +234,17 @@ def eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
     its position in the stack, so a caller working through a longer sequence
     in chunks reports the index in the whole sequence.
     """
-    a = finite_stack(stack, first_index)
+    return finite_eigenvalue_rows(finite_stack(stack, first_index), first_index)
+
+
+def finite_eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
+    """:func:`eigenvalue_rows` of a stack that :func:`finite_stack` has already checked."""
     try:
-        values = np.linalg.eigvals(a)
+        values = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
         # The QR iteration cap lives inside LAPACK; locate the matrix that
         # did not converge within it.
-        for idx, matrix in enumerate(a):
+        for idx, matrix in enumerate(stack):
             try:
                 np.linalg.eigvals(matrix)
             except np.linalg.LinAlgError as single:

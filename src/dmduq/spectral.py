@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, TooFewSamples
-from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, slice_workers
+from .numerics import _one_blas_thread, finite_eigenvalue_rows, finite_stack, slice_workers
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +67,14 @@ def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet
     """Eigendecompose a stack of square matrices into sorted spectra.
 
     Failures name the instance as ``first_index`` plus its position in the
-    stack, for callers that pass one chunk of a longer sequence.  Contiguous
-    slices, one per BLAS thread, are eigendecomposed concurrently with BLAS
-    held at one thread, so the spectra do not depend on the thread setting.
+    stack, for callers that pass one chunk of a longer sequence.  The stack is
+    checked for finite entries once; then contiguous slices, one per BLAS
+    thread, are eigendecomposed concurrently with BLAS held at one thread, so
+    the spectra do not depend on the thread setting.
     """
     stack = finite_stack(instances, first_index)
     with slice_workers() as map_slices:
-        rows = map_slices(lambda lo, hi: eigenvalue_rows(stack[lo:hi], first_index + lo),
+        rows = map_slices(lambda lo, hi: finite_eigenvalue_rows(stack[lo:hi], first_index + lo),
                           len(stack))
     ordered = np.concatenate(rows)
     if ordered.shape[0] < 1:

@@ -31,8 +31,15 @@ from dmduq.operator_moments import (
     OperatorMoments,
     dmd_point_estimate,
     estimate_operator_moments,
+    gram_factor,
 )
-from dmduq.pinv_moments import QuadratureConfig, first_moment_element, context_from_parts
+from dmduq.numerics import product_eigenvalues, spd_solve
+from dmduq.pinv_moments import (
+    QuadratureConfig,
+    context_from_parts,
+    first_moment_element,
+    gram_complement_inverses,
+)
 from dmduq.spectral import eigen_samples
 
 
@@ -423,6 +430,137 @@ class TestRunMcWorkers:
             dmd_point_estimate(snaps, ridge=-1.0)
 
 
+def _whole_chunk_reference(snaps, noise, cfg):
+    """``_summary_arrays`` of run_mc from whole-chunk formulas: each chunk's draws
+    held at once (one draw call per trial), its power sums added as whole tables.
+    Trials with a singular Gram matrix are dropped as run_mc drops them."""
+    X, Y = snaps.states, snaps.shifted
+    n, m = X.shape
+    sigma_l, y_std = noise.covariance_factor, np.sqrt(noise.variances)
+    pinv_point = spd_solve(gram_factor(X, 0.0), X).T
+    accs = [monte_carlo._MomentAccumulator(c) for c in (pinv_point, pinv_point @ Y)]
+    r_stack = gram_complement_inverses(X, 0.0, np.arange(m))[0]
+    chunk, eig, failed = min(_chunk_size(m, n), cfg.trials), [], 0
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        if cfg.sampling_mode == INDEPENDENT:
+            z = np.stack([trial_rng(cfg.master_seed, i).standard_normal(m * n * n + n * m)
+                          for i in trials])
+            x_cols = z[:, : m * n * n].reshape(-1, m, n, n) @ sigma_l.T + X.T[:, None, :]
+            rx = x_cols @ r_stack
+            pinv = rx.diagonal(axis1=2, axis2=3) / (1.0 + np.einsum("ctke,ctke->ctk", rx, x_cols))
+            y = z[:, m * n * n :].reshape(-1, n, m) * y_std[:, None] + Y
+        else:
+            z = np.stack([trial_rng(cfg.master_seed, i).standard_normal((n, m + 1))
+                          for i in trials])
+            noisy = snaps.trajectory_columns() + np.einsum("de,cem->cdm", sigma_l, z)
+            x_t, y = noisy[:, :, :m], noisy[:, :, 1:]
+            grams, solved = x_t @ x_t.transpose(0, 2, 1), []
+            for gram, x in zip(grams, x_t):
+                try:
+                    solved.append(np.linalg.solve(gram, x))
+                except np.linalg.LinAlgError:
+                    solved.append(None)
+            ok = np.array([p is not None for p in solved])
+            failed += int((~ok).sum())
+            pinv = np.stack([p for p in solved if p is not None])
+            if ok.all():  # as the batched solve lays X+ out
+                pinv = pinv.transpose(0, 2, 1)
+            else:
+                pinv, y = np.ascontiguousarray(pinv.transpose(0, 2, 1)), y[ok]
+        eig.append(product_eigenvalues(pinv, y))
+        operators = pinv @ y
+        accs[0].add_block(pinv, 0, m)
+        accs[1].add_block(operators, 0, m)
+
+    def serial(fn, count):
+        return [fn(0, count)]
+
+    p_mean, p_second, _, p_se_mean, p_se_second, _ = accs[0].statistics(cfg.trials - failed, serial)
+    o_mean, _, o_var, o_se_mean, _, o_se_var = accs[1].statistics(cfg.trials - failed, serial, False)
+    return [p_mean, p_second, o_mean, o_var, p_se_mean, p_se_second, o_se_mean, o_se_var,
+            np.vstack(eig)]
+
+
+@pytest.fixture(scope="module")
+def five_state_system():
+    # n = 5, m = 30, with a full noise covariance.
+    rng = np.random.default_rng(5)
+    snaps = snapshots_from_trajectory_matrix(rng.standard_normal((5, 31)))
+    b = 0.02 * rng.standard_normal((5, 5))
+    return snaps, NoiseModel(variances=np.diag(b @ b.T), full_covariance=b @ b.T)
+
+
+class TestRunMcBlocks:
+    """Independent-mode draws in scratch blocks, power sums by row blocks, against
+    whole-chunk formulas, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("system, chunk_scalars", [
+        # n = 2, m = 8: blocks of 2 whole trials (budget 100 scalars, 48 per trial);
+        # chunks of 50 and 25 trials, so some slices end in a block of one trial.
+        ("toy_system", 32 * 100),
+        # n = 2, m = 8: blocks of 3 columns of one trial (3, 3, 2); chunks of 6.
+        ("toy_system", 32 * 12),
+        # n = 5, m = 30: blocks of 7 columns (7, 7, 7, 7, 2); chunks of 6.
+        ("five_state_system", 32 * 180),
+    ])
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_matches_whole_chunk_formulas(self, request, monkeypatch, mode, system,
+                                          chunk_scalars, workers):
+        snaps, noise = request.getfixturevalue(system)
+        cfg = McConfig(trials=75, master_seed=6, sampling_mode=mode)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk_scalars)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
+        got = run_mc(snaps, noise, cfg)
+        for a, b in zip(_summary_arrays(got), _whole_chunk_reference(snaps, noise, cfg)):
+            assert np.array_equal(a, b)
+
+    def test_one_failed_trial_matches_whole_chunk_formulas(self, toy_system, monkeypatch):
+        # Trial 9's Gram matrix is singular: its chunk (trials 6 to 11) has one row less.
+        snaps, noise = toy_system
+        n, m = snaps.states.shape
+        z = trial_rng(3, 9).standard_normal((n, m + 1))
+        target = (snaps.trajectory_columns() + noise.covariance_factor @ z)[:, :m]
+        target = target @ target.T
+        solve = np.linalg.solve
+
+        def singular_on_target(a, b):
+            if any(np.allclose(g, target, rtol=1e-9, atol=0.0) for g in np.reshape(a, (-1, n, n))):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_on_target)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 12)
+        cfg = McConfig(trials=120, master_seed=3, sampling_mode=SHARED_TRAJECTORY)
+        want = _whole_chunk_reference(snaps, noise, cfg)
+        for workers in (1, 2):
+            monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
+            got = run_mc(snaps, noise, cfg)
+            assert got.failed_trials == 1
+            for a, b in zip(_summary_arrays(got), want):
+                assert np.array_equal(a, b)
+
+    def test_independent_draws_not_held_per_chunk(self):
+        # n = 20, m = 40: a trial's 16,000 column draws outweigh its 1,600
+        # operator entries, and 250 trials make one chunk whose draws would
+        # take 32 MB.  Drawn through row-block-sized scratch, the run holds
+        # the chunk's operators and tables, about a third of that.
+        rng = np.random.default_rng(2)
+        n, m, trials = 20, 40, 250
+        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((n, m + 1)))
+        noise = NoiseModel(variances=np.full(n, 1e-4))
+        assert _chunk_size(m, n) >= trials
+        draws_bytes = trials * m * n * n * 8
+        tracemalloc.start()
+        try:
+            run_mc(snaps, noise, McConfig(trials=trials, master_seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < draws_bytes
+
+
 class TestSampleOperatorInstances:
     def test_zero_variance_returns_mean(self):
         moments = OperatorMoments(
@@ -543,6 +681,23 @@ class TestSampleOperatorSpectra:
         with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
             sample_operator_spectra(moments, count=6, seed=0, clamp_negative=True)
         assert len([r for r in caplog.records if "clamping" in r.message]) == 1
+
+    def test_one_chunk_held(self, monkeypatch):
+        # 70 instances of 100 x 100 in chunks of 20 (20, 20, 20, 10): each chunk
+        # is drawn into the buffer of the one before, so the peak holds one
+        # chunk (1.6 MB) and its finiteness mask, the std table and the spectra.
+        m, count, chunk = 100, 70, 20
+        moments = _random_moments(m, seed=4)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * m * m)
+        want = eigen_samples(sample_operator_instances(moments, count=count, seed=2))
+        tracemalloc.start()
+        try:
+            got = sample_operator_spectra(moments, count=count, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk * m * m * 8
+        assert np.array_equal(got.samples, want.samples)
 
     def test_memory_bounded_by_chunk(self, monkeypatch):
         # 2000 instances of 20 x 20 in chunks of 10: the whole stack would be

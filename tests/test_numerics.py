@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.special import gammaln, roots_laguerre
 
 from dmduq.errors import (
@@ -139,7 +140,11 @@ def _product_factors(m, n, stack, structure, seed):
     first (or zero when n = 1), so the n x n product has a zero eigenvalue.
     ``rotation`` makes ``right @ left`` a block-triangular matrix whose
     leading 2 x 2 block is a scaled rotation, so the spectrum holds a
-    complex-conjugate pair; it needs 2 <= n <= m.
+    complex-conjugate pair; it needs 2 <= n <= m.  There ``left`` has
+    orthonormal columns and ``right = small @ left.T``: with a Gaussian
+    ``left``, ``pinv(left)`` makes ``|left| |right|`` up to 1e4 times the
+    spectrum, and the float product ``left @ right`` alone then moves its
+    eigenvalues by more than 1e-10 of their scale.
     """
     rng = np.random.default_rng(seed)
     left = rng.standard_normal(stack + (m, n))
@@ -153,8 +158,26 @@ def _product_factors(m, n, stack, structure, seed):
         small[..., :2, :2] = radius * np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        right = small @ np.linalg.pinv(left)
+        left = np.linalg.qr(left)[0]
+        right = small @ np.swapaxes(left, -1, -2)
     return left, right
+
+
+def _mpmath_product_eigenvalues(left, right):
+    """Sorted eigenvalues of the smaller of ``right @ left`` and ``left @ right``,
+    shape stack + (min(m, n),): the product is formed from the float factors and
+    eigendecomposed in 50-digit mpmath, so the reference carries no float64
+    rounding of its own (``np.linalg.eigvals(left @ right)`` can be off by 1e-9)."""
+    m, n = left.shape[-2:]
+    rows = []
+    with mp.workdps(50):
+        for a, b in zip(left.reshape(-1, m, n), right.reshape(-1, n, m)):
+            a, b = mp.matrix(a.tolist()), mp.matrix(b.tolist())
+            product = b * a if n < m else a * b
+            # mp.eig returns eigenvectors too for a 1 x 1 matrix, whatever is asked.
+            values = [product[0, 0]] if product.rows == 1 else mp.eig(product, left=False, right=False)
+            rows.append([complex(value) for value in values])
+    return sort_eigenvalue_rows(np.array(rows)).reshape(left.shape[:-2] + (min(m, n),))
 
 
 class TestProductEigenvalues:
@@ -166,15 +189,15 @@ class TestProductEigenvalues:
         structure=st.sampled_from(["generic", "rank_deficient", "rotation"]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(m=12, n=4, stack=(3,), structure="generic", seed=1855)
     def test_matches_full_product(self, m, n, stack, structure, seed):
         left, right = _product_factors(m, n, stack, structure, seed)
         got = product_eigenvalues(left, right)
-        full = np.linalg.eigvals(left @ right)
-        want = sort_eigenvalue_rows(full.reshape(-1, m)).reshape(full.shape)
+        want = _mpmath_product_eigenvalues(left, right)
         assert got.shape == stack + (m,)
         lead = min(m, n)
-        scale = np.abs(full).max(initial=1.0)
-        assert np.abs(got[..., :lead] - want[..., :lead]).max() <= 1e-10 * scale
+        scale = np.abs(want).max(initial=1.0)
+        assert np.abs(got[..., :lead] - want).max() <= 1e-10 * scale
         assert np.all(got[..., lead:] == 0)
         rows = got.reshape(-1, m)
         assert np.array_equal(sort_eigenvalue_rows(rows), rows)

@@ -9,6 +9,7 @@ from scipy.integrate import trapezoid
 from dmduq import numerics
 from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
 from dmduq.numerics import eigenvalue_rows
+from dmduq.operator_moments import CORRECTED, OperatorMoments
 from dmduq.spectral import (
     density_peak,
     eigen_moments,
@@ -181,6 +182,35 @@ class TestBlasPin:
         assert not any(caller.is_alive() for caller in callers)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert set(_blas_thread_counts()) == {2}
+
+
+class TestSliceWorkersReentry:
+    @pytest.mark.parametrize("from_worker", [False, True])
+    def test_nested_entry_raises(self, from_worker):
+        # Building an OperatorMoments enters slice_workers.  Inside the context,
+        # from the thread that entered it or from one of its workers, that
+        # raises; a plain lock there waited on itself for ever.  The call runs
+        # in a thread joined with a timeout, so a hang fails the test.
+        outcome = []
+
+        def build(lo=0, hi=0):
+            return OperatorMoments(np.eye(2), np.eye(2), CORRECTED)
+
+        def nested():
+            try:
+                with numerics.slice_workers() as map_slices:
+                    map_slices(build, 1) if from_worker else build()
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+            build()  # the pin is free again in this thread
+            outcome.append("free")
+
+        caller = threading.Thread(target=nested, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert len(outcome) == 2 and "not re-entrant" in outcome[0]
+        assert outcome[1] == "free"
 
 
 class TestEigenMoments:
