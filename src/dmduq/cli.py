@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +25,10 @@ from .data_model import save_csv, write_csv
 from .errors import ConfigError, DmduqError, ParseError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
-from .operator_moments import OperatorMoments, dmd_point_estimate, estimate_operator_moments
+from .numerics import _one_blas_thread, row_blocks
+from .operator_moments import (
+    VARIANCE_MODES, check_tables, dmd_point_estimate, estimate_operator_moments,
+)
 from .pinv_moments import pinv_moments
 from .spectral import eigen_moments, kde2d
 from .systems import (
@@ -46,6 +51,22 @@ _COMPARED = (
 
 # ---------------------------------------------------------------------------
 # Deterministic JSON with fixed-precision floats
+
+
+class _Table(NamedTuple):
+    """An m x m table that :func:`_write_json` formats one row block ``rows(a, b)`` at a time."""
+
+    shape: tuple
+    rows: Callable
+
+    def blocks(self):
+        for a, b in row_blocks(*self.shape):
+            with _one_blas_thread():  # so the block rounds as in the table's own pass
+                block = self.rows(a, b)
+            yield block
+
+    def __array__(self, dtype=None, copy=None):
+        return np.concatenate(list(self.blocks()))
 
 
 def dumps_json(obj, precision: int = 17) -> str:
@@ -88,8 +109,29 @@ def dumps_json(obj, precision: int = 17) -> str:
     return emit(obj) + "\n"
 
 
-def _write_json(path, obj, precision: int) -> None:
-    Path(path).write_text(dumps_json(obj, precision), encoding="utf-8")
+def _write_json(path, payload: dict, precision: int) -> None:
+    """Write ``payload`` as :func:`dumps_json` does, a ``_Table`` value one row block at a
+    time, to a file beside ``path`` that replaces it only when complete."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "w", encoding="utf-8") as handle:
+            for i, (key, value) in enumerate(payload.items()):
+                handle.write(("," if i else "{") + json.dumps(key) + ":")
+                if not isinstance(value, _Table):
+                    handle.write(dumps_json(value, precision)[:-1])
+                    continue
+                for k, block in enumerate(value.blocks()):
+                    rows = format_rows(block, precision)
+                    handle.write(("," if k else "[") + ",".join(f"[{row}]" for row in rows))
+                handle.write("]")
+            handle.write("}\n")
+        os.replace(part, path)
+    except BaseException as exc:  # no partial file; an OSError names the file asked for
+        part.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(part):
+            exc.filename = str(path)
+        raise
 
 
 def _load_json(path):
@@ -165,13 +207,14 @@ def _moments_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
         snapshots, noise, quad=cfg.quadrature, ridge=cfg.ridge, mode=cfg.variance_mode, pinv=pinv
     )
     point = dmd_point_estimate(snapshots, ridge=cfg.ridge)
+    shape = moments.shape
     return {
         "schema_version": SCHEMA_VERSION,
         "pinv_first": pinv.first,
         "pinv_second_raw": pinv.second_raw,
-        "operator_first": moments.first,
-        "operator_second_central": moments.second_central,
-        "operator_point": point.operator,
+        "operator_first": _Table(shape, lambda a, b: moments.rows(a, b, second=False)[0]),
+        "operator_second_central": _Table(shape, lambda a, b: moments.rows(a, b, False)[1]),
+        "operator_point": _Table(shape, point.rows),
         "variance_mode": moments.variance_mode,
         "metadata": {
             "config": cfg.to_dict(),
@@ -240,6 +283,7 @@ def cmd_table(args) -> int:
 
 
 def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
+    moments = {key: np.asarray(moments[key]) for key, _ in _COMPARED}
     # Each row: "matrix", then the ComparisonReport fields in their order.
     comparisons = [{"matrix": a, **vars(compare(moments[a], mc[b]))} for a, b in _COMPARED]
     est_var = moments["operator_second_central"]
@@ -279,14 +323,17 @@ def cmd_compare(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _load_pipeline_config(args)
-    data = _read_payload(
-        args.moments, ["operator_first", "operator_second_central"], ["variance_mode"]
-    )
-    moments = OperatorMoments(
-        data["operator_first"], data["operator_second_central"], data["variance_mode"]
-    )
+    keys = ["operator_first", "operator_second_central"]
+    data = _read_payload(args.moments, keys, ["variance_mode"])
+    first, second, mode = data[keys[0]], data[keys[1]], data["variance_mode"]
+    for key in keys:  # before any draw
+        if data[key].shape != (len(first),) * 2:
+            raise ShapeMismatch(f"{args.moments}: {key!r} is {data[key].shape}, not m x m as both")
+    if mode not in VARIANCE_MODES:
+        raise ShapeMismatch(f"{args.moments}: 'variance_mode' {mode!r} is not in {VARIANCE_MODES}")
+    check_tables(first, second, mode)
     samples = sample_operator_spectra(
-        moments, count=args.samples, seed=args.seed, clamp_negative=args.clamp_negative
+        first, second, count=args.samples, seed=args.seed, clamp_negative=args.clamp_negative
     )
     lam1 = samples.representative_lambda1
     bandwidth = None if cfg.kde.bandwidth is None else (cfg.kde.bandwidth, cfg.kde.bandwidth)

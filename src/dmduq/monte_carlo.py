@@ -37,7 +37,7 @@ from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
 from . import numerics
 from .numerics import map_row_blocks, product_eigenvalues, slice_workers, spd_solve
-from .operator_moments import OperatorMoments, gram_factor
+from .operator_moments import gram_factor
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, eigen_samples
 
@@ -309,19 +309,19 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
     )
 
 
-def _instance_blocks(moments: OperatorMoments, count: int, seed: int, clamp_negative: bool,
-                     block: int):
+def _instance_blocks(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,
+                     clamp_negative: bool, block: int):
     """Validate the variances, then iterate ``(start, instances)`` blocks of at most ``block``.
 
-    Entry (i, j) of each instance is N(first[i][j], second_central[i][j]).
-    All blocks come in order from the one ``trial_rng(seed, 0)`` stream, so
-    they concatenate to a single draw of ``count`` instances bit for bit.
-    Every block is a view of one buffer that the next block overwrites.
+    Entry (i, j) of each instance is N(first[i][j], second_central[i][j]), for
+    tables checked as by ``operator_moments.check_tables``.  All blocks come in
+    order from the one ``trial_rng(seed, 0)`` stream, so they concatenate to a
+    single draw of ``count`` instances bit for bit.  Every block is a view of
+    one buffer that the next block overwrites.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    var = moments.second_central
-    negatives = int(np.count_nonzero(var < -1e-12))
+    negatives = int(np.count_nonzero(second_central < -1e-12))
     if negatives and not clamp_negative:
         raise NegativeVarianceInput(
             f"{negatives} element(s) have variance below -1e-12; "
@@ -329,33 +329,33 @@ def _instance_blocks(moments: OperatorMoments, count: int, seed: int, clamp_nega
         )
     if negatives:
         logger.warning("clamping %d negative variance element(s) to zero", negatives)
-    std = np.sqrt(np.clip(var, 0.0, None))
+    std = np.sqrt(np.clip(second_central, 0.0, None))
     rng = trial_rng(seed, 0)
 
     def blocks():
-        buf = np.empty((min(block, count),) + var.shape)
+        buf = np.empty((min(block, count),) + std.shape)
         for start in range(0, count, block):
             draws = buf[: min(block, count - start)]
             rng.standard_normal(out=draws)
             draws *= std
-            draws += moments.first
+            draws += first
             yield start, draws
 
     return blocks()
 
 
-def sample_operator_instances(moments: OperatorMoments, count: int, seed: int,
-                              clamp_negative: bool = False) -> np.ndarray:
+def sample_operator_instances(first: np.ndarray, second_central: np.ndarray, count: int,
+                              seed: int, clamp_negative: bool = False) -> np.ndarray:
     """Draw operator instances with independent Gaussian entries.
 
     Entry (i, j) of each instance is N(first[i][j], second_central[i][j]).
     Negative variances beyond -1e-12 raise unless clamping is enabled, in
     which case they are clamped to zero with a logged per-element count.
     """
-    return next(_instance_blocks(moments, count, seed, clamp_negative, count))[1]
+    return next(_instance_blocks(first, second_central, count, seed, clamp_negative, count))[1]
 
 
-def sample_operator_spectra(moments: OperatorMoments, count: int, seed: int,
+def sample_operator_spectra(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,
                             clamp_negative: bool = False) -> EigenSampleSet:
     """Sorted spectra of ``count`` instances drawn as by :func:`sample_operator_instances`.
 
@@ -365,8 +365,9 @@ def sample_operator_spectra(moments: OperatorMoments, count: int, seed: int,
     ``count x m`` complex spectra, whatever ``count`` is.  Each chunk is
     eigendecomposed across the BLAS threads by :func:`eigen_samples`.
     """
-    m = moments.first.shape[0]
-    blocks = _instance_blocks(moments, count, seed, clamp_negative, _chunk_size(m, 1))
+    m = len(first)
+    blocks = _instance_blocks(first, second_central, count, seed, clamp_negative,
+                              _chunk_size(m, 1))
     samples = np.empty((count, m), dtype=complex)
     representative = np.empty(count, dtype=complex)
     for start, instances in blocks:

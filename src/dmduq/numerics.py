@@ -106,15 +106,19 @@ def slice_workers():
 _CHUNK_SCALARS = 4_000_000  # per Monte Carlo chunk; a table's row block holds 1/32 (1 MB)
 
 
-def map_row_blocks(map_slices, fn, count: int, width: int) -> list:
-    """``fn(a, b)`` over ``map_slices`` for the row blocks ``a:b`` of a ``count`` x
-    ``width`` table, results in block order.  Blocks of near-equal size hold at most
-    ``_CHUNK_SCALARS / 32`` elements (or one row), so a block filled stays in a core's
-    cache to be checked, and are cut by the shape alone, so no block's BLAS call,
-    nor its bits, depends on the worker count."""
+def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
+    """The row blocks ``(a, b)`` of a ``count`` x ``width`` table, in order: near-equal,
+    of at most ``_CHUNK_SCALARS / 32`` elements (or one row), cut by the shape alone."""
     n_blocks = -(-count // max(1, _CHUNK_SCALARS // 32 // max(1, width)))
     cuts = [count * k // n_blocks for k in range(n_blocks + 1)]
-    blocks = list(zip(cuts[:-1], cuts[1:]))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def map_row_blocks(map_slices, fn, count: int, width: int) -> list:
+    """``fn(a, b)`` over ``map_slices`` for the :func:`row_blocks` ``a:b`` of a ``count``
+    x ``width`` table, results in block order.  A block filled stays in a core's cache
+    to be checked, and no block's BLAS call, nor its bits, depends on the worker count."""
+    blocks = row_blocks(count, width)
     parts = map_slices(lambda lo, hi: [fn(a, b) for a, b in blocks[lo:hi]], len(blocks))
     return [result for part in parts for result in part]
 

@@ -19,14 +19,17 @@ variance of a sum of independent products:
 which is nonnegative up to roundoff and is what the Monte Carlo oracle can
 confirm.
 
-The m x m tables are written once, straight into their final arrays, by
-row blocks across ``numerics.slice_workers``; each block is checked while it
-is in cache.  Blocks are cut by the table's shape alone, so the bits do not
-depend on the thread count.
+Every table is a product of m x n and n x m factors, so ``OperatorMoments``
+and ``DmdEstimate`` hold the factors and form an m x m table only when it is
+read.  Tables are computed by row blocks across ``numerics.slice_workers``,
+each block checked while it is in cache.  Blocks are cut by the table's shape
+alone, so the bits do not depend on the thread count, nor on whether a block
+is kept, written out or only checked.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -48,67 +51,124 @@ VARIANCE_MODES = (PAPER_LITERAL, CORRECTED)
 
 @dataclass(frozen=True, eq=False)
 class DmdEstimate:
-    """Point estimate of the operator and its spectrum."""
+    """Point estimate of the operator, held as its factors ``X.T`` (m x n) and ``solved =
+    inv(X X.T + ridge I) @ Y`` (n x m), and its spectrum; ``operator`` is built on first read."""
 
-    operator: np.ndarray
+    states_t: np.ndarray
+    solved: np.ndarray
     spectrum: Spectrum
+
+    def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows a:b of the operator, written into ``out`` when given."""
+        return np.matmul(self.states_t[a:b], self.solved, out=out)
+
+    @functools.cached_property
+    def operator(self) -> np.ndarray:
+        operator = np.empty((len(self.states_t), self.solved.shape[1]))
+        with slice_workers() as map_slices:
+            map_row_blocks(map_slices, lambda a, b: self.rows(a, b, operator[a:b]), *operator.shape)
+        return operator
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMoments:
-    """Moment tables for the operator: means and per-element spread.
+    """Moment tables of the operator, held as their factors: ``pinv`` (M1x, M2x), ``shifted``
+    (Y, n x m) and the noise ``variances`` (None for the mean table alone).
 
-    ``second_central`` is used as a variance downstream; in paper_literal
-    mode individual entries may be negative (recorded, not fatal).
+    Construction computes and checks every row block, keeping none; ``first`` and
+    ``second_central`` are built on first read.  ``second_central`` is used as a variance
+    downstream; in paper_literal mode entries may be negative (logged, not fatal).
     """
 
-    first: np.ndarray
-    second_central: np.ndarray
-    variance_mode: str
+    pinv: PinvMoments
+    shifted: np.ndarray
+    variances: np.ndarray | None
+    variance_mode: str = CORRECTED
 
     def __post_init__(self):
-        first = np.asarray(self.first, dtype=float)
-        second = np.asarray(self.second_central, dtype=float)
-        if first.shape != second.shape or first.ndim != 2 or not first.size:
-            raise DimensionMismatch(f"moment tables {first.shape} and {second.shape} are not "
-                                    "one non-empty 2-D shape")
-        _row_pass(first, second, self.variance_mode)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second_central", second)
+        Y, var = self.shifted, self.variances
+        if self.pinv.first.shape != Y.T.shape:
+            raise DimensionMismatch(f"pseudoinverse table {self.pinv.first.shape} "
+                                    f"does not match Y {Y.shape}")
+        if var is not None and len(var) != Y.shape[0]:
+            raise DimensionMismatch("noise model does not match state count")
+        # Formed once for every block: c = M2x @ var and Y**2.
+        self.__dict__.update(_scale=None if var is None else self.pinv.second_raw @ var,
+                             _y_sq=Y**2, shape=(len(self.pinv.first), Y.shape[1]))
+        negatives, low = _row_pass(self.rows, self.shape, self.variance_mode)
+        if self.variance_mode == PAPER_LITERAL and negatives:
+            logger.warning("paper_literal variance has %d negative element(s); min %.3e",
+                           negatives, low)
+
+    def rows(self, a: int, b: int, first=True, second=True, out=(None, None)):
+        """Rows a:b of the asked tables (else None), into ``out`` where given.  With c = M2x @
+        var: ``first = M1x @ Y``, ``second_central = c[:, None] - M1x**2 @ Y**2 (+ M2x @ Y**2
+        if corrected)``."""
+        m1x, (mean, spread) = self.pinv.first[a:b], out
+        if second and self._scale is not None:
+            spread = np.matmul(m1x**2, self._y_sq, out=spread)
+            np.subtract(self._scale[a:b, None], spread, out=spread)
+            if self.variance_mode == CORRECTED:  # the mean rows, written next, hold this meanwhile
+                spread += np.matmul(self.pinv.second_raw[a:b], self._y_sq,
+                                    out=mean if first else None)
+        return np.matmul(m1x, self.shifted, out=mean) if first else None, spread
+
+    @functools.cached_property
+    def first(self) -> np.ndarray:
+        return self._table(0)
+
+    @functools.cached_property
+    def second_central(self) -> np.ndarray:
+        if self.variances is None:
+            raise ConfigError("second_central needs the noise variances")
+        return self._table(1)
+
+    def _table(self, index: int) -> np.ndarray:
+        table, asked = np.empty(self.shape), (index == 0, index == 1)
+        with slice_workers() as map_slices:
+            map_row_blocks(map_slices, lambda a, b: self.rows(
+                a, b, *asked, out=[table[a:b] if want else None for want in asked]), *self.shape)
+        return table
 
 
-def _row_pass(first, second, mode: str, fill=None) -> tuple[int, float]:
-    """Fill each row block with ``fill(a, b)``, when given, and check it in the same pass.
-
-    Either table may be None.  Raises DimensionMismatch at the first non-finite
-    entry, by block, or a corrected-mode variance below -1e-12.  Returns the
-    number of negative entries of ``second`` and its minimum (0, inf if None).
-    """
+def _row_pass(rows, shape, mode: str) -> tuple[int, float]:
+    """Check each row block ``(first, second_central) = rows(a, b)`` (either may be None) of
+    ``shape`` tables as it is made, across ``slice_workers``.  Raises DimensionMismatch at the
+    first non-finite entry, by block, or a corrected-mode variance below -1e-12.  Returns the
+    number of negative entries of ``second_central`` and its minimum (0, inf if None)."""
     if mode not in VARIANCE_MODES:
         raise ConfigError(f"unknown variance mode {mode!r}")
-    tables = {k: t for k, t in [("first", first), ("second_central", second)] if t is not None}
 
     def block(a: int, b: int):
-        if fill is not None:
-            fill(a, b)
-        for name, table in tables.items():  # second, when given, last
-            rows = table[a:b]
-            least = rows.min()  # min and max propagate NaN
-            if not (np.isfinite(least) and np.isfinite(rows.max())):
-                (row, col), *_ = np.argwhere(~np.isfinite(rows))
-                return (name, a + row, col, rows[row, col]), 0, np.inf
-        low = np.inf if second is None else least
-        return None, int(np.count_nonzero(rows < 0)) if low < 0 else 0, low
+        tables = rows(a, b)
+        for name, table in zip(("first", "second_central"), tables):
+            if table is not None:
+                least = table.min()  # min and max propagate NaN
+                if not (np.isfinite(least) and np.isfinite(table.max())):
+                    (row, col), *_ = np.argwhere(~np.isfinite(table))
+                    return (name, a + row, col, table[row, col]), 0, np.inf
+        if tables[1] is None:
+            return None, 0, np.inf
+        return None, int(np.count_nonzero(tables[1] < 0)) if least < 0 else 0, least
 
     with slice_workers() as map_slices:
-        parts = map_row_blocks(map_slices, block, *next(iter(tables.values())).shape)
+        parts = map_row_blocks(map_slices, block, *shape)
     bad = next((part[0] for part in parts if part[0] is not None), None)
     if bad is not None:
         raise DimensionMismatch("operator moments must be finite: {}[{}, {}] = {}".format(*bad))
     low = float(min(part[2] for part in parts))
-    if second is not None and mode == CORRECTED and low < -1e-12:
+    if mode == CORRECTED and low < -1e-12:
         raise DimensionMismatch(f"corrected-mode variance is negative: min {low:.3e}")
     return sum(part[1] for part in parts), low
+
+
+def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> None:
+    """Check dense moment tables as ``OperatorMoments`` checks its blocks: one non-empty
+    2-D shape, finite entries and, in corrected mode, no variance below -1e-12."""
+    if first.shape != second_central.shape or first.ndim != 2 or not first.size:
+        raise DimensionMismatch(f"moment tables {first.shape} and {second_central.shape} are "
+                                "not one non-empty 2-D shape")
+    _row_pass(lambda a, b: (first[a:b], second_central[a:b]), first.shape, mode)
 
 
 def gram_factor(X: np.ndarray, ridge: float) -> np.ndarray:
@@ -137,54 +197,15 @@ def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimat
     if ridge < 0:
         raise ConfigError(f"ridge must be >= 0, got {ridge}")
     solved = spd_solve(gram_factor(X, ridge), Y)
-    spectrum = Spectrum(eigenvalues=product_eigenvalues(X.T, solved))
-    operator = np.empty((X.shape[1], Y.shape[1]))
-    with slice_workers() as map_slices:
-        map_row_blocks(map_slices, lambda a, b: np.matmul(X.T[a:b], solved, out=operator[a:b]),
-                       *operator.shape)
-    return DmdEstimate(operator=operator, spectrum=spectrum)
-
-
-def _operator_tables(pinv, snapshots, noise, mode=CORRECTED, first=True, second=True):
-    """The asked tables (None for the other), filled and checked in one ``_row_pass``.
-
-    With c = M2x @ var, rows a:b are ``first = M1x @ Y`` and ``second =
-    c[:, None] - M1x**2 @ Y**2 (+ M2x @ Y**2 if corrected)``, each element by the
-    same operations as on whole tables.  Negative paper_literal entries are logged.
-    """
-    Y = snapshots.shifted
-    if pinv.first.shape != (Y.shape[1], Y.shape[0]):
-        raise DimensionMismatch(
-            f"pseudoinverse table {pinv.first.shape} does not match Y {Y.shape}"
-        )
-    if noise is not None and noise.state_count != Y.shape[0]:
-        raise DimensionMismatch("noise model does not match state count")
-    m1x, m2x, y_sq = pinv.first, pinv.second_raw, Y**2
-    scale = m2x @ noise.variances if second else None
-    mean, spread = (np.empty((len(m1x), Y.shape[1])) if want else None for want in (first, second))
-
-    def fill(a: int, b: int) -> None:
-        if second:
-            rows = np.matmul(m1x[a:b] ** 2, y_sq, out=spread[a:b])
-            np.subtract(scale[a:b, None], rows, out=rows)
-            if mode == CORRECTED:  # the mean rows, written next, hold this product meanwhile
-                rows += np.matmul(m2x[a:b], y_sq, out=mean[a:b] if first else None)
-        if first:
-            np.matmul(m1x[a:b], Y, out=mean[a:b])
-
-    negatives, low = _row_pass(mean, spread, mode, fill)
-    if mode == PAPER_LITERAL and negatives:
-        logger.warning(
-            "paper_literal variance has %d negative element(s); min %.3e", negatives, low
-        )
-    return mean, spread
+    return DmdEstimate(X.T, solved, Spectrum(eigenvalues=product_eigenvalues(X.T, solved)))
 
 
 def operator_first_moment(
     pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel | None = None
 ) -> np.ndarray:
     """Mean table: first[i][j] = sum_k M1x[i][k] * Y[k][j]."""
-    return _operator_tables(pinv, snapshots, noise, second=False)[0]
+    variances = None if noise is None else noise.variances
+    return OperatorMoments(pinv, snapshots.shifted, variances).first
 
 
 def operator_second_moment(
@@ -196,7 +217,7 @@ def operator_second_moment(
     silently altered; this mode exists for fidelity, corrected mode for
     verification.
     """
-    return _operator_tables(pinv, snapshots, noise, mode, first=False)[1]
+    return OperatorMoments(pinv, snapshots.shifted, noise.variances, mode).second_central
 
 
 def estimate_operator_moments(
@@ -207,13 +228,10 @@ def estimate_operator_moments(
     mode: str = CORRECTED,
     pinv: PinvMoments | None = None,
 ) -> OperatorMoments:
-    """Full pipeline: pseudoinverse moment tables once, then both assemblies.
+    """Full pipeline: pseudoinverse moment tables once, then both assemblies, checked.
 
     Pass ``pinv`` to reuse tables already computed with the same inputs.
     """
     if pinv is None:
         pinv = pinv_moments(snapshots, noise, quad=quad, ridge=ridge)
-    first, second = _operator_tables(pinv, snapshots, noise, mode)
-    moments = object.__new__(OperatorMoments)  # the tables were checked as they were filled
-    moments.__dict__.update(first=first, second_central=second, variance_mode=mode)
-    return moments
+    return OperatorMoments(pinv, snapshots.shifted, noise.variances, mode)

@@ -285,7 +285,9 @@ def test_criterion_7_spectral_pipeline():
 
     moments = dq.estimate_operator_moments(snaps, noise, mode=CORRECTED)
     n_samples = 20_000
-    instances = sample_operator_instances(moments, count=n_samples, seed=42)
+    instances = sample_operator_instances(
+        moments.first, moments.second_central, count=n_samples, seed=42
+    )
     proposed = eigen_samples(instances)
     assert np.all(proposed.representative_lambda1.imag >= 0)
 

@@ -6,7 +6,9 @@ from conftest import run_cli, run_python
 
 from dmduq import cli, numerics
 from dmduq.cli import dumps_json, main
-from dmduq.data_model import RawTrajectory, format_rows, load_csv, save_csv
+from dmduq.config import load_config
+from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, format_rows, load_csv
+from dmduq.data_model import save_csv
 from dmduq.errors import ConfigError
 from dmduq.monte_carlo import sample_operator_instances
 from dmduq.spectral import eigen_samples
@@ -235,6 +237,58 @@ class TestMoments:
             )
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["corrected", "paper_literal"])
+    def test_streamed_tables_match_one_dump(self, small_csv, tmp_path, monkeypatch, mode):
+        # The m x m tables go out by row blocks of 3 rows (m = 19), each formatted on
+        # its own; the file equals dumps_json of the payload with whole tables.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variance_mode": mode}))
+        snapshots, noise = build_snapshots(load_csv(small_csv)), NoiseModel([1e-6, 1e-6])
+        payload = cli._moments_payload(snapshots, noise, load_config(cfg))
+        m = snapshots.snapshot_count
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 3 * m)
+        assert len(numerics.row_blocks(m, m)) > 2
+        out = tmp_path / "moments.json"
+        cli._write_json(out, payload, 17)
+        dense = {key: np.asarray(value) for key, value in payload.items()
+                 if isinstance(value, cli._Table)}
+        assert len(dense) == 3
+        assert out.read_text(encoding="utf-8") == dumps_json({**payload, **dense})
+        argv = ["moments", str(small_csv), "--noise-variances", "1e-6,1e-6", "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "cli.json")]) == 0
+        assert (tmp_path / "cli.json").read_bytes() == out.read_bytes()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        # A non-finite table after a large valid one (some 1.5 MB of text written):
+        # ConfigError, no file left, and a file already there keeps its bytes.
+        m = 300
+
+        def rows(a, b):
+            block = np.ones((b - a, m))
+            block[-1, -1] = np.nan if b == m else 1.0
+            return block
+
+        for bad in (np.array([1.0, np.nan]), cli._Table((m, m), rows)):
+            payload = {"big": np.full((m, m), 1.0 / 3.0), "bad": bad}
+            out = tmp_path / "out.json"
+            with pytest.raises(ConfigError, match="non-finite"):
+                cli._write_json(out, payload, 17)
+            assert list(tmp_path.iterdir()) == []
+            out.write_bytes(b"earlier output\n")
+            with pytest.raises(ConfigError, match="non-finite"):
+                cli._write_json(out, payload, 17)
+            assert list(tmp_path.iterdir()) == [out]
+            assert out.read_bytes() == b"earlier output\n"
+            out.unlink()
+
+    def test_missing_directory_names_the_output(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "moments.json"
+        capsys.readouterr()
+        argv = ["moments", str(small_csv), "--noise-variances", "1e-6,1e-6"]
+        assert main(argv + ["--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "io_error" and error["message"].endswith(f"{str(out)!r}")
+
     def test_constant_window_zero_variance_exit(self, tmp_path):
         csv = tmp_path / "const.csv"
         csv.write_text("time,x1\n" + "".join(f"{i * 0.1:.1f},5.0\n" for i in range(10)))
@@ -447,8 +501,10 @@ class TestSpectrum:
         argv = ["spectrum", str(moments), "--samples", "50", "--seed", "9", "--out"]
         assert main(argv + [str(tmp_path / "streamed.csv")]) == 0
 
-        def reference(moments, count, seed, clamp_negative):
-            return eigen_samples(sample_operator_instances(moments, count, seed, clamp_negative))
+        def reference(first, second, count, seed, clamp_negative):
+            return eigen_samples(
+                sample_operator_instances(first, second, count, seed, clamp_negative)
+            )
 
         monkeypatch.setattr(cli, "sample_operator_spectra", reference)
         assert main(argv + [str(tmp_path / "reference.csv")]) == 0
@@ -608,6 +664,34 @@ class TestMalformedInput:
             error = json.loads(capsys.readouterr().err)
             assert error["error"] == "shape_mismatch"
             assert str(paths[index]) in error["message"] and key in error["message"]
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"operator_first": [[0.0] * 3] * 5, "operator_second_central": [[0.0] * 3] * 5},
+             "operator_first"),
+            ({"operator_second_central": [[0.0] * 2] * 2}, "operator_second_central"),
+            ({"variance_mode": 5}, "variance_mode"),
+            ({"variance_mode": "weird"}, "variance_mode"),
+        ],
+        ids=["non_square", "different_shapes", "mode_number", "mode_unknown"],
+    )
+    def test_spectrum_checks_tables_before_drawing(
+        self, outputs, tmp_path, capsys, monkeypatch, change, key
+    ):
+        # Not the m x m tables and mode dmduq writes: shape_mismatch naming the
+        # file and the key, before any instance is drawn.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(outputs[0].read_text()), **change}))
+        monkeypatch.setattr(cli, "sample_operator_spectra",
+                            lambda *args, **kwargs: pytest.fail("instances were drawn"))
+        out = tmp_path / "kde.csv"
+        capsys.readouterr()
+        assert main(["spectrum", str(bad), "--samples", "20", "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "shape_mismatch"
+        assert str(bad) in error["message"] and key in error["message"]
+        assert not out.exists()
 
     def test_mc_json_as_moments(self, outputs, tmp_path, capsys):
         _, mc = outputs

@@ -27,8 +27,6 @@ from dmduq.monte_carlo import (
 )
 from dmduq.operator_moments import (
     CORRECTED,
-    PAPER_LITERAL,
-    OperatorMoments,
     dmd_point_estimate,
     estimate_operator_moments,
     gram_factor,
@@ -563,61 +561,37 @@ class TestRunMcBlocks:
 
 class TestSampleOperatorInstances:
     def test_zero_variance_returns_mean(self):
-        moments = OperatorMoments(
-            first=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            second_central=np.zeros((2, 2)),
-            variance_mode=CORRECTED,
-        )
-        out = sample_operator_instances(moments, count=5, seed=0)
-        assert np.array_equal(out, np.broadcast_to(moments.first, (5, 2, 2)))
+        first = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = sample_operator_instances(first, np.zeros((2, 2)), count=5, seed=0)
+        assert np.array_equal(out, np.broadcast_to(first, (5, 2, 2)))
 
     def test_fixed_seed_reproducible(self):
-        moments = OperatorMoments(
-            first=np.zeros((2, 2)),
-            second_central=np.full((2, 2), 0.5),
-            variance_mode=CORRECTED,
-        )
-        a = sample_operator_instances(moments, count=10, seed=3)
-        b = sample_operator_instances(moments, count=10, seed=3)
+        moments = np.zeros((2, 2)), np.full((2, 2), 0.5)
+        a = sample_operator_instances(*moments, count=10, seed=3)
+        b = sample_operator_instances(*moments, count=10, seed=3)
         assert np.array_equal(a, b)
 
     def test_sample_variance_matches_parameters(self):
         variances = np.array([[0.09, 0.25], [1.0, 0.04]])
-        moments = OperatorMoments(
-            first=np.array([[1.0, -2.0], [0.5, 3.0]]),
-            second_central=variances,
-            variance_mode=CORRECTED,
-        )
-        out = sample_operator_instances(moments, count=100_000, seed=7)
+        first = np.array([[1.0, -2.0], [0.5, 3.0]])
+        out = sample_operator_instances(first, variances, count=100_000, seed=7)
         sample_var = out.var(axis=0, ddof=1)
         assert np.abs(sample_var / variances - 1.0).max() <= 0.05
 
     def test_negative_variance_rejected_without_clamp(self):
-        moments = OperatorMoments(
-            first=np.zeros((1, 1)),
-            second_central=np.array([[-1e-6]]),
-            variance_mode=PAPER_LITERAL,
-        )
+        moments = np.zeros((1, 1)), np.array([[-1e-6]])
         with pytest.raises(NegativeVarianceInput):
-            sample_operator_instances(moments, count=3, seed=0)
+            sample_operator_instances(*moments, count=3, seed=0)
 
     def test_negative_variance_clamped_when_enabled(self, caplog):
-        moments = OperatorMoments(
-            first=np.zeros((1, 1)),
-            second_central=np.array([[-1e-6]]),
-            variance_mode=PAPER_LITERAL,
-        )
-        out = sample_operator_instances(moments, count=3, seed=0, clamp_negative=True)
+        moments = np.zeros((1, 1)), np.array([[-1e-6]])
+        out = sample_operator_instances(*moments, count=3, seed=0, clamp_negative=True)
         assert np.array_equal(out, np.zeros((3, 1, 1)))
 
 
-def _random_moments(m: int, seed: int) -> OperatorMoments:
+def _random_moments(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
-    return OperatorMoments(
-        first=rng.standard_normal((m, m)) / np.sqrt(m),
-        second_central=rng.uniform(0.0, 0.01, (m, m)),
-        variance_mode=CORRECTED,
-    )
+    return rng.standard_normal((m, m)) / np.sqrt(m), rng.uniform(0.0, 0.01, (m, m))
 
 
 class TestSampleOperatorSpectra:
@@ -626,16 +600,16 @@ class TestSampleOperatorSpectra:
         # Chunks of 1, 3 (a short last chunk) and all 10 instances must give
         # the spectra of one draw of every instance, bit for bit.
         moments = _random_moments(5, seed=0)
-        want = eigen_samples(sample_operator_instances(moments, count=10, seed=4))
+        want = eigen_samples(sample_operator_instances(*moments, count=10, seed=4))
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * 5 * 5)
-        got = sample_operator_spectra(moments, count=10, seed=4)
+        got = sample_operator_spectra(*moments, count=10, seed=4)
         assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
 
     def test_failure_names_global_instance(self, monkeypatch):
         # Instance 5 sits at position 2 of the second chunk of 3.
         moments = _random_moments(4, seed=1)
-        target = sample_operator_instances(moments, count=8, seed=2)[5]
+        target = sample_operator_instances(*moments, count=8, seed=2)[5]
         eigvals = np.linalg.eigvals
 
         def fails_on_target(a):
@@ -647,39 +621,35 @@ class TestSampleOperatorSpectra:
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 3 * 4 * 4)
         monkeypatch.setattr(np.linalg, "eigvals", fails_on_target)
         with pytest.raises(ConvergenceFailure, match="instance 5"):
-            sample_operator_spectra(moments, count=8, seed=2)
+            sample_operator_spectra(*moments, count=8, seed=2)
         # Split over 2 or 3 workers, the chunk's slices are [3], [4, 5] or
         # [3], [4], [5]: the failing slice is the second or the third.
         for workers in (2, 3):
             monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
             with pytest.raises(ConvergenceFailure, match="instance 5"):
-                sample_operator_spectra(moments, count=8, seed=2)
+                sample_operator_spectra(*moments, count=8, seed=2)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bits_independent_of_workers(self, monkeypatch, workers):
         # Chunks of 3, 3 and 2 instances; the last is shorter than 3 workers.
         moments = _random_moments(5, seed=6)
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
-        want = eigen_samples(sample_operator_instances(moments, count=8, seed=1))
+        want = eigen_samples(sample_operator_instances(*moments, count=8, seed=1))
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 3 * 5 * 5)
-        got = sample_operator_spectra(moments, count=8, seed=1)
+        got = sample_operator_spectra(*moments, count=8, seed=1)
         assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
 
     def test_validation_once_per_call(self, monkeypatch, caplog):
-        moments = OperatorMoments(
-            first=np.eye(2),
-            second_central=np.array([[-1e-6, 0.01], [0.01, 0.01]]),
-            variance_mode=PAPER_LITERAL,
-        )
+        moments = np.eye(2), np.array([[-1e-6, 0.01], [0.01, 0.01]])
         with pytest.raises(NegativeVarianceInput):
-            sample_operator_spectra(moments, count=6, seed=0)
+            sample_operator_spectra(*moments, count=6, seed=0)
         with pytest.raises(ConfigError):
-            sample_operator_spectra(moments, count=0, seed=0, clamp_negative=True)
+            sample_operator_spectra(*moments, count=0, seed=0, clamp_negative=True)
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 2 * 2 * 2)
         with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
-            sample_operator_spectra(moments, count=6, seed=0, clamp_negative=True)
+            sample_operator_spectra(*moments, count=6, seed=0, clamp_negative=True)
         assert len([r for r in caplog.records if "clamping" in r.message]) == 1
 
     def test_one_chunk_held(self, monkeypatch):
@@ -689,10 +659,10 @@ class TestSampleOperatorSpectra:
         m, count, chunk = 100, 70, 20
         moments = _random_moments(m, seed=4)
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * m * m)
-        want = eigen_samples(sample_operator_instances(moments, count=count, seed=2))
+        want = eigen_samples(sample_operator_instances(*moments, count=count, seed=2))
         tracemalloc.start()
         try:
-            got = sample_operator_spectra(moments, count=count, seed=2)
+            got = sample_operator_spectra(*moments, count=count, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -709,7 +679,7 @@ class TestSampleOperatorSpectra:
         result_bytes = count * m * 16
         tracemalloc.start()
         try:
-            sample_operator_spectra(moments, count=count, seed=5)
+            sample_operator_spectra(*moments, count=count, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

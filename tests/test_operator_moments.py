@@ -11,7 +11,7 @@ from dmduq.errors import ConfigError, DimensionMismatch, MomentComputationError,
 from dmduq.operator_moments import (
     CORRECTED,
     PAPER_LITERAL,
-    OperatorMoments,
+    check_tables,
     dmd_point_estimate,
     estimate_operator_moments,
     operator_first_moment,
@@ -199,10 +199,10 @@ class TestEstimateOperatorMoments:
 
     def test_corrected_mode_validation(self):
         with pytest.raises(DimensionMismatch):
-            OperatorMoments(
+            check_tables(
                 first=np.zeros((2, 2)),
                 second_central=np.array([[-1.0, 0.0], [0.0, 0.0]]),
-                variance_mode=CORRECTED,
+                mode=CORRECTED,
             )
 
     def test_zero_noise_collapse_invariant(self, small_system):
@@ -214,10 +214,11 @@ class TestEstimateOperatorMoments:
         assert om.second_central.max() <= 1e-8
 
 
-def whole_tables(pinv, snaps, noise, mode):
-    """The assembly formulas on whole m x m tables."""
+def whole_tables(pinv, snaps, noise, mode, scale=None):
+    """The assembly formulas on whole tables; ``scale`` replaces M2x @ var when given."""
     Y = snaps.shifted
-    spread = (pinv.second_raw @ noise.variances)[:, None] - pinv.first**2 @ Y**2
+    scale = pinv.second_raw @ noise.variances if scale is None else scale
+    spread = scale[:, None] - pinv.first**2 @ Y**2
     if mode == CORRECTED:
         spread = spread + pinv.second_raw @ Y**2
     return pinv.first @ Y, spread
@@ -284,7 +285,7 @@ class TestRowBlockAssembly:
 
     @pytest.mark.parametrize("mode", [CORRECTED, PAPER_LITERAL])
     def test_memory_is_the_two_tables(self, mode):
-        # The tables are written in place, block by block: no m x m temporary.
+        # Read, the tables are written in place, block by block: no m x m temporary.
         # Whole-table expressions hold about four tables at their peak.
         m = 2000
         rng = np.random.default_rng(4)
@@ -293,11 +294,69 @@ class TestRowBlockAssembly:
         pinv = synthetic_pinv(m, 2, seed=4)
         tracemalloc.start()
         try:
-            estimate_operator_moments(snaps, noise, mode=mode, pinv=pinv)
+            moments = estimate_operator_moments(snaps, noise, mode=mode, pinv=pinv)
+            moments.first, moments.second_central
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * 8 * m * m
+
+    @pytest.mark.parametrize("mode", [CORRECTED, PAPER_LITERAL])
+    def test_no_table_until_read(self, mode):
+        # Construction computes and checks every block but keeps none, and the point
+        # estimate keeps its factors: together less than one m x m table.
+        m = 2000
+        rng = np.random.default_rng(4)
+        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((2, m + 1)))
+        noise = NoiseModel(variances=np.full(2, 1e-4))
+        pinv = synthetic_pinv(m, 2, seed=4)
+        tracemalloc.start()
+        try:
+            estimate_operator_moments(snaps, noise, mode=mode, pinv=pinv)
+            dmd_point_estimate(snaps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m
+
+    @pytest.mark.parametrize("m", [96, 203])
+    @pytest.mark.parametrize("mode", [CORRECTED, PAPER_LITERAL])
+    def test_every_read_has_the_same_bits(self, monkeypatch, m, mode):
+        # .first, .second_central, .operator and rows(a, b) against the whole-table
+        # formulas, taken on the same row blocks at one BLAS thread (m = 203 is no
+        # multiple of 8; test_bits_match_whole_tables covers whole tables).
+        rng = np.random.default_rng(m)
+        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((3, m + 1)))
+        noise = NoiseModel(variances=np.full(3, 1e-4))
+        pinv = synthetic_pinv(m, 3, seed=m)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 7 * m)  # blocks of at most 7 rows
+        blocks = numerics.row_blocks(m, m)
+        assert len(blocks) > 1
+        scale = pinv.second_raw @ noise.variances
+        point = dmd_point_estimate(snaps)
+        with numerics._one_blas_thread():
+            parts = [whole_tables(PinvMoments(pinv.first[a:b], pinv.second_raw[a:b]), snaps,
+                                  noise, mode, scale[a:b]) for a, b in blocks]
+            want_point = np.concatenate([snaps.states.T[a:b] @ point.solved for a, b in blocks])
+        want_first, want_second = (np.concatenate(tables) for tables in zip(*parts))
+        moments = estimate_operator_moments(snaps, noise, mode=mode, pinv=pinv)
+        with numerics._one_blas_thread():
+            rows = [moments.rows(a, b) for a, b in blocks]
+            point_rows = [point.rows(a, b) for a, b in blocks]
+        assert np.array_equal(np.concatenate([r[0] for r in rows]), want_first)
+        assert np.array_equal(np.concatenate([r[1] for r in rows]), want_second)
+        assert np.array_equal(np.concatenate(point_rows), want_point)
+        assert np.array_equal(moments.first, want_first)
+        assert np.array_equal(moments.second_central, want_second)
+        assert np.array_equal(point.operator, want_point)
+
+    def test_tables_are_built_once(self, small_system):
+        snaps, noise = small_system
+        moments = estimate_operator_moments(snaps, noise)
+        point = dmd_point_estimate(snaps)
+        assert moments.first is moments.first
+        assert moments.second_central is moments.second_central
+        assert point.operator is point.operator
 
     def test_paper_literal_count_and_minimum_logged(self, monkeypatch, caplog):
         snaps = snapshots_from_trajectory_matrix([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]])
@@ -319,7 +378,7 @@ class TestOperatorMomentsChecks:
         tables[table][3, 1] = np.inf
         tables[table][4, 0] = np.nan
         with pytest.raises(DimensionMismatch, match=rf"{table}\[3, 1\] = inf"):
-            OperatorMoments(variance_mode=CORRECTED, **tables)
+            check_tables(mode=CORRECTED, **tables)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_kernel_names_the_non_finite_entry(self):
@@ -336,4 +395,4 @@ class TestOperatorMomentsChecks:
     def test_non_square_and_empty_rejected(self):
         for table in (np.zeros(3), np.zeros((0, 0))):
             with pytest.raises(DimensionMismatch, match="one non-empty 2-D shape"):
-                OperatorMoments(first=table, second_central=table, variance_mode=CORRECTED)
+                check_tables(first=table, second_central=table, mode=CORRECTED)

@@ -43,6 +43,7 @@ def test_array_dataclasses_compare_by_identity():
 
     from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots
     from dmduq.operator_moments import CORRECTED, OperatorMoments
+    from dmduq.pinv_moments import PinvMoments
 
     holders = [
         cls
@@ -56,12 +57,13 @@ def test_array_dataclasses_compare_by_identity():
     assert [cls.__name__ for cls in holders if cls.__eq__ is not object.__eq__] == []
 
     trajectory = RawTrajectory(times=np.arange(4.0), samples=np.arange(8.0).reshape(2, 4))
+    pinv = PinvMoments(np.eye(2), np.eye(2))
     pairs = [
         (NoiseModel(np.array([1.0, 2.0])), NoiseModel(np.array([1.0, 2.0]))),
         (trajectory, RawTrajectory(times=trajectory.times, samples=trajectory.samples)),
         (build_snapshots(trajectory), build_snapshots(trajectory)),
-        (OperatorMoments(np.eye(2), np.eye(2), CORRECTED),
-         OperatorMoments(np.eye(2), np.eye(2), CORRECTED)),
+        (OperatorMoments(pinv, np.eye(2), np.ones(2), CORRECTED),
+         OperatorMoments(pinv, np.eye(2), np.ones(2), CORRECTED)),
     ]
     for a, b in pairs:
         assert (a == b) is False

@@ -9,7 +9,8 @@ from scipy.integrate import trapezoid
 from dmduq import numerics
 from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
 from dmduq.numerics import eigenvalue_rows
-from dmduq.operator_moments import CORRECTED, OperatorMoments
+from dmduq.operator_moments import OperatorMoments
+from dmduq.pinv_moments import PinvMoments
 from dmduq.spectral import (
     density_peak,
     eigen_moments,
@@ -194,7 +195,7 @@ class TestSliceWorkersReentry:
         outcome = []
 
         def build(lo=0, hi=0):
-            return OperatorMoments(np.eye(2), np.eye(2), CORRECTED)
+            return OperatorMoments(PinvMoments(np.eye(2), np.eye(2)), np.eye(2), np.ones(2))
 
         def nested():
             try:
@@ -250,13 +251,9 @@ class TestEigenMoments:
         # Sampling from zero-variance moment tables must give the point
         # spectrum with zero variance at every index.
         from dmduq.monte_carlo import sample_operator_instances
-        from dmduq.operator_moments import CORRECTED, OperatorMoments
 
         mean = np.array([[0.0, 1.0], [-4.0, 0.0]])
-        moments = OperatorMoments(
-            first=mean, second_central=np.zeros((2, 2)), variance_mode=CORRECTED
-        )
-        instances = sample_operator_instances(moments, count=16, seed=1)
+        instances = sample_operator_instances(mean, np.zeros((2, 2)), count=16, seed=1)
         out = eigen_moments(eigen_samples(instances))
         assert np.allclose(out.mean, [2.0j, -2.0j], atol=1e-12)
         assert np.allclose(out.variance_re, 0.0)
