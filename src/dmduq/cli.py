@@ -10,8 +10,8 @@ emitted as machine-readable JSON on stderr with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .data_model import NoiseModel, build_snapshots, estimate_noise, format_rows, load_csv
-from .data_model import save_csv, write_csv
+from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
+from .data_model import load_csv, replacing, save_csv, write_csv
 from .errors import ConfigError, DmduqError, ParseError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
@@ -54,7 +54,7 @@ _COMPARED = (
 
 
 class _Table(NamedTuple):
-    """An m x m table that :func:`_write_json` formats one row block ``rows(a, b)`` at a time."""
+    """An m x m table that the JSON emitter formats one row block ``rows(a, b)`` at a time."""
 
     shape: tuple
     rows: Callable
@@ -69,69 +69,65 @@ class _Table(NamedTuple):
         return np.concatenate(list(self.blocks()))
 
 
-def dumps_json(obj, precision: int = 17) -> str:
-    """Recursive JSON emitter with deterministic key order and float format."""
-
-    def emit(node) -> str:
-        if node is None:
-            return "null"
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if isinstance(node, (int, np.integer)):
-            return str(int(node))
-        if isinstance(node, (float, np.floating)):
-            return format_rows([float(node)], precision)[0]
-        if isinstance(node, str):
-            return json.dumps(node)
-        if isinstance(node, (list, tuple)):
-            return "[" + ",".join(emit(v) for v in node) + "]"
-        if isinstance(node, np.ndarray):
-            if node.dtype.kind == "f" and node.ndim and node.size:
-                return emit_float_array(node)
-            return emit(node.tolist())
-        if isinstance(node, dict):
-            parts = []
-            for key, value in node.items():
-                if not isinstance(key, str):
-                    raise ConfigError("JSON keys must be strings")
-                parts.append(json.dumps(key) + ":" + emit(value))
-            return "{" + ",".join(parts) + "}"
+def _emit(write, node, precision: int) -> None:
+    """Pass the JSON text of ``node`` to ``write`` piece by piece, with deterministic key
+    order and float format; float arrays and ``_Table`` values go by :func:`_emit_floats`."""
+    if isinstance(node, _Table) or (isinstance(node, np.ndarray) and node.dtype.kind == "f"
+                                    and node.ndim and node.size):
+        _emit_floats(write, node, precision)
+    elif isinstance(node, np.ndarray):
+        _emit(write, node.tolist(), precision)
+    elif isinstance(node, dict):
+        for i, (key, value) in enumerate(node.items()):
+            if not isinstance(key, str):
+                raise ConfigError("JSON keys must be strings")
+            write(("," if i else "{") + json.dumps(key) + ":")
+            _emit(write, value, precision)
+        write("}" if node else "{}")
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            write("," if i else "[")
+            _emit(write, value, precision)
+        write("]" if node else "[]")
+    elif node is None or isinstance(node, (bool, str)):
+        write(json.dumps(node))
+    elif isinstance(node, (int, np.integer)):
+        write(str(int(node)))
+    elif isinstance(node, (float, np.floating)):
+        write(format_rows([float(node)], precision)[0])
+    else:
         raise ConfigError(f"cannot serialize {type(node).__name__} to JSON")
 
-    def emit_float_array(array: np.ndarray) -> str:
-        # One format string per innermost row, then nest the rows by shape.
-        parts = ["[" + row + "]" for row in format_rows(array, precision)]
-        for size in reversed(array.shape[:-1]):
-            groups = range(0, len(parts), size)
-            parts = ["[" + ",".join(parts[i : i + size]) + "]" for i in groups]
-        return parts[0]
 
-    return emit(obj) + "\n"
+def _emit_floats(write, array, precision: int) -> None:
+    """Nested lists of a non-empty float array, or of a ``_Table`` by its row blocks, written
+    per :func:`format_blocks` block: no more than one block's text is held at a time."""
+    if len(array.shape) > 2:
+        for i, item in enumerate(array):
+            write("," if i else "[")
+            _emit_floats(write, item, precision)
+        write("]")
+        return
+    blocks = array.blocks() if isinstance(array, _Table) else [np.atleast_2d(array)]
+    write("[" * len(array.shape))
+    for k, rows in enumerate(rows for block in blocks for rows in format_blocks(block, precision)):
+        write(("],[" if k else "") + "],[".join(rows))
+    write("]" * len(array.shape))
+
+
+def dumps_json(obj, precision: int = 17) -> str:
+    """``obj`` as JSON text, with deterministic key order and float format."""
+    text = io.StringIO()
+    _emit(text.write, obj, precision)
+    return text.getvalue() + "\n"
 
 
 def _write_json(path, payload: dict, precision: int) -> None:
-    """Write ``payload`` as :func:`dumps_json` does, a ``_Table`` value one row block at a
-    time, to a file beside ``path`` that replaces it only when complete."""
-    path = Path(path)
-    part = path.with_name(f".{path.name}.{os.getpid()}.part")
-    try:
-        with open(part, "w", encoding="utf-8") as handle:
-            for i, (key, value) in enumerate(payload.items()):
-                handle.write(("," if i else "{") + json.dumps(key) + ":")
-                if not isinstance(value, _Table):
-                    handle.write(dumps_json(value, precision)[:-1])
-                    continue
-                for k, block in enumerate(value.blocks()):
-                    rows = format_rows(block, precision)
-                    handle.write(("," if k else "[") + ",".join(f"[{row}]" for row in rows))
-                handle.write("]")
-            handle.write("}\n")
-        os.replace(part, path)
-    except BaseException as exc:  # no partial file; an OSError names the file asked for
-        part.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(part):
-            exc.filename = str(path)
-        raise
+    """Write ``payload`` as :func:`dumps_json` does, streamed, to a file beside ``path``
+    that replaces it only when complete."""
+    with replacing(path) as handle:
+        _emit(handle.write, payload, precision)
+        handle.write("\n")
 
 
 def _load_json(path):

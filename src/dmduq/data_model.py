@@ -10,7 +10,10 @@ construction and freely shareable across threads.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -263,19 +266,55 @@ def format_rows(table: np.ndarray, precision: int = 17) -> list[str]:
     return [fmt % tuple(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
 
 
+_FORMAT_VALUES = 8192  # values per format_rows call, so no whole table's text is held
+
+
+def format_blocks(rows: np.ndarray, precision: int = 17):
+    """:func:`format_rows` of a 2-D float array, yielded as lists of row texts for at
+    most ``_FORMAT_VALUES`` values each; a longer row is formatted in pieces, joined."""
+    width = rows.shape[1]
+    step = max(1, _FORMAT_VALUES // max(1, width))
+    for a in range(0, len(rows), step):
+        if width <= _FORMAT_VALUES:
+            yield format_rows(rows[a : a + step], precision)
+        else:  # one row, in pieces
+            yield [",".join(format_rows(rows[a, j : j + _FORMAT_VALUES], precision)[0]
+                            for j in range(0, width, _FORMAT_VALUES))]
+
+
+@contextmanager
+def replacing(path):
+    """A text handle on a file beside ``path`` that replaces ``path`` only when the
+    block completes; on any error the file is removed and ``path`` left as it was."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(part, path)
+    except BaseException as exc:  # no partial file; an OSError names the file asked for
+        part.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(part):
+            exc.filename = str(path)
+        raise
+
+
 def write_csv(
     path, header: list[str], table: np.ndarray, precision: int = 17, index: bool = False
 ) -> None:
-    """Write a header line, then one :func:`format_rows` line per row of ``table``.
+    """Write a header line, then one :func:`format_rows` line per row of ``table``, by
+    :func:`format_blocks` blocks, into a file that replaces ``path`` when complete.
 
     With ``index`` every row starts with its 0-based row number.
     """
-    rows = format_rows(table, precision)
-    if index:
-        rows = [f"{i},{row}" for i, row in enumerate(rows)]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replacing(path) as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(row + "\n" for row in rows)
+        done = 0
+        for rows in format_blocks(np.atleast_2d(np.asarray(table, dtype=float)), precision):
+            if index:
+                rows = [f"{i},{row}" for i, row in enumerate(rows, done)]
+                done += len(rows)
+            handle.write("".join(row + "\n" for row in rows))
 
 
 def save_csv(trajectory: RawTrajectory, path) -> None:

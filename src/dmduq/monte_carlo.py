@@ -19,10 +19,11 @@ Two sampling modes:
 
 Trials draw from streams keyed by (master_seed, trial index) and run in chunks
 sized by the problem shape only.  A chunk's trials are drawn in one slice per
-BLAS thread and its power sums added, by blocks of table rows, into one running
-accumulator pair: the bits do not depend on the thread count, and memory does
-not grow with the number of trials.  Independent-mode column draws pass through
-row-block-sized scratch, so no chunk of m n^2 draws is held.
+BLAS thread.  Its operators are then formed one block of table rows at a time,
+and each block's power sums join one running accumulator pair: the bits do not
+depend on the thread count, and memory does not grow with the number of trials.
+Independent-mode column draws pass through row-block-sized scratch, so a chunk
+holds neither its m n^2 draws nor its m x m operators.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import numerics
 from .numerics import map_row_blocks, product_eigenvalues, slice_workers, spd_solve
 from .operator_moments import gram_factor
 from .pinv_moments import _check_inputs, gram_complement_inverses
-from .spectral import EigenSampleSet, eigen_samples
+from .spectral import EigenSampleSet, pulled_spectra
 
 logger = logging.getLogger(__name__)
 
@@ -132,7 +133,8 @@ def _restart(rng: np.random.Generator, master_seed: int, trial: int) -> np.rando
 def _chunk_size(m: int, n: int) -> int:
     # Trials per chunk, from the problem shape only.  A chunk's power sums join the
     # running sums as one partial sum, so the chunk size fixes the rounding and must
-    # not change; hence the m n^2 term, though no buffer holds a chunk's draws.
+    # not change; hence the m n^2 and m^2 terms, though no buffer holds a chunk's
+    # draws or operators.
     return max(1, min(4096, numerics._CHUNK_SCALARS // max(m * n * n, m * m)))
 
 
@@ -143,10 +145,11 @@ class _MomentAccumulator:
         self.shift = shift
         self.sums = [np.zeros_like(shift) for _ in range(4)]
 
-    def add_block(self, values: np.ndarray, lo: int, hi: int) -> None:
-        # Elements lo:hi of the first axis, each summed over the trials in order,
-        # so any split gives the same bits.  Overwrites ``values[:, lo:hi]``.
-        d = values[:, lo:hi]
+    def add_block(self, d: np.ndarray, lo: int) -> None:
+        # ``d`` holds elements lo:lo + d.shape[1] of the first axis for each trial; each
+        # is summed over the trials in order, so any split gives the same bits.
+        # Overwrites ``d``.
+        hi = lo + d.shape[1]
         d -= self.shift[lo:hi]
         d2 = d * d
         self.sums[0][lo:hi] += d.sum(axis=0)
@@ -198,7 +201,7 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
     n_trials = config.trials
     chunk = min(_chunk_size(m, n), n_trials)
     independent = config.sampling_mode == INDEPENDENT
-    op_buf, y_buf = np.empty((chunk, m, m)), np.empty((chunk, n, m))
+    y_buf = np.empty((chunk, n, m))
     if independent:
         r_stack, singular = gram_complement_inverses(X, ridge, np.arange(m))
         if singular:
@@ -260,7 +263,6 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
                         pinv_buf[lo + i] = np.linalg.solve(grams[i], x_t[i]).T
                     except np.linalg.LinAlgError:
                         failed.append(start + lo + i)
-        np.matmul(pinv_buf[lo:hi], y_buf[lo:hi], out=op_buf[lo:hi])
         return failed
 
     pinv_acc, op_acc = _MomentAccumulator(pinv_point), _MomentAccumulator(operator_point)
@@ -272,17 +274,23 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
             count = min(chunk, n_trials - start)
             failed = sum(map_slices(lambda lo, hi: sample_slice(start, lo, hi), count), [])
             failed_count += len(failed)
-            pinv_tables, y_draws, operators = pinv_buf[:count], y_buf[:count], op_buf[:count]
+            pinv_tables, y_draws = pinv_buf[:count], y_buf[:count]
             if failed:  # dropped; the rest in C order, as the per-trial solves were
                 ok = np.isin(np.arange(start, start + count), failed, invert=True)
-                pinv_tables = np.ascontiguousarray(pinv_tables[ok])
-                y_draws, operators = y_draws[ok], pinv_tables @ y_draws[ok]
+                pinv_tables, y_draws = np.ascontiguousarray(pinv_tables[ok]), y_draws[ok]
             if config.compute_eigenvalues:  # before add_block overwrites the tables
                 eig_parts += map_slices(lambda lo, hi: product_eigenvalues(
                     pinv_tables[lo:hi], y_draws[lo:hi]), len(pinv_tables))
-            map_row_blocks(map_slices, lambda a, b: (pinv_acc.add_block(pinv_tables, a, b),
-                                                     op_acc.add_block(operators, a, b)),
-                           m, len(operators) * m)
+
+            def add_rows(a: int, b: int) -> None:
+                # Operator rows a:b round as in the whole-chunk product, provided the
+                # product has two rows or more: numpy sends one row through gemv.
+                lo = min(a, m - 2) if b - a == 1 else a
+                operators = pinv_tables[:, lo : max(b, lo + 2)] @ y_draws
+                op_acc.add_block(operators[:, a - lo : b - lo], a)
+                pinv_acc.add_block(pinv_tables[:, a:b], a)  # last: it overwrites the tables
+
+            map_row_blocks(map_slices, add_rows, m, len(pinv_tables) * m)
 
         if failed_count > _FAILURE_FRACTION * n_trials:
             raise TooManyFailedTrials(
@@ -309,15 +317,14 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
     )
 
 
-def _instance_blocks(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,
-                     clamp_negative: bool, block: int):
-    """Validate the variances, then iterate ``(start, instances)`` blocks of at most ``block``.
+def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,
+                    clamp_negative: bool):
+    """Validate the variances, then return ``take(start, stop)``, which draws the next
+    ``stop - start`` of ``count`` instances from the one ``trial_rng(seed, 0)`` stream.
 
     Entry (i, j) of each instance is N(first[i][j], second_central[i][j]), for
-    tables checked as by ``operator_moments.check_tables``.  All blocks come in
-    order from the one ``trial_rng(seed, 0)`` stream, so they concatenate to a
-    single draw of ``count`` instances bit for bit.  Every block is a view of
-    one buffer that the next block overwrites.
+    tables checked as by ``operator_moments.check_tables``.  Batches taken in
+    order concatenate to a single draw of ``count`` instances bit for bit.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
@@ -329,19 +336,15 @@ def _instance_blocks(first: np.ndarray, second_central: np.ndarray, count: int, 
         )
     if negatives:
         logger.warning("clamping %d negative variance element(s) to zero", negatives)
-    std = np.sqrt(np.clip(second_central, 0.0, None))
-    rng = trial_rng(seed, 0)
+    std, rng = np.sqrt(np.clip(second_central, 0.0, None)), trial_rng(seed, 0)
 
-    def blocks():
-        buf = np.empty((min(block, count),) + std.shape)
-        for start in range(0, count, block):
-            draws = buf[: min(block, count - start)]
-            rng.standard_normal(out=draws)
-            draws *= std
-            draws += first
-            yield start, draws
+    def take(start: int, stop: int) -> np.ndarray:
+        draws = rng.standard_normal((stop - start,) + std.shape)
+        draws *= std
+        draws += first
+        return draws
 
-    return blocks()
+    return take
 
 
 def sample_operator_instances(first: np.ndarray, second_central: np.ndarray, count: int,
@@ -352,26 +355,17 @@ def sample_operator_instances(first: np.ndarray, second_central: np.ndarray, cou
     Negative variances beyond -1e-12 raise unless clamping is enabled, in
     which case they are clamped to zero with a logged per-element count.
     """
-    return next(_instance_blocks(first, second_central, count, seed, clamp_negative, count))[1]
+    return _instance_draws(first, second_central, count, seed, clamp_negative)(0, count)
 
 
 def sample_operator_spectra(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,
                             clamp_negative: bool = False) -> EigenSampleSet:
-    """Sorted spectra of ``count`` instances drawn as by :func:`sample_operator_instances`.
+    """Sorted spectra of ``count`` instances drawn as by :func:`sample_operator_instances`,
+    bit for bit ``eigen_samples(sample_operator_instances(...))``.
 
-    Bit-identical to ``eigen_samples(sample_operator_instances(...))``, but
-    instances are drawn and eigendecomposed in chunks of at most
-    ``numerics._CHUNK_SCALARS`` entries, so memory holds one chunk plus the
-    ``count x m`` complex spectra, whatever ``count`` is.  Each chunk is
-    eigendecomposed across the BLAS threads by :func:`eigen_samples`.
+    Each worker of :func:`spectral.pulled_spectra` draws its own batch, in turn,
+    so memory holds a batch per worker plus the ``count x m`` spectra, whatever
+    ``count`` is.
     """
-    m = len(first)
-    blocks = _instance_blocks(first, second_central, count, seed, clamp_negative,
-                              _chunk_size(m, 1))
-    samples = np.empty((count, m), dtype=complex)
-    representative = np.empty(count, dtype=complex)
-    for start, instances in blocks:
-        part = eigen_samples(instances, first_index=start)
-        samples[start : start + len(instances)] = part.samples
-        representative[start : start + len(instances)] = part.representative_lambda1
-    return EigenSampleSet(samples=samples, representative_lambda1=representative)
+    take = _instance_draws(first, second_central, count, seed, clamp_negative)
+    return pulled_spectra(count, len(first), take)

@@ -238,11 +238,7 @@ def eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
     its position in the stack, so a caller working through a longer sequence
     in chunks reports the index in the whole sequence.
     """
-    return finite_eigenvalue_rows(finite_stack(stack, first_index), first_index)
-
-
-def finite_eigenvalue_rows(stack: np.ndarray, first_index: int = 0) -> np.ndarray:
-    """:func:`eigenvalue_rows` of a stack that :func:`finite_stack` has already checked."""
+    stack = finite_stack(stack, first_index)
     try:
         values = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:

@@ -200,26 +200,6 @@ def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimat
     return DmdEstimate(X.T, solved, Spectrum(eigenvalues=product_eigenvalues(X.T, solved)))
 
 
-def operator_first_moment(
-    pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel | None = None
-) -> np.ndarray:
-    """Mean table: first[i][j] = sum_k M1x[i][k] * Y[k][j]."""
-    variances = None if noise is None else noise.variances
-    return OperatorMoments(pinv, snapshots.shifted, variances).first
-
-
-def operator_second_moment(
-    pinv: PinvMoments, snapshots: SnapshotSet, noise: NoiseModel, mode: str = CORRECTED
-) -> np.ndarray:
-    """Spread table under the selected variance assembly.
-
-    In paper_literal mode negative entries are counted and logged, never
-    silently altered; this mode exists for fidelity, corrected mode for
-    verification.
-    """
-    return OperatorMoments(pinv, snapshots.shifted, noise.variances, mode).second_central
-
-
 def estimate_operator_moments(
     snapshots: SnapshotSet,
     noise: NoiseModel,

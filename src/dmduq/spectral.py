@@ -10,12 +10,14 @@ handle but is out of scope here.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, DimensionMismatch, TooFewSamples
-from .numerics import _one_blas_thread, finite_eigenvalue_rows, finite_stack, slice_workers
+from . import numerics
+from .errors import DegenerateData, DimensionMismatch, DmduqError, TooFewSamples
+from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, slice_workers
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,25 +65,57 @@ class Kde2d:
     bandwidth_im: float
 
 
+# np.linalg.eigvals holds the GIL on a stack of fewer than about this many matrix rows
+# (numpy 2.4: one to three 200 x 200 matrices, or one 400 x 400), so workers that each
+# took so few would take turns.
+_EIGVALS_ROWS = 1000
+
+
+def pulled_spectra(count: int, m: int, take, first_index: int = 0) -> EigenSampleSet:
+    """Sorted spectra of ``count`` m x m instances across ``slice_workers``, each worker taking
+    the next batch ``take(start, stop)`` under a lock and checking and eigendecomposing it
+    outside, with BLAS at one thread.  A batch is about a table row block, and at least
+    ``_EIGVALS_ROWS`` rows.  Failures name the instance as ``first_index`` plus its position;
+    after one no batch is taken, those taken finish, and the lowest instance's is raised."""
+    batch = max(numerics._CHUNK_SCALARS // 32 // (m * m), -(-_EIGVALS_ROWS // m))
+    lock, starts, failures = threading.Lock(), iter(range(0, count, batch)), []
+    samples = np.empty((count, m), dtype=complex)
+
+    def pull(lo: int, hi: int) -> None:  # not a slice: batches are taken until none is left
+        while True:
+            with lock:
+                start = next(starts, None)
+                if start is None or failures:
+                    return
+                stop = min(start + batch, count)
+                instances = take(start, stop)
+            try:
+                samples[start:stop] = eigenvalue_rows(instances, first_index + start)
+            except DmduqError as exc:
+                failures.append((start, exc))
+            del instances  # before the next batch is taken
+
+    with slice_workers() as map_slices:
+        try:
+            map_slices(pull, -(-count // batch))
+        finally:  # after an interrupt too, no batch is taken before the pool is shut down
+            starts = iter(())
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    top = samples[:, 0]
+    return EigenSampleSet(samples, np.where(top.imag < 0, np.conj(top), top))
+
+
 def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet:
-    """Eigendecompose a stack of square matrices into sorted spectra.
+    """:func:`pulled_spectra` of a stack of square matrices, checked for finite entries first.
 
     Failures name the instance as ``first_index`` plus its position in the
-    stack, for callers that pass one chunk of a longer sequence.  The stack is
-    checked for finite entries once; then contiguous slices, one per BLAS
-    thread, are eigendecomposed concurrently with BLAS held at one thread, so
-    the spectra do not depend on the thread setting.
+    stack, for callers that pass one chunk of a longer sequence.
     """
     stack = finite_stack(instances, first_index)
-    with slice_workers() as map_slices:
-        rows = map_slices(lambda lo, hi: finite_eigenvalue_rows(stack[lo:hi], first_index + lo),
-                          len(stack))
-    ordered = np.concatenate(rows)
-    if ordered.shape[0] < 1:
+    if len(stack) < 1:
         raise TooFewSamples("need at least one instance")
-    top = ordered[:, 0]
-    representative = np.where(top.imag < 0, np.conj(top), top)
-    return EigenSampleSet(samples=ordered, representative_lambda1=representative)
+    return pulled_spectra(len(stack), stack.shape[1], lambda a, b: stack[a:b], first_index)
 
 
 def eigen_moments(sample_set: EigenSampleSet) -> EigenMoments:

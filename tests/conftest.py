@@ -11,6 +11,8 @@ import numpy as np
 from mpmath import mp
 
 import dmduq
+import dmduq.numerics
+import dmduq.spectral
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots
 from dmduq.pinv_moments import context_from_parts
 
@@ -58,6 +60,12 @@ def fixed_blas_workers(count):
         yield count
 
     return one_blas_thread
+
+
+def spectra_batches(monkeypatch, size, m):
+    """Make ``spectral.pulled_spectra`` take batches of ``size`` m x m instances."""
+    monkeypatch.setattr(dmduq.numerics, "_CHUNK_SCALARS", 32 * size * m * m)
+    monkeypatch.setattr(dmduq.spectral, "_EIGVALS_ROWS", 1)
 
 
 def openblas_thread_controls():

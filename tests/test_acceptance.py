@@ -18,7 +18,7 @@ import dmduq as dq
 from dmduq.data_model import RawTrajectory
 from dmduq.monte_carlo import sample_operator_instances
 from dmduq.numerics import cholesky, gauss_laguerre_nodes
-from dmduq.operator_moments import CORRECTED, PAPER_LITERAL, operator_second_moment
+from dmduq.operator_moments import CORRECTED, PAPER_LITERAL, OperatorMoments
 from dmduq.pinv_moments import QuadratureConfig, context_from_parts, moment_integrands
 from dmduq.spectral import (
     EigenSampleSet,
@@ -156,7 +156,7 @@ def test_criterion_4_zero_noise_collapse():
     X = snaps.states
     pinv = X.T @ np.linalg.inv(X @ X.T)
     gap_first = np.abs(table.first - pinv).max()
-    spread = operator_second_moment(table, snaps, noise, mode=CORRECTED)
+    spread = OperatorMoments(table, snaps.shifted, noise.variances, CORRECTED).second_central
     assert gap_first <= 1e-6
     assert spread.max() <= 1e-8
     print(

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import run_cli, run_python
 
-from dmduq import cli, numerics
+from dmduq import cli, data_model, numerics
 from dmduq.cli import dumps_json, main
 from dmduq.config import load_config
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, format_rows, load_csv
@@ -69,6 +70,21 @@ class TestDumpsJson:
         text = dumps_json({"m": np.array([[1.0, 2.0]])})
         assert json.loads(text)["m"] == [[1.0, 2.0]]
 
+    def test_written_payload_streamed(self, tmp_path):
+        # A 1000 x 1000 table, nested in a dict, is 8 MB of floats and some 23 MB of
+        # text; written block by block, the writer holds one block's text.
+        big = np.random.default_rng(0).standard_normal((1000, 1000))
+        payload = {"n": 3, "nested": {"table": big, "list": [0.5, None]}}
+        out = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            cli._write_json(out, payload, 17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert out.read_text(encoding="utf-8") == dumps_json(payload)
+
 
 # Float arrays covering the edge cases of %g formatting: signed zero,
 # subnormals, the extremes of the double range and values needing all 17 digits.
@@ -94,6 +110,17 @@ class TestRowFormatter:
         array = FLOAT_ARRAYS[index]
         want = dumps_json({"a": array.tolist()}, precision)
         assert dumps_json({"a": array}, precision) == want
+
+    @pytest.mark.parametrize("index", range(len(FLOAT_ARRAYS)))
+    def test_small_blocks_match_per_value_path(self, index, monkeypatch, tmp_path):
+        # Blocks of at most 3 values: rows of 4 or more go in pieces, and the items
+        # of a 3-D array go one after another, a row or a piece at a time.
+        array = FLOAT_ARRAYS[index]
+        want = dumps_json({"a": array.tolist()})
+        monkeypatch.setattr(data_model, "_FORMAT_VALUES", 3)
+        assert dumps_json({"a": array}) == want
+        cli._write_json(tmp_path / "a.json", {"a": array}, 17)
+        assert (tmp_path / "a.json").read_text(encoding="utf-8") == want
 
     @pytest.mark.parametrize("precision", [1, 6, 17])
     def test_rows_match_per_value_format(self, precision):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmduq import data_model
 from dmduq.data_model import (
     NoiseModel,
     RawTrajectory,
@@ -10,8 +11,10 @@ from dmduq.data_model import (
     estimate_noise,
     load_csv,
     save_csv,
+    write_csv,
 )
 from dmduq.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyWindow,
     HeaderMismatch,
@@ -184,6 +187,31 @@ class TestCsv:
         path.write_text("time,x1\n0.0,1.0\n0.5,2.0")
         traj = load_csv(path)
         assert traj.samples.shape == (1, 2)
+
+
+    def test_indexed_rows_across_blocks(self, tmp_path, monkeypatch):
+        # Blocks of 2 rows of 3 values: the row numbers run on across blocks.
+        monkeypatch.setattr(data_model, "_FORMAT_VALUES", 7)
+        table = np.arange(15.0).reshape(5, 3) / 7.0
+        path = tmp_path / "t.csv"
+        write_csv(path, ["index", "a", "b", "c"], table, index=True)
+        rows = [f"{i}," + ",".join("%.17g" % v for v in row) for i, row in enumerate(table)]
+        assert path.read_text(encoding="utf-8") == "\n".join(["index,a,b,c", *rows]) + "\n"
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        # 30,000 values go out in 4 blocks; a non-finite value in the last raises
+        # ConfigError after the first three are written, and leaves no file behind.
+        table = np.full((10_000, 3), 1.0 / 3.0)
+        table[-1, -1] = np.inf
+        path = tmp_path / "kde.csv"
+        with pytest.raises(ConfigError, match="non-finite"):
+            write_csv(path, ["a", "b", "c"], table)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"earlier output\n")
+        with pytest.raises(ConfigError, match="non-finite"):
+            write_csv(path, ["a", "b", "c"], table)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"earlier output\n"
 
 
 class TestDecimateTrajectory:

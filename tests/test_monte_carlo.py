@@ -1,12 +1,15 @@
 import logging
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fixed_blas_workers, openblas_threads, snapshots_from_trajectory_matrix
+from conftest import (
+    fixed_blas_workers, openblas_threads, snapshots_from_trajectory_matrix, spectra_batches,
+)
 
-from dmduq import monte_carlo, numerics
+from dmduq import monte_carlo, numerics, spectral
 from dmduq.data_model import NoiseModel
 from dmduq.errors import (
     ConfigError,
@@ -81,8 +84,8 @@ class TestTrialRng:
 
 class TestChunkSize:
     def test_operator_stack_within_budget(self):
-        # At m = 200, n = 2 the m x m operators, not the m n^2 draws, set
-        # the working set of a chunk.
+        # At m = 200, n = 2 the m x m term, not the m n^2 one, sets the chunk
+        # size, which fixes the rounding; no buffer holds the chunk's operators.
         assert _chunk_size(200, 2) * 200**2 <= numerics._CHUNK_SCALARS
 
     def test_draws_within_budget(self):
@@ -372,7 +375,7 @@ class TestRunMcWorkers:
         shift = np.asfortranarray(rng.standard_normal((9, 5)))
         acc = monte_carlo._MomentAccumulator(shift)
         values = shift + 0.1 * rng.standard_normal((6, 9, 5))
-        acc.add_block(values, 0, 9)
+        acc.add_block(values, 0)
         count, c = 6, shift
         s1, s2, s3, s4 = (s / count for s in acc.sums)
         dvar = np.maximum((acc.sums[1] - acc.sums[0] ** 2 / count) / (count - 1), 0.0)
@@ -403,7 +406,7 @@ class TestRunMcWorkers:
         m, rows = 200, 4
         rng = np.random.default_rng(1)
         acc = monte_carlo._MomentAccumulator(rng.standard_normal((m, m)))
-        acc.add_block(rng.standard_normal((3, m, m)), 0, m)
+        acc.add_block(rng.standard_normal((3, m, m)), 0)
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * rows * m)
 
         def serial(fn, count):
@@ -468,8 +471,8 @@ def _whole_chunk_reference(snaps, noise, cfg):
                 pinv, y = np.ascontiguousarray(pinv.transpose(0, 2, 1)), y[ok]
         eig.append(product_eigenvalues(pinv, y))
         operators = pinv @ y
-        accs[0].add_block(pinv, 0, m)
-        accs[1].add_block(operators, 0, m)
+        accs[0].add_block(pinv, 0)
+        accs[1].add_block(operators, 0)
 
     def serial(fn, count):
         return [fn(0, count)]
@@ -559,6 +562,27 @@ class TestRunMcBlocks:
         assert peak < draws_bytes
 
 
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_operators_not_held_per_chunk(self, monkeypatch, mode):
+        # m = 200, n = 2: one chunk of 100 trials, whose m x m operators would take
+        # 32 MB.  Formed one row block at a time, the run holds the accumulators,
+        # the statistics tables and a few row blocks per worker, about 7 MB on 2.
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
+        rng = np.random.default_rng(3)
+        n, m, trials = 2, 200, 100
+        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((n, m + 1)))
+        noise = NoiseModel(variances=np.full(n, 1e-4))
+        assert _chunk_size(m, n) == trials
+        operators_bytes = trials * m * m * 8
+        tracemalloc.start()
+        try:
+            run_mc(snaps, noise, McConfig(trials=trials, master_seed=1, sampling_mode=mode))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < operators_bytes / 3
+
+
 class TestSampleOperatorInstances:
     def test_zero_variance_returns_mean(self):
         first = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -595,19 +619,32 @@ def _random_moments(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestSampleOperatorSpectra:
+    @pytest.mark.parametrize("m, count, calls", [
+        (200, 7, [5, 2]), (400, 7, [3, 3, 1]), (20, 400, [312, 88]),
+    ])
+    def test_batch_size(self, monkeypatch, m, count, calls):
+        # A table row block of instances (1.25e5 scalars: 312 at m = 20), but at least
+        # 1000 matrix rows: 5 instances at m = 200 and 3 at m = 400.
+        seen, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(len(a)) or eigvals(a))
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
+        first = np.zeros((m, m))
+        sample_operator_spectra(first, np.zeros_like(first), count=count, seed=0)
+        assert seen == calls
+
     @pytest.mark.parametrize("chunk", [1, 3, 10])
     def test_equals_unchunked_reference(self, monkeypatch, chunk):
-        # Chunks of 1, 3 (a short last chunk) and all 10 instances must give
+        # Batches of 1, 3 (a short last batch) and all 10 instances must give
         # the spectra of one draw of every instance, bit for bit.
         moments = _random_moments(5, seed=0)
         want = eigen_samples(sample_operator_instances(*moments, count=10, seed=4))
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * 5 * 5)
+        spectra_batches(monkeypatch, chunk, 5)
         got = sample_operator_spectra(*moments, count=10, seed=4)
         assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
 
     def test_failure_names_global_instance(self, monkeypatch):
-        # Instance 5 sits at position 2 of the second chunk of 3.
+        # Instance 5 sits at position 2 of the second batch of 3.
         moments = _random_moments(4, seed=1)
         target = sample_operator_instances(*moments, count=8, seed=2)[5]
         eigvals = np.linalg.eigvals
@@ -618,26 +655,56 @@ class TestSampleOperatorSpectra:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigvals(a)
 
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 3 * 4 * 4)
+        spectra_batches(monkeypatch, 3, 4)
         monkeypatch.setattr(np.linalg, "eigvals", fails_on_target)
-        with pytest.raises(ConvergenceFailure, match="instance 5"):
-            sample_operator_spectra(*moments, count=8, seed=2)
-        # Split over 2 or 3 workers, the chunk's slices are [3], [4, 5] or
-        # [3], [4], [5]: the failing slice is the second or the third.
-        for workers in (2, 3):
+        # Over 1, 2 or 3 workers, whichever worker takes the second batch.
+        for workers in (1, 2, 3):
             monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
             with pytest.raises(ConvergenceFailure, match="instance 5"):
                 sample_operator_spectra(*moments, count=8, seed=2)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_of_two_failures_named(self, monkeypatch, workers):
+        # Batches of one: instances 3 and 8 fail.  Instance 3 fails slowly, so with
+        # two or more workers instance 8 fails first, on another worker; instance 3
+        # was taken before it, finishes, and is the one named.
+        moments = _random_moments(4, seed=1)
+        instances = sample_operator_instances(*moments, count=12, seed=2)
+        eigvals, seen = np.linalg.eigvals, []
+
+        def fails_on_targets(a):
+            stack = np.asarray(a).reshape((-1, 4, 4))
+            for index in (3, 8):
+                if any(np.array_equal(matrix, instances[index]) for matrix in stack):
+                    if index == 3 and workers > 1:
+                        time.sleep(0.2)
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            seen.append(next(i for i, x in enumerate(instances) if np.array_equal(x, stack[0])))
+            return eigvals(a)
+
+        spectra_batches(monkeypatch, 1, 4)
+        monkeypatch.setattr(np.linalg, "eigvals", fails_on_targets)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
+        with pytest.raises(ConvergenceFailure, match="at instance 3:"):
+            sample_operator_spectra(*moments, count=12, seed=2)
+        if workers == 1:  # no batch is taken after the failure
+            assert seen == [0, 1, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_bits_independent_of_workers(self, monkeypatch, workers):
-        # Chunks of 3, 3 and 2 instances; the last is shorter than 3 workers.
+        # 12 batches of 2 instances.  8 workers, more than the cores, with a short
+        # switch interval: a batch taken twice or skipped would change the bits.
         moments = _random_moments(5, seed=6)
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
-        want = eigen_samples(sample_operator_instances(*moments, count=8, seed=1))
+        want = eigen_samples(sample_operator_instances(*moments, count=24, seed=1))
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 3 * 5 * 5)
-        got = sample_operator_spectra(*moments, count=8, seed=1)
+        spectra_batches(monkeypatch, 2, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_operator_spectra(*moments, count=24, seed=1)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
 
@@ -647,18 +714,19 @@ class TestSampleOperatorSpectra:
             sample_operator_spectra(*moments, count=6, seed=0)
         with pytest.raises(ConfigError):
             sample_operator_spectra(*moments, count=0, seed=0, clamp_negative=True)
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 2 * 2 * 2)
+        spectra_batches(monkeypatch, 2, 2)
         with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
             sample_operator_spectra(*moments, count=6, seed=0, clamp_negative=True)
         assert len([r for r in caplog.records if "clamping" in r.message]) == 1
 
     def test_one_chunk_held(self, monkeypatch):
-        # 70 instances of 100 x 100 in chunks of 20 (20, 20, 20, 10): each chunk
-        # is drawn into the buffer of the one before, so the peak holds one
-        # chunk (1.6 MB) and its finiteness mask, the std table and the spectra.
-        m, count, chunk = 100, 70, 20
+        # 70 instances of 100 x 100 in batches of 10 over 2 workers: each worker
+        # draws every batch it takes into one buffer, so the peak holds two batches
+        # (1.6 MB) and their finiteness masks, the std table and the spectra.
+        m, count, chunk = 100, 70, 10
         moments = _random_moments(m, seed=4)
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * m * m)
+        spectra_batches(monkeypatch, chunk, m)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
         want = eigen_samples(sample_operator_instances(*moments, count=count, seed=2))
         tracemalloc.start()
         try:
@@ -666,15 +734,16 @@ class TestSampleOperatorSpectra:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * chunk * m * m * 8
+        assert peak < 1.5 * 2 * chunk * m * m * 8
         assert np.array_equal(got.samples, want.samples)
 
     def test_memory_bounded_by_chunk(self, monkeypatch):
-        # 2000 instances of 20 x 20 in chunks of 10: the whole stack would be
-        # 6.4 MB, one chunk is 32 kB and the kept spectra 640 kB.
+        # 2000 instances of 20 x 20 in batches of 10 per worker: the whole stack
+        # would be 6.4 MB, one batch is 32 kB and the kept spectra 640 kB.
         m, count, chunk = 20, 2000, 10
         moments = _random_moments(m, seed=3)
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", chunk * m * m)
+        spectra_batches(monkeypatch, chunk, m)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
         chunk_bytes = chunk * m * m * 8
         result_bytes = count * m * 16
         tracemalloc.start()

@@ -13,9 +13,8 @@ from dmduq.operator_moments import (
     PAPER_LITERAL,
     check_tables,
     dmd_point_estimate,
+    OperatorMoments,
     estimate_operator_moments,
-    operator_first_moment,
-    operator_second_moment,
 )
 from dmduq.pinv_moments import PinvMoments, pinv_moments
 from dmduq.systems import (
@@ -88,7 +87,7 @@ class TestOperatorFirstMoment:
         snaps, _ = small_system
         tiny = NoiseModel(variances=np.full(2, 1e-16))
         pinv = pinv_moments(snaps, tiny)
-        first = operator_first_moment(pinv, snaps, tiny)
+        first = OperatorMoments(pinv, snaps.shifted, tiny.variances).first
         point = dmd_point_estimate(snaps).operator
         assert np.abs(first - point).max() <= 1e-8
 
@@ -96,7 +95,8 @@ class TestOperatorFirstMoment:
         snaps, noise = small_system
         m, n = snaps.snapshot_count, snaps.state_count
         pinv = PinvMoments(first=np.zeros((m, n)), second_raw=np.zeros((m, n)))
-        assert np.array_equal(operator_first_moment(pinv, snaps, noise), np.zeros((m, m)))
+        first = OperatorMoments(pinv, snaps.shifted, noise.variances).first
+        assert np.array_equal(first, np.zeros((m, m)))
 
     def test_exact_linearity_in_shifted_snapshots(self, small_system):
         # Doubling Y doubles the mean table bit-exactly.
@@ -113,7 +113,7 @@ class TestOperatorFirstMoment:
         snaps, noise = small_system
         pinv = PinvMoments(first=np.zeros((3, 3)), second_raw=np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
-            operator_first_moment(pinv, snaps, noise)
+            OperatorMoments(pinv, snaps.shifted, noise.variances).first
 
 
 class TestOperatorSecondMoment:
@@ -121,29 +121,30 @@ class TestOperatorSecondMoment:
         # corrected - paper_literal == M2x @ Y^2, from the same inputs.
         snaps, noise = small_system
         pinv = pinv_moments(snaps, noise)
-        lit = operator_second_moment(pinv, snaps, noise, mode=PAPER_LITERAL)
-        cor = operator_second_moment(pinv, snaps, noise, mode=CORRECTED)
+        lit = OperatorMoments(pinv, snaps.shifted, noise.variances, PAPER_LITERAL).second_central
+        cor = OperatorMoments(pinv, snaps.shifted, noise.variances, CORRECTED).second_central
         gap = pinv.second_raw @ snaps.shifted**2
         assert np.allclose(cor - lit, gap, rtol=1e-13, atol=1e-15)
 
     def test_corrected_nonnegative(self, small_system):
         snaps, noise = small_system
         pinv = pinv_moments(snaps, noise)
-        cor = operator_second_moment(pinv, snaps, noise, mode=CORRECTED)
+        cor = OperatorMoments(pinv, snaps.shifted, noise.variances, CORRECTED).second_central
         assert cor.min() >= -1e-12
 
     def test_zero_noise_zero_spread(self, small_system):
         snaps, _ = small_system
         tiny = NoiseModel(variances=np.full(2, 1e-18))
         pinv = pinv_moments(snaps, tiny)
-        cor = operator_second_moment(pinv, snaps, tiny, mode=CORRECTED)
+        cor = OperatorMoments(pinv, snaps.shifted, tiny.variances, CORRECTED).second_central
         assert np.abs(cor).max() <= 1e-10
 
     def test_paper_literal_negatives_logged(self, small_system, caplog):
         snaps, noise = small_system
         pinv = pinv_moments(snaps, noise)
         with caplog.at_level(logging.WARNING, logger="dmduq.operator_moments"):
-            lit = operator_second_moment(pinv, snaps, noise, mode=PAPER_LITERAL)
+            lit = OperatorMoments(pinv, snaps.shifted, noise.variances, PAPER_LITERAL)
+            lit = lit.second_central
         if lit.min() < 0:
             assert any("negative" in rec.message for rec in caplog.records)
 
@@ -154,7 +155,7 @@ class TestOperatorSecondMoment:
         s2 = 0.04
         noise = NoiseModel(variances=np.array([s2]))
         pinv = pinv_moments(snaps, noise)
-        cor = operator_second_moment(pinv, snaps, noise, mode=CORRECTED)
+        cor = OperatorMoments(pinv, snaps.shifted, noise.variances, CORRECTED).second_central
         rng = np.random.default_rng(3)
         n_draws = 1_000_000
         # element (i=0, j=0): x+ row 0 times y_00 ~ N(Y[0,0], s2)
@@ -170,7 +171,7 @@ class TestOperatorSecondMoment:
         snaps, noise = small_system
         pinv = pinv_moments(snaps, noise)
         with pytest.raises(ConfigError):
-            operator_second_moment(pinv, snaps, noise, mode="bogus")
+            OperatorMoments(pinv, snaps.shifted, noise.variances, "bogus").second_central
 
 
 class TestEstimateOperatorMoments:
@@ -264,8 +265,10 @@ class TestRowBlockAssembly:
         got = estimate_operator_moments(snaps, noise, ridge=ridge, mode=mode, pinv=pinv)
         assert np.array_equal(got.first, want_first)
         assert np.array_equal(got.second_central, want_second)
-        assert np.array_equal(operator_first_moment(pinv, snaps, noise), want_first)
-        assert np.array_equal(operator_second_moment(pinv, snaps, noise, mode), want_second)
+        corrected = OperatorMoments(pinv, snaps.shifted, noise.variances)
+        assert np.array_equal(corrected.first, want_first)
+        fresh = OperatorMoments(pinv, snaps.shifted, noise.variances, mode)
+        assert np.array_equal(fresh.second_central, want_second)
         assert np.array_equal(dmd_point_estimate(snaps, ridge=ridge).operator, point)
 
     @pytest.mark.parametrize("m", [31, 203])
@@ -364,7 +367,8 @@ class TestRowBlockAssembly:
         pinv = PinvMoments(first=np.full((6, 1), 0.5), second_raw=np.full((6, 1), 0.25))
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 2 * 6)  # blocks of 2 rows
         with caplog.at_level(logging.WARNING, logger="dmduq.operator_moments"):
-            spread = operator_second_moment(pinv, snaps, noise, mode=PAPER_LITERAL)
+            moments = OperatorMoments(pinv, snaps.shifted, noise.variances, PAPER_LITERAL)
+            spread = moments.second_central
         assert spread.max() < 0
         message = f"paper_literal variance has 36 negative element(s); min {spread.min():.3e}"
         assert [rec.getMessage() for rec in caplog.records] == [message]

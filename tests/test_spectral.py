@@ -1,12 +1,14 @@
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
-from conftest import fixed_blas_workers, openblas_thread_controls
+from conftest import fixed_blas_workers, openblas_thread_controls, spectra_batches
 from scipy.integrate import trapezoid
 
-from dmduq import numerics
+from dmduq import numerics, spectral
 from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
 from dmduq.numerics import eigenvalue_rows
 from dmduq.operator_moments import OperatorMoments
@@ -81,18 +83,20 @@ class TestParallelEigenSamples:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bits_independent_of_workers(self, monkeypatch, workers, count):
         # Each matrix eigendecomposed on its own is the reference; stacks of 1
-        # and 2 are shorter than 3 workers.
+        # and 2 are shorter than 3 workers, and 7 makes 4 batches of 2.
         instances = np.random.default_rng(count).standard_normal((count, 6, 6))
         want = np.concatenate([eigenvalue_rows(matrix[None]) for matrix in instances])
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
+        spectra_batches(monkeypatch, 2, 6)
         got = eigen_samples(instances, first_index=4)
         assert np.array_equal(got.samples, want)
         assert np.array_equal(got.representative_lambda1.imag, np.abs(want[:, 0].imag))
 
     def test_first_failing_slice_is_reported(self, monkeypatch):
-        # Instances 1 and 4 fail, in the first and second of two slices.
+        # Instances 1 and 4 fail, in the first and second of two batches.
         instances = np.random.default_rng(0).standard_normal((6, 4, 4))
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
+        spectra_batches(monkeypatch, 3, 4)
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[1, 4]]))
         with pytest.raises(ConvergenceFailure, match="instance 11"):
             eigen_samples(instances, first_index=10)
@@ -101,14 +105,36 @@ class TestParallelEigenSamples:
             eigen_samples(instances, first_index=10)
 
     def test_finiteness_checked_before_split(self, monkeypatch):
-        # A non-finite matrix in the second slice is reported even though the
-        # first slice would fail to converge.
+        # A non-finite matrix in the second batch is reported even though the
+        # first batch would fail to converge.
         instances = np.random.default_rng(0).standard_normal((6, 4, 4))
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
+        spectra_batches(monkeypatch, 3, 4)
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[0]]))
         instances[5, 0, 0] = np.nan
         with pytest.raises(DimensionMismatch, match="instance 5"):
             eigen_samples(instances)
+
+
+class TestPulledSpectra:
+    def test_interrupt_stops_taking(self, monkeypatch):
+        # SIGINT reaches the main thread while it waits on the workers (batches of
+        # one, each taking 10 ms): the batches taken finish, no further one is
+        # taken, and the interrupt propagates.
+        spectra_batches(monkeypatch, 1, 4)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
+        taken, main = [], threading.main_thread().ident
+
+        def take(start, stop):
+            taken.append(start)
+            if start == 2:
+                signal.pthread_kill(main, signal.SIGINT)
+            time.sleep(0.01)
+            return np.tile(np.eye(4), (stop - start, 1, 1))
+
+        with pytest.raises(KeyboardInterrupt):
+            spectral.pulled_spectra(400, 4, take)
+        assert len(taken) < 100
 
 
 class TestBlasPin:
@@ -133,8 +159,9 @@ class TestBlasPin:
             return _EIGVALS(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", recording)
+        spectra_batches(monkeypatch, 2, 5)
         eigen_samples(np.random.default_rng(0).standard_normal((4, 5, 5)))
-        assert len(seen) == 2  # two workers, one slice each
+        assert len(seen) == 2  # two batches of two
         assert all(set(counts) == {1} for counts in seen)
         assert set(_blas_thread_counts()) == {2}
 
