@@ -14,7 +14,6 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,10 +21,10 @@ from . import __version__
 from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
 from .data_model import load_csv, replacing, save_csv, write_csv
-from .errors import ConfigError, DmduqError, ParseError, ShapeMismatch
+from .errors import ConfigError, DegenerateData, DmduqError, ParseError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
-from .numerics import _one_blas_thread, row_blocks
+from .numerics import RowTable
 from .operator_moments import (
     VARIANCE_MODES, check_tables, dmd_point_estimate, estimate_operator_moments,
 )
@@ -53,26 +52,10 @@ _COMPARED = (
 # Deterministic JSON with fixed-precision floats
 
 
-class _Table(NamedTuple):
-    """An m x m table that the JSON emitter formats one row block ``rows(a, b)`` at a time."""
-
-    shape: tuple
-    rows: Callable
-
-    def blocks(self):
-        for a, b in row_blocks(*self.shape):
-            with _one_blas_thread():  # so the block rounds as in the table's own pass
-                block = self.rows(a, b)
-            yield block
-
-    def __array__(self, dtype=None, copy=None):
-        return np.concatenate(list(self.blocks()))
-
-
 def _emit(write, node, precision: int) -> None:
     """Pass the JSON text of ``node`` to ``write`` piece by piece, with deterministic key
-    order and float format; float arrays and ``_Table`` values go by :func:`_emit_floats`."""
-    if isinstance(node, _Table) or (isinstance(node, np.ndarray) and node.dtype.kind == "f"
+    order and float format; float arrays and ``RowTable`` values go by :func:`_emit_floats`."""
+    if isinstance(node, RowTable) or (isinstance(node, np.ndarray) and node.dtype.kind == "f"
                                     and node.ndim and node.size):
         _emit_floats(write, node, precision)
     elif isinstance(node, np.ndarray):
@@ -100,7 +83,7 @@ def _emit(write, node, precision: int) -> None:
 
 
 def _emit_floats(write, array, precision: int) -> None:
-    """Nested lists of a non-empty float array, or of a ``_Table`` by its row blocks, written
+    """Nested lists of a non-empty float array, or of a ``RowTable`` by its row blocks, written
     per :func:`format_blocks` block: no more than one block's text is held at a time."""
     if len(array.shape) > 2:
         for i, item in enumerate(array):
@@ -108,7 +91,7 @@ def _emit_floats(write, array, precision: int) -> None:
             _emit_floats(write, item, precision)
         write("]")
         return
-    blocks = array.blocks() if isinstance(array, _Table) else [np.atleast_2d(array)]
+    blocks = array.blocks() if isinstance(array, RowTable) else [np.atleast_2d(array)]
     write("[" * len(array.shape))
     for k, rows in enumerate(rows for block in blocks for rows in format_blocks(block, precision)):
         write(("],[" if k else "") + "],[".join(rows))
@@ -208,9 +191,9 @@ def _moments_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "pinv_first": pinv.first,
         "pinv_second_raw": pinv.second_raw,
-        "operator_first": _Table(shape, lambda a, b: moments.rows(a, b, second=False)[0]),
-        "operator_second_central": _Table(shape, lambda a, b: moments.rows(a, b, False)[1]),
-        "operator_point": _Table(shape, point.rows),
+        "operator_first": RowTable(shape, moments.first_rows),
+        "operator_second_central": RowTable(shape, moments.second_rows),
+        "operator_point": RowTable(shape, point.rows),
         "variance_mode": moments.variance_mode,
         "metadata": {
             "config": cfg.to_dict(),
@@ -290,7 +273,7 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
         flat = decimate(matrix.ravel(), stride)
         try:
             return {"normalized": True, "values": min_max_normalize(flat)}
-        except DmduqError:
+        except DegenerateData:
             return {"normalized": False, "values": flat}
 
     return {

@@ -20,8 +20,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    EmptyWindow,
-    HeaderMismatch,
     NonUniformSampling,
     ParseError,
     TooFewSnapshots,
@@ -184,7 +182,7 @@ def estimate_noise(trajectory: RawTrajectory, window: tuple[float, float]) -> No
     mask = (trajectory.times >= t0) & (trajectory.times <= t1)
     count = int(mask.sum())
     if count < 2:
-        raise EmptyWindow(
+        raise ConfigError(
             f"window [{t0}, {t1}] contains {count} sample(s); need at least 2"
         )
     seg = trajectory.samples[:, mask]
@@ -214,10 +212,10 @@ def load_csv(path) -> RawTrajectory:
             try:
                 header = next(reader)
             except StopIteration:
-                raise HeaderMismatch("empty file") from None
+                raise ParseError("empty file") from None
             header = [h.strip() for h in header]
             if len(header) < 2 or header[0] != "time":
-                raise HeaderMismatch(
+                raise ParseError(
                     f"expected header 'time,<name1>,...', got {','.join(header)!r}"
                 )
             names = header[1:]

@@ -29,20 +29,12 @@ class ConvergenceFailure(DmduqError):
     code = "convergence_failure"
 
 
-class CountOutOfRange(DmduqError):
-    code = "count_out_of_range"
-
-
 class TooFewSnapshots(DmduqError):
     code = "too_few_snapshots"
 
 
 class NonUniformSampling(DmduqError):
     code = "non_uniform_sampling"
-
-
-class EmptyWindow(DmduqError):
-    code = "empty_window"
 
 
 class ZeroVariance(DmduqError):
@@ -56,10 +48,6 @@ class ParseError(DmduqError):
         super().__init__(message)
         self.row = row
         self.column = column
-
-
-class HeaderMismatch(DmduqError):
-    code = "header_mismatch"
 
 
 class SingularV(DmduqError):
@@ -107,18 +95,6 @@ class DegenerateData(DmduqError):
 
 class ShapeMismatch(DmduqError):
     code = "shape_mismatch"
-
-
-class ZeroNormCosine(DmduqError):
-    code = "zero_norm_cosine"
-
-
-class ConstantInput(DmduqError):
-    code = "constant_input"
-
-
-class UnstableStep(DmduqError):
-    code = "unstable_step"
 
 
 class ConfigError(DmduqError):

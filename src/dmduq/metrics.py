@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConstantInput, ShapeMismatch, ZeroNormCosine
+from .errors import ConfigError, DegenerateData, ShapeMismatch
 from .numerics import _one_blas_thread
 
 
@@ -41,7 +41,7 @@ def compare(estimated: np.ndarray, reference: np.ndarray) -> ComparisonReport:
         norm_ref = float(np.linalg.norm(ref))
         inner = float(np.vdot(est.ravel(), ref.ravel()))
     if norm_est == 0.0 or norm_ref == 0.0:
-        raise ZeroNormCosine("cosine undefined for a zero matrix")
+        raise DegenerateData("cosine undefined for a zero matrix")
     cosine = inner / (norm_est * norm_ref)
     return ComparisonReport(rmse=rmse, mae=mae, frobenius=frob, cosine=cosine, shape=est.shape)
 
@@ -51,7 +51,7 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     lo, hi = float(v.min()), float(v.max())
     if hi == lo:
-        raise ConstantInput("min-max scaling undefined for constant input")
+        raise DegenerateData("min-max scaling undefined for constant input")
     return (v - lo) / (hi - lo)
 
 

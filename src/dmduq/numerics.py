@@ -8,7 +8,10 @@ for semi-infinite integrals weighted by ``exp(-p)``.  All functions are pure
 and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
 thread around the calls whose bits would otherwise depend on the BLAS thread
 setting, and ``slice_workers`` spreads such calls over one worker thread per
-BLAS thread; ``map_row_blocks`` hands them the row blocks of a table.
+BLAS thread; ``map_row_blocks`` hands them the row blocks of a table.  A
+``RowTable`` is an m x m table read from its row source by those blocks, each
+at one BLAS thread, so it has the same bits whether it is built whole or
+written out block by block.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -23,13 +26,14 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (
     AsymmetricInput,
+    ConfigError,
     ConvergenceFailure,
-    CountOutOfRange,
     DimensionMismatch,
     NotPositiveDefinite,
 )
@@ -121,6 +125,28 @@ def map_row_blocks(map_slices, fn, count: int, width: int) -> list:
     blocks = row_blocks(count, width)
     parts = map_slices(lambda lo, hi: [fn(a, b) for a, b in blocks[lo:hi]], len(blocks))
     return [result for part in parts for result in part]
+
+
+class RowTable(NamedTuple):
+    """A ``shape`` table whose rows a:b are ``rows(a, b, out=None)`` (written into ``out`` when
+    given), read by :func:`row_blocks`, each block at one BLAS thread."""
+
+    shape: tuple
+    rows: Callable
+
+    def blocks(self):
+        """The row blocks in order, one at a time; BLAS is pinned while each is made, never
+        across a ``yield``, so a consumer that stops or raises leaves no pin held."""
+        for a, b in row_blocks(*self.shape):
+            with _one_blas_thread():
+                block = self.rows(a, b)
+            yield block
+
+    def __array__(self, dtype=None, copy=None):
+        table = np.empty(self.shape)
+        with slice_workers() as map_slices:
+            map_row_blocks(map_slices, lambda a, b: self.rows(a, b, table[a:b]), *self.shape)
+        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +324,7 @@ def gauss_laguerre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     computed once per process and returned as read-only arrays.
     """
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= 256:
-        raise CountOutOfRange(f"node count must be in [1, 256], got {count!r}")
+        raise ConfigError(f"node count must be in [1, 256], got {count!r}")
     return _laguerre_rule(int(count))
 
 

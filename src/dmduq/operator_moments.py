@@ -20,9 +20,11 @@ which is nonnegative up to roundoff and is what the Monte Carlo oracle can
 confirm.
 
 Every table is a product of m x n and n x m factors, so ``OperatorMoments``
-and ``DmdEstimate`` hold the factors and form an m x m table only when it is
-read.  Tables are computed by row blocks across ``numerics.slice_workers``,
-each block checked while it is in cache.  Blocks are cut by the table's shape
+and ``DmdEstimate`` hold the factors and give each table as a row source
+``rows(a, b, out=None)``: ``first_rows``, ``second_rows`` and ``rows``.  A
+table is formed only when it is read, as a ``numerics.RowTable`` of its row
+source.  Construction checks each row block of both tables while it is in
+cache, across ``numerics.slice_workers``.  Blocks are cut by the table's shape
 alone, so the bits do not depend on the thread count, nor on whether a block
 is kept, written out or only checked.
 """
@@ -38,7 +40,7 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite, SingularGram
 from .numerics import (
-    Spectrum, cholesky, map_row_blocks, product_eigenvalues, slice_workers, spd_solve,
+    RowTable, Spectrum, cholesky, map_row_blocks, product_eigenvalues, slice_workers, spd_solve,
 )
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
@@ -64,10 +66,7 @@ class DmdEstimate:
 
     @functools.cached_property
     def operator(self) -> np.ndarray:
-        operator = np.empty((len(self.states_t), self.solved.shape[1]))
-        with slice_workers() as map_slices:
-            map_row_blocks(map_slices, lambda a, b: self.rows(a, b, operator[a:b]), *operator.shape)
-        return operator
+        return np.asarray(RowTable((len(self.states_t), self.solved.shape[1]), self.rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,61 +94,56 @@ class OperatorMoments:
         # Formed once for every block: c = M2x @ var and Y**2.
         self.__dict__.update(_scale=None if var is None else self.pinv.second_raw @ var,
                              _y_sq=Y**2, shape=(len(self.pinv.first), Y.shape[1]))
-        negatives, low = _row_pass(self.rows, self.shape, self.variance_mode)
+        negatives, low = _row_pass(self.shape, self.variance_mode, self.first_rows,
+                                   None if var is None else self.second_rows)
         if self.variance_mode == PAPER_LITERAL and negatives:
             logger.warning("paper_literal variance has %d negative element(s); min %.3e",
                            negatives, low)
 
-    def rows(self, a: int, b: int, first=True, second=True, out=(None, None)):
-        """Rows a:b of the asked tables (else None), into ``out`` where given.  With c = M2x @
-        var: ``first = M1x @ Y``, ``second_central = c[:, None] - M1x**2 @ Y**2 (+ M2x @ Y**2
-        if corrected)``."""
-        m1x, (mean, spread) = self.pinv.first[a:b], out
-        if second and self._scale is not None:
-            spread = np.matmul(m1x**2, self._y_sq, out=spread)
-            np.subtract(self._scale[a:b, None], spread, out=spread)
-            if self.variance_mode == CORRECTED:  # the mean rows, written next, hold this meanwhile
-                spread += np.matmul(self.pinv.second_raw[a:b], self._y_sq,
-                                    out=mean if first else None)
-        return np.matmul(m1x, self.shifted, out=mean) if first else None, spread
+    def first_rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows a:b of ``first = M1x @ Y``, into ``out`` when given."""
+        return np.matmul(self.pinv.first[a:b], self.shifted, out=out)
+
+    def second_rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows a:b of ``second_central = c[:, None] - M1x**2 @ Y**2 (+ M2x @ Y**2 if
+        corrected)``, c = M2x @ var, into ``out`` when given."""
+        spread = np.matmul(self.pinv.first[a:b] ** 2, self._y_sq, out=out)
+        np.subtract(self._scale[a:b, None], spread, out=spread)
+        if self.variance_mode == CORRECTED:
+            spread += self.pinv.second_raw[a:b] @ self._y_sq
+        return spread
 
     @functools.cached_property
     def first(self) -> np.ndarray:
-        return self._table(0)
+        return np.asarray(RowTable(self.shape, self.first_rows))
 
     @functools.cached_property
     def second_central(self) -> np.ndarray:
         if self.variances is None:
             raise ConfigError("second_central needs the noise variances")
-        return self._table(1)
-
-    def _table(self, index: int) -> np.ndarray:
-        table, asked = np.empty(self.shape), (index == 0, index == 1)
-        with slice_workers() as map_slices:
-            map_row_blocks(map_slices, lambda a, b: self.rows(
-                a, b, *asked, out=[table[a:b] if want else None for want in asked]), *self.shape)
-        return table
+        return np.asarray(RowTable(self.shape, self.second_rows))
 
 
-def _row_pass(rows, shape, mode: str) -> tuple[int, float]:
-    """Check each row block ``(first, second_central) = rows(a, b)`` (either may be None) of
-    ``shape`` tables as it is made, across ``slice_workers``.  Raises DimensionMismatch at the
-    first non-finite entry, by block, or a corrected-mode variance below -1e-12.  Returns the
-    number of negative entries of ``second_central`` and its minimum (0, inf if None)."""
+def _row_pass(shape, mode: str, first_rows, second_rows=None) -> tuple[int, float]:
+    """Check each row block of the ``shape`` tables ``first`` and ``second_central`` (if
+    ``second_rows`` is given) as it is made, across ``slice_workers``: ``second_rows(a, b,
+    out)`` may write over the checked ``first`` block ``out``.  Raises DimensionMismatch at
+    the first non-finite entry, by block, or a corrected-mode variance below -1e-12.  Returns
+    the number of negative entries of ``second_central`` and its minimum (0, inf if None)."""
     if mode not in VARIANCE_MODES:
         raise ConfigError(f"unknown variance mode {mode!r}")
 
     def block(a: int, b: int):
-        tables = rows(a, b)
-        for name, table in zip(("first", "second_central"), tables):
-            if table is not None:
-                least = table.min()  # min and max propagate NaN
-                if not (np.isfinite(least) and np.isfinite(table.max())):
-                    (row, col), *_ = np.argwhere(~np.isfinite(table))
-                    return (name, a + row, col, table[row, col]), 0, np.inf
-        if tables[1] is None:
-            return None, 0, np.inf
-        return None, int(np.count_nonzero(tables[1] < 0)) if least < 0 else 0, least
+        table = None
+        for name, rows in (("first", first_rows), ("second_central", second_rows)):
+            if rows is None:
+                return None, 0, np.inf
+            table = rows(a, b, table)
+            least = table.min()  # min and max propagate NaN
+            if not (np.isfinite(least) and np.isfinite(table.max())):
+                (row, col), *_ = np.argwhere(~np.isfinite(table))
+                return (name, a + row, col, table[row, col]), 0, np.inf
+        return None, int(np.count_nonzero(table < 0)) if least < 0 else 0, least
 
     with slice_workers() as map_slices:
         parts = map_row_blocks(map_slices, block, *shape)
@@ -168,7 +162,8 @@ def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> No
     if first.shape != second_central.shape or first.ndim != 2 or not first.size:
         raise DimensionMismatch(f"moment tables {first.shape} and {second_central.shape} are "
                                 "not one non-empty 2-D shape")
-    _row_pass(lambda a, b: (first[a:b], second_central[a:b]), first.shape, mode)
+    _row_pass(first.shape, mode, lambda a, b, out: first[a:b],
+              lambda a, b, out: second_central[a:b])
 
 
 def gram_factor(X: np.ndarray, ridge: float) -> np.ndarray:

@@ -151,6 +151,11 @@ class PinvMoments:
         second = np.asarray(self.second_raw, dtype=float)
         if first.shape != second.shape:
             raise DimensionMismatch("moment tables must share a shape")
+        for name, table in (("first", first), ("second_raw", second)):
+            if not np.isfinite(table).all():
+                t, k = np.argwhere(~np.isfinite(table))[0]
+                raise DimensionMismatch(f"pseudoinverse moments must be finite: {name} at "
+                                        f"(t={t}, k={k}) = {table[t, k]}")
         gap = second - first**2
         if gap.min() < -JENSEN_SLACK:
             t, k = np.unravel_index(int(gap.argmin()), gap.shape)
@@ -341,17 +346,8 @@ def _adaptive(context: MgfContext, quad: QuadratureConfig, order: int) -> tuple[
     import scipy.integrate  # only this opt-in path needs scipy; importing it costs ~0.6 s
 
     rate = float(_decay_rate(context.pieces)[0])
-
-    def f(u: float) -> float:
-        p = u / rate
-        core_log, t_rb, t_rr = _kernel_pieces(context, np.array([p]))
-        envelope = float(np.exp(core_log[0] - p)) / rate
-        if order == 1:
-            return envelope * float(t_rb[0])
-        return p * envelope * float(t_rr[0] + t_rb[0] ** 2)
-
     out = scipy.integrate.quad(
-        f,
+        lambda u: float(moment_integrands(context, u / rate)[order - 1][0]) / rate,
         0.0,
         quad.p2_max,
         epsabs=0.0,

@@ -50,13 +50,6 @@ class EigenMoments:
 
 
 @dataclass(frozen=True, eq=False)
-class KdeCurve:
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-
-
-@dataclass(frozen=True, eq=False)
 class Kde2d:
     grid_re: np.ndarray
     grid_im: np.ndarray
@@ -158,18 +151,6 @@ def _axis_kernel(
     else:
         grid = np.asarray(grid, dtype=float)
     return h, grid, np.exp(-0.5 * ((grid[:, None] - v[None, :]) / h) ** 2)
-
-
-def kde(
-    values: np.ndarray,
-    bandwidth: float | None = None,
-    grid_points: int = 256,
-    grid: np.ndarray | None = None,
-) -> KdeCurve:
-    """Squared-exponential kernel density on a uniform grid (see :func:`_axis_kernel`)."""
-    h, grid, kernel = _axis_kernel(values, bandwidth, grid_points, grid)
-    density = kernel.sum(axis=1) / (kernel.shape[1] * h * np.sqrt(2.0 * np.pi))
-    return KdeCurve(grid=grid, density=density, bandwidth=h)
 
 
 def kde2d(

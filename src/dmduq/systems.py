@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import RawTrajectory
-from .errors import ConfigError, DimensionMismatch, UnstableStep
+from .errors import ConfigError, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def simulate_oscillator_network(params: OscillatorNetworkParams) -> RawTrajector
     D = np.diag(params.damping)
     max_eig = float(np.linalg.eigvalsh(K).max())
     if max_eig > 0 and params.dt > 0.1 / np.sqrt(max_eig):
-        raise UnstableStep(
+        raise ConfigError(
             f"dt={params.dt} exceeds 0.1/sqrt(max stiffness eigenvalue) = "
             f"{0.1 / np.sqrt(max_eig):.4g}"
         )

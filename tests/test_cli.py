@@ -278,7 +278,7 @@ class TestMoments:
         out = tmp_path / "moments.json"
         cli._write_json(out, payload, 17)
         dense = {key: np.asarray(value) for key, value in payload.items()
-                 if isinstance(value, cli._Table)}
+                 if isinstance(value, numerics.RowTable)}
         assert len(dense) == 3
         assert out.read_text(encoding="utf-8") == dumps_json({**payload, **dense})
         argv = ["moments", str(small_csv), "--noise-variances", "1e-6,1e-6", "--config", str(cfg)]
@@ -295,7 +295,7 @@ class TestMoments:
             block[-1, -1] = np.nan if b == m else 1.0
             return block
 
-        for bad in (np.array([1.0, np.nan]), cli._Table((m, m), rows)):
+        for bad in (np.array([1.0, np.nan]), numerics.RowTable((m, m), rows)):
             payload = {"big": np.full((m, m), 1.0 / 3.0), "bad": bad}
             out = tmp_path / "out.json"
             with pytest.raises(ConfigError, match="non-finite"):

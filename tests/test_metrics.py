@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmduq.errors import ConfigError, ConstantInput, ShapeMismatch, ZeroNormCosine
+from dmduq.errors import ConfigError, DegenerateData, ShapeMismatch
 from dmduq.metrics import compare, decimate, min_max_normalize
 
 
@@ -23,7 +23,7 @@ class TestCompare:
         assert report.frobenius == pytest.approx(np.sqrt(13.0))
 
     def test_zero_matrix_cosine_error(self):
-        with pytest.raises(ZeroNormCosine):
+        with pytest.raises(DegenerateData, match="cosine undefined for a zero matrix"):
             compare(np.zeros((1, 2)), np.array([[3.0, 4.0]]))
 
     def test_scale_invariant_cosine(self):
@@ -54,7 +54,7 @@ class TestMinMaxNormalize:
         assert np.allclose(min_max_normalize(np.array([1.0, 2.0, 3.0])), [0.0, 0.5, 1.0])
 
     def test_constant_rejected(self):
-        with pytest.raises(ConstantInput):
+        with pytest.raises(DegenerateData, match="min-max scaling undefined for constant input"):
             min_max_normalize(np.array([5.0, 5.0]))
 
     def test_affine_invariance(self):

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy.special import gammaln, roots_laguerre
 
+from dmduq import numerics
 from dmduq.errors import (
     AsymmetricInput,
+    ConfigError,
     ConvergenceFailure,
-    CountOutOfRange,
     DimensionMismatch,
     NotPositiveDefinite,
 )
 from dmduq.numerics import (
+    RowTable,
     Spectrum,
     cholesky,
     eigenvalue_rows,
@@ -295,8 +297,19 @@ class TestGaussLaguerre:
 
     @pytest.mark.parametrize("count", [0, -3, 257])
     def test_count_out_of_range(self, count):
-        with pytest.raises(CountOutOfRange):
+        with pytest.raises(ConfigError, match=r"node count must be in \[1, 256\]"):
             gauss_laguerre_nodes(count)
+
+
+class TestRowTable:
+    def test_pin_not_held_between_blocks(self):
+        # A consumer that stops mid-table, its generator still alive (as a traceback
+        # keeps it), leaves the BLAS pin free for this thread's next call.
+        blocks = RowTable((4, 4), lambda a, b, out=None: np.ones((b - a, 4))).blocks()
+        next(blocks)
+        with numerics._one_blas_thread():  # "not re-entrant" if the pin were still held
+            pass
+        blocks.close()
 
 
 class TestSignedLogSum:

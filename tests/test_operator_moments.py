@@ -325,7 +325,7 @@ class TestRowBlockAssembly:
     @pytest.mark.parametrize("m", [96, 203])
     @pytest.mark.parametrize("mode", [CORRECTED, PAPER_LITERAL])
     def test_every_read_has_the_same_bits(self, monkeypatch, m, mode):
-        # .first, .second_central, .operator and rows(a, b) against the whole-table
+        # .first, .second_central, .operator and their row sources against the whole-table
         # formulas, taken on the same row blocks at one BLAS thread (m = 203 is no
         # multiple of 8; test_bits_match_whole_tables covers whole tables).
         rng = np.random.default_rng(m)
@@ -344,10 +344,11 @@ class TestRowBlockAssembly:
         want_first, want_second = (np.concatenate(tables) for tables in zip(*parts))
         moments = estimate_operator_moments(snaps, noise, mode=mode, pinv=pinv)
         with numerics._one_blas_thread():
-            rows = [moments.rows(a, b) for a, b in blocks]
+            first_rows = [moments.first_rows(a, b) for a, b in blocks]
+            second_rows = [moments.second_rows(a, b) for a, b in blocks]
             point_rows = [point.rows(a, b) for a, b in blocks]
-        assert np.array_equal(np.concatenate([r[0] for r in rows]), want_first)
-        assert np.array_equal(np.concatenate([r[1] for r in rows]), want_second)
+        assert np.array_equal(np.concatenate(first_rows), want_first)
+        assert np.array_equal(np.concatenate(second_rows), want_second)
         assert np.array_equal(np.concatenate(point_rows), want_point)
         assert np.array_equal(moments.first, want_first)
         assert np.array_equal(moments.second_central, want_second)

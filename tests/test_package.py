@@ -1,5 +1,7 @@
 """The package root re-exports what the documented library workflow uses."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -26,6 +28,19 @@ def test_benchmark_names_are_exported():
     for path in (ROOT / "perfbench").glob("*.py"):
         used |= set(re.findall(r"\bdq\.(\w+)", path.read_text(encoding="utf-8")))
     assert used <= set(dmduq.__all__), sorted(used - set(dmduq.__all__))
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench's tracer wraps each "<module>.<function>" with getattr; one missing
+    # name breaks every traced benchmark run.
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.LAYER_FUNCTIONS
+    names = [name.split(".") for name in workloads.LAYER_FUNCTIONS]
+    missing = [(module, function) for module, function in names
+               if not hasattr(importlib.import_module(f"dmduq.{module}"), function)]
+    assert not missing, missing
 
 
 def test_all_names_resolve():

@@ -11,6 +11,7 @@ from scipy.integrate import quad, trapezoid
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots
 from dmduq.errors import (
     ConfigError,
+    DimensionMismatch,
     MomentComputationError,
     QuadratureNotConverged,
     SingularV,
@@ -353,6 +354,17 @@ class TestPinvMomentsTable:
     def test_jensen_violation_rejected(self):
         with pytest.raises(QuadratureNotConverged):
             PinvMoments(first=np.array([[1.0]]), second_raw=np.array([[0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("names", [["first"], ["second_raw"], ["first", "second_raw"]])
+    def test_non_finite_names_table_and_element(self, names, bad):
+        # The Jensen check passes a NaN gap: a NaN in either table, or inf in both.
+        tables = {"first": np.array([[0.1, 0.4], [0.2, 0.3]]),
+                  "second_raw": np.array([[0.02, 1.0], [0.05, 0.1]])}
+        for name in names:
+            tables[name][0, 1] = bad
+        with pytest.raises(DimensionMismatch, match=rf"{names[0]} at \(t=0, k=1\) = {bad}"):
+            PinvMoments(**tables)
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmduq.errors import ConfigError, UnstableStep
+from dmduq.errors import ConfigError
 from dmduq.systems import (
     OscillatorNetworkParams,
     SpringMassParams,
@@ -118,7 +118,7 @@ class TestOscillatorNetwork:
             duration=1.0,
             dt=0.05,
         )
-        with pytest.raises(UnstableStep):
+        with pytest.raises(ConfigError, match=r"dt=0.05 exceeds 0.1/sqrt\(max stiffness"):
             simulate_oscillator_network(params)
 
     def test_asymmetric_coupling_rejected(self):
