@@ -209,21 +209,12 @@ def _moments_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
 
 def _mc_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
     summary = run_mc(snapshots, noise, config=cfg.mc, ridge=cfg.ridge)
-    eigen = None
-    if summary.eigen_samples is not None:
-        eigen = {"re": summary.eigen_samples.real, "im": summary.eigen_samples.imag}
-    return {
+    eigen = summary.eigen_samples
+    return {  # McSummary and McStandardErrors field order
         "schema_version": SCHEMA_VERSION,
-        "pinv_mean": summary.pinv_mean,
-        "pinv_second_raw": summary.pinv_second_raw,
-        "operator_mean": summary.operator_mean,
-        "operator_variance": summary.operator_variance,
-        "standard_errors": vars(summary.standard_errors),  # McStandardErrors field order
-        "eigen_samples": eigen,
-        "trials": summary.trials,
-        "failed_trials": summary.failed_trials,
-        "sampling_mode": summary.sampling_mode,
-        "master_seed": summary.master_seed,
+        **vars(summary),
+        "standard_errors": vars(summary.standard_errors),
+        "eigen_samples": None if eigen is None else {"re": eigen.real, "im": eigen.imag},
         "metadata": {"config": cfg.to_dict(), "version": __version__},
     }
 
@@ -301,6 +292,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     cfg = _load_pipeline_config(args)
     keys = ["operator_first", "operator_second_central"]
     data = _read_payload(args.moments, keys, ["variance_mode"])

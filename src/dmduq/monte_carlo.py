@@ -37,8 +37,8 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
 from . import numerics
-from .numerics import map_row_blocks, product_eigenvalues, slice_workers, spd_solve
-from .operator_moments import gram_factor
+from .numerics import map_row_blocks, product_eigenvalues, slice_workers, spd_inverses
+from .operator_moments import gram_inverse
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, pulled_spectra
 
@@ -64,8 +64,12 @@ class McConfig:
             raise ConfigError(f"trials must be >= 2, got {self.trials}")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(f"unknown sampling mode {self.sampling_mode!r}")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ConfigError("master_seed must fit in 64 unsigned bits")
+        _check_seed(self.master_seed)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError("master_seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +93,8 @@ class McSummary:
     pinv_second_raw: np.ndarray
     operator_mean: np.ndarray
     operator_variance: np.ndarray
-    eigen_samples: np.ndarray | None
     standard_errors: McStandardErrors
+    eigen_samples: np.ndarray | None
     trials: int
     failed_trials: int
     sampling_mode: str
@@ -195,18 +199,17 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
     sigma_L = noise.covariance_factor
     y_std = np.sqrt(noise.variances)
 
-    pinv_point = spd_solve(gram_factor(X, ridge), X).T  # (m, n)
+    pinv_point = (gram_inverse(X, ridge) @ X).T  # (m, n)
     operator_point = pinv_point @ Y
 
     n_trials = config.trials
     chunk = min(_chunk_size(m, n), n_trials)
     independent = config.sampling_mode == INDEPENDENT
-    y_buf = np.empty((chunk, n, m))
+    y_buf, pinv_buf = np.empty((chunk, n, m)), np.empty((chunk, m, n))
     if independent:
         r_stack, singular = gram_complement_inverses(X, ridge, np.arange(m))
         if singular:
             raise singular[0][1]
-        pinv_buf = np.empty((chunk, m, n))
         # Draws go through scratch blocks of about a table row block's budget: runs of
         # whole trials where one fits, else columns t of one trial (Y after the last).
         budget, per_trial = max(1, numerics._CHUNK_SCALARS // 32), m * n * (n + 1)
@@ -214,14 +217,12 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         block_cols = m if per_trial <= budget else max(1, budget // (n * n))
     else:
         trajectory = snapshots.trajectory_columns()
-        # Laid out as np.linalg.solve returns X+.T: products round by layout.
-        pinv_buf = np.empty((chunk, n, m)).transpose(0, 2, 1)
         z_buf = np.empty((chunk, n, m + 1))
 
-    def sample_slice(start: int, lo: int, hi: int) -> list[int]:
-        """Fill rows ``lo:hi`` of the chunk buffers; return the trials with a singular Gram."""
+    def sample_slice(start: int, lo: int, hi: int) -> np.ndarray:
+        """Fill rows ``lo:hi`` of the chunk buffers; return which of those trials have a
+        Gram matrix with a Cholesky factor (all, in independent mode)."""
         rng = np.random.Generator(np.random.Philox(0))  # one per slice, reset per trial
-        failed = []
         if independent:
             trials, width = min(block_trials, hi - lo), block_cols * n * n
             z, x = np.empty((trials, width + n * m)), np.empty(trials * width)
@@ -245,39 +246,29 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
             y_draws = y_buf[lo:hi]
             y_draws *= y_std[:, None]
             y_draws += Y
-        else:
-            for i in range(lo, hi):
-                _restart(rng, config.master_seed, start + i)
-                rng.standard_normal(out=z_buf[i])
-            noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, z_buf[lo:hi])
-            x_t = noisy[:, :, :m]
-            y_buf[lo:hi] = noisy[:, :, 1:]
-            grams = x_t @ x_t.transpose(0, 2, 1)
-            if ridge:
-                grams = grams + ridge * np.eye(n)
-            try:
-                pinv_buf[lo:hi] = np.linalg.solve(grams, x_t).transpose(0, 2, 1)
-            except np.linalg.LinAlgError:
-                for i in range(hi - lo):
-                    try:
-                        pinv_buf[lo + i] = np.linalg.solve(grams[i], x_t[i]).T
-                    except np.linalg.LinAlgError:
-                        failed.append(start + lo + i)
-        return failed
+            return np.ones(hi - lo, dtype=bool)
+        for i in range(lo, hi):
+            _restart(rng, config.master_seed, start + i)
+            rng.standard_normal(out=z_buf[i])
+        noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, z_buf[lo:hi])
+        x_t = noisy[:, :, :m]
+        y_buf[lo:hi] = noisy[:, :, 1:]
+        grams = x_t @ x_t.transpose(0, 2, 1)
+        grams += ridge * np.eye(n)
+        inverses, positive = spd_inverses(grams)
+        np.matmul(x_t.transpose(0, 2, 1), inverses, out=pinv_buf[lo:hi])
+        return positive
 
     pinv_acc, op_acc = _MomentAccumulator(pinv_point), _MomentAccumulator(operator_point)
     eig_parts, failed_count = [], 0
-    # One pool and one BLAS pin for the whole run, so the BLAS calls made
-    # between the maps (the failed-trial path) also run at one thread.
-    with slice_workers() as map_slices:
+    with slice_workers() as map_slices:  # one pool and one BLAS pin for the whole run
         for start in range(0, n_trials, chunk):
             count = min(chunk, n_trials - start)
-            failed = sum(map_slices(lambda lo, hi: sample_slice(start, lo, hi), count), [])
-            failed_count += len(failed)
+            ok = np.concatenate(map_slices(lambda lo, hi: sample_slice(start, lo, hi), count))
+            failed_count += count - int(ok.sum())
             pinv_tables, y_draws = pinv_buf[:count], y_buf[:count]
-            if failed:  # dropped; the rest in C order, as the per-trial solves were
-                ok = np.isin(np.arange(start, start + count), failed, invert=True)
-                pinv_tables, y_draws = np.ascontiguousarray(pinv_tables[ok]), y_draws[ok]
+            if not ok.all():  # trials whose Gram has no Cholesky factor are dropped
+                pinv_tables, y_draws = pinv_tables[ok], y_draws[ok]
             if config.compute_eigenvalues:  # before add_block overwrites the tables
                 eig_parts += map_slices(lambda lo, hi: product_eigenvalues(
                     pinv_tables[lo:hi], y_draws[lo:hi]), len(pinv_tables))
@@ -308,8 +299,8 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         pinv_second_raw=p_second,
         operator_mean=o_mean,
         operator_variance=o_var,
-        eigen_samples=eigen,
         standard_errors=McStandardErrors(p_se_mean, p_se_second, o_se_mean, o_se_var),
+        eigen_samples=eigen,
         trials=n_trials,
         failed_trials=failed_count,
         sampling_mode=config.sampling_mode,
@@ -328,6 +319,7 @@ def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, s
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
+    _check_seed(seed)
     negatives = int(np.count_nonzero(second_central < -1e-12))
     if negatives and not clamp_negative:
         raise NegativeVarianceInput(

@@ -1,8 +1,8 @@
 """Dense symmetric linear-algebra kernels with log-domain safety.
 
 These are the shared primitives for the moment computations: Cholesky
-factors with symmetry and definiteness checks, SPD solves and stacked SPD
-inverses, eigenvalue extraction with a deterministic total order (rank-n
+factors with symmetry and definiteness checks, stacked SPD inverses,
+eigenvalue extraction with a deterministic total order (rank-n
 products through their n x n factor product), and Gauss-Laguerre rules
 for semi-infinite integrals weighted by ``exp(-p)``.  All functions are pure
 and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
@@ -192,17 +192,6 @@ def cholesky(matrix: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"cholesky: {exc}") from exc
-
-
-def spd_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(L @ L.T) x = rhs`` for a Cholesky factor ``L``."""
-    b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != L.shape[0]:
-        raise DimensionMismatch(
-            f"rhs length {b.shape[0]} does not match factor dimension {L.shape[0]}"
-        )
-    inv_lower = lower_triangular_inverses(L[None])[0]
-    return inv_lower.T @ (inv_lower @ b)
 
 
 def spd_inverses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
-from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite, SingularGram
+from .errors import ConfigError, DimensionMismatch, SingularGram
 from .numerics import (
-    RowTable, Spectrum, cholesky, map_row_blocks, product_eigenvalues, slice_workers, spd_solve,
+    RowTable, Spectrum, map_row_blocks, product_eigenvalues, slice_workers, spd_inverses,
 )
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
@@ -166,18 +166,18 @@ def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> No
               lambda a, b, out: second_central[a:b])
 
 
-def gram_factor(X: np.ndarray, ridge: float) -> np.ndarray:
-    """Cholesky factor of ``X X.T + ridge I`` for a ridge the caller has checked.
+def gram_inverse(X: np.ndarray, ridge: float) -> np.ndarray:
+    """``inv(X X.T + ridge I)`` by :func:`numerics.spd_inverses`.
 
-    Raises SingularGram when the ridged Gram matrix is not positive definite.
+    Raises ConfigError for a negative ridge and SingularGram when the ridged
+    Gram matrix has no Cholesky factor.
     """
-    gram = X @ X.T
-    if ridge:
-        gram = gram + ridge * np.eye(X.shape[0])
-    try:
-        return cholesky(gram)
-    except NotPositiveDefinite as exc:
-        raise SingularGram(f"X X.T is rank deficient at ridge={ridge}; supply ridge > 0") from exc
+    if ridge < 0:
+        raise ConfigError(f"ridge must be >= 0, got {ridge}")
+    (inverse,), (positive,) = spd_inverses((X @ X.T + ridge * np.eye(len(X)))[None])
+    if not positive:
+        raise SingularGram(f"X X.T is rank deficient at ridge={ridge}; supply ridge > 0")
+    return inverse
 
 
 def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimate:
@@ -189,9 +189,7 @@ def dmd_point_estimate(snapshots: SnapshotSet, ridge: float = 0.0) -> DmdEstimat
     eigendecomposed.  For m <= n the m x m operator itself is.
     """
     X, Y = snapshots.states, snapshots.shifted
-    if ridge < 0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
-    solved = spd_solve(gram_factor(X, ridge), Y)
+    solved = gram_inverse(X, ridge) @ Y
     return DmdEstimate(X.T, solved, Spectrum(eigenvalues=product_eigenvalues(X.T, solved)))
 
 

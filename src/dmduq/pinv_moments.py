@@ -185,8 +185,7 @@ def gram_complement_inverses(
     gram = X @ X.T
     x = X.T[columns]
     V = gram - x[:, :, None] * x[:, None, :]
-    if ridge:
-        V = V + ridge * np.eye(n)
+    V += ridge * np.eye(n)
     R, positive = spd_inverses(0.5 * (V + V.transpose(0, 2, 1)))
     singular = np.asarray(columns)[~positive]
     if singular.size == 0:

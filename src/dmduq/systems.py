@@ -161,6 +161,8 @@ def random_network_params(
     damping: float = 0.0,
 ) -> OscillatorNetworkParams:
     """Ring-coupled network with seeded grounding-stiffness jitter."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     coupling = np.zeros((node_count, node_count))
     for i in range(node_count):

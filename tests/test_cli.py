@@ -747,3 +747,25 @@ class TestMalformedInput:
         argv += ["--out", str(tmp_path / "mc.json")]
         assert self.error_code(argv, capsys) == "config_error"
         assert not (tmp_path / "mc.json").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_network_seed_out_of_range(self, tmp_path, capsys, seed):
+        out = tmp_path / "net.csv"
+        argv = ["simulate", "network", "--nodes", "2", "--duration", "1", "--seed", str(seed)]
+        assert self.error_code(argv + ["--out", str(out)], capsys) == "config_error"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_spectrum_seed_out_of_range(self, outputs, tmp_path, capsys, seed):
+        # Outside [0, 2**64) a seed used to alias: -1 drew as 2**64 - 1 and 2**64 as 0.
+        out = tmp_path / "kde.csv"
+        argv = ["spectrum", str(outputs[0]), "--samples", "20", "--seed", str(seed)]
+        assert self.error_code(argv + ["--out", str(out)], capsys) == "config_error"
+        assert not out.exists()
+
+    def test_spectrum_one_sample(self, tmp_path, capsys):
+        # Rejected before the moments file is read: this one does not exist.
+        out = tmp_path / "kde.csv"
+        argv = ["spectrum", str(tmp_path / "missing.json"), "--samples", "1", "--out", str(out)]
+        assert self.error_code(argv, capsys) == "config_error"
+        assert not out.exists()

@@ -32,9 +32,9 @@ from dmduq.operator_moments import (
     CORRECTED,
     dmd_point_estimate,
     estimate_operator_moments,
-    gram_factor,
+    gram_inverse,
 )
-from dmduq.numerics import product_eigenvalues, spd_solve
+from dmduq.numerics import product_eigenvalues, spd_inverses
 from dmduq.pinv_moments import (
     QuadratureConfig,
     context_from_parts,
@@ -257,10 +257,10 @@ class TestRunMcStatistics:
     def test_all_trials_failing_aborts(self, toy_system, monkeypatch):
         snaps, noise = toy_system
 
-        def always_singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def no_factor(stack):
+            return np.full_like(stack, np.nan), np.zeros(len(stack), dtype=bool)
 
-        monkeypatch.setattr(np.linalg, "solve", always_singular)
+        monkeypatch.setattr(monte_carlo, "spd_inverses", no_factor)
         cfg = McConfig(trials=100, master_seed=0, sampling_mode=SHARED_TRAJECTORY)
         with pytest.raises(TooManyFailedTrials):
             run_mc(snaps, noise, cfg)
@@ -299,6 +299,30 @@ class TestSingularGram:
             run_mc(snaps, noise, cfg)
         summary = run_mc(snaps, noise, cfg, ridge=1e-2)
         assert np.all(np.isfinite(summary.operator_mean))
+
+    def test_rank_deficient_trial_dropped_without_ridge(self, toy_system, monkeypatch):
+        # Trial 9's first noisy state is exactly zero, so its Gram matrix has a zero
+        # row: no Cholesky factor at ridge 0, one at any ridge > 0.
+        snaps, _ = toy_system
+        m = snaps.states.shape[1]
+        noise = NoiseModel(variances=np.array([0.25, 0.25]))  # covariance factor 0.5 I, exactly
+        first_state = snaps.trajectory_columns()[0]
+
+        class Rigged(np.random.Generator):
+            def standard_normal(self, *args, out=None, **kwargs):
+                draws = super().standard_normal(*args, out=out, **kwargs)
+                if self.bit_generator.state["state"]["key"][1] == 9:
+                    draws[0] = -2.0 * first_state
+                return draws
+
+        monkeypatch.setattr(np.random, "Generator", Rigged)
+        cfg = McConfig(trials=120, master_seed=3, sampling_mode=SHARED_TRAJECTORY)
+        dropped = run_mc(snaps, noise, cfg)
+        assert dropped.failed_trials == 1
+        assert dropped.eigen_samples.shape == (119, m)
+        kept = run_mc(snaps, noise, cfg, ridge=1e-3)
+        assert kept.failed_trials == 0
+        assert kept.eigen_samples.shape == (120, m)
 
     def test_point_estimate(self, rank_one):
         snaps, _ = rank_one
@@ -348,15 +372,15 @@ class TestRunMcWorkers:
         sigma_l = np.linalg.cholesky(noise.covariance())
         x = (snaps.trajectory_columns() + sigma_l @ base)[:, :m]
         target = x @ x.T
-        solve = np.linalg.solve
+        cholesky = np.linalg.cholesky
 
-        def singular_on_target(a, b):
+        def singular_on_target(a):
             grams = np.asarray(a).reshape((-1, n, n))
             if any(np.allclose(g, target, rtol=1e-9, atol=0.0) for g in grams):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "solve", singular_on_target)
+        monkeypatch.setattr(np.linalg, "cholesky", singular_on_target)
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 7 * m * m)
         cfg = McConfig(trials=120, master_seed=3, sampling_mode=SHARED_TRAJECTORY)
         runs = []
@@ -438,7 +462,7 @@ def _whole_chunk_reference(snaps, noise, cfg):
     X, Y = snaps.states, snaps.shifted
     n, m = X.shape
     sigma_l, y_std = noise.covariance_factor, np.sqrt(noise.variances)
-    pinv_point = spd_solve(gram_factor(X, 0.0), X).T
+    pinv_point = (gram_inverse(X, 0.0) @ X).T
     accs = [monte_carlo._MomentAccumulator(c) for c in (pinv_point, pinv_point @ Y)]
     r_stack = gram_complement_inverses(X, 0.0, np.arange(m))[0]
     chunk, eig, failed = min(_chunk_size(m, n), cfg.trials), [], 0
@@ -456,19 +480,9 @@ def _whole_chunk_reference(snaps, noise, cfg):
                           for i in trials])
             noisy = snaps.trajectory_columns() + np.einsum("de,cem->cdm", sigma_l, z)
             x_t, y = noisy[:, :, :m], noisy[:, :, 1:]
-            grams, solved = x_t @ x_t.transpose(0, 2, 1), []
-            for gram, x in zip(grams, x_t):
-                try:
-                    solved.append(np.linalg.solve(gram, x))
-                except np.linalg.LinAlgError:
-                    solved.append(None)
-            ok = np.array([p is not None for p in solved])
+            inverses, ok = spd_inverses(x_t @ x_t.transpose(0, 2, 1))
             failed += int((~ok).sum())
-            pinv = np.stack([p for p in solved if p is not None])
-            if ok.all():  # as the batched solve lays X+ out
-                pinv = pinv.transpose(0, 2, 1)
-            else:
-                pinv, y = np.ascontiguousarray(pinv.transpose(0, 2, 1)), y[ok]
+            pinv, y = (x_t.transpose(0, 2, 1) @ inverses)[ok], y[ok]
         eig.append(product_eigenvalues(pinv, y))
         operators = pinv @ y
         accs[0].add_block(pinv, 0)
@@ -524,14 +538,14 @@ class TestRunMcBlocks:
         z = trial_rng(3, 9).standard_normal((n, m + 1))
         target = (snaps.trajectory_columns() + noise.covariance_factor @ z)[:, :m]
         target = target @ target.T
-        solve = np.linalg.solve
+        cholesky = np.linalg.cholesky
 
-        def singular_on_target(a, b):
+        def singular_on_target(a):
             if any(np.allclose(g, target, rtol=1e-9, atol=0.0) for g in np.reshape(a, (-1, n, n))):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "solve", singular_on_target)
+        monkeypatch.setattr(np.linalg, "cholesky", singular_on_target)
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 12)
         cfg = McConfig(trials=120, master_seed=3, sampling_mode=SHARED_TRAJECTORY)
         want = _whole_chunk_reference(snaps, noise, cfg)

@@ -22,7 +22,7 @@ from dmduq.numerics import (
     product_eigenvalues,
     signed_log_sum,
     sort_eigenvalue_rows,
-    spd_solve,
+    spd_inverses,
 )
 
 
@@ -59,30 +59,30 @@ class TestCholeskyLogdet:
             cholesky(np.linalg.inv(V))
 
 
-class TestSpdSolve:
-    def test_identity(self):
-        factor = cholesky(np.eye(3))
-        v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(spd_solve(factor, v), v)
-
-    def test_diagonal(self):
-        factor = cholesky(np.diag([2.0, 4.0]))
-        assert np.allclose(spd_solve(factor, np.array([2.0, 4.0])), [1.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        factor = cholesky(np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            spd_solve(factor, np.ones(4))
-
+class TestSpdInverses:
     @pytest.mark.parametrize("n", [5, 16, 64])
     def test_residual(self, n):
         rng = np.random.default_rng(n)
         B = rng.standard_normal((n, n))
         A = B @ B.T + np.eye(n)
         b = rng.standard_normal(n)
-        factor = cholesky(A)
-        x = spd_solve(factor, b)
+        (inverse,), (positive,) = spd_inverses(A[None])
+        assert positive
+        x = inverse @ b
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+
+    def test_no_factor_flagged_alone(self):
+        # An indefinite and a singular matrix get NaN and False; the others
+        # keep the bits they have when inverted on their own.
+        rng = np.random.default_rng(9)
+        B = rng.standard_normal((2, 4, 4))
+        good = B @ B.transpose(0, 2, 1) + np.eye(4)
+        stack = np.stack([good[0], np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros((4, 4)), good[1]])
+        inverses, positive = spd_inverses(stack)
+        assert positive.tolist() == [True, False, False, True]
+        assert np.isnan(inverses[1:3]).all()
+        for i, matrix in ((0, good[0]), (3, good[1])):
+            assert np.array_equal(inverses[i], spd_inverses(matrix[None])[0][0])
 
 
 def eigenvalues(matrix):
