@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
-from .data_model import load_csv, replacing, save_csv, write_csv
+from .data_model import decimate_trajectory, load_csv, replacing, save_csv, write_csv
 from .errors import ConfigError, DegenerateData, DmduqError, ParseError, ShapeMismatch
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
@@ -224,6 +224,8 @@ def _mc_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     if args.system == "spring-mass":
         x0 = tuple(_parse_floats(args.x0, "--x0", 2)) if args.x0 else (0.03, 0.01)
         params = SpringMassParams(
@@ -237,6 +239,7 @@ def cmd_simulate(args) -> int:
             coupling_strength=args.coupling_strength, damping=args.damping,
         )
         trajectory = simulate_oscillator_network(params)
+    trajectory = decimate_trajectory(trajectory, args.stride)
     save_csv(trajectory, args.out)
     rows, cols = trajectory.samples.shape
     print(f"wrote {args.out}: {cols} samples of {rows} state(s) at dt={trajectory.dt:g}")
@@ -378,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     network.add_argument("--damping", type=float, default=0.0)
     network.add_argument("--out", required=True)
     network.set_defaults(func=cmd_simulate)
+    for p in (spring, network):
+        p.add_argument("--stride", type=int, default=1, help="keep every stride-th sample")
 
     def add_noise_options(p):
         p.add_argument("--noise-window", type=str, default=None, help="'t_start:t_end' seconds")

@@ -25,7 +25,7 @@ from .errors import (
     TooFewSnapshots,
     ZeroVariance,
 )
-from .numerics import cholesky
+from .numerics import cholesky, lower_triangular_inverses
 
 UNIFORMITY_RTOL = 1e-9
 
@@ -125,12 +125,14 @@ class NoiseModel:
 
     Variances are homoscedastic in time: one sigma^2 per state, applied to
     every snapshot of that state.  ``covariance_factor`` is the lower
-    Cholesky factor of :meth:`covariance`, computed once here.
+    Cholesky factor of :meth:`covariance` and ``inverse_factor`` its inverse,
+    both computed once here.
     """
 
     variances: np.ndarray
     full_covariance: np.ndarray | None = None
     covariance_factor: np.ndarray = field(init=False, repr=False)
+    inverse_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = _readonly(self.variances).ravel()
@@ -147,7 +149,9 @@ class NoiseModel:
                 raise DimensionMismatch("covariance diagonal does not equal variances")
             object.__setattr__(self, "full_covariance", cov)
         # Raises NotPositiveDefinite if the full covariance is not SPD.
-        object.__setattr__(self, "covariance_factor", _readonly(cholesky(self.covariance())))
+        L = _readonly(cholesky(self.covariance()))
+        object.__setattr__(self, "covariance_factor", L)
+        object.__setattr__(self, "inverse_factor", _readonly(lower_triangular_inverses(L[None])[0]))
 
     def covariance(self) -> np.ndarray:
         if self.full_covariance is not None:

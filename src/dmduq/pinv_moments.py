@@ -34,9 +34,10 @@ integrand is bounded above by zero, so nothing overflows.
 All of this is computed per snapshot column t, for every k at once:
 within a column only ``g`` depends on k, so the decay rate, the envelope
 and the weights ``1 / (1 + 2 p2 lambda)`` are shared.  ``pinv_moments``
-runs one batched kernel over fixed-size blocks of columns: a stacked
-Cholesky of the Gram complements, a stacked whitening ``eigh``, and two
-matrix products per column for all k and all quadrature nodes.  The
+runs one batched kernel over blocks of columns sized by a memory budget
+(``_BLOCK_VALUES`` per kernel temporary; X X.T is formed once per call): a
+stacked Cholesky of the Gram complements, a stacked whitening ``eigh``, and
+two matrix products per column for all k and all quadrature nodes.  The
 element-level functions run the same kernel on a block of one column, so
 they agree with the tables.  Every column is computed from its own data
 only, so the tables do not depend on the block size or on scheduling.
@@ -60,7 +61,6 @@ from .errors import (
 )
 from .numerics import (
     gauss_laguerre_nodes,
-    lower_triangular_inverses,
     signed_log_sum,
     spd_inverses,
 )
@@ -70,9 +70,9 @@ JENSEN_SLACK = 1e-12
 GAUSS_LAGUERRE = "gauss_laguerre"
 ADAPTIVE_TRUNCATED = "adaptive_truncated"
 
-# Snapshot columns per kernel call.  Bounds the (block, n, nodes) temporaries
-# to a few tens of MB at n = 34; results do not depend on it.
-_BLOCK_COLUMNS = 256
+# Values per (block, n, nodes) kernel temporary: a block holds
+# _BLOCK_VALUES // (n * nodes) columns, at least one; results do not depend on it.
+_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class QuadratureConfig:
             raise ConfigError(f"p2_max must be positive, got {self.p2_max}")
 
 
-def _whiten(R: np.ndarray, mu: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, ...]:
+def _whiten(R: np.ndarray, mu: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, ...]:
     """Whitened quadrature pieces of a block of columns, stacked on axis 0.
 
     For Gram-complement inverses R (B, n, n) and means mu (B, n), with
@@ -112,7 +112,7 @@ def _whiten(R: np.ndarray, mu: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, .
     """
     # Per-column products, never one solve with the block as right-hand
     # sides, so a column's bits do not depend on the block it is in.
-    inv_L = lower_triangular_inverses(L[None])[0]
+    L, inv_L = noise.covariance_factor, noise.inverse_factor
     G = L.T @ R @ L
     lam, Q = np.linalg.eigh(0.5 * (G + G.transpose(0, 2, 1)))
     Qt = Q.transpose(0, 2, 1)
@@ -174,15 +174,16 @@ def _check_inputs(X: np.ndarray, noise: NoiseModel, ridge: float) -> None:
 
 
 def gram_complement_inverses(
-    X: np.ndarray, ridge: float, columns: np.ndarray
+    X: np.ndarray, ridge: float, columns: np.ndarray, gram: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[tuple[int, SingularV]]]:
     """``R_t = inv(X X.T - x_t x_t.T + ridge I)`` for each column index t given.
 
-    Returns the stack (len(columns), n, n) and a ``(t, SingularV)`` pair for
-    every column whose complement has no Cholesky factor (its R is NaN).
+    ``gram`` is ``X @ X.T`` when the caller has it.  Returns the stack
+    (len(columns), n, n) and a ``(t, SingularV)`` pair for every column whose
+    complement has no Cholesky factor (its R is NaN).
     """
     n = X.shape[0]
-    gram = X @ X.T
+    gram = X @ X.T if gram is None else gram
     x = X.T[columns]
     V = gram - x[:, :, None] * x[:, None, :]
     V += ridge * np.eye(n)
@@ -247,7 +248,7 @@ def context_from_parts(
     """
     R = 0.5 * (np.asarray(R, dtype=float) + np.asarray(R, dtype=float).T)
     mu = np.asarray(mu, dtype=float).ravel()
-    return MgfContext(R, mu, k, _whiten(R[None], mu[None], noise.covariance_factor))
+    return MgfContext(R, mu, k, _whiten(R[None], mu[None], noise))
 
 
 def deterministic_pinv_element(context: MgfContext) -> float:
@@ -405,16 +406,18 @@ def pinv_moments(
     n, m = X.shape
     _check_inputs(X, noise, ridge)
     rule = gauss_laguerre_nodes(quad.node_count)
+    gram = X @ X.T
     first = np.empty((m, n))
     second = np.empty((m, n))
     failures: list[tuple[int, int | None, DmduqError]] = []
-    for start in range(0, m, _BLOCK_COLUMNS):
-        columns = np.arange(start, min(start + _BLOCK_COLUMNS, m))
-        R, singular = gram_complement_inverses(X, ridge, columns)
+    block = max(1, _BLOCK_VALUES // (n * quad.node_count))
+    for start in range(0, m, block):
+        columns = np.arange(start, min(start + block, m))
+        R, singular = gram_complement_inverses(X, ridge, columns, gram)
         failures.extend((t, None, err) for t, err in singular)
         ok = np.isin(columns, [t for t, _ in singular], invert=True)
         columns, R, mu = columns[ok], R[ok], X.T[columns[ok]]
-        pieces = _whiten(R, mu, noise.covariance_factor)
+        pieces = _whiten(R, mu, noise)
         first[columns], second[columns] = _gauss_laguerre(pieces, *rule)
         if quad.method == GAUSS_LAGUERRE and not quad.cross_check:
             continue

@@ -9,10 +9,16 @@ from dmduq import cli, data_model, numerics
 from dmduq.cli import dumps_json, main
 from dmduq.config import load_config
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, format_rows, load_csv
-from dmduq.data_model import save_csv
+from dmduq.data_model import decimate_trajectory, save_csv
 from dmduq.errors import ConfigError
 from dmduq.monte_carlo import sample_operator_instances
 from dmduq.spectral import eigen_samples
+from dmduq.systems import (
+    SpringMassParams,
+    random_network_params,
+    simulate_oscillator_network,
+    simulate_spring_mass,
+)
 
 
 def stderr_error_code(proc) -> str:
@@ -215,6 +221,21 @@ class TestSimulate:
         )
         header = out.read_text().splitlines()[0]
         assert header == "time,q1,q2,q3,v1,v2,v3"
+
+    @pytest.mark.parametrize(
+        "system, argv, simulate",
+        [
+            ("spring-mass", ["--duration", "4", "--dt", "0.05"],
+             lambda: simulate_spring_mass(SpringMassParams(duration=4.0, dt=0.05))),
+            ("network", ["--nodes", "3", "--duration", "12"],
+             lambda: simulate_oscillator_network(random_network_params(3, duration=12.0))),
+        ],
+    )
+    def test_stride_writes_the_decimated_recording(self, tmp_path, system, argv, simulate):
+        out = tmp_path / "cli.csv"
+        assert main(["simulate", system, *argv, "--stride", "7", "--out", str(out)]) == 0
+        save_csv(decimate_trajectory(simulate(), 7), tmp_path / "lib.csv")
+        assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 class TestMoments:
@@ -747,6 +768,14 @@ class TestMalformedInput:
         argv += ["--out", str(tmp_path / "mc.json")]
         assert self.error_code(argv, capsys) == "config_error"
         assert not (tmp_path / "mc.json").exists()
+
+    @pytest.mark.parametrize("system", ["spring-mass", "network"])
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one(self, tmp_path, capsys, system, stride):
+        out = tmp_path / "t.csv"
+        argv = ["simulate", system, "--duration", "1", "--stride", str(stride), "--out", str(out)]
+        assert self.error_code(argv, capsys) == "config_error"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_network_seed_out_of_range(self, tmp_path, capsys, seed):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmduq.data_model import NoiseModel
-from dmduq.numerics import cholesky, gauss_laguerre_nodes
+from dmduq.numerics import gauss_laguerre_nodes
 from dmduq.pinv_moments import (
     QuadratureConfig,
     _gauss_laguerre,
@@ -82,7 +82,7 @@ def _kernel_tables(X, cov):
     """
     R, singular = gram_complement_inverses(X, 0.0, np.arange(X.shape[1]))
     assert not singular
-    pieces = _whiten(R, X.T, cholesky(cov))
+    pieces = _whiten(R, X.T, NoiseModel(variances=np.diag(cov).copy(), full_covariance=cov))
     return _gauss_laguerre(pieces, *gauss_laguerre_nodes(QuadratureConfig().node_count))
 
 

@@ -382,7 +382,8 @@ class TestPinvMomentsTable:
         a = pinv_moments(snaps, noise)
         # The package exports a function named like the module, so fetch
         # the module itself.
-        monkeypatch.setattr(sys.modules["dmduq.pinv_moments"], "_BLOCK_COLUMNS", 4)
+        # Blocks of 4 columns at n = 3 and the default 64 nodes.
+        monkeypatch.setattr(sys.modules["dmduq.pinv_moments"], "_BLOCK_VALUES", 4 * 3 * 64)
         b = pinv_moments(snaps, noise)
         assert np.array_equal(a.first, b.first)
         assert np.array_equal(a.second_raw, b.second_raw)

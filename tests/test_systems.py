@@ -23,6 +23,23 @@ def analytic_spring_mass(params: SpringMassParams, times: np.ndarray) -> np.ndar
     return np.vstack([x1, x2])
 
 
+def stagewise_rk4(derivative, state: np.ndarray, steps: int, dt: float) -> np.ndarray:
+    """Classic RK4 evaluated stage by stage: the reference for the propagator."""
+    out = np.empty((len(state), steps + 1))
+    out[:, 0] = y = np.asarray(state, dtype=float)
+    for i in range(steps):
+        k1 = derivative(y)
+        k2 = derivative(y + 0.5 * dt * k1)
+        k3 = derivative(y + 0.5 * dt * k2)
+        k4 = derivative(y + dt * k3)
+        out[:, i + 1] = y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
 def zero_crossings(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:]))
     t0, t1 = times[idx], times[idx + 1]
@@ -61,6 +78,15 @@ class TestSpringMass:
             errors.append(np.abs(traj.samples - exact).max())
         ratio = errors[0] / errors[1]
         assert 12.0 <= ratio <= 20.0
+
+    def test_propagator_matches_stagewise_rk4(self):
+        # Off equilibrium with gravity on: the affine term rides in the third state.
+        params = SpringMassParams(x0=(0.3, -0.2), duration=20.0, dt=0.01)
+        ratio, g = params.stiffness / params.mass, params.gravity
+        traj = simulate_spring_mass(params)
+        expected = stagewise_rk4(lambda s: np.array([s[1], -ratio * s[0] - g]),
+                                 np.array(params.x0), 2000, params.dt)
+        assert relative_error(traj.samples, expected) <= 1e-12
 
     def test_row_count_default(self):
         traj = simulate_spring_mass(SpringMassParams())
@@ -108,6 +134,25 @@ class TestOscillatorNetwork:
         traj = simulate_oscillator_network(params)
         energy = network_energy(params, traj)
         assert np.abs(energy - energy[0]).max() / energy[0] <= 1e-6
+
+    def test_propagator_matches_stagewise_rk4(self):
+        params = random_network_params(node_count=4, seed=3, duration=40.0, damping=0.1)
+        K, D = params.stiffness_matrix(), np.diag(params.damping)
+        traj = simulate_oscillator_network(params)
+
+        def derivative(s):
+            return np.concatenate([s[4:], -K @ s[:4] - D @ s[4:]])
+
+        expected = stagewise_rk4(derivative, traj.samples[:, 0], 4000, params.dt)
+        assert relative_error(traj.samples, expected) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        # Checked on the dataclass, not only in random_network_params: the
+        # simulator keys its initial-state draw with it.
+        with pytest.raises(ConfigError, match="64 unsigned bits"):
+            OscillatorNetworkParams(node_count=1, coupling=np.array([[1.0]]),
+                                    damping=np.zeros(1), seed=seed)
 
     def test_unstable_step_rejected(self):
         params = OscillatorNetworkParams(
