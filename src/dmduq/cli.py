@@ -312,7 +312,12 @@ def cmd_spectrum(args) -> int:
     )
     lam1 = samples.representative_lambda1
     bandwidth = None if cfg.kde.bandwidth is None else (cfg.kde.bandwidth, cfg.kde.bandwidth)
-    density = kde2d(lam1.real, lam1.imag, bandwidths=bandwidth, grid_points=cfg.kde.grid_points)
+    try:
+        density = kde2d(lam1.real, lam1.imag, bandwidths=bandwidth, grid_points=cfg.kde.grid_points)
+    except DegenerateData as exc:
+        if not (clamped := int(np.count_nonzero(second < 0))):
+            raise
+        raise DegenerateData(f"{exc}; {clamped} of {second.size} variances clamped to zero")
     precision = cfg.output_precision
     grid_re, grid_im = np.meshgrid(density.grid_re, density.grid_im, indexing="ij")
     curve = np.column_stack([grid_re.ravel(), grid_im.ravel(), density.density.ravel()])

@@ -180,9 +180,10 @@ class _MomentAccumulator:
             m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
             se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
             if raw_second:
-                second_raw[a:b] = raw = c**2 + 2.0 * c * s1 + s2
-                fourth_raw = c**4 + 4.0 * c**3 * s1 + 6.0 * c**2 * s2 + 4.0 * c * s3 + s4
-                se_second[a:b] = np.sqrt(np.maximum(fourth_raw - raw**2, 0.0) / count)
+                second_raw[a:b] = c**2 + 2.0 * c * s1 + s2
+                # Var(x**2) for x = c + d, from the sums of d: no O(c**4) terms cancel.
+                var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
+                se_second[a:b] = np.sqrt(np.maximum(var_sq, 0.0) / count)
 
         map_row_blocks(map_slices, rows, len(self.shift), self.shift[0].size)
         return mean, second_raw, var, se_mean, se_second, se_var

@@ -23,10 +23,10 @@ Every table is a product of m x n and n x m factors, so ``OperatorMoments``
 and ``DmdEstimate`` hold the factors and give each table as a row source
 ``rows(a, b, out=None)``: ``first_rows``, ``second_rows`` and ``rows``.  A
 table is formed only when it is read, as a ``numerics.RowTable`` of its row
-source.  Construction checks each row block of both tables while it is in
-cache, across ``numerics.slice_workers``.  Blocks are cut by the table's shape
-alone, so the bits do not depend on the thread count, nor on whether a block
-is kept, written out or only checked.
+source.  Construction checks both tables from the factors in O(m n) when it can; else,
+and for paper_literal variances (negatives counted), it checks each row block in cache
+across ``numerics.slice_workers``.  Blocks are cut by the table's shape alone, so no
+bit depends on the thread count or on whether a block is kept.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ class OperatorMoments:
     """Moment tables of the operator, held as their factors: ``pinv`` (M1x, M2x), ``shifted``
     (Y, n x m) and the noise ``variances`` (None for the mean table alone).
 
-    Construction computes and checks every row block, keeping none; ``first`` and
-    ``second_central`` are built on first read.  ``second_central`` is used as a variance
-    downstream; in paper_literal mode entries may be negative (logged, not fatal).
+    Construction checks both tables, from the factors or block by block, keeping none;
+    ``first`` and ``second_central`` are built on first read.  ``second_central`` is used as a
+    variance downstream; in paper_literal mode entries may be negative (logged, not fatal).
     """
 
     pinv: PinvMoments
@@ -94,6 +94,9 @@ class OperatorMoments:
         # Formed once for every block: c = M2x @ var and Y**2.
         self.__dict__.update(_scale=None if var is None else self.pinv.second_raw @ var,
                              _y_sq=Y**2, shape=(len(self.pinv.first), Y.shape[1]))
+        if (self.variance_mode == CORRECTED or var is None and self.variance_mode in VARIANCE_MODES
+                ) and _certified(self.pinv.first, self.pinv.second_raw, Y, self._scale):
+            return
         negatives, low = _row_pass(self.shape, self.variance_mode, self.first_rows,
                                    None if var is None else self.second_rows)
         if self.variance_mode == PAPER_LITERAL and negatives:
@@ -122,6 +125,25 @@ class OperatorMoments:
         if self.variances is None:
             raise ConfigError("second_central needs the noise variances")
         return np.asarray(RowTable(self.shape, self.second_rows))
+
+
+def _certified(M1x: np.ndarray, M2x: np.ndarray, Y: np.ndarray, scale: np.ndarray | None) -> bool:
+    """Whether the factors prove that ``_row_pass`` passes ``first`` and, given ``scale`` (c =
+    M2x @ var), the corrected ``second_central``: both finite, no variance below -1e-12."""
+    with np.errstate(all="ignore"):
+        y_max = np.abs(Y).max(axis=1)
+        bounds, low = [np.abs(M1x) @ y_max], np.zeros(0)  # |first[i, j]| <= ~bounds[0][i]
+        if scale is not None:
+            ysq, sq = y_max**2, M1x**2  # ysq[k] >= every rounded Y[k, j]**2
+            bounds.append(np.abs(scale) + (sq + np.abs(M2x)) @ ysq)  # mag, likewise for second
+            # In any summation order, with or without FMA, a rounded entry c - sq @ Y**2 +
+            # M2x @ Y**2 is within (gamma_n + 2u) mag of its exact value (two dot products on
+            # disjoint parts of mag, two roundings), and that value is >= c + min(M2x - sq, 0)
+            # @ ysq.  Rounding this bound costs gamma_n + 2u more, forming and subtracting
+            # eta * mag u + O(n u**2): eta = 4 (n + 2) u, u = 2**-53, covers it all.  Underflow
+            # adds a few n 2**-1022 at most, below the spacing of doubles at -1e-12.
+            low = scale + np.minimum(M2x - sq, 0.0) @ ysq - 4 * (len(Y) + 2) * 2.0**-53 * bounds[1]
+        return bool((low >= -1e-12).all()) and all((bound < 1e300).all() for bound in bounds)
 
 
 def _row_pass(shape, mode: str, first_rows, second_rows=None) -> tuple[int, float]:

@@ -411,12 +411,14 @@ def pinv_moments(
     second = np.empty((m, n))
     failures: list[tuple[int, int | None, DmduqError]] = []
     block = max(1, _BLOCK_VALUES // (n * quad.node_count))
+    group = block * max(1, 4 * _BLOCK_VALUES // (n * n * block))  # n x n inverses per call
     for start in range(0, m, block):
         columns = np.arange(start, min(start + block, m))
-        R, singular = gram_complement_inverses(X, ridge, columns, gram)
-        failures.extend((t, None, err) for t, err in singular)
+        if start % group == 0:  # each inverse is formed on its own: the bits do not move
+            Rs, singular = gram_complement_inverses(X, ridge, np.arange(start, m)[:group], gram)
+            failures.extend((t, None, err) for t, err in singular)
         ok = np.isin(columns, [t for t, _ in singular], invert=True)
-        columns, R, mu = columns[ok], R[ok], X.T[columns[ok]]
+        columns, R, mu = columns[ok], Rs[columns[ok] % group], X.T[columns[ok]]
         pieces = _whiten(R, mu, noise)
         first[columns], second[columns] = _gauss_laguerre(pieces, *rule)
         if quad.method == GAUSS_LAGUERRE and not quad.cross_check:

@@ -485,6 +485,22 @@ class TestSpectrum:
         assert proc.returncode == 1
         assert stderr_error_code(proc) == "degenerate_data"
 
+    def test_clamped_variances_named_when_degenerate(self, tmp_path, capsys):
+        # Every paper_literal variance is negative: clamped, they leave each sampled
+        # operator at the mean, and the error says how many of them were clamped.
+        moments = tmp_path / "moments.json"
+        moments.write_text(json.dumps({
+            "schema_version": cli.SCHEMA_VERSION, "variance_mode": "paper_literal",
+            "operator_first": [[0.5, 0.1], [0.2, 0.3]],
+            "operator_second_central": [[-1e-6, -2e-6], [-3e-6, -4e-6]],
+        }))
+        argv = ["spectrum", str(moments), "--samples", "20", "--clamp-negative",
+                "--out", str(tmp_path / "kde.csv")]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "degenerate_data", "message": (
+            "samples too concentrated for automatic bandwidth; 4 of 4 variances clamped to zero")}
+
     def test_deterministic(self, small_csv, config_path, tmp_path):
         moments = tmp_path / "moments.json"
         main(

@@ -1,7 +1,9 @@
 import logging
+import math
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,11 +406,11 @@ class TestRunMcWorkers:
         s1, s2, s3, s4 = (s / count for s in acc.sums)
         dvar = np.maximum((acc.sums[1] - acc.sums[0] ** 2 / count) / (count - 1), 0.0)
         second_raw = c**2 + 2.0 * c * s1 + s2
-        fourth_raw = c**4 + 4.0 * c**3 * s1 + 6.0 * c**2 * s2 + 4.0 * c * s3 + s4
+        var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
         m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
         want = (
             c + s1, second_raw, dvar, np.sqrt(dvar / count),
-            np.sqrt(np.maximum(fourth_raw - second_raw**2, 0.0) / count),
+            np.sqrt(np.maximum(var_sq, 0.0) / count),
             np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count),
         )
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 2 * 5)  # blocks of 2 rows
@@ -422,6 +424,29 @@ class TestRunMcWorkers:
             assert some[1] is None and some[4] is None
             for i in (0, 2, 3, 5):
                 assert np.array_equal(some[i], want[i])
+
+    @staticmethod
+    def _se_second(values, centre):
+        acc = monte_carlo._MomentAccumulator(np.full((1, 1), centre))
+        acc.add_block(values.copy(), 0)
+        with numerics.slice_workers() as map_slices:
+            return acc.statistics(len(values), map_slices)[4][0, 0]
+
+    def test_se_second_against_exact_arithmetic(self):
+        # x = c + d with c = 1e3 and d ~ N(0, 1e-6): Var(x**2) is about 4e-6 * c**2, while
+        # E[x**4] - E[x**2]**2 cancels twelve digits of c**4.
+        c, count = 1e3, 1000
+        values = c + 1e-3 * np.random.default_rng(5).standard_normal((count, 1, 1))
+        squares = [Fraction(float(x)) ** 2 for x in values.ravel()]
+        mean_sq = sum(squares) / count
+        exact = math.sqrt(sum((q - mean_sq) ** 2 for q in squares) / count / count)
+        assert abs(self._se_second(values, c) / exact - 1.0) <= 1e-13
+
+    def test_se_second_stable_under_the_centre(self):
+        values = 1e3 + 1e-3 * np.random.default_rng(6).standard_normal((1000, 1, 1))
+        here = self._se_second(values, 1e3)
+        moved = self._se_second(values, np.nextafter(1e3, np.inf))
+        assert abs(moved / here - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("raw_second", [True, False])
     def test_statistics_memory(self, monkeypatch, raw_second):

@@ -1,13 +1,19 @@
 import logging
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import fixed_blas_workers, snapshots_from_trajectory_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmduq import numerics
-from dmduq.data_model import NoiseModel, build_snapshots
-from dmduq.errors import ConfigError, DimensionMismatch, MomentComputationError, SingularGram
+from dmduq import numerics, operator_moments
+from dmduq.data_model import NoiseModel, build_snapshots, decimate_trajectory
+from dmduq.errors import (
+    ConfigError, DimensionMismatch, DmduqError, MomentComputationError, SingularGram,
+)
 from dmduq.operator_moments import (
     CORRECTED,
     PAPER_LITERAL,
@@ -16,7 +22,7 @@ from dmduq.operator_moments import (
     OperatorMoments,
     estimate_operator_moments,
 )
-from dmduq.pinv_moments import PinvMoments, pinv_moments
+from dmduq.pinv_moments import JENSEN_SLACK, PinvMoments, pinv_moments
 from dmduq.systems import (
     SpringMassParams,
     random_network_params,
@@ -306,8 +312,8 @@ class TestRowBlockAssembly:
 
     @pytest.mark.parametrize("mode", [CORRECTED, PAPER_LITERAL])
     def test_no_table_until_read(self, mode):
-        # Construction computes and checks every block but keeps none, and the point
-        # estimate keeps its factors: together less than one m x m table.
+        # Construction keeps no block of either table, and the point estimate keeps its
+        # factors: together less than one m x m table.
         m = 2000
         rng = np.random.default_rng(4)
         snaps = snapshots_from_trajectory_matrix(rng.standard_normal((2, m + 1)))
@@ -401,3 +407,126 @@ class TestOperatorMomentsChecks:
         for table in (np.zeros(3), np.zeros((0, 0))):
             with pytest.raises(DimensionMismatch, match="one non-empty 2-D shape"):
                 check_tables(first=table, second_central=table, mode=CORRECTED)
+
+
+@st.composite
+def factor_tables(draw):
+    """``(pinv, Y, variances or None, mode)``: entries from 1e-150 to 1e150 in magnitude,
+    Jensen gaps from -JENSEN_SLACK up, and often one corrected variance placed near -1e-12."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponent = st.one_of(st.integers(-4, 0), st.integers(-150, 150))
+    first = 10.0 ** draw(exponent) * rng.standard_normal((m, n))
+    # Per entry: no Jensen gap, a gap down to -JENSEN_SLACK, or a share of first**2.
+    kind = rng.integers(0, 3, (m, n))
+    slack, share = -0.999 * JENSEN_SLACK * rng.random((m, n)), first**2 * rng.random((m, n))
+    gap = np.select([kind == 0, kind == 1], [0.0, slack], share)
+    variances = None
+    if draw(st.booleans()):
+        scale = 10.0 ** draw(st.one_of(st.integers(-12, 0), st.integers(-300, 10)))
+        variances = scale * rng.random(n)
+    Y = 10.0 ** draw(exponent) * rng.standard_normal((n, m))
+    if variances is not None and draw(st.booleans()):
+        # Rescale Y so that the most negative (M2x - M1x**2) @ Y**2 entry puts its exact
+        # corrected variance at -1e-12 times a factor near 1.
+        slope = (gap @ Y**2).ravel()
+        i = int(slope.argmin())
+        if slope[i] < 0:
+            c = ((first**2 + gap) @ variances)[i // m]
+            target = draw(st.sampled_from([0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0]))
+            Y = Y * np.sqrt((c + target * 1e-12) / -slope[i])
+    try:
+        pinv = PinvMoments(first, first**2 + gap)
+    except DmduqError:  # a gap rounded below -JENSEN_SLACK, or an overflow
+        pinv = PinvMoments(first, first**2)
+    return pinv, Y, variances, draw(st.sampled_from([CORRECTED, PAPER_LITERAL]))
+
+
+def construction_outcome(pinv, Y, variances, mode):
+    """The exception (type and message) and the warnings of building OperatorMoments."""
+    with mock.patch.object(operator_moments.logger, "warning") as warning:
+        try:
+            moments = OperatorMoments(pinv, Y, variances, mode)
+        except DmduqError as exc:
+            return type(exc), str(exc), warning.call_args_list, None
+    return None, None, warning.call_args_list, moments
+
+
+def row_pass_alone():
+    return mock.patch.object(operator_moments, "_certified", lambda *args: False)
+
+
+class TestCertificate:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(factor_tables())
+    def test_certificate_implies_row_pass(self, tables):
+        pinv, Y, variances, mode = tables
+        scale = None if variances is None else pinv.second_raw @ variances
+        got = construction_outcome(pinv, Y, variances, mode)
+        with row_pass_alone():
+            want = construction_outcome(pinv, Y, variances, mode)
+            corrected = construction_outcome(pinv, Y, variances, CORRECTED)
+        assert got[:3] == want[:3]
+        if operator_moments._certified(pinv.first, pinv.second_raw, Y, scale):
+            assert corrected[0] is None
+            moments = corrected[3]
+            assert np.isfinite(moments.first).all()
+            if variances is not None:
+                assert np.isfinite(moments.second_central).all()
+                assert moments.second_central.min() >= -1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("variances", [None, np.array([1e-6])])
+    def test_overflow_names_the_entry(self, variances):
+        # first[4, 5] = 1e154 * 1e160 overflows; the factors' bounds cannot rule that out.
+        first = np.full((6, 1), 0.5)
+        first[4] = 1e154
+        pinv, Y = PinvMoments(first, first**2), np.array([[2.0, 3.0, 4.0, 5.0, 6.0, 1e160]])
+        with pytest.raises(DimensionMismatch, match=r"first\[4, 5\] = inf"):
+            OperatorMoments(pinv, Y, variances)
+
+    @staticmethod
+    def spy_row_sources(monkeypatch):
+        calls = Counter()
+        for name in ("first_rows", "second_rows"):
+            def spy(self, a, b, out=None, rows=getattr(OperatorMoments, name), name=name):
+                calls[name, a, b] += 1
+                return rows(self, a, b, out)
+            monkeypatch.setattr(OperatorMoments, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("system", ["spring", "network"])
+    def test_workload_inputs_form_no_block(self, monkeypatch, system):
+        # The benchmark's library inputs: spring-mass at m = 4000, the 34-state network
+        # decimated to m = 400.
+        if system == "spring":
+            trajectory = simulate_spring_mass(SpringMassParams(duration=200.0, dt=0.05))
+        else:
+            trajectory = decimate_trajectory(simulate_oscillator_network(
+                random_network_params(node_count=17, seed=1, duration=120.0, dt=0.01)), 30)
+        snaps = build_snapshots(trajectory)
+        noise = NoiseModel(variances=np.full(snaps.state_count, 1e-6))
+        pinv = pinv_moments(snaps, noise)
+        calls = self.spy_row_sources(monkeypatch)
+        estimate_operator_moments(snaps, noise, pinv=pinv)
+        assert not calls
+        estimate_operator_moments(snaps, noise, mode=PAPER_LITERAL, pinv=pinv)
+        m = snaps.states.shape[1]
+        blocks = numerics.row_blocks(m, m)
+        assert calls == Counter({(name, a, b): 1 for name in ("first_rows", "second_rows")
+                                 for a, b in blocks})
+
+    def test_undecided_input_checks_every_block_once(self, monkeypatch):
+        # Without noise and with M2x = M1x**2, every corrected variance is exactly 0, but
+        # eta * mag is above 1e-12 here, so the factors cannot prove it.
+        m = 200
+        rng = np.random.default_rng(11)
+        first = 0.01 * rng.standard_normal((m, 3))
+        pinv, Y = PinvMoments(first, first**2), 1e3 * rng.standard_normal((3, m))
+        assert not operator_moments._certified(first, first**2, Y, np.zeros(m))
+        calls = self.spy_row_sources(monkeypatch)
+        moments = OperatorMoments(pinv, Y, np.zeros(3))
+        assert calls == Counter({(name, a, b): 1 for name in ("first_rows", "second_rows")
+                                 for a, b in numerics.row_blocks(m, m)})
+        assert not moments.second_central.any()

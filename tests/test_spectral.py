@@ -11,8 +11,7 @@ from scipy.integrate import trapezoid
 from dmduq import numerics, spectral
 from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
 from dmduq.numerics import eigenvalue_rows
-from dmduq.operator_moments import OperatorMoments
-from dmduq.pinv_moments import PinvMoments
+from dmduq.operator_moments import CORRECTED, check_tables
 from dmduq.spectral import (
     density_peak,
     eigen_moments,
@@ -214,14 +213,14 @@ class TestBlasPin:
 class TestSliceWorkersReentry:
     @pytest.mark.parametrize("from_worker", [False, True])
     def test_nested_entry_raises(self, from_worker):
-        # Building an OperatorMoments enters slice_workers.  Inside the context,
+        # Checking dense moment tables enters slice_workers.  Inside the context,
         # from the thread that entered it or from one of its workers, that
         # raises; a plain lock there waited on itself for ever.  The call runs
         # in a thread joined with a timeout, so a hang fails the test.
         outcome = []
 
         def build(lo=0, hi=0):
-            return OperatorMoments(PinvMoments(np.eye(2), np.eye(2)), np.eye(2), np.ones(2))
+            return check_tables(np.eye(2), np.eye(2), CORRECTED)
 
         def nested():
             try:
