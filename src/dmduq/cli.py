@@ -389,21 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (spring, network):
         p.add_argument("--stride", type=int, default=1, help="keep every stride-th sample")
 
-    def add_noise_options(p):
+    def add_recording_options(p):
+        p.add_argument("data")
+        p.add_argument("--config", default=None)
         p.add_argument("--noise-window", type=str, default=None, help="'t_start:t_end' seconds")
         p.add_argument("--noise-variances", type=str, default=None, help="'v1,v2,...' per state")
 
     moments = sub.add_parser("moments", help="estimate moment tables from a CSV")
-    moments.add_argument("data")
-    moments.add_argument("--config", default=None)
-    add_noise_options(moments)
+    add_recording_options(moments)
     moments.add_argument("--out", required=True)
     moments.set_defaults(func=cmd_table, payload=_moments_payload)
 
     mc = sub.add_parser("mc", help="Monte Carlo verification summaries")
-    mc.add_argument("data")
-    mc.add_argument("--config", default=None)
-    add_noise_options(mc)
+    add_recording_options(mc)
     mc.add_argument("--out", required=True)
     mc.set_defaults(func=cmd_table, payload=_mc_payload)
 
@@ -424,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.set_defaults(func=cmd_spectrum)
 
     pipe = sub.add_parser("pipeline", help="moments, mc, and compare in one run")
-    pipe.add_argument("data")
-    pipe.add_argument("--config", default=None)
-    add_noise_options(pipe)
+    add_recording_options(pipe)
     pipe.add_argument("--out-dir", required=True)
     pipe.set_defaults(func=cmd_pipeline)
 

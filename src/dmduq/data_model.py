@@ -25,15 +25,9 @@ from .errors import (
     TooFewSnapshots,
     ZeroVariance,
 )
-from .numerics import cholesky, lower_triangular_inverses
+from .numerics import _readonly, cholesky, lower_triangular_inverses
 
 UNIFORMITY_RTOL = 1e-9
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,9 @@
 These are the shared primitives for the moment computations: Cholesky
 factors with symmetry and definiteness checks, stacked SPD inverses,
 eigenvalue extraction with a deterministic total order (rank-n
-products through their n x n factor product), and Gauss-Laguerre rules
-for semi-infinite integrals weighted by ``exp(-p)``.  All functions are pure
+products through their n x n factor product), Gauss-Laguerre rules
+for semi-infinite integrals weighted by ``exp(-p)`` and a composite
+Gauss-Legendre rule for truncated ones.  All functions are pure
 and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
 thread around the calls whose bits would otherwise depend on the BLAS thread
 setting, and ``slice_workers`` spreads such calls over one worker thread per
@@ -16,7 +17,7 @@ written out block by block.
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
 ``1 / (x L_n'(x)^2)`` formed in the log domain.  Each weight is within 1e-13
-of ``scipy.special.roots_laguerre``'s, and scipy is not imported.
+of the reference library rule the tests compare it with.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-9
 
-# (getter, setter) of the thread count in the OpenBLAS builds numpy and scipy ship.
+# (getter, setter) of the thread count in the OpenBLAS builds the numpy wheels ship.
 _OPENBLAS_THREADS = [
     (f"{lib}_get_num_threads{tail}", f"{lib}_set_num_threads{tail}")
     for lib in ("scipy_openblas", "openblas") for tail in ("64_", "")
@@ -306,6 +307,12 @@ def sort_eigenvalue_rows(values: np.ndarray) -> np.ndarray:
     return flat[order].reshape(n_rows, m)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def gauss_laguerre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the rule ``integral f(p) exp(-p) dp ~ sum w_i f(p_i)``.
 
@@ -345,9 +352,17 @@ def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     log_weights = np.log(nodes) - 2.0 * np.log(count * np.abs(step))
     weights = np.exp(log_weights - log_weights.max())
     weights /= weights.sum()
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return _readonly(nodes), _readonly(weights)
+
+
+@functools.cache
+def composite_legendre_nodes(upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``integral_0^upper f(u) du ~ sum w_i f(u_i)``, read-only: 24
+    Gauss-Legendre nodes per panel, panel edges doubling from 0.5, the last at ``upper``."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    edges = np.r_[0.0, np.exp2(np.arange(-1.0, np.log2(upper))), upper]
+    half = np.diff(edges)[:, None] / 2.0
+    return _readonly((edges[:-1, None] + half * (1.0 + x)).ravel()), _readonly((half * w).ravel())
 
 
 def signed_log_sum(log_magnitudes: np.ndarray, signs: np.ndarray | float) -> float | np.ndarray:

@@ -60,6 +60,7 @@ from .errors import (
     SingularV,
 )
 from .numerics import (
+    composite_legendre_nodes,
     gauss_laguerre_nodes,
     signed_log_sum,
     spd_inverses,
@@ -79,10 +80,10 @@ _BLOCK_VALUES = 2**14
 class QuadratureConfig:
     """Discretization of the semi-infinite moment integrals.
 
-    ``gauss_laguerre`` absorbs the exp(-p2) weight into the rule;
-    ``adaptive_truncated`` integrates the full integrand on [0, p2_max].
-    With ``cross_check`` both are evaluated and a disagreement beyond
-    ``100 * rel_tol`` relative raises instead of silently returning.
+    ``gauss_laguerre`` absorbs the exp(-p2) weight into the rule; ``adaptive_truncated``
+    is composite Gauss-Legendre on the truncated axis u = rho * p2 in [0, p2_max] (rho >= 1,
+    see ``_decay_rate``), so the p2 integral stops at p2_max / rho.  With ``cross_check``
+    both are evaluated and a disagreement beyond ``100 * rel_tol`` relative raises.
     """
 
     method: str = GAUSS_LAGUERRE
@@ -98,8 +99,8 @@ class QuadratureConfig:
             raise ConfigError(f"node_count must be in [1, 256], got {self.node_count}")
         if not 0 < self.rel_tol <= 1e-2:
             raise ConfigError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if self.p2_max <= 0:
-            raise ConfigError(f"p2_max must be positive, got {self.p2_max}")
+        if not 0 < self.p2_max < np.inf:
+            raise ConfigError(f"p2_max must be positive and finite, got {self.p2_max}")
 
 
 def _whiten(R: np.ndarray, mu: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, ...]:
@@ -325,67 +326,62 @@ def moment_integrands(context: MgfContext, p2: np.ndarray) -> tuple[np.ndarray, 
     return envelope * t_rb, p2 * envelope * (t_rr + t_rb**2)
 
 
-def _gauss_laguerre(pieces, nodes: np.ndarray, weights: np.ndarray):
-    """Both moment tables, (B, n) each, for a block of columns.
+def _rules(quad: QuadratureConfig) -> list[tuple]:
+    """``(name, nodes, weights, laguerre)`` of the configured rule, then of the other
+    one under ``cross_check``; ``laguerre`` rules carry exp(-u) in their weights."""
+    methods = [quad.method, *{GAUSS_LAGUERRE, ADAPTIVE_TRUNCATED} - {quad.method}]
+    return [("Gauss-Laguerre", *gauss_laguerre_nodes(quad.node_count), True) if m == GAUSS_LAGUERRE
+            else ("composite Gauss-Legendre", *composite_legendre_nodes(quad.p2_max), False)
+            for m in methods[: 1 + quad.cross_check]]
 
-    Substituted integral: (1/rho) * sum w_j * g(u_j / rho) * exp(u_j - u_j / rho),
-    evaluated in log space (log w_j ~ -u_j, so the exponents stay bounded).
-    """
+
+def _integrate(pieces, nodes: np.ndarray, weights: np.ndarray, laguerre: bool):
+    """Both moment tables, (B, n) each, for a block of columns, in log space: (1/rho) * sum
+    w_j g(u_j / rho) exp(-u_j / rho), times exp(u_j) for a ``laguerre`` rule (log w_j ~ -u_j)."""
     rate = _decay_rate(pieces)[:, None]
     p2 = nodes / rate
     core_log, t_rb, t_rr = _kernel(pieces, p2)
-    shared = (np.log(weights) + core_log + nodes - p2 - np.log(rate))[:, None, :]
+    shared = np.log(weights) + core_log + (nodes if laguerre else 0.0) - p2 - np.log(rate)
     with np.errstate(divide="ignore"):
-        first = signed_log_sum(shared + np.log(np.abs(t_rb)), np.sign(t_rb))
+        first = signed_log_sum(shared[:, None, :] + np.log(np.abs(t_rb)), np.sign(t_rb))
         log_kernel = np.log(p2)[:, None, :] + np.log(t_rr + t_rb**2)
-        second = signed_log_sum(shared + log_kernel, 1.0)
+        second = signed_log_sum(shared[:, None, :] + log_kernel, 1.0)
     return first, second
 
 
-def _adaptive(context: MgfContext, quad: QuadratureConfig, order: int) -> tuple[float, float]:
-    import scipy.integrate  # only this opt-in path needs scipy; importing it costs ~0.6 s
+def _tables(pieces, columns, rules: list[tuple], rel_tol: float):
+    """``(first, second_raw, failures)`` of a block of columns by the first rule.  A
+    second rule adds ``(t, k, QuadratureNotConverged)`` to ``failures`` for each element
+    where a table of the two rules differs by more than ``100 * rel_tol`` relative."""
+    (name, *rule), *check = rules
+    first, second = _integrate(pieces, *rule)
+    failures = []
+    for other, *other_rule in check:
+        ref, alt = np.array([first, second]), np.array(_integrate(pieces, *other_rule))
+        off = np.abs(ref - alt) > 100.0 * rel_tol * np.maximum(np.abs(ref), np.abs(alt))
+        for i, k in np.argwhere(off.any(axis=0)):
+            failures.append((int(columns[i]), int(k), QuadratureNotConverged("; ".join(
+                f"{table} table: {name} {ref[j, i, k]:.12e} vs {other} {alt[j, i, k]:.12e}"
+                for j, table in enumerate(("first", "second_raw")) if off[j, i, k]))))
+    return first, second, failures
 
-    rate = float(_decay_rate(context.pieces)[0])
-    out = scipy.integrate.quad(
-        lambda u: float(moment_integrands(context, u / rate)[order - 1][0]) / rate,
-        0.0,
-        quad.p2_max,
-        epsabs=0.0,
-        epsrel=max(min(quad.rel_tol * 1e-2, 1e-3), 1e-13),
-        limit=200,
-        full_output=1,
-    )
-    return float(out[0]), float(out[1])
 
-
-def _moment_element(
-    context: MgfContext, quad: QuadratureConfig, order: int, gl: float | None = None
-) -> float:
-    """One element by the configured method; ``gl`` is its Gauss-Laguerre value if known."""
-    if gl is None and (quad.method == GAUSS_LAGUERRE or quad.cross_check):
-        rule = gauss_laguerre_nodes(quad.node_count)
-        gl = float(_gauss_laguerre(context.pieces, *rule)[order - 1][0, context.k])
-    if quad.method == GAUSS_LAGUERRE and not quad.cross_check:
-        return gl
-    ad, abserr = _adaptive(context, quad, order)
-    if quad.cross_check:
-        diff = abs(gl - ad)
-        tol = 100.0 * quad.rel_tol * max(abs(gl), abs(ad)) + 10.0 * abserr
-        if diff > tol:
-            raise QuadratureNotConverged(
-                f"Gauss-Laguerre {gl:.12e} vs adaptive {ad:.12e} disagree by {diff:.3e}"
-            )
-    return gl if quad.method == GAUSS_LAGUERRE else ad
+def _moment_element(context: MgfContext, quad: QuadratureConfig | None, order: int) -> float:
+    quad = quad or QuadratureConfig()
+    *tables, failures = _tables(context.pieces, [0], _rules(quad), quad.rel_tol)
+    for exc in (exc for _, k, exc in failures if k == context.k):
+        raise exc
+    return float(tables[order - 1][0, context.k])
 
 
 def first_moment_element(context: MgfContext, quad: QuadratureConfig | None = None) -> float:
     """Mean of one pseudoinverse element under the context's noise model."""
-    return _moment_element(context, quad or QuadratureConfig(), order=1)
+    return _moment_element(context, quad, order=1)
 
 
 def second_moment_element(context: MgfContext, quad: QuadratureConfig | None = None) -> float:
     """Raw second moment E[(x+)^2] of one pseudoinverse element."""
-    return _moment_element(context, quad or QuadratureConfig(), order=2)
+    return _moment_element(context, quad, order=2)
 
 
 def pinv_moments(
@@ -396,21 +392,21 @@ def pinv_moments(
 ) -> PinvMoments:
     """Both moment tables for every element of the m x n pseudoinverse.
 
-    Columns are processed in fixed-size blocks by one batched kernel.  The
-    adaptive method and ``cross_check`` integrate element by element from
-    the same column pieces.  Failures are aggregated with their (t, k)
-    locations, k = None for a column whose Gram complement is singular.
+    Columns are processed in fixed-size blocks by one batched kernel, which
+    runs both rules on each block under ``cross_check``.  Failures are
+    aggregated with their (t, k) locations, k = None for a column whose Gram
+    complement is singular.
     """
     quad = quad or QuadratureConfig()
     X = snapshots.states
     n, m = X.shape
     _check_inputs(X, noise, ridge)
-    rule = gauss_laguerre_nodes(quad.node_count)
+    rules = _rules(quad)
     gram = X @ X.T
     first = np.empty((m, n))
     second = np.empty((m, n))
     failures: list[tuple[int, int | None, DmduqError]] = []
-    block = max(1, _BLOCK_VALUES // (n * quad.node_count))
+    block = max(1, _BLOCK_VALUES // (n * max(rule[1].size for rule in rules)))
     group = block * max(1, 4 * _BLOCK_VALUES // (n * n * block))  # n x n inverses per call
     for start in range(0, m, block):
         columns = np.arange(start, min(start + block, m))
@@ -419,18 +415,9 @@ def pinv_moments(
             failures.extend((t, None, err) for t, err in singular)
         ok = np.isin(columns, [t for t, _ in singular], invert=True)
         columns, R, mu = columns[ok], Rs[columns[ok] % group], X.T[columns[ok]]
-        pieces = _whiten(R, mu, noise)
-        first[columns], second[columns] = _gauss_laguerre(pieces, *rule)
-        if quad.method == GAUSS_LAGUERRE and not quad.cross_check:
-            continue
-        for i, t in enumerate(columns):
-            for k in range(n):
-                ctx = MgfContext(R[i], mu[i], k, tuple(piece[i : i + 1] for piece in pieces))
-                try:
-                    first[t, k] = _moment_element(ctx, quad, 1, first[t, k])
-                    second[t, k] = _moment_element(ctx, quad, 2, second[t, k])
-                except DmduqError as exc:
-                    failures.append((int(t), k, exc))
+        first[columns], second[columns], failed = _tables(
+            _whiten(R, mu, noise), columns, rules, quad.rel_tol)
+        failures.extend(failed)
 
     if failures:
         raise MomentComputationError(sorted(failures, key=lambda f: f[0]))

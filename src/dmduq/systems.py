@@ -86,8 +86,9 @@ class OscillatorNetworkParams:
         return np.diag(np.diag(self.coupling) + off.sum(axis=1)) - off
 
 
-def _rk4(A: np.ndarray, state: np.ndarray, steps: int, dt: float) -> np.ndarray:
-    """Classic RK4 on y' = A y, stepped by its exact propagator M."""
+def _rk4(A: np.ndarray, state: np.ndarray, duration: float, dt: float):
+    """Times and states of classic RK4 on y' = A y, stepped by its exact propagator M."""
+    steps = int(round(duration / dt))
     M = term = np.eye(len(A))
     for j in range(1, 5):
         term = term @ (dt * A) / j
@@ -96,17 +97,15 @@ def _rk4(A: np.ndarray, state: np.ndarray, steps: int, dt: float) -> np.ndarray:
     out[:, 0] = state
     for i in range(steps):
         np.matmul(M, out[:, i], out=out[:, i + 1])
-    return out
+    return np.arange(steps + 1) * dt, out
 
 
 def simulate_spring_mass(params: SpringMassParams) -> RawTrajectory:
     """Integrate d(x1)/dt = x2, d(x2)/dt = -(k/m) x1 - g at uniform dt."""
     A = np.array([[0.0, 1.0, 0.0], [-params.stiffness / params.mass, 0.0, -params.gravity],
                   [0.0, 0.0, 0.0]])
-    steps = int(round(params.duration / params.dt))
-    samples = _rk4(A, np.array([*params.x0, 1.0]), steps, params.dt)[:2]
-    times = np.arange(steps + 1) * params.dt
-    return RawTrajectory(times=times, samples=samples, state_names=["x1", "x2"])
+    times, samples = _rk4(A, np.array([*params.x0, 1.0]), params.duration, params.dt)
+    return RawTrajectory(times=times, samples=samples[:2], state_names=["x1", "x2"])
 
 
 def spring_mass_energy(params: SpringMassParams, trajectory: RawTrajectory) -> np.ndarray:
@@ -134,9 +133,7 @@ def simulate_oscillator_network(params: OscillatorNetworkParams) -> RawTrajector
         state0 = np.concatenate([0.1 * rng.standard_normal(nodes), np.zeros(nodes)])
 
     A = np.block([[np.zeros((nodes, nodes)), np.eye(nodes)], [-K, -D]])
-    steps = int(round(params.duration / params.dt))
-    samples = _rk4(A, state0, steps, params.dt)
-    times = np.arange(steps + 1) * params.dt
+    times, samples = _rk4(A, state0, params.duration, params.dt)
     names = [f"q{i + 1}" for i in range(nodes)] + [f"v{i + 1}" for i in range(nodes)]
     return RawTrajectory(times=times, samples=samples, state_names=names)
 

@@ -8,13 +8,14 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import scipy.integrate
 from mpmath import mp
 
 import dmduq
 import dmduq.numerics
 import dmduq.spectral
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots
-from dmduq.pinv_moments import context_from_parts
+from dmduq.pinv_moments import _decay_rate, context_from_parts, moment_integrands
 
 
 # Directory that holds the imported dmduq package: the checkout's src/ when the
@@ -145,3 +146,21 @@ def random_mgf_context(rng, n=None):
     noise = NoiseModel(variances=rng.uniform(0.05, 0.5, size=n))
     k = int(rng.integers(0, n))
     return context_from_parts(R, mu, noise, k), R, mu, noise, k
+
+
+def scipy_moment_element(context, order, p2_max=400.0, rel_tol=1e-8):
+    """One moment of a context's element by adaptive ``scipy.integrate.quad``.
+
+    Integrates the full integrand of ``moment_integrands`` (``order`` 1 or 2)
+    on the substituted axis u = rho * p2 in [0, p2_max], rho the column's
+    decay rate, as the package's truncated route does with a fixed rule.
+    """
+    rate = float(_decay_rate(context.pieces)[0])
+    return scipy.integrate.quad(
+        lambda u: float(moment_integrands(context, u / rate)[order - 1][0]) / rate,
+        0.0,
+        p2_max,
+        epsabs=0.0,
+        epsrel=max(min(rel_tol * 1e-2, 1e-3), 1e-13),
+        limit=200,
+    )[0]

@@ -160,8 +160,7 @@ class TestRowFormatter:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy costs most of a command's start-up; only the opt-in adaptive
-    # quadrature imports it.
+    # scipy would cost most of a command's start-up; dmduq imports none of it.
     code = "import sys, dmduq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = run_python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -16,7 +16,7 @@ from dmduq.data_model import NoiseModel
 from dmduq.numerics import gauss_laguerre_nodes
 from dmduq.pinv_moments import (
     QuadratureConfig,
-    _gauss_laguerre,
+    _integrate,
     _whiten,
     gram_complement_inverses,
     pinv_moments,
@@ -83,7 +83,7 @@ def _kernel_tables(X, cov):
     R, singular = gram_complement_inverses(X, 0.0, np.arange(X.shape[1]))
     assert not singular
     pieces = _whiten(R, X.T, NoiseModel(variances=np.diag(cov).copy(), full_covariance=cov))
-    return _gauss_laguerre(pieces, *gauss_laguerre_nodes(QuadratureConfig().node_count))
+    return _integrate(pieces, *gauss_laguerre_nodes(QuadratureConfig().node_count), True)
 
 
 @settings(max_examples=40, deadline=None)

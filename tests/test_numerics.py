@@ -17,6 +17,7 @@ from dmduq.numerics import (
     RowTable,
     Spectrum,
     cholesky,
+    composite_legendre_nodes,
     eigenvalue_rows,
     gauss_laguerre_nodes,
     product_eigenvalues,
@@ -294,6 +295,19 @@ class TestGaussLaguerre:
         for d in range(min(2 * count, 40)):
             moment = np.sum(weights * nodes**d) / np.exp(gammaln(d + 1))
             assert abs(moment - 1.0) <= 3e-14
+
+    @pytest.mark.parametrize("upper, panels", [(0.3, 1), (50.0, 8), (400.0, 11)])
+    def test_composite_legendre_rule(self, upper, panels):
+        # Panels [0, 0.5], [0.5, 1], [1, 2], ... doubling, the last ending at upper.
+        nodes, weights = composite_legendre_nodes(upper)
+        assert nodes.size == weights.size == 24 * panels
+        assert np.all(np.diff(nodes) > 0) and 0.0 < nodes[0] and nodes[-1] < upper
+        assert np.all(weights > 0)
+        assert weights.sum() == pytest.approx(upper, rel=1e-14)
+        assert abs(np.sum(weights * np.exp(-nodes)) + np.expm1(-upper)) <= 1e-14
+        assert composite_legendre_nodes(upper)[0] is nodes
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
 
     @pytest.mark.parametrize("count", [0, -3, 257])
     def test_count_out_of_range(self, count):

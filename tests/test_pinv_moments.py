@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import mgf_direct_mpmath, random_mgf_context
+from conftest import mgf_direct_mpmath, random_mgf_context, run_python, scipy_moment_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -237,6 +237,14 @@ class TestFirstMomentElement:
         gl = first_moment_element(ctx, QuadratureConfig(method="gauss_laguerre"))
         ad = first_moment_element(ctx, QuadratureConfig(method="adaptive_truncated"))
         assert gl == pytest.approx(ad, rel=1e-9)
+        # Both rules against adaptive scipy quadrature on the same truncated axis.
+        for key in sorted(SCALAR_ORACLE):
+            ctx = scalar_context(*key)
+            for order, element in ((1, first_moment_element), (2, second_moment_element)):
+                reference = scipy_moment_element(ctx, order)
+                for method in ("gauss_laguerre", "adaptive_truncated"):
+                    value = element(ctx, QuadratureConfig(method=method))
+                    assert value == pytest.approx(reference, rel=1e-9)
 
     def test_cross_check_passes_at_default_nodes(self):
         ctx = scalar_context(4.0, 1.0, 0.04)
@@ -435,6 +443,64 @@ class TestPinvMomentsTable:
             build_context(snaps, noise, t=0, k=0)
         build_context(snaps, noise, t=1, k=0)
 
+    def test_cross_check_failures_per_element(self):
+        # X = [1, 2]: columns (V=4, mu=1) and (V=1, mu=2).  A one-node
+        # Gauss-Laguerre rule is far from the composite Gauss-Legendre rule.
+        snaps = snapshots_from_states([[1.0, 2.0]])
+        noise = NoiseModel(variances=np.array([0.04]))
+        coarse = QuadratureConfig(node_count=1)
+        with pytest.raises(MomentComputationError) as info:
+            pinv_moments(snaps, noise, quad=QuadratureConfig(node_count=1, cross_check=True))
+        adaptive = QuadratureConfig(method="adaptive_truncated")
+        # Element values: the one-node tables themselves fail the Jensen check.
+        values = {(t, quad): [element(build_context(snaps, noise, t, 0), quad)
+                              for element in (first_moment_element, second_moment_element)]
+                  for t in (0, 1) for quad in (coarse, adaptive)}
+        tol = 100.0 * coarse.rel_tol
+        expected = [(t, 0) for t in (0, 1) if any(
+            abs(a - b) > tol * max(abs(a), abs(b))
+            for a, b in zip(values[t, coarse], values[t, adaptive]))]
+        failures = info.value.failures
+        assert expected == [(0, 0), (1, 0)]
+        assert [(t, k) for t, k, _ in failures] == expected
+        assert all(isinstance(err, QuadratureNotConverged) for _, _, err in failures)
+        for t, _, err in failures:
+            (gl_first, gl_second), (ad_first, ad_second) = values[t, coarse], values[t, adaptive]
+            assert f"first table: Gauss-Laguerre {gl_first:.12e} vs composite Gauss-Legendre " \
+                   f"{ad_first:.12e}" in str(err)
+            assert f"second_raw table: Gauss-Laguerre {gl_second:.12e}" in str(err)
+
+    def test_cross_check_keeps_configured_tables(self):
+        rng = np.random.default_rng(11)
+        snaps = snapshots_from_states(rng.standard_normal((3, 9)))
+        noise = NoiseModel(variances=np.array([0.03, 0.01, 0.02]))
+        for method in ("gauss_laguerre", "adaptive_truncated"):
+            plain = pinv_moments(snaps, noise, quad=QuadratureConfig(method=method))
+            checked = pinv_moments(snaps, noise, quad=QuadratureConfig(method=method, cross_check=True))
+            assert np.array_equal(plain.first, checked.first)
+            assert np.array_equal(plain.second_raw, checked.second_raw)
+
+    def test_no_scipy_at_run_time(self, tmp_path):
+        # scipy is blocked, as in a numpy-only install: importing it would raise.
+        code = """if True:
+            import sys
+            sys.modules["scipy"] = None
+            import numpy as np
+            import dmduq as dq
+            from dmduq.pinv_moments import QuadratureConfig, build_context
+            traj = dq.simulate_spring_mass(dq.SpringMassParams(duration=2.0, dt=0.1))
+            snaps = dq.build_snapshots(traj)
+            noise = dq.NoiseModel(variances=np.full(2, 1e-6))
+            for quad in (QuadratureConfig(cross_check=True),
+                         QuadratureConfig(method="adaptive_truncated")):
+                dq.pinv_moments(snaps, noise, quad=quad)
+                dq.first_moment_element(build_context(snaps, noise, 3, 1), quad)
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m]))
+        """
+        proc = run_python(["-c", code], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_error_aggregation_with_locations(self):
         snaps = snapshots_from_states(2.0 * np.eye(3), extra_column=np.ones(3))
         noise = NoiseModel(variances=np.full(3, 0.01))
@@ -458,3 +524,8 @@ class TestQuadratureConfig:
     def test_bad_rel_tol(self):
         with pytest.raises(ConfigError):
             QuadratureConfig(rel_tol=0.5)
+
+    @pytest.mark.parametrize("p2_max", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_p2_max(self, p2_max):
+        with pytest.raises(ConfigError, match="p2_max must be positive and finite"):
+            QuadratureConfig(p2_max=p2_max)
