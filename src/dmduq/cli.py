@@ -215,7 +215,8 @@ def _mc_payload(snapshots, noise, cfg: PipelineConfig) -> dict:
         **vars(summary),
         "standard_errors": vars(summary.standard_errors),
         "eigen_samples": None if eigen is None else {"re": eigen.real, "im": eigen.imag},
-        "metadata": {"config": cfg.to_dict(), "version": __version__},
+        "metadata": {"config": cfg.to_dict(), "version": __version__,
+                     "noise_variances": noise.variances},
     }
 
 
@@ -284,10 +285,26 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
     }
 
 
+def _check_same_noise(payloads: dict) -> None:
+    """ShapeMismatch when both payloads (by path) record noise variances that differ, or do not
+    parse, at the smaller of their output precisions; one that records none passes."""
+    meta = [data.get("metadata") for data in payloads.values()]
+    if all(isinstance(m, dict) and "noise_variances" in m for m in meta):
+        try:
+            digits = min(int(m.get("config", {}).get("output_precision", 17)) for m in meta)
+            texts = {tuple(f"%.{digits}g" % float(v) for v in m["noise_variances"]) for m in meta}
+        except (AttributeError, TypeError, ValueError):
+            texts = ()
+        if len(texts) != 1:
+            raise ShapeMismatch("noise variances differ: " + " but ".join(
+                f"{path} records {m['noise_variances']}" for path, m in zip(payloads, meta)))
+
+
 def cmd_compare(args) -> int:
     cfg = _load_pipeline_config(args)
     moments = _read_payload(args.moments, [est for est, _ in _COMPARED])
     mc = _read_payload(args.mc, [ref for _, ref in _COMPARED])
+    _check_same_noise({args.moments: moments, args.mc: mc})
     payload = _report_payload(moments, mc, cfg.decimate_stride)
     _write_json(args.out, payload, cfg.output_precision)
     print(f"wrote {args.out}")

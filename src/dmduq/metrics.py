@@ -1,8 +1,9 @@
 """Matrix-comparison metrics and the normalizations used by report curves.
 
 Cosine similarity uses the standard normalized inner product of vectorized
-matrices, so it always lies in [-1, 1].  Norms and inner products run with
-BLAS held at one thread, so the bits do not depend on the thread setting.
+matrices, so it always lies in [-1, 1].  Inputs are taken in C order and norms
+and inner products run with BLAS held at one thread, so the bits depend on
+neither the memory layout nor the thread setting.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class ComparisonReport:
 
 def compare(estimated: np.ndarray, reference: np.ndarray) -> ComparisonReport:
     """RMSE, MAE, Frobenius norm of the difference, and cosine similarity."""
-    est = np.atleast_2d(np.asarray(estimated, dtype=float))
-    ref = np.atleast_2d(np.asarray(reference, dtype=float))
+    est = np.atleast_2d(np.ascontiguousarray(estimated, dtype=float))
+    ref = np.atleast_2d(np.ascontiguousarray(reference, dtype=float))
     if est.shape != ref.shape:
         raise ShapeMismatch(f"shapes differ: {est.shape} vs {ref.shape}")
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(ref))):

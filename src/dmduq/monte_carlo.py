@@ -37,7 +37,7 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
 from . import numerics
-from .numerics import map_row_blocks, product_eigenvalues, slice_workers, spd_inverses
+from .numerics import product_eigenvalues, row_blocks, slice_workers, spd_inverses
 from .operator_moments import gram_inverse
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, pulled_spectra
@@ -163,14 +163,14 @@ class _MomentAccumulator:
         d2 *= d2
         self.sums[3][lo:hi] += d2.sum(axis=0)
 
-    def statistics(self, count: int, map_slices, raw_second: bool = True):
+    def statistics(self, count: int, raw_second: bool = True):
         """``(mean, second_raw, variance, se_mean, se_second, se_variance)``; the
-        second_raw pair is None unless ``raw_second``.  Row blocks fill preallocated
-        tables over ``map_slices``."""
+        second_raw pair is None unless ``raw_second``.  Blocks of an eighth of a table row
+        block fill preallocated tables in order, so their dozen temporaries stay near 1 MB."""
         mean, second_raw, var, se_mean, se_second, se_var = (
             np.empty_like(self.shift) if raw_second or i not in (1, 4) else None for i in range(6)
         )
-        def rows(a: int, b: int) -> None:
+        for a, b in row_blocks(len(self.shift), 8 * self.shift[0].size):
             c = self.shift[a:b]
             s1, s2, s3, s4 = (s[a:b] / count for s in self.sums)
             mean[a:b] = c + s1
@@ -184,8 +184,6 @@ class _MomentAccumulator:
                 # Var(x**2) for x = c + d, from the sums of d: no O(c**4) terms cancel.
                 var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
                 se_second[a:b] = np.sqrt(np.maximum(var_sq, 0.0) / count)
-
-        map_row_blocks(map_slices, rows, len(self.shift), self.shift[0].size)
         return mean, second_raw, var, se_mean, se_second, se_var
 
 
@@ -262,7 +260,7 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
 
     pinv_acc, op_acc = _MomentAccumulator(pinv_point), _MomentAccumulator(operator_point)
     eig_parts, failed_count = [], 0
-    with slice_workers() as map_slices:  # one pool and one BLAS pin for the whole run
+    with slice_workers() as map_slices:  # one pool and one BLAS pin for every chunk
         for start in range(0, n_trials, chunk):
             count = min(chunk, n_trials - start)
             ok = np.concatenate(map_slices(lambda lo, hi: sample_slice(start, lo, hi), count))
@@ -271,8 +269,7 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
             if not ok.all():  # trials whose Gram has no Cholesky factor are dropped
                 pinv_tables, y_draws = pinv_tables[ok], y_draws[ok]
             if config.compute_eigenvalues:  # before add_block overwrites the tables
-                eig_parts += map_slices(lambda lo, hi: product_eigenvalues(
-                    pinv_tables[lo:hi], y_draws[lo:hi]), len(pinv_tables))
+                eig_parts.append(product_eigenvalues(pinv_tables, y_draws))
 
             def add_rows(a: int, b: int) -> None:
                 # Operator rows a:b round as in the whole-chunk product, provided the
@@ -282,17 +279,18 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
                 op_acc.add_block(operators[:, a - lo : b - lo], a)
                 pinv_acc.add_block(pinv_tables[:, a:b], a)  # last: it overwrites the tables
 
-            map_row_blocks(map_slices, add_rows, m, len(pinv_tables) * m)
+            blocks = row_blocks(m, len(pinv_tables) * m)
+            map_slices(lambda lo, hi: [add_rows(a, b) for a, b in blocks[lo:hi]], len(blocks))
 
-        if failed_count > _FAILURE_FRACTION * n_trials:
-            raise TooManyFailedTrials(
-                f"{failed_count} of {n_trials} trials failed (> {_FAILURE_FRACTION:.0%})"
-            )
-        if failed_count:
-            logger.warning("%d of %d trials had singular Gram matrices", failed_count, n_trials)
-        n_eff = n_trials - failed_count
-        p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(n_eff, map_slices)
-        o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(n_eff, map_slices, False)
+    if failed_count > _FAILURE_FRACTION * n_trials:
+        raise TooManyFailedTrials(
+            f"{failed_count} of {n_trials} trials failed (> {_FAILURE_FRACTION:.0%})"
+        )
+    if failed_count:
+        logger.warning("%d of %d trials had singular Gram matrices", failed_count, n_trials)
+    n_eff = n_trials - failed_count
+    p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(n_eff)
+    o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(n_eff, False)
     eigen = np.vstack(eig_parts) if eig_parts else None
 
     return McSummary(
@@ -327,8 +325,8 @@ def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, s
             f"{negatives} element(s) have variance below -1e-12; "
             "enable clamping or use corrected mode"
         )
-    if negatives:
-        logger.warning("clamping %d negative variance element(s) to zero", negatives)
+    if clamped := int(np.count_nonzero(second_central < 0)):  # np.clip zeroes every one
+        logger.warning("clamping %d negative variance element(s) to zero", clamped)
     std, rng = np.sqrt(np.clip(second_central, 0.0, None)), trial_rng(seed, 0)
 
     def take(start: int, stop: int) -> np.ndarray:

@@ -9,10 +9,10 @@ Gauss-Legendre rule for truncated ones.  All functions are pure
 and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
 thread around the calls whose bits would otherwise depend on the BLAS thread
 setting, and ``slice_workers`` spreads such calls over one worker thread per
-BLAS thread; ``map_row_blocks`` hands them the row blocks of a table.  A
-``RowTable`` is an m x m table read from its row source by those blocks, each
-at one BLAS thread, so it has the same bits whether it is built whole or
-written out block by block.
+BLAS thread, for the jobs that split: Monte Carlo trials and spectra.  A
+``RowTable`` is an m x m table read from its row source by ``row_blocks``, in
+order in the calling thread at one BLAS thread, so it has the same bits whether
+it is built whole or written out block by block.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -119,15 +119,6 @@ def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def map_row_blocks(map_slices, fn, count: int, width: int) -> list:
-    """``fn(a, b)`` over ``map_slices`` for the :func:`row_blocks` ``a:b`` of a ``count``
-    x ``width`` table, results in block order.  A block filled stays in a core's cache
-    to be checked, and no block's BLAS call, nor its bits, depends on the worker count."""
-    blocks = row_blocks(count, width)
-    parts = map_slices(lambda lo, hi: [fn(a, b) for a, b in blocks[lo:hi]], len(blocks))
-    return [result for part in parts for result in part]
-
-
 class RowTable(NamedTuple):
     """A ``shape`` table whose rows a:b are ``rows(a, b, out=None)`` (written into ``out`` when
     given), read by :func:`row_blocks`, each block at one BLAS thread."""
@@ -145,8 +136,9 @@ class RowTable(NamedTuple):
 
     def __array__(self, dtype=None, copy=None):
         table = np.empty(self.shape)
-        with slice_workers() as map_slices:
-            map_row_blocks(map_slices, lambda a, b: self.rows(a, b, table[a:b]), *self.shape)
+        with _one_blas_thread():
+            for a, b in row_blocks(*self.shape):
+                self.rows(a, b, table[a:b])
         return table
 
 

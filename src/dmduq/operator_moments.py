@@ -24,9 +24,9 @@ and ``DmdEstimate`` hold the factors and give each table as a row source
 ``rows(a, b, out=None)``: ``first_rows``, ``second_rows`` and ``rows``.  A
 table is formed only when it is read, as a ``numerics.RowTable`` of its row
 source.  Construction checks both tables from the factors in O(m n) when it can; else,
-and for paper_literal variances (negatives counted), it checks each row block in cache
-across ``numerics.slice_workers``.  Blocks are cut by the table's shape alone, so no
-bit depends on the thread count or on whether a block is kept.
+and for paper_literal variances (negatives counted), it checks each row block in cache,
+in order in the calling thread at one BLAS thread.  Blocks are cut by the table's shape
+alone, so no bit depends on the thread count or on whether a block is kept.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, SingularGram
 from .numerics import (
-    RowTable, Spectrum, map_row_blocks, product_eigenvalues, slice_workers, spd_inverses,
+    RowTable, Spectrum, _one_blas_thread, product_eigenvalues, row_blocks, spd_inverses,
 )
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
@@ -148,34 +148,31 @@ def _certified(M1x: np.ndarray, M2x: np.ndarray, Y: np.ndarray, scale: np.ndarra
 
 def _row_pass(shape, mode: str, first_rows, second_rows=None) -> tuple[int, float]:
     """Check each row block of the ``shape`` tables ``first`` and ``second_central`` (if
-    ``second_rows`` is given) as it is made, across ``slice_workers``: ``second_rows(a, b,
+    ``second_rows`` is given) as it is made, in order at one BLAS thread: ``second_rows(a, b,
     out)`` may write over the checked ``first`` block ``out``.  Raises DimensionMismatch at
     the first non-finite entry, by block, or a corrected-mode variance below -1e-12.  Returns
     the number of negative entries of ``second_central`` and its minimum (0, inf if None)."""
     if mode not in VARIANCE_MODES:
         raise ConfigError(f"unknown variance mode {mode!r}")
-
-    def block(a: int, b: int):
-        table = None
-        for name, rows in (("first", first_rows), ("second_central", second_rows)):
-            if rows is None:
-                return None, 0, np.inf
-            table = rows(a, b, table)
-            least = table.min()  # min and max propagate NaN
-            if not (np.isfinite(least) and np.isfinite(table.max())):
-                (row, col), *_ = np.argwhere(~np.isfinite(table))
-                return (name, a + row, col, table[row, col]), 0, np.inf
-        return None, int(np.count_nonzero(table < 0)) if least < 0 else 0, least
-
-    with slice_workers() as map_slices:
-        parts = map_row_blocks(map_slices, block, *shape)
-    bad = next((part[0] for part in parts if part[0] is not None), None)
-    if bad is not None:
-        raise DimensionMismatch("operator moments must be finite: {}[{}, {}] = {}".format(*bad))
-    low = float(min(part[2] for part in parts))
+    negatives, low = 0, np.inf
+    with _one_blas_thread():
+        for a, b in row_blocks(*shape):
+            table = None
+            for name, rows in (("first", first_rows), ("second_central", second_rows)):
+                if rows is None:
+                    break
+                table = rows(a, b, table)
+                least = table.min()  # min and max propagate NaN
+                if not (np.isfinite(least) and np.isfinite(table.max())):
+                    (row, col), *_ = np.argwhere(~np.isfinite(table))
+                    raise DimensionMismatch(f"operator moments must be finite: "
+                                            f"{name}[{a + row}, {col}] = {table[row, col]}")
+            else:
+                negatives += int(np.count_nonzero(table < 0)) if least < 0 else 0
+                low = min(low, float(least))
     if mode == CORRECTED and low < -1e-12:
         raise DimensionMismatch(f"corrected-mode variance is negative: min {low:.3e}")
-    return sum(part[1] for part in parts), low
+    return negatives, low
 
 
 def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> None:

@@ -64,12 +64,12 @@ class Kde2d:
 _EIGVALS_ROWS = 1000
 
 
-def pulled_spectra(count: int, m: int, take, first_index: int = 0) -> EigenSampleSet:
+def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
     """Sorted spectra of ``count`` m x m instances across ``slice_workers``, each worker taking
     the next batch ``take(start, stop)`` under a lock and checking and eigendecomposing it
     outside, with BLAS at one thread.  A batch is about a table row block, and at least
-    ``_EIGVALS_ROWS`` rows.  Failures name the instance as ``first_index`` plus its position;
-    after one no batch is taken, those taken finish, and the lowest instance's is raised."""
+    ``_EIGVALS_ROWS`` rows.  Failures name the instance by its position; after one no batch
+    is taken, those taken finish, and the lowest instance's is raised."""
     batch = max(numerics._CHUNK_SCALARS // 32 // (m * m), -(-_EIGVALS_ROWS // m))
     lock, starts, failures = threading.Lock(), iter(range(0, count, batch)), []
     samples = np.empty((count, m), dtype=complex)
@@ -83,7 +83,7 @@ def pulled_spectra(count: int, m: int, take, first_index: int = 0) -> EigenSampl
                 stop = min(start + batch, count)
                 instances = take(start, stop)
             try:
-                samples[start:stop] = eigenvalue_rows(instances, first_index + start)
+                samples[start:stop] = eigenvalue_rows(instances, start)
             except DmduqError as exc:
                 failures.append((start, exc))
             del instances  # before the next batch is taken
@@ -99,16 +99,13 @@ def pulled_spectra(count: int, m: int, take, first_index: int = 0) -> EigenSampl
     return EigenSampleSet(samples, np.where(top.imag < 0, np.conj(top), top))
 
 
-def eigen_samples(instances: np.ndarray, first_index: int = 0) -> EigenSampleSet:
-    """:func:`pulled_spectra` of a stack of square matrices, checked for finite entries first.
-
-    Failures name the instance as ``first_index`` plus its position in the
-    stack, for callers that pass one chunk of a longer sequence.
-    """
-    stack = finite_stack(instances, first_index)
+def eigen_samples(instances: np.ndarray) -> EigenSampleSet:
+    """:func:`pulled_spectra` of a stack of square matrices, checked for finite entries first;
+    failures name the instance by its position in the stack."""
+    stack = finite_stack(instances)
     if len(stack) < 1:
         raise TooFewSamples("need at least one instance")
-    return pulled_spectra(len(stack), stack.shape[1], lambda a, b: stack[a:b], first_index)
+    return pulled_spectra(len(stack), stack.shape[1], lambda a, b: stack[a:b])
 
 
 def eigen_moments(sample_set: EigenSampleSet) -> EigenMoments:

@@ -63,6 +63,16 @@ def fixed_blas_workers(count):
     return one_blas_thread
 
 
+def forbid_worker_threads(monkeypatch):
+    """Make ``numerics.slice_workers`` fail to start its pool, so a call that would start a
+    worker thread raises instead."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+
+    monkeypatch.setattr(dmduq.numerics, "ThreadPoolExecutor", refuse)
+
+
 def spectra_batches(monkeypatch, size, m):
     """Make ``spectral.pulled_spectra`` take batches of ``size`` m x m instances."""
     monkeypatch.setattr(dmduq.numerics, "_CHUNK_SCALARS", 32 * size * m * m)

@@ -410,6 +410,29 @@ class TestCompare:
         assert proc.returncode == 1
         assert stderr_error_code(proc) == "shape_mismatch"
 
+    def test_noise_variances_must_match(self, small_csv, tmp_path, capsys):
+        # The variances are compared at the smaller output precision of the two
+        # files (3 digits here), and a file that records none is accepted.
+        (tmp_path / "c.json").write_text('{"mc": {"trials": 20}, "output_precision": 3}')
+        common = [str(small_csv), "--config", str(tmp_path / "c.json")]
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("m", "mc_far", "mc_near")}
+        assert main(["moments", str(small_csv), "--noise-variances", "1e-6,1e-6",
+                     "--out", paths["m"]]) == 0
+        for name, noise in (("mc_far", "1e-4,1e-4"), ("mc_near", "1.0001e-6,1e-6")):
+            assert main(["mc", *common, "--noise-variances", noise, "--out", paths[name]]) == 0
+        out = ["--out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert main(["compare", paths["m"], paths["mc_far"], *out]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "shape_mismatch"
+        for text in (paths["m"], paths["mc_far"], "[1e-06, 1e-06]", "[0.0001, 0.0001]"):
+            assert text in error["message"]
+        assert main(["compare", paths["m"], paths["mc_near"], *out]) == 0
+        mc = json.loads((tmp_path / "mc_far.json").read_text())
+        del mc["metadata"]["noise_variances"]
+        (tmp_path / "mc_far.json").write_text(json.dumps(mc))
+        assert main(["compare", paths["m"], paths["mc_far"], *out]) == 0
+
     def test_output_independent_of_blas_threads(self, tmp_path, monkeypatch):
         # At m = 200 multi-threaded OpenBLAS takes norms and inner products of
         # the operator tables with different rounding than single-threaded;
@@ -600,6 +623,23 @@ class TestPipeline:
         assert main(["pipeline", *inputs, "--out-dir", str(tmp_path / "run")]) == 0
         assert main(["mc", *inputs, "--out", str(tmp_path / "mc.json")]) == 0
         assert (tmp_path / "run" / "mc.json").read_bytes() == (tmp_path / "mc.json").read_bytes()
+
+
+    def test_matches_separate_commands(self, tmp_path):
+        # m = 260: run_mc's pseudoinverse tables are F-ordered, and compare's norms
+        # of them rounded differently from those of the C-ordered tables mc.json gives.
+        (tmp_path / "c.json").write_text('{"mc": {"trials": 100}}')
+        traj = str(tmp_path / "t.csv")
+        assert main(["simulate", "spring-mass", "--duration", "13", "--dt", "0.05",
+                     "--out", traj]) == 0
+        inputs = [traj, "--config", str(tmp_path / "c.json"), "--noise-variances", "1e-6,1e-6"]
+        assert main(["pipeline", *inputs, "--out-dir", str(tmp_path / "run")]) == 0
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("moments", "mc", "report")}
+        assert main(["moments", *inputs, "--out", paths["moments"]]) == 0
+        assert main(["mc", *inputs, "--out", paths["mc"]]) == 0
+        assert main(["compare", paths["moments"], paths["mc"], "--out", paths["report"]]) == 0
+        for name, path in paths.items():
+            assert (tmp_path / "run" / f"{name}.json").read_bytes() == open(path, "rb").read()
 
 
 class TestConfigRejection:

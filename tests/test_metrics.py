@@ -49,6 +49,15 @@ class TestCompare:
             compare(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+    def test_independent_of_memory_layout(self):
+        # np.linalg.norm sums in memory order; compare takes both inputs in C order.
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((260, 2)), rng.standard_normal((260, 2))
+        want = compare(a, b)
+        for got in (compare(a, np.asfortranarray(b)), compare(np.asfortranarray(a), b)):
+            assert got == want
+
+
 class TestMinMaxNormalize:
     def test_basic(self):
         assert np.allclose(min_max_normalize(np.array([1.0, 2.0, 3.0])), [0.0, 0.5, 1.0])

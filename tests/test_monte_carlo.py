@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
-    fixed_blas_workers, openblas_threads, snapshots_from_trajectory_matrix, spectra_batches,
+    fixed_blas_workers, forbid_worker_threads, openblas_threads, snapshots_from_trajectory_matrix, spectra_batches,
 )
 
 from dmduq import monte_carlo, numerics, spectral
@@ -343,7 +344,7 @@ def _summary_arrays(summary):
 
 
 class TestRunMcWorkers:
-    """Trial slices, element slices and statistics blocks split over 1, 2 or 3 workers."""
+    """Trial slices and element slices split over 1, 2 or 3 workers."""
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
@@ -362,6 +363,28 @@ class TestRunMcWorkers:
             got = run_mc(snaps, noise, cfg)
         finally:
             sys.setswitchinterval(interval)
+        for a, b in zip(_summary_arrays(got), _summary_arrays(want)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_eigenvalues_once_per_chunk_in_calling_thread(self, toy_system, monkeypatch, mode):
+        # m = 8, n = 2: chunks of 4, 4 and 2 trials over 2 workers; each chunk's spectra
+        # come from one product_eigenvalues call in the thread that called run_mc.
+        snaps, noise = toy_system
+        cfg = McConfig(trials=10, master_seed=4, sampling_mode=mode)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 4 * 8 * 8)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
+        want = run_mc(snaps, noise, cfg)
+        calls = []
+
+        def recorded(left, right):
+            calls.append((threading.get_ident(), len(left)))
+            return product_eigenvalues(left, right)
+
+        monkeypatch.setattr(monte_carlo, "product_eigenvalues", recorded)
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
+        got = run_mc(snaps, noise, cfg)
+        assert calls == [(threading.get_ident(), trials) for trials in (4, 4, 2)]
         for a, b in zip(_summary_arrays(got), _summary_arrays(want)):
             assert np.array_equal(a, b)
 
@@ -413,24 +436,21 @@ class TestRunMcWorkers:
             np.sqrt(np.maximum(var_sq, 0.0) / count),
             np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count),
         )
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 2 * 5)  # blocks of 2 rows
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
-            with numerics.slice_workers() as map_slices:
-                got = acc.statistics(count, map_slices)
-                some = acc.statistics(count, map_slices, raw_second=False)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-            assert some[1] is None and some[4] is None
-            for i in (0, 2, 3, 5):
-                assert np.array_equal(some[i], want[i])
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 8 * 32 * 2 * 5)  # blocks of 2 rows
+        forbid_worker_threads(monkeypatch)  # the blocks run in order in this thread
+        got = acc.statistics(count)
+        some = acc.statistics(count, raw_second=False)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert some[1] is None and some[4] is None
+        for i in (0, 2, 3, 5):
+            assert np.array_equal(some[i], want[i])
 
     @staticmethod
     def _se_second(values, centre):
         acc = monte_carlo._MomentAccumulator(np.full((1, 1), centre))
         acc.add_block(values.copy(), 0)
-        with numerics.slice_workers() as map_slices:
-            return acc.statistics(len(values), map_slices)[4][0, 0]
+        return acc.statistics(len(values))[4][0, 0]
 
     def test_se_second_against_exact_arithmetic(self):
         # x = c + d with c = 1e3 and d ~ N(0, 1e-6): Var(x**2) is about 4e-6 * c**2, while
@@ -456,15 +476,11 @@ class TestRunMcWorkers:
         rng = np.random.default_rng(1)
         acc = monte_carlo._MomentAccumulator(rng.standard_normal((m, m)))
         acc.add_block(rng.standard_normal((3, m, m)), 0)
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * rows * m)
-
-        def serial(fn, count):
-            return [fn(0, count)]
-
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 8 * 32 * rows * m)
         table_bytes, block_bytes = m * m * 8, rows * m * 8
         tracemalloc.start()
         try:
-            acc.statistics(3, serial, raw_second)
+            acc.statistics(3, raw_second)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -513,11 +529,8 @@ def _whole_chunk_reference(snaps, noise, cfg):
         accs[0].add_block(pinv, 0)
         accs[1].add_block(operators, 0)
 
-    def serial(fn, count):
-        return [fn(0, count)]
-
-    p_mean, p_second, _, p_se_mean, p_se_second, _ = accs[0].statistics(cfg.trials - failed, serial)
-    o_mean, _, o_var, o_se_mean, _, o_se_var = accs[1].statistics(cfg.trials - failed, serial, False)
+    p_mean, p_second, _, p_se_mean, p_se_second, _ = accs[0].statistics(cfg.trials - failed)
+    o_mean, _, o_var, o_se_mean, _, o_se_var = accs[1].statistics(cfg.trials - failed, False)
     return [p_mean, p_second, o_mean, o_var, p_se_mean, p_se_second, o_se_mean, o_se_var,
             np.vstack(eig)]
 
@@ -650,6 +663,15 @@ class TestSampleOperatorInstances:
         moments = np.zeros((1, 1)), np.array([[-1e-6]])
         out = sample_operator_instances(*moments, count=3, seed=0, clamp_negative=True)
         assert np.array_equal(out, np.zeros((3, 1, 1)))
+
+    def test_clamp_log_counts_every_entry_clamped(self, caplog):
+        # -1e-13 passes the -1e-12 check but is clamped to zero with -1e-6.
+        moments = np.zeros((1, 2)), np.array([[-1e-6, -1e-13]])
+        with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
+            out = sample_operator_instances(*moments, count=3, seed=0, clamp_negative=True)
+        assert np.array_equal(out, np.zeros((3, 1, 2)))
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamping 2 negative variance element(s) to zero"]
 
 
 def _random_moments(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

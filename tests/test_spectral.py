@@ -53,8 +53,9 @@ class TestEigenSamples:
         instances[1, 0, 1] = np.inf
         with pytest.raises(DimensionMismatch, match="instance 1"):
             eigen_samples(instances)
-        with pytest.raises(DimensionMismatch, match="instance 11"):
-            eigen_samples(instances, first_index=10)
+        instances[1, 0, 1], instances[2, 1, 0] = 0.0, np.nan
+        with pytest.raises(DimensionMismatch, match="instance 2$"):
+            eigen_samples(instances)
 
 
 def _blas_thread_counts():
@@ -86,7 +87,7 @@ class TestParallelEigenSamples:
         want = np.concatenate([eigenvalue_rows(matrix[None]) for matrix in instances])
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
         spectra_batches(monkeypatch, 2, 6)
-        got = eigen_samples(instances, first_index=4)
+        got = eigen_samples(instances)
         assert np.array_equal(got.samples, want)
         assert np.array_equal(got.representative_lambda1.imag, np.abs(want[:, 0].imag))
 
@@ -96,11 +97,11 @@ class TestParallelEigenSamples:
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
         spectra_batches(monkeypatch, 3, 4)
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[1, 4]]))
-        with pytest.raises(ConvergenceFailure, match="instance 11"):
-            eigen_samples(instances, first_index=10)
+        with pytest.raises(ConvergenceFailure, match="instance 1:"):
+            eigen_samples(instances)
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[4]]))
-        with pytest.raises(ConvergenceFailure, match="instance 14"):
-            eigen_samples(instances, first_index=10)
+        with pytest.raises(ConvergenceFailure, match="instance 4:"):
+            eigen_samples(instances)
 
     def test_finiteness_checked_before_split(self, monkeypatch):
         # A non-finite matrix in the second batch is reported even though the
@@ -213,7 +214,7 @@ class TestBlasPin:
 class TestSliceWorkersReentry:
     @pytest.mark.parametrize("from_worker", [False, True])
     def test_nested_entry_raises(self, from_worker):
-        # Checking dense moment tables enters slice_workers.  Inside the context,
+        # Checking dense moment tables pins BLAS at one thread.  Inside slice_workers,
         # from the thread that entered it or from one of its workers, that
         # raises; a plain lock there waited on itself for ever.  The call runs
         # in a thread joined with a timeout, so a hang fails the test.
