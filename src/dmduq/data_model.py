@@ -21,11 +21,12 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     NonUniformSampling,
+    NotPositiveDefinite,
     ParseError,
     TooFewSnapshots,
     ZeroVariance,
 )
-from .numerics import _readonly, cholesky, lower_triangular_inverses
+from .numerics import _readonly, spd_factors
 
 UNIFORMITY_RTOL = 1e-9
 
@@ -118,9 +119,10 @@ class NoiseModel:
     """Per-state measurement variances, optionally with a full SPD covariance.
 
     Variances are homoscedastic in time: one sigma^2 per state, applied to
-    every snapshot of that state.  ``covariance_factor`` is the lower
-    Cholesky factor of :meth:`covariance` and ``inverse_factor`` its inverse,
-    both computed once here.
+    every snapshot of that state.  ``covariance_factor`` is the lower Cholesky factor of
+    :meth:`covariance` and ``inverse_factor`` its inverse, both by :func:`numerics.spd_factors`
+    here; a full covariance asymmetric beyond 1e-9 of its largest entry, or not positive
+    definite, raises NotPositiveDefinite.
     """
 
     variances: np.ndarray
@@ -141,11 +143,17 @@ class NoiseModel:
                 )
             if np.abs(np.diag(cov) - v).max() > 1e-12 * max(1.0, v.max()):
                 raise DimensionMismatch("covariance diagonal does not equal variances")
+            scale, asym = np.abs(cov).max(), np.abs(cov - cov.T).max()
+            if asym > 1e-9 * scale:
+                raise NotPositiveDefinite(f"covariance asymmetry {asym:.3e} exceeds 1e-9 of "
+                                          f"its scale {scale:.3e}: not symmetric")
             object.__setattr__(self, "full_covariance", cov)
-        # Raises NotPositiveDefinite if the full covariance is not SPD.
-        L = _readonly(cholesky(self.covariance()))
-        object.__setattr__(self, "covariance_factor", L)
-        object.__setattr__(self, "inverse_factor", _readonly(lower_triangular_inverses(L[None])[0]))
+        cov = self.covariance()  # any asymmetry left is rounding: averaged away
+        (L,), (inv_L,), (positive,) = spd_factors(0.5 * (cov + cov.T)[None])
+        if not positive:
+            raise NotPositiveDefinite("covariance has no Cholesky factor: not positive definite")
+        object.__setattr__(self, "covariance_factor", _readonly(L))
+        object.__setattr__(self, "inverse_factor", _readonly(inv_L))
 
     def covariance(self) -> np.ndarray:
         if self.full_covariance is not None:

@@ -13,10 +13,6 @@ class DmduqError(Exception):
     code = "error"
 
 
-class AsymmetricInput(DmduqError):
-    code = "asymmetric_input"
-
-
 class NotPositiveDefinite(DmduqError):
     code = "not_positive_definite"
 
@@ -50,10 +46,6 @@ class ParseError(DmduqError):
         self.column = column
 
 
-class SingularV(DmduqError):
-    code = "singular_v"
-
-
 class SingularGram(DmduqError):
     code = "singular_gram"
 
@@ -83,10 +75,6 @@ class NegativeVarianceInput(DmduqError):
 
 class TooFewSamples(DmduqError):
     code = "too_few_samples"
-
-
-class TooManyFailedTrials(DmduqError):
-    code = "too_many_failed_trials"
 
 
 class DegenerateData(DmduqError):

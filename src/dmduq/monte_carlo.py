@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
-from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, TooManyFailedTrials
+from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, SingularGram
 from . import numerics
 from .numerics import product_eigenvalues, row_blocks, slice_workers, spd_inverses
 from .operator_moments import gram_inverse
@@ -147,7 +147,7 @@ class _MomentAccumulator:
 
     def __init__(self, shift: np.ndarray):
         self.shift = shift
-        self.sums = [np.zeros_like(shift) for _ in range(4)]
+        self.sums = np.zeros((4,) + shift.shape)
 
     def add_block(self, d: np.ndarray, lo: int) -> None:
         # ``d`` holds elements lo:lo + d.shape[1] of the first axis for each trial; each
@@ -164,26 +164,41 @@ class _MomentAccumulator:
         self.sums[3][lo:hi] += d2.sum(axis=0)
 
     def statistics(self, count: int, raw_second: bool = True):
-        """``(mean, second_raw, variance, se_mean, se_second, se_variance)``; the
-        second_raw pair is None unless ``raw_second``.  Blocks of an eighth of a table row
-        block fill preallocated tables in order, so their dozen temporaries stay near 1 MB."""
+        """``(mean, second_raw, variance, se_mean, se_second, se_variance)``; the second_raw
+        pair is None unless ``raw_second``.  Blocks of an eighth of a table row block are
+        written into the tables in order, by the formulas in the comments, via 1 MB of scratch."""
         mean, second_raw, var, se_mean, se_second, se_var = (
             np.empty_like(self.shift) if raw_second or i not in (1, 4) else None for i in range(6)
         )
-        for a, b in row_blocks(len(self.shift), 8 * self.shift[0].size):
-            c = self.shift[a:b]
-            s1, s2, s3, s4 = (s[a:b] / count for s in self.sums)
-            mean[a:b] = c + s1
-            dvar = (self.sums[1][a:b] - self.sums[0][a:b] ** 2 / count) / (count - 1)
-            var[a:b] = dvar = np.maximum(dvar, 0.0)
-            se_mean[a:b] = np.sqrt(dvar / count)
-            m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
-            se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
+        blocks = row_blocks(len(self.shift), 8 * self.shift[0].size)
+        scratch = np.empty((7, max(b - a for a, b in blocks)) + self.shift.shape[1:])
+        for a, b in blocks:
+            c, (s1, s2, s3, s4, t, u, v) = self.shift[a:b], scratch[:, : b - a]
+            np.divide(self.sums[:, a:b], count, out=scratch[:4, : b - a])
+            np.add(c, s1, out=mean[a:b])
+            # var = max((sums[1] - sums[0]**2 / count) / (count - 1), 0)
+            np.divide(np.square(self.sums[0][a:b], out=t), count, out=t)
+            dvar = np.subtract(self.sums[1][a:b], t, out=var[a:b])
+            np.maximum(np.divide(dvar, count - 1, out=dvar), 0.0, out=dvar)
+            np.sqrt(np.divide(dvar, count, out=se_mean[a:b]), out=se_mean[a:b])
+            # m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
+            np.subtract(s4, np.multiply(np.multiply(4.0, s1, out=t), s3, out=t), out=t)
+            t += np.multiply(np.multiply(6.0, np.square(s1, out=u), out=u), s2, out=u)
+            t -= np.multiply(3.0, np.power(s1, 4, out=u), out=u)
+            t -= np.square(dvar, out=u)  # se_var = sqrt(max(m4 - var**2, 0) / count)
+            np.sqrt(np.divide(np.maximum(t, 0.0, out=t), count, out=t), out=se_var[a:b])
             if raw_second:
-                second_raw[a:b] = c**2 + 2.0 * c * s1 + s2
+                x2 = np.square(c, out=second_raw[a:b])  # c**2 + 2.0 * c * s1 + s2
+                x2 += np.multiply(np.multiply(2.0, c, out=t), s1, out=t)
+                x2 += s2
                 # Var(x**2) for x = c + d, from the sums of d: no O(c**4) terms cancel.
-                var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
-                se_second[a:b] = np.sqrt(np.maximum(var_sq, 0.0) / count)
+                # 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
+                np.multiply(np.multiply(4.0, np.square(c, out=t), out=t),
+                            np.subtract(s2, np.square(s1, out=u), out=u), out=t)
+                np.subtract(s3, np.multiply(s1, s2, out=v), out=v)
+                t += np.multiply(np.multiply(4.0, c, out=u), v, out=u)
+                t += np.subtract(s4, np.square(s2, out=u), out=u)
+                np.sqrt(np.divide(np.maximum(t, 0.0, out=t), count, out=t), out=se_second[a:b])
         return mean, second_raw, var, se_mean, se_second, se_var
 
 
@@ -259,17 +274,18 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         return positive
 
     pinv_acc, op_acc = _MomentAccumulator(pinv_point), _MomentAccumulator(operator_point)
-    eig_parts, failed_count = [], 0
+    eigen = np.empty((n_trials, m), dtype=complex) if config.compute_eigenvalues else None
+    kept = 0  # trials kept so far: the rows of eigen filled
     with slice_workers() as map_slices:  # one pool and one BLAS pin for every chunk
         for start in range(0, n_trials, chunk):
             count = min(chunk, n_trials - start)
             ok = np.concatenate(map_slices(lambda lo, hi: sample_slice(start, lo, hi), count))
-            failed_count += count - int(ok.sum())
             pinv_tables, y_draws = pinv_buf[:count], y_buf[:count]
             if not ok.all():  # trials whose Gram has no Cholesky factor are dropped
                 pinv_tables, y_draws = pinv_tables[ok], y_draws[ok]
-            if config.compute_eigenvalues:  # before add_block overwrites the tables
-                eig_parts.append(product_eigenvalues(pinv_tables, y_draws))
+            if eigen is not None:  # before add_block overwrites the tables
+                eigen[kept : kept + len(pinv_tables)] = product_eigenvalues(pinv_tables, y_draws)
+            kept += len(pinv_tables)
 
             def add_rows(a: int, b: int) -> None:
                 # Operator rows a:b round as in the whole-chunk product, provided the
@@ -282,16 +298,14 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
             blocks = row_blocks(m, len(pinv_tables) * m)
             map_slices(lambda lo, hi: [add_rows(a, b) for a, b in blocks[lo:hi]], len(blocks))
 
+    failed_count = n_trials - kept
     if failed_count > _FAILURE_FRACTION * n_trials:
-        raise TooManyFailedTrials(
-            f"{failed_count} of {n_trials} trials failed (> {_FAILURE_FRACTION:.0%})"
-        )
+        raise SingularGram(f"{failed_count} of {n_trials} trials failed (> "
+                           f"{_FAILURE_FRACTION:.0%}): their Gram matrix has no Cholesky factor")
     if failed_count:
         logger.warning("%d of %d trials had singular Gram matrices", failed_count, n_trials)
-    n_eff = n_trials - failed_count
-    p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(n_eff)
-    o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(n_eff, False)
-    eigen = np.vstack(eig_parts) if eig_parts else None
+    p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(kept)
+    o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(kept, False)
 
     return McSummary(
         pinv_mean=p_mean,
@@ -299,7 +313,7 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         operator_mean=o_mean,
         operator_variance=o_var,
         standard_errors=McStandardErrors(p_se_mean, p_se_second, o_se_mean, o_se_var),
-        eigen_samples=eigen,
+        eigen_samples=None if eigen is None else eigen[:kept],
         trials=n_trials,
         failed_trials=failed_count,
         sampling_mode=config.sampling_mode,

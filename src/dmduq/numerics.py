@@ -1,8 +1,8 @@
 """Dense symmetric linear-algebra kernels with log-domain safety.
 
-These are the shared primitives for the moment computations: Cholesky
-factors with symmetry and definiteness checks, stacked SPD inverses,
-eigenvalue extraction with a deterministic total order (rank-n
+These are the shared primitives for the moment computations: stacked
+Cholesky factors and SPD inverses (of every Gram matrix and of the noise
+covariance), eigenvalue extraction with a deterministic total order (rank-n
 products through their n x n factor product), Gauss-Laguerre rules
 for semi-infinite integrals weighted by ``exp(-p)`` and a composite
 Gauss-Legendre rule for truncated ones.  All functions are pure
@@ -31,15 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AsymmetricInput,
-    ConfigError,
-    ConvergenceFailure,
-    DimensionMismatch,
-    NotPositiveDefinite,
-)
-
-SYMMETRY_RTOL = 1e-9
+from .errors import ConfigError, ConvergenceFailure, DimensionMismatch
 
 # (getter, setter) of the thread count in the OpenBLAS builds the numpy wheels ship.
 _OPENBLAS_THREADS = [
@@ -159,42 +151,11 @@ class Spectrum:
         )
 
 
-def _symmetrize(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Average away floating-point asymmetry; reject genuinely asymmetric input."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} requires a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max()
-    asym = np.abs(a - a.T).max()
-    if scale > 0 and asym > SYMMETRY_RTOL * scale:
-        raise AsymmetricInput(
-            f"{name}: input asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} of scale {scale:.3e}"
-        )
-    return 0.5 * (a + a.T)
-
-
-def cholesky(matrix: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor ``L`` of a symmetric positive definite matrix.
-
-    ``L @ L.T`` reconstructs the (symmetrized) input.  Raises
-    NotPositiveDefinite when any pivot is non-positive, which signals
-    rank-deficient accumulation upstream.
-    """
-    a = _symmetrize(matrix, "cholesky")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"cholesky: {exc}") from exc
-
-
-def spd_inverses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of symmetric positive definite matrices, shape (B, n, n).
-
-    Returns ``(inverses, positive)``.  ``positive[i]`` is False where matrix i
-    has no Cholesky factor; ``inverses[i]`` is NaN there.  Each inverse is
-    ``inv(L).T @ inv(L)`` with ``inv(L)`` from forward substitution on the
-    stacked factors, so rounding grows with cond(L) = sqrt(cond(V)), not
-    with cond(V) as in an LU solve of V itself.
+def spd_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factors ``(lower, inverse_lower, positive)`` of a stack (B, n, n) of symmetric
+    positive definite matrices, read from their lower triangles.  ``positive[i]`` is False
+    where matrix i has no factor; both its factors are NaN.  Each ``inverse_lower[i]`` comes
+    from forward substitution on its own, so its bits do not depend on the rest of the stack.
     """
     a = np.asarray(stack, dtype=float)
     positive = np.ones(a.shape[0], dtype=bool)
@@ -207,23 +168,22 @@ def spd_inverses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 lower[i] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 positive[i] = False
-    inv_lower = lower_triangular_inverses(lower)
-    inverses = inv_lower.transpose(0, 2, 1) @ inv_lower
-    return 0.5 * (inverses + inverses.transpose(0, 2, 1)), positive
-
-
-def lower_triangular_inverses(lower: np.ndarray) -> np.ndarray:
-    """Inverses of a stack (B, n, n) of lower-triangular matrices, by forward substitution.
-
-    Each matrix is inverted on its own, so its bits do not depend on the
-    rest of the stack.
-    """
-    eye = np.eye(lower.shape[-1])
-    inverse = np.zeros_like(lower)
-    for i in range(lower.shape[-1]):
+    eye, inverse = np.eye(a.shape[-1]), np.zeros_like(lower)
+    for i in range(a.shape[-1]):
         row = eye[i] - (lower[:, i : i + 1, :i] @ inverse[:, :i])[:, 0]
         inverse[:, i] = row / lower[:, i, i, None]
-    return inverse
+    return lower, inverse, positive
+
+
+def spd_inverses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of symmetric positive definite matrices, shape (B, n, n), and the
+    ``positive`` flags of :func:`spd_factors` (the inverse is NaN where False).  Each inverse
+    is ``inv(L).T @ inv(L)``, so rounding grows with cond(L) = sqrt(cond(V)), not with
+    cond(V) as in an LU solve of V itself.
+    """
+    _, inv_lower, positive = spd_factors(stack)
+    inverses = inv_lower.transpose(0, 2, 1) @ inv_lower
+    return 0.5 * (inverses + inverses.transpose(0, 2, 1)), positive
 
 
 def finite_stack(stack: np.ndarray, first_index: int = 0) -> np.ndarray:

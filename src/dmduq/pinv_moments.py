@@ -57,8 +57,9 @@ from .errors import (
     MomentComputationError,
     NotPositiveDefinite,
     QuadratureNotConverged,
-    SingularV,
+    SingularGram,
 )
+from . import numerics
 from .numerics import (
     composite_legendre_nodes,
     gauss_laguerre_nodes,
@@ -176,20 +177,24 @@ def _check_inputs(X: np.ndarray, noise: NoiseModel, ridge: float) -> None:
 
 def gram_complement_inverses(
     X: np.ndarray, ridge: float, columns: np.ndarray, gram: np.ndarray | None = None
-) -> tuple[np.ndarray, list[tuple[int, SingularV]]]:
+) -> tuple[np.ndarray, list[tuple[int, SingularGram]]]:
     """``R_t = inv(X X.T - x_t x_t.T + ridge I)`` for each column index t given.
 
-    ``gram`` is ``X @ X.T`` when the caller has it.  Returns the stack
-    (len(columns), n, n) and a ``(t, SingularV)`` pair for every column whose
-    complement has no Cholesky factor (its R is NaN).
+    ``gram`` is ``X @ X.T`` when the caller has it.  Returns the stack (len(columns), n, n),
+    filled in groups of at most a table row block's budget of values (its bits do not depend
+    on them), and a ``(t, SingularGram)`` pair for every column whose complement has no
+    Cholesky factor (its R is NaN).
     """
-    n = X.shape[0]
+    n, columns = X.shape[0], np.asarray(columns)
     gram = X @ X.T if gram is None else gram
-    x = X.T[columns]
-    V = gram - x[:, :, None] * x[:, None, :]
-    V += ridge * np.eye(n)
-    R, positive = spd_inverses(0.5 * (V + V.transpose(0, 2, 1)))
-    singular = np.asarray(columns)[~positive]
+    R, positive = np.empty((len(columns), n, n)), np.empty(len(columns), dtype=bool)
+    group = max(1, numerics._CHUNK_SCALARS // 32 // (n * n))
+    for a in range(0, len(columns), group):
+        x = X.T[columns[a : a + group]]
+        V = gram - x[:, :, None] * x[:, None, :]
+        V += ridge * np.eye(n)
+        R[a : a + group], positive[a : a + group] = spd_inverses(0.5 * (V + V.transpose(0, 2, 1)))
+    singular = columns[~positive]
     if singular.size == 0:
         return R, []
     # V_t is a rank-one downdate of X X.T + ridge I, singular exactly when the
@@ -201,7 +206,7 @@ def gram_complement_inverses(
     errors = []
     for t in singular:
         h = float(X[:, t] @ inverse @ X[:, t])
-        errors.append((int(t), SingularV(
+        errors.append((int(t), SingularGram(
             f"Gram complement singular at column t={t} with ridge={ridge}: leverage "
             f"h_t = {h:.6g} (x_t.T inv(X X.T + ridge I) x_t; V_t is singular as "
             f"h_t -> 1), X X.T + ridge I has rank {rank} of {n}"
@@ -222,7 +227,7 @@ def build_context(
     than t (plus ``ridge * I`` when requested); R is its inverse, obtained
     through an SPD factorization.  Indices are 0-based.
 
-    Raises SingularV, naming the column's leverage, when V cannot be
+    Raises SingularGram, naming the column's leverage, when V cannot be
     factored, which happens whenever m - 1 < n or the remaining columns are
     collinear.
     """

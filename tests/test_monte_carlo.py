@@ -19,7 +19,6 @@ from dmduq.errors import (
     ConvergenceFailure,
     NegativeVarianceInput,
     SingularGram,
-    TooManyFailedTrials,
 )
 from dmduq.monte_carlo import (
     INDEPENDENT,
@@ -139,6 +138,24 @@ class TestRunMcDeterminism:
         retained_per_chunk = 2 * 4 * (m * m + m * n) * 8
         assert peaks[1] < 1.25 * peaks[0]
         assert peaks[1] < 256 * retained_per_chunk / 4
+
+    def test_eigenvalues_fill_one_table(self, toy_system, monkeypatch):
+        # Chunks of 64 trials write their spectra into one trials x m table, so eigenvalues
+        # add that table to the peak, not a list of chunk parts and then their stack too.
+        snaps, noise = toy_system
+        m = snaps.snapshot_count
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 64 * m * m)
+        peaks = {}
+        for eigen in (False, True):
+            cfg = McConfig(trials=4096, master_seed=3, compute_eigenvalues=eigen)
+            tracemalloc.start()
+            try:
+                summary = run_mc(snaps, noise, cfg)
+                _, peaks[eigen] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert summary.eigen_samples.shape == (4096, m)
+        assert peaks[True] - peaks[False] < 1.25 * summary.eigen_samples.nbytes
 
     def test_different_seeds_differ(self, toy_system):
         snaps, noise = toy_system
@@ -265,7 +282,7 @@ class TestRunMcStatistics:
 
         monkeypatch.setattr(monte_carlo, "spd_inverses", no_factor)
         cfg = McConfig(trials=100, master_seed=0, sampling_mode=SHARED_TRAJECTORY)
-        with pytest.raises(TooManyFailedTrials):
+        with pytest.raises(SingularGram, match=r"100 of 100 trials failed \(> 1%\)"):
             run_mc(snaps, noise, cfg)
 
     def test_full_covariance_supported(self, toy_system):

@@ -6,8 +6,8 @@ from mpmath import mp
 from scipy.special import gammaln, roots_laguerre
 
 from dmduq import numerics
+from dmduq.data_model import NoiseModel
 from dmduq.errors import (
-    AsymmetricInput,
     ConfigError,
     ConvergenceFailure,
     DimensionMismatch,
@@ -16,48 +16,59 @@ from dmduq.errors import (
 from dmduq.numerics import (
     RowTable,
     Spectrum,
-    cholesky,
     composite_legendre_nodes,
     eigenvalue_rows,
     gauss_laguerre_nodes,
     product_eigenvalues,
     signed_log_sum,
     sort_eigenvalue_rows,
+    spd_factors,
     spd_inverses,
 )
 
 
 class TestCholeskyLogdet:
+    """The one Cholesky path, ``spd_factors``, and the noise covariance factored by it."""
+
     def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lower, inverse_lower, positive = spd_factors(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        assert positive.tolist() == [False]
+        assert np.isnan(lower).all() and np.isnan(inverse_lower).all()
+        with pytest.raises(NotPositiveDefinite, match="no Cholesky factor"):
+            NoiseModel(variances=np.ones(2), full_covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(0)
         B = rng.standard_normal((6, 6))
         V = B @ B.T + np.eye(6)
-        L = cholesky(V)
-        assert np.abs(L @ L.T - V).max() <= 1e-10 * np.abs(V).max()
+        (lower,), (inverse_lower,), (positive,) = spd_factors(V[None])
+        noise = NoiseModel(variances=np.diag(V), full_covariance=V)
+        assert positive
+        for L, inv_L in ((lower, inverse_lower), (noise.covariance_factor, noise.inverse_factor)):
+            assert np.array_equal(L, np.tril(L))
+            assert np.abs(L @ L.T - V).max() <= 1e-10 * np.abs(V).max()
+            assert np.abs(inv_L @ L - np.eye(6)).max() <= 1e-12
 
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(AsymmetricInput):
-            cholesky(m)
+        with pytest.raises(NotPositiveDefinite, match="asymmetry 5.000e-01 exceeds 1e-9"):
+            NoiseModel(variances=np.ones(2), full_covariance=m)
 
     def test_small_asymmetry_symmetrized(self):
         m = np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]])
-        L = cholesky(m)
+        noise = NoiseModel(variances=np.diag(m), full_covariance=m)
+        L = noise.covariance_factor
         assert np.allclose(L @ L.T, 0.5 * (m + m.T), rtol=1e-12)
+        assert np.array_equal(L, np.linalg.cholesky(0.5 * (m + m.T)))
 
     def test_spd_closure_under_inversion(self):
-        # Inverses of SPD matrices are SPD: factor both V and inv(V).
+        # Inverses of SPD matrices are SPD: both V and inv(V) have a factor.
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(1, 9))
             B = rng.standard_normal((n, n))
             V = B.T @ B + np.eye(n)
-            cholesky(V)
-            cholesky(np.linalg.inv(V))
+            assert spd_factors(np.stack([V, np.linalg.inv(V)]))[2].all()
 
 
 class TestSpdInverses:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import fixed_blas_workers, forbid_worker_threads, snapshots_from_trajectory_matrix
+from conftest import forbid_worker_threads, snapshots_from_trajectory_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -277,21 +277,6 @@ class TestRowBlockAssembly:
         assert np.array_equal(fresh.second_central, want_second)
         assert np.array_equal(dmd_point_estimate(snaps, ridge=ridge).operator, point)
 
-    @pytest.mark.parametrize("m", [31, 203])
-    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, m):
-        rng = np.random.default_rng(m)
-        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((3, m + 1)))
-        noise = NoiseModel(variances=np.full(3, 1e-4))
-        pinv = synthetic_pinv(m, 3, seed=m)
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 7 * m)  # blocks of at most 7 rows
-        runs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
-            tables = estimate_operator_moments(snaps, noise, mode=PAPER_LITERAL, pinv=pinv)
-            runs.append((tables.first, tables.second_central, dmd_point_estimate(snaps).operator))
-        for run in runs[1:]:
-            assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
-
     @pytest.mark.parametrize("mode", [CORRECTED, PAPER_LITERAL])
     def test_memory_is_the_two_tables(self, mode):
         # Read, the tables are written in place, block by block: no m x m temporary.
@@ -364,24 +349,25 @@ class TestRowBlockAssembly:
     def test_reads_and_checks_start_no_worker(self, monkeypatch, mode):
         # Construction (paper_literal checks every block), dense reads and check_tables
         # run their row blocks in order in this thread, with the bits of the blocks.
-        m = 203
-        rng = np.random.default_rng(m)
-        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((3, m + 1)))
-        noise = NoiseModel(variances=np.full(3, 1e-4))
-        pinv = synthetic_pinv(m, 3, seed=m)
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 7 * m)  # blocks of at most 7 rows
-        moments = OperatorMoments(pinv, snaps.shifted, noise.variances, mode)
-        point = dmd_point_estimate(snaps)
-        sources = moments.first_rows, moments.second_rows, point.rows
-        want = [np.concatenate(list(numerics.RowTable((m, m), rows).blocks())) for rows in sources]
-        forbid_worker_threads(monkeypatch)
-        moments = OperatorMoments(pinv, snaps.shifted, noise.variances, mode)
-        got = [moments.first, moments.second_central, dmd_point_estimate(snaps).operator]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        check_tables(*got[:2], mode)
-        got[1][5, 6] = np.nan
-        with pytest.raises(DimensionMismatch, match=r"second_central\[5, 6\] = nan"):
+        for m in (31, 203):
+            rng = np.random.default_rng(m)
+            snaps = snapshots_from_trajectory_matrix(rng.standard_normal((3, m + 1)))
+            noise = NoiseModel(variances=np.full(3, 1e-4))
+            pinv = synthetic_pinv(m, 3, seed=m)
+            monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 7 * m)  # blocks of <= 7 rows
+            moments = OperatorMoments(pinv, snaps.shifted, noise.variances, mode)
+            point = dmd_point_estimate(snaps)
+            sources = moments.first_rows, moments.second_rows, point.rows
+            want = [np.concatenate(list(numerics.RowTable((m, m), rows).blocks()))
+                    for rows in sources]
+            forbid_worker_threads(monkeypatch)
+            moments = OperatorMoments(pinv, snaps.shifted, noise.variances, mode)
+            got = [moments.first, moments.second_central, dmd_point_estimate(snaps).operator]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
             check_tables(*got[:2], mode)
+            got[1][5, 6] = np.nan
+            with pytest.raises(DimensionMismatch, match=r"second_central\[5, 6\] = nan"):
+                check_tables(*got[:2], mode)
 
     def test_tables_are_built_once(self, small_system):
         snaps, noise = small_system

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy.integrate import quad, trapezoid
 
+from dmduq import numerics
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots
 from dmduq.errors import (
     ConfigError,
     DimensionMismatch,
     MomentComputationError,
     QuadratureNotConverged,
-    SingularV,
+    SingularGram,
 )
 from dmduq.pinv_moments import (
     MgfContext,
@@ -24,6 +26,7 @@ from dmduq.pinv_moments import (
     context_from_parts,
     deterministic_pinv_element,
     first_moment_element,
+    gram_complement_inverses,
     mgf_closed_form,
     moment_integrands,
     pinv_moments,
@@ -90,7 +93,7 @@ class TestBuildContext:
     def test_rank_deficient_raises_singular(self):
         snaps = snapshots_from_states(2.0 * np.eye(3), extra_column=np.ones(3))
         noise = NoiseModel(variances=np.full(3, 0.01))
-        with pytest.raises(SingularV):
+        with pytest.raises(SingularGram):
             build_context(snaps, noise, t=0, k=0)
 
     def test_ridge_recovers_singular_case(self):
@@ -436,10 +439,10 @@ class TestPinvMomentsTable:
         failures = info.value.failures
         assert [(t, k) for t, k, _ in failures] == [(0, None)]
         err = failures[0][2]
-        assert isinstance(err, SingularV)
+        assert isinstance(err, SingularGram)
         assert "leverage h_t = 1 " in str(err) and "ridge=0.0" in str(err)
         assert "leverage h_t = 1 " in str(info.value)
-        with pytest.raises(SingularV, match="leverage h_t = 1 "):
+        with pytest.raises(SingularGram, match="leverage h_t = 1 "):
             build_context(snaps, noise, t=0, k=0)
         build_context(snaps, noise, t=1, k=0)
 
@@ -508,8 +511,27 @@ class TestPinvMomentsTable:
             pinv_moments(snaps, noise)
         failures = info.value.failures
         assert len(failures) == 3  # every column's Gram complement is singular
-        assert all(isinstance(err, SingularV) for _, _, err in failures)
+        assert all(isinstance(err, SingularGram) for _, _, err in failures)
         assert [t for t, _, _ in failures] == [0, 1, 2]
+
+
+class TestGramComplementInverses:
+    def test_groups_bound_memory_not_bits(self, monkeypatch):
+        # Filled 50 inverses at a time, the stack is the only thing of its size held;
+        # each inverse keeps the bits it has when the whole stack is one group.
+        n, m, group = 8, 1500, 50
+        X = np.random.default_rng(11).standard_normal((n, m))
+        whole, singular = gram_complement_inverses(X, 0.0, np.arange(m))
+        assert not singular
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * group * n * n)
+        tracemalloc.start()
+        try:
+            grouped, _ = gram_complement_inverses(X, 0.0, np.arange(m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(grouped, whole)
+        assert peak < (m + 16 * group) * n * n * 8
 
 
 class TestQuadratureConfig:
