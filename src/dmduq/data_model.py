@@ -202,7 +202,7 @@ def estimate_noise(trajectory: RawTrajectory, window: tuple[float, float]) -> No
 def decimate_trajectory(trajectory: RawTrajectory, stride: int) -> RawTrajectory:
     """Keep every stride-th sample; the sampling interval scales by stride."""
     if stride < 1:
-        raise DimensionMismatch(f"stride must be >= 1, got {stride}")
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     return RawTrajectory(
         times=trajectory.times[::stride],
         samples=trajectory.samples[:, ::stride],
@@ -275,15 +275,14 @@ _FORMAT_VALUES = 8192  # values per format_rows call, so no whole table's text i
 
 def format_blocks(rows: np.ndarray, precision: int = 17):
     """:func:`format_rows` of a 2-D float array, yielded as lists of row texts for at
-    most ``_FORMAT_VALUES`` values each; a longer row is formatted in pieces, joined."""
+    most ``_FORMAT_VALUES`` values each; each block is formatted in column pieces of at
+    most ``_FORMAT_VALUES`` values, joined."""
     width = rows.shape[1]
     step = max(1, _FORMAT_VALUES // max(1, width))
     for a in range(0, len(rows), step):
-        if width <= _FORMAT_VALUES:
-            yield format_rows(rows[a : a + step], precision)
-        else:  # one row, in pieces
-            yield [",".join(format_rows(rows[a, j : j + _FORMAT_VALUES], precision)[0]
-                            for j in range(0, width, _FORMAT_VALUES))]
+        pieces = [format_rows(rows[a : a + step, j : j + _FORMAT_VALUES], precision)
+                  for j in range(0, width, _FORMAT_VALUES)]
+        yield [",".join(texts) for texts in zip(*pieces)]
 
 
 @contextmanager

@@ -72,7 +72,7 @@ class DmdEstimate:
 @dataclass(frozen=True, eq=False)
 class OperatorMoments:
     """Moment tables of the operator, held as their factors: ``pinv`` (M1x, M2x), ``shifted``
-    (Y, n x m) and the noise ``variances`` (None for the mean table alone).
+    (Y, n x m) and the noise ``variances`` (n).
 
     Construction checks both tables, from the factors or block by block, keeping none;
     ``first`` and ``second_central`` are built on first read.  ``second_central`` is used as a
@@ -81,7 +81,7 @@ class OperatorMoments:
 
     pinv: PinvMoments
     shifted: np.ndarray
-    variances: np.ndarray | None
+    variances: np.ndarray
     variance_mode: str = CORRECTED
 
     def __post_init__(self):
@@ -89,16 +89,16 @@ class OperatorMoments:
         if self.pinv.first.shape != Y.T.shape:
             raise DimensionMismatch(f"pseudoinverse table {self.pinv.first.shape} "
                                     f"does not match Y {Y.shape}")
-        if var is not None and len(var) != Y.shape[0]:
+        if len(var) != Y.shape[0]:
             raise DimensionMismatch("noise model does not match state count")
         # Formed once for every block: c = M2x @ var and Y**2.
-        self.__dict__.update(_scale=None if var is None else self.pinv.second_raw @ var,
-                             _y_sq=Y**2, shape=(len(self.pinv.first), Y.shape[1]))
-        if (self.variance_mode == CORRECTED or var is None and self.variance_mode in VARIANCE_MODES
-                ) and _certified(self.pinv.first, self.pinv.second_raw, Y, self._scale):
+        self.__dict__.update(_scale=self.pinv.second_raw @ var, _y_sq=Y**2,
+                             shape=(len(self.pinv.first), Y.shape[1]))
+        if self.variance_mode == CORRECTED and _certified(self.pinv.first, self.pinv.second_raw,
+                                                          Y, self._scale):
             return
         negatives, low = _row_pass(self.shape, self.variance_mode, self.first_rows,
-                                   None if var is None else self.second_rows)
+                                   self.second_rows)
         if self.variance_mode == PAPER_LITERAL and negatives:
             logger.warning("paper_literal variance has %d negative element(s); min %.3e",
                            negatives, low)
@@ -122,36 +122,33 @@ class OperatorMoments:
 
     @functools.cached_property
     def second_central(self) -> np.ndarray:
-        if self.variances is None:
-            raise ConfigError("second_central needs the noise variances")
         return np.asarray(RowTable(self.shape, self.second_rows))
 
 
-def _certified(M1x: np.ndarray, M2x: np.ndarray, Y: np.ndarray, scale: np.ndarray | None) -> bool:
-    """Whether the factors prove that ``_row_pass`` passes ``first`` and, given ``scale`` (c =
+def _certified(M1x: np.ndarray, M2x: np.ndarray, Y: np.ndarray, scale: np.ndarray) -> bool:
+    """Whether the factors prove that ``_row_pass`` passes ``first`` and, with ``scale`` (c =
     M2x @ var), the corrected ``second_central``: both finite, no variance below -1e-12."""
     with np.errstate(all="ignore"):
         y_max = np.abs(Y).max(axis=1)
-        bounds, low = [np.abs(M1x) @ y_max], np.zeros(0)  # |first[i, j]| <= ~bounds[0][i]
-        if scale is not None:
-            ysq, sq = y_max**2, M1x**2  # ysq[k] >= every rounded Y[k, j]**2
-            bounds.append(np.abs(scale) + (sq + np.abs(M2x)) @ ysq)  # mag, likewise for second
-            # In any summation order, with or without FMA, a rounded entry c - sq @ Y**2 +
-            # M2x @ Y**2 is within (gamma_n + 2u) mag of its exact value (two dot products on
-            # disjoint parts of mag, two roundings), and that value is >= c + min(M2x - sq, 0)
-            # @ ysq.  Rounding this bound costs gamma_n + 2u more, forming and subtracting
-            # eta * mag u + O(n u**2): eta = 4 (n + 2) u, u = 2**-53, covers it all.  Underflow
-            # adds a few n 2**-1022 at most, below the spacing of doubles at -1e-12.
-            low = scale + np.minimum(M2x - sq, 0.0) @ ysq - 4 * (len(Y) + 2) * 2.0**-53 * bounds[1]
-        return bool((low >= -1e-12).all()) and all((bound < 1e300).all() for bound in bounds)
+        ysq, sq = y_max**2, M1x**2  # ysq[k] >= every rounded Y[k, j]**2
+        first = np.abs(M1x) @ y_max  # |first[i, j]| <= ~first[i]
+        mag = np.abs(scale) + (sq + np.abs(M2x)) @ ysq  # likewise for second_central
+        # In any summation order, with or without FMA, a rounded entry c - sq @ Y**2 +
+        # M2x @ Y**2 is within (gamma_n + 2u) mag of its exact value (two dot products on
+        # disjoint parts of mag, two roundings), and that value is >= c + min(M2x - sq, 0)
+        # @ ysq.  Rounding this bound costs gamma_n + 2u more, forming and subtracting
+        # eta * mag u + O(n u**2): eta = 4 (n + 2) u, u = 2**-53, covers it all.  Underflow
+        # adds a few n 2**-1022 at most, below the spacing of doubles at -1e-12.
+        low = scale + np.minimum(M2x - sq, 0.0) @ ysq - 4 * (len(Y) + 2) * 2.0**-53 * mag
+        return bool((low >= -1e-12).all() and (first < 1e300).all() and (mag < 1e300).all())
 
 
-def _row_pass(shape, mode: str, first_rows, second_rows=None) -> tuple[int, float]:
-    """Check each row block of the ``shape`` tables ``first`` and ``second_central`` (if
-    ``second_rows`` is given) as it is made, in order at one BLAS thread: ``second_rows(a, b,
-    out)`` may write over the checked ``first`` block ``out``.  Raises DimensionMismatch at
-    the first non-finite entry, by block, or a corrected-mode variance below -1e-12.  Returns
-    the number of negative entries of ``second_central`` and its minimum (0, inf if None)."""
+def _row_pass(shape, mode: str, first_rows, second_rows) -> tuple[int, float]:
+    """Check each row block of the ``shape`` tables ``first`` and ``second_central`` as it is
+    made, in order at one BLAS thread: ``second_rows(a, b, out)`` may write over the checked
+    ``first`` block ``out``.  Raises DimensionMismatch at the first non-finite entry, by
+    block, or a corrected-mode variance below -1e-12.  Returns the number of negative entries
+    of ``second_central`` and its minimum."""
     if mode not in VARIANCE_MODES:
         raise ConfigError(f"unknown variance mode {mode!r}")
     negatives, low = 0, np.inf
@@ -159,17 +156,14 @@ def _row_pass(shape, mode: str, first_rows, second_rows=None) -> tuple[int, floa
         for a, b in row_blocks(*shape):
             table = None
             for name, rows in (("first", first_rows), ("second_central", second_rows)):
-                if rows is None:
-                    break
                 table = rows(a, b, table)
                 least = table.min()  # min and max propagate NaN
                 if not (np.isfinite(least) and np.isfinite(table.max())):
                     (row, col), *_ = np.argwhere(~np.isfinite(table))
                     raise DimensionMismatch(f"operator moments must be finite: "
                                             f"{name}[{a + row}, {col}] = {table[row, col]}")
-            else:
-                negatives += int(np.count_nonzero(table < 0)) if least < 0 else 0
-                low = min(low, float(least))
+            negatives += int(np.count_nonzero(table < 0)) if least < 0 else 0
+            low = min(low, float(least))
     if mode == CORRECTED and low < -1e-12:
         raise DimensionMismatch(f"corrected-mode variance is negative: min {low:.3e}")
     return negatives, low

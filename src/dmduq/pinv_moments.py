@@ -125,20 +125,11 @@ def _whiten(R: np.ndarray, mu: np.ndarray, noise: NoiseModel) -> tuple[np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class MgfContext:
-    """Quadrature context for one pseudoinverse element (t, k).
+    """Quadrature context for one pseudoinverse element (t, k): column t's ``_whiten``
+    output as a block of one, and the state index ``k``."""
 
-    Holds column t's Gram-complement inverse ``R``, its recorded mean ``mu``,
-    ``k``, and the column's ``_whiten`` output as a block of one.
-    """
-
-    R: np.ndarray
-    mu: np.ndarray
-    k: int
     pieces: tuple[np.ndarray, ...]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.R[:, self.k]
+    k: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,14 +245,7 @@ def context_from_parts(
     """
     R = 0.5 * (np.asarray(R, dtype=float) + np.asarray(R, dtype=float).T)
     mu = np.asarray(mu, dtype=float).ravel()
-    return MgfContext(R, mu, k, _whiten(R[None], mu[None], noise))
-
-
-def deterministic_pinv_element(context: MgfContext) -> float:
-    """The noise-free ratio s1 / s2; equals the plain pseudoinverse element."""
-    s1 = float(context.r @ context.mu)
-    s2 = 1.0 + float(context.mu @ (context.R @ context.mu))
-    return s1 / s2
+    return MgfContext(_whiten(R[None], mu[None], noise), k)
 
 
 def _decay_rate(pieces) -> np.ndarray:

@@ -54,8 +54,6 @@ class Kde2d:
     grid_re: np.ndarray
     grid_im: np.ndarray
     density: np.ndarray  # shape (len(grid_re), len(grid_im))
-    bandwidth_re: float
-    bandwidth_im: float
 
 
 # np.linalg.eigvals holds the GIL on a stack of fewer than about this many matrix rows
@@ -166,7 +164,7 @@ def kde2d(
     hy, grid_im, ey = _axis_kernel(values_im, bw_im, grid_points, grid_im)
     with _one_blas_thread():  # so the bits do not depend on the BLAS thread setting
         density = (ex @ ey.T) / (ex.shape[1] * 2.0 * np.pi * hx * hy)
-    return Kde2d(grid_re, grid_im, density, bandwidth_re=hx, bandwidth_im=hy)
+    return Kde2d(grid_re, grid_im, density)
 
 
 def density_peak(curve: Kde2d) -> tuple[int, int]:

@@ -68,6 +68,14 @@ def test_unknown_key_rejected(data):
         ({"decimate_stride": 2.5}, "decimate_stride"),
         ({"output_precision": "17"}, "output_precision"),
         ({"variance_mode": None}, "variance_mode"),
+        ({"kde": {"bandwidth": 0}}, "kde bandwidth"),
+        ({"kde": {"bandwidth": -0.1}}, "kde bandwidth"),
+        ({"kde": {"grid_points": 1}}, "kde grid_points"),
+        ({"variance_mode": "literal"}, "variance_mode"),
+        ({"ridge": -1e-3}, "ridge"),
+        ({"decimate_stride": 0}, "decimate_stride"),
+        ({"output_precision": 0}, "output_precision"),
+        ({"output_precision": 18}, "output_precision"),
     ],
 )
 def test_malformed_value_names_field(data, where):

@@ -218,3 +218,9 @@ class TestDecimateTrajectory:
         out = decimate_trajectory(traj, 3)
         assert np.allclose(out.samples[0], [0.0, 3.0, 6.0, 9.0])
         assert out.dt == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_bad_stride_is_config_error(self, stride):
+        traj = make_trajectory(np.arange(10.0)[None, :], dt=0.1)
+        with pytest.raises(ConfigError, match=f"stride must be >= 1, got {stride}"):
+            decimate_trajectory(traj, stride)

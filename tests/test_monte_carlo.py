@@ -320,6 +320,16 @@ class TestSingularGram:
         summary = run_mc(snaps, noise, cfg, ridge=1e-2)
         assert np.all(np.isfinite(summary.operator_mean))
 
+    def test_run_mc_names_a_leverage_one_column(self):
+        # x1 is nonzero at t = 3 only: X X.T is nonsingular, but the Gram complement of
+        # column 3 has an all-zero x1 row (leverage h_t = 1).
+        samples = np.vstack([np.eye(10)[3], 1.0 + 0.5 * np.arange(10)])
+        snaps = snapshots_from_trajectory_matrix(samples)
+        noise = NoiseModel(variances=np.array([1e-6, 1e-6]))
+        assert np.linalg.matrix_rank(snaps.states @ snaps.states.T) == 2
+        with pytest.raises(SingularGram, match=r"column t=3 .* h_t = 1 "):
+            run_mc(snaps, noise, McConfig(trials=20))
+
     def test_rank_deficient_trial_dropped_without_ridge(self, toy_system, monkeypatch):
         # Trial 9's first noisy state is exactly zero, so its Gram matrix has a zero
         # row: no Cholesky factor at ridge 0, one at any ridge > 0.

@@ -27,7 +27,7 @@ from dmduq.numerics import (
 )
 
 
-class TestCholeskyLogdet:
+class TestSpdFactors:
     """The one Cholesky path, ``spd_factors``, and the noise covariance factored by it."""
 
     def test_indefinite_rejected(self):

@@ -420,7 +420,7 @@ class TestOperatorMomentsChecks:
 
 @st.composite
 def factor_tables(draw):
-    """``(pinv, Y, variances or None, mode)``: entries from 1e-150 to 1e150 in magnitude,
+    """``(pinv, Y, variances, mode)``: entries from 1e-150 to 1e150 in magnitude,
     Jensen gaps from -JENSEN_SLACK up, and often one corrected variance placed near -1e-12."""
     m, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -430,12 +430,10 @@ def factor_tables(draw):
     kind = rng.integers(0, 3, (m, n))
     slack, share = -0.999 * JENSEN_SLACK * rng.random((m, n)), first**2 * rng.random((m, n))
     gap = np.select([kind == 0, kind == 1], [0.0, slack], share)
-    variances = None
-    if draw(st.booleans()):
-        scale = 10.0 ** draw(st.one_of(st.integers(-12, 0), st.integers(-300, 10)))
-        variances = scale * rng.random(n)
+    scale = 10.0 ** draw(st.one_of(st.integers(-12, 0), st.integers(-300, 10)))
+    variances = scale * rng.random(n)
     Y = 10.0 ** draw(exponent) * rng.standard_normal((n, m))
-    if variances is not None and draw(st.booleans()):
+    if draw(st.booleans()):
         # Rescale Y so that the most negative (M2x - M1x**2) @ Y**2 entry puts its exact
         # corrected variance at -1e-12 times a factor near 1.
         slope = (gap @ Y**2).ravel()
@@ -471,7 +469,7 @@ class TestCertificate:
     @given(factor_tables())
     def test_certificate_implies_row_pass(self, tables):
         pinv, Y, variances, mode = tables
-        scale = None if variances is None else pinv.second_raw @ variances
+        scale = pinv.second_raw @ variances
         got = construction_outcome(pinv, Y, variances, mode)
         with row_pass_alone():
             want = construction_outcome(pinv, Y, variances, mode)
@@ -481,19 +479,17 @@ class TestCertificate:
             assert corrected[0] is None
             moments = corrected[3]
             assert np.isfinite(moments.first).all()
-            if variances is not None:
-                assert np.isfinite(moments.second_central).all()
-                assert moments.second_central.min() >= -1e-12
+            assert np.isfinite(moments.second_central).all()
+            assert moments.second_central.min() >= -1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("variances", [None, np.array([1e-6])])
-    def test_overflow_names_the_entry(self, variances):
+    def test_overflow_names_the_entry(self):
         # first[4, 5] = 1e154 * 1e160 overflows; the factors' bounds cannot rule that out.
         first = np.full((6, 1), 0.5)
         first[4] = 1e154
         pinv, Y = PinvMoments(first, first**2), np.array([[2.0, 3.0, 4.0, 5.0, 6.0, 1e160]])
         with pytest.raises(DimensionMismatch, match=r"first\[4, 5\] = inf"):
-            OperatorMoments(pinv, Y, variances)
+            OperatorMoments(pinv, Y, np.array([1e-6]))
 
     @staticmethod
     def spy_row_sources(monkeypatch):

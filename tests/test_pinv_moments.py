@@ -24,7 +24,6 @@ from dmduq.pinv_moments import (
     QuadratureConfig,
     build_context,
     context_from_parts,
-    deterministic_pinv_element,
     first_moment_element,
     gram_complement_inverses,
     mgf_closed_form,
@@ -82,13 +81,17 @@ class TestBuildContext:
     def test_gram_complement_example(self):
         snaps = snapshots_from_states([[1.0, 2.0, 1.0], [0.0, 1.0, -1.0]])
         noise = NoiseModel(variances=np.array([0.01, 0.01]))
-        ctx = build_context(snaps, noise, t=0, k=0)
         # V = [[5, 1], [1, 2]] from the two remaining columns; R by direct
         # 2x2 inversion: (1/9) [[2, -1], [-1, 5]].
         expected_R = np.array([[2.0, -1.0], [-1.0, 5.0]]) / 9.0
-        assert np.allclose(ctx.R, expected_R, rtol=1e-10)
-        assert np.allclose(ctx.mu, [1.0, 0.0])
-        assert np.allclose(ctx.r, expected_R[:, 0], rtol=1e-10)
+        (R,), singular = gram_complement_inverses(snaps.states, 0.0, np.array([0]))
+        assert not singular
+        assert np.allclose(R, expected_R, rtol=1e-10)
+        # The context is that R's and the column mean [1, 0]'s whitened pieces.
+        ctx = build_context(snaps, noise, t=0, k=0)
+        want = context_from_parts(expected_R, np.array([1.0, 0.0]), noise, k=0)
+        for got, expected in zip(ctx.pieces, want.pieces, strict=True):
+            assert np.allclose(got, expected, rtol=1e-10, atol=1e-14)
 
     def test_rank_deficient_raises_singular(self):
         snaps = snapshots_from_states(2.0 * np.eye(3), extra_column=np.ones(3))
@@ -99,38 +102,18 @@ class TestBuildContext:
     def test_ridge_recovers_singular_case(self):
         snaps = snapshots_from_states(2.0 * np.eye(3), extra_column=np.ones(3))
         noise = NoiseModel(variances=np.full(3, 0.01))
-        ctx = build_context(snaps, noise, t=0, k=0, ridge=1e-6)
-        assert ctx.R[0, 0] == pytest.approx(1e6, rel=1e-6)
-        assert ctx.R[1, 1] == pytest.approx(0.25, rel=1e-5)
-        assert ctx.R[2, 2] == pytest.approx(0.25, rel=1e-5)
+        build_context(snaps, noise, t=0, k=0, ridge=1e-6)
+        (R,), singular = gram_complement_inverses(snaps.states, 1e-6, np.array([0]))
+        assert not singular
+        assert R[0, 0] == pytest.approx(1e6, rel=1e-6)
+        assert R[1, 1] == pytest.approx(0.25, rel=1e-5)
+        assert R[2, 2] == pytest.approx(0.25, rel=1e-5)
 
     def test_negative_ridge_rejected(self):
         snaps = snapshots_from_states([[1.0, 2.0, 1.0], [0.0, 1.0, -1.0]])
         noise = NoiseModel(variances=np.array([0.01, 0.01]))
         with pytest.raises(ConfigError):
             build_context(snaps, noise, t=0, k=0, ridge=-1.0)
-
-
-class TestDeterministicElement:
-    def test_scalar_toy(self):
-        ctx = scalar_context(4.0, 1.0, 0.04)
-        assert deterministic_pinv_element(ctx) == pytest.approx(0.2, rel=1e-12)
-
-    def test_zero_mean(self):
-        ctx = scalar_context(4.0, 0.0, 0.04)
-        assert deterministic_pinv_element(ctx) == 0.0
-
-    def test_matches_direct_pseudoinverse(self):
-        rng = np.random.default_rng(1)
-        states = rng.standard_normal((3, 8))
-        snaps = snapshots_from_states(states)
-        noise = NoiseModel(variances=np.full(3, 0.01))
-        pinv = states.T @ np.linalg.inv(states @ states.T)
-        for t in range(8):
-            for k in range(3):
-                ctx = build_context(snaps, noise, t=t, k=k)
-                got = deterministic_pinv_element(ctx)
-                assert got == pytest.approx(pinv[t, k], rel=1e-10)
 
 
 class TestShermanMorrison:
@@ -259,7 +242,7 @@ class TestFirstMomentElement:
             first_moment_element(ctx, QuadratureConfig(node_count=1, cross_check=True))
 
     def test_monotone_noise_degeneracy(self):
-        target = deterministic_pinv_element(scalar_context(4.0, 1.0, 0.04))
+        target = 0.2  # the noise-free element mu / (V + mu**2)
         errors = []
         for s2 in (1e-2, 1e-4, 1e-6, 1e-8):
             ctx = scalar_context(4.0, 1.0, s2)

@@ -13,12 +13,36 @@ from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, 
 from dmduq.numerics import eigenvalue_rows
 from dmduq.operator_moments import CORRECTED, check_tables
 from dmduq.spectral import (
+    EigenSampleSet,
     density_peak,
     eigen_moments,
     eigen_samples,
     kde2d,
     silverman_bandwidth,
 )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: EigenSampleSet(np.zeros(3, complex), np.zeros(3, complex)), DimensionMismatch,
+         "2-D array"),
+        (lambda: EigenSampleSet(np.zeros((2, 3), complex), np.zeros(3, complex)),
+         DimensionMismatch, "one representative per sample row"),
+        (lambda: EigenSampleSet(np.zeros((2, 3), complex), np.array([1j, -1j])),
+         DimensionMismatch, "nonnegative imaginary part"),
+        (lambda: eigen_samples(np.zeros((0, 2, 2))), TooFewSamples, "at least one instance"),
+        (lambda: kde2d(np.array([0.0, np.nan, 1.0]), np.zeros(3)), TooFewSamples,
+         "at least 2 finite values"),
+        (lambda: kde2d(np.zeros(3), np.zeros(2)), DimensionMismatch,
+         "sample counts differ"),
+    ],
+    ids=["samples-1d", "representative-count", "representative-lower-half", "empty-stack",
+         "kde-nonfinite", "kde-unequal-lengths"],
+)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestEigenSamples:
