@@ -26,7 +26,7 @@ from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
 from .numerics import RowTable
 from .operator_moments import (
-    VARIANCE_MODES, check_tables, dmd_point_estimate, estimate_operator_moments,
+    VARIANCE_MODES, check_outliers, check_tables, dmd_point_estimate, estimate_operator_moments,
 )
 from .pinv_moments import pinv_moments
 from .spectral import eigen_moments, kde2d
@@ -324,6 +324,7 @@ def cmd_spectrum(args) -> int:
     if mode not in VARIANCE_MODES:
         raise ShapeMismatch(f"{args.moments}: 'variance_mode' {mode!r} is not in {VARIANCE_MODES}")
     check_tables(first, second, mode)
+    check_outliers(first, second)
     samples = sample_operator_spectra(
         first, second, count=args.samples, seed=args.seed, clamp_negative=args.clamp_negative
     )

@@ -181,10 +181,10 @@ class _MomentAccumulator:
             dvar = np.subtract(self.sums[1][a:b], t, out=var[a:b])
             np.maximum(np.divide(dvar, count - 1, out=dvar), 0.0, out=dvar)
             np.sqrt(np.divide(dvar, count, out=se_mean[a:b]), out=se_mean[a:b])
-            # m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
+            # m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2)**2
             np.subtract(s4, np.multiply(np.multiply(4.0, s1, out=t), s3, out=t), out=t)
             t += np.multiply(np.multiply(6.0, np.square(s1, out=u), out=u), s2, out=u)
-            t -= np.multiply(3.0, np.power(s1, 4, out=u), out=u)
+            t -= np.multiply(3.0, np.square(np.square(s1, out=u), out=u), out=u)
             t -= np.square(dvar, out=u)  # se_var = sqrt(max(m4 - var**2, 0) / count)
             np.sqrt(np.divide(np.maximum(t, 0.0, out=t), count, out=t), out=se_var[a:b])
             if raw_second:

@@ -315,23 +315,3 @@ def composite_legendre_nodes(upper: float) -> tuple[np.ndarray, np.ndarray]:
     edges = np.r_[0.0, np.exp2(np.arange(-1.0, np.log2(upper))), upper]
     half = np.diff(edges)[:, None] / 2.0
     return _readonly((edges[:-1, None] + half * (1.0 + x)).ravel()), _readonly((half * w).ravel())
-
-
-def signed_log_sum(log_magnitudes: np.ndarray, signs: np.ndarray | float) -> float | np.ndarray:
-    """Combine signed terms given in log-magnitude form, summing over the last axis.
-
-    Positive and negative contributions are reduced separately (each via a
-    max-shifted exponential sum) and combined once, so a result much smaller
-    than the individual terms is not lost to accumulation order.  ``signs``
-    broadcasts against ``log_magnitudes``.  A 1-D input gives a plain float;
-    a stacked input gives one value per leading index.
-    """
-    lm = np.asarray(log_magnitudes, dtype=float)
-    sg = np.broadcast_to(np.asarray(signs, dtype=float), lm.shape)
-    shift = lm.max(axis=-1, keepdims=True, initial=-np.inf)
-    shift[shift == -np.inf] = 0.0  # every term underflowed: the sum is 0
-    terms = np.exp(lm - shift)
-    pos = np.where(sg > 0, terms, 0.0).sum(axis=-1)
-    neg = np.where(sg < 0, terms, 0.0).sum(axis=-1)
-    out = np.exp(shift[..., 0]) * (pos - neg)
-    return float(out) if out.ndim == 0 else out

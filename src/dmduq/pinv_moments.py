@@ -27,20 +27,21 @@ Numerical core: the factors of the integrand overflow/underflow separately
     r.T S^-1 r / 2  ==  g.T K^-1 g          (strictly positive)
 
 with ``a = L^-1 mu``, ``bt = L.T R mu``, ``g = L.T r``.  One symmetric
-eigendecomposition of ``G`` per column turns every quadrature node into
-O(n) work, cancellation-free for any noise scale.  The log of the whole
-integrand is bounded above by zero, so nothing overflows.
+eigendecomposition of ``G`` per column turns every quadrature node into O(n)
+work, cancellation-free for any noise scale.  The envelope (the first line)
+is exponentiated once per column, shifted by its largest node value, so
+nothing overflows; only a column whose whole integral is below about 1e-308
+underflows.
 
-All of this is computed per snapshot column t, for every k at once:
-within a column only ``g`` depends on k, so the decay rate, the envelope
-and the weights ``1 / (1 + 2 p2 lambda)`` are shared.  ``pinv_moments``
-runs one batched kernel over blocks of columns sized by a memory budget
-(``_BLOCK_VALUES`` per kernel temporary; X X.T is formed once per call): a
-stacked Cholesky of the Gram complements, a stacked whitening ``eigh``, and
-two matrix products per column for all k and all quadrature nodes.  The
-element-level functions run the same kernel on a block of one column, so
-they agree with the tables.  Every column is computed from its own data
-only, so the tables do not depend on the block size or on scheduling.
+All of this is computed per snapshot column t, for every k at once: within a
+column only ``g`` depends on k, so the decay rate, the envelope and the
+weights ``1 / (1 + 2 p2 lambda)`` are shared.  ``pinv_moments`` runs one
+batched kernel over blocks of columns sized by ``_BLOCK_VALUES`` (X X.T is
+formed once per call): a stacked Cholesky of the Gram complements, a stacked
+whitening ``eigh``, and per column two matrix products and the node sums for
+all k.  The element-level functions run the same kernel on a block of one
+column, so they agree with the tables.  Each column is computed from its own
+data only, so no bit depends on the block size or on scheduling.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from . import numerics
 from .numerics import (
     composite_legendre_nodes,
     gauss_laguerre_nodes,
-    signed_log_sum,
     spd_inverses,
 )
 
@@ -325,17 +325,20 @@ def _rules(quad: QuadratureConfig) -> list[tuple]:
 
 
 def _integrate(pieces, nodes: np.ndarray, weights: np.ndarray, laguerre: bool):
-    """Both moment tables, (B, n) each, for a block of columns, in log space: (1/rho) * sum
-    w_j g(u_j / rho) exp(-u_j / rho), times exp(u_j) for a ``laguerre`` rule (log w_j ~ -u_j)."""
+    """Both moment tables, (B, n) each, for a block of columns: (1/rho) * sum w_j g(u_j / rho)
+    exp(-u_j / rho), times exp(u_j) for a ``laguerre`` rule.  The envelope is exponentiated once
+    per column, over its largest node term; node sums are per-column einsums, never BLAS."""
     rate = _decay_rate(pieces)[:, None]
     p2 = nodes / rate
     core_log, t_rb, t_rr = _kernel(pieces, p2)
     shared = np.log(weights) + core_log + (nodes if laguerre else 0.0) - p2 - np.log(rate)
-    with np.errstate(divide="ignore"):
-        first = signed_log_sum(shared[:, None, :] + np.log(np.abs(t_rb)), np.sign(t_rb))
-        log_kernel = np.log(p2)[:, None, :] + np.log(t_rr + t_rb**2)
-        second = signed_log_sum(shared[:, None, :] + log_kernel, 1.0)
-    return first, second
+    shift = shared.max(axis=1, keepdims=True)
+    shift[shift == -np.inf] = 0.0  # every node underflowed: both sums are 0
+    envelope, positive = np.exp(shared - shift), np.maximum(t_rb, 0.0)
+    first = np.einsum("bkj,bj->bk", positive, envelope)
+    first -= np.einsum("bkj,bj->bk", positive - t_rb, envelope)  # negative terms apart
+    second = np.einsum("bkj,bj->bk", t_rr + t_rb * t_rb, p2 * envelope)
+    return np.exp(shift) * first, np.exp(shift) * second
 
 
 def _tables(pieces, columns, rules: list[tuple], rel_tol: float):

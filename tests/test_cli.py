@@ -523,6 +523,30 @@ class TestSpectrum:
         assert error == {"error": "degenerate_data", "message": (
             "samples too concentrated for automatic bandwidth; 4 of 4 variances clamped to zero")}
 
+    def test_warns_when_no_eigenvalue_leaves_the_bulk(self, tmp_path):
+        # Mean eigenvalues 0.4 +- sqrt(0.03) lie inside the bulk radius sqrt(rho(V)) = sqrt(2).
+        (tmp_path / "moments.json").write_text(json.dumps({
+            "schema_version": cli.SCHEMA_VERSION, "variance_mode": "corrected",
+            "operator_first": [[0.5, 0.1], [0.2, 0.3]],
+            "operator_second_central": [[1.0, 1.0], [1.0, 1.0]],
+        }))
+        proc = run_cli(["spectrum", "moments.json", "--samples", "20", "--out", "kde.csv"],
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("no eigenvalue of the mean operator lies outside the noise bulk: "
+                               "bulk radius sqrt(rho(V)) = 1.414, largest mean |lambda| = 0.5732\n")
+
+    def test_no_warning_on_the_readme_spring_mass_tables(self, tmp_path):
+        # Bulk radius 3.2e-5 against |lambda| = 1.0: the outliers stand clear of the bulk.
+        steps = [
+            ["simulate", "spring-mass", "--duration", "20", "--dt", "0.05", "--out", "t.csv"],
+            ["moments", "t.csv", "--noise-variances", "1e-6,1e-6", "--out", "m.json"],
+            ["spectrum", "m.json", "--samples", "6", "--seed", "7", "--out", "k.csv"],
+        ]
+        for args in steps:
+            proc = run_cli(args, cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_deterministic(self, small_csv, config_path, tmp_path):
         moments = tmp_path / "moments.json"
         main(

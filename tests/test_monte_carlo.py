@@ -457,7 +457,7 @@ class TestRunMcWorkers:
         dvar = np.maximum((acc.sums[1] - acc.sums[0] ** 2 / count) / (count - 1), 0.0)
         second_raw = c**2 + 2.0 * c * s1 + s2
         var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
-        m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * s1**4
+        m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2) ** 2
         want = (
             c + s1, second_raw, dvar, np.sqrt(dvar / count),
             np.sqrt(np.maximum(var_sq, 0.0) / count),

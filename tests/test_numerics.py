@@ -20,7 +20,6 @@ from dmduq.numerics import (
     eigenvalue_rows,
     gauss_laguerre_nodes,
     product_eigenvalues,
-    signed_log_sum,
     sort_eigenvalue_rows,
     spd_factors,
     spd_inverses,
@@ -335,20 +334,3 @@ class TestRowTable:
         with numerics._one_blas_thread():  # "not re-entrant" if the pin were still held
             pass
         blocks.close()
-
-
-class TestSignedLogSum:
-    def test_cancellation(self):
-        logs = np.array([0.0, 0.0])
-        signs = np.array([1.0, -1.0])
-        assert signed_log_sum(logs, signs) == 0.0
-
-    def test_matches_direct(self):
-        rng = np.random.default_rng(5)
-        vals = rng.standard_normal(50)
-        out = signed_log_sum(np.log(np.abs(vals)), np.sign(vals))
-        assert out == pytest.approx(vals.sum(), rel=1e-12)
-
-    def test_all_underflow(self):
-        logs = np.full(3, -np.inf)
-        assert signed_log_sum(logs, np.ones(3)) == 0.0

@@ -22,6 +22,8 @@ from dmduq.pinv_moments import (
     MgfContext,
     PinvMoments,
     QuadratureConfig,
+    _decay_rate,
+    _integrate,
     build_context,
     context_from_parts,
     first_moment_element,
@@ -496,6 +498,59 @@ class TestPinvMomentsTable:
         assert len(failures) == 3  # every column's Gram complement is singular
         assert all(isinstance(err, SingularGram) for _, _, err in failures)
         assert [t for t, _, _ in failures] == [0, 1, 2]
+
+
+class TestIntegrate:
+    # The node sums of ``_integrate`` on integrand values set by hand: rate 1, so
+    # p2 = u, and the kernel's values are given at each node.
+    @staticmethod
+    def integrate(monkeypatch, core_log, t_rb, t_rr, nodes, weights):
+        pieces = (np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), None)
+        kernel = (np.array([core_log], float), np.array([[t_rb]], float), np.array([[t_rr]], float))
+        monkeypatch.setattr(sys.modules["dmduq.pinv_moments"], "_kernel", lambda *_: kernel)
+        first, second = _integrate(pieces, np.array(nodes, float), np.array(weights, float), False)
+        return first[0, 0], second[0, 0]
+
+    def test_cancellation(self, monkeypatch):
+        # Equal positive and negative terms are summed apart, then cancel exactly.
+        first, _ = self.integrate(monkeypatch, [0.0, 0.0], [1.0, -1.0], [1.0, 1.0],
+                                  [1.0, 1.0], [0.5, 0.5])
+        assert first == 0.0
+
+    @pytest.mark.parametrize("laguerre", [True, False], ids=["laguerre", "legendre"])
+    def test_matches_direct(self, laguerre):
+        # A direct float sum of the full integrands at the rule's nodes.
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            context = random_context(rng)
+            nodes, weights = (numerics.gauss_laguerre_nodes(64) if laguerre
+                              else numerics.composite_legendre_nodes(400.0))
+            rate = float(_decay_rate(context.pieces)[0])
+            integrands = moment_integrands(context, nodes / rate)
+            factor = weights * (np.exp(nodes) if laguerre else 1.0) / rate
+            tables = _integrate(context.pieces, nodes, weights, laguerre)
+            for table, integrand in zip(tables, integrands):
+                direct = (factor * integrand).sum()
+                assert table[0, context.k] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("core_log", [-np.inf, -1e4], ids=["log_zero", "exp_underflow"])
+    def test_all_underflow(self, monkeypatch, core_log):
+        # Every term of the column underflows: both sums are 0, not NaN.
+        assert self.integrate(monkeypatch, [core_log] * 3, [1.0, -2.0, 3.0], [1.0] * 3,
+                              [1.0, 2.0, 3.0], [1.0] * 3) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("method", ["gauss_laguerre", "adaptive_truncated"])
+    @pytest.mark.parametrize("shape", [(2, 999), (34, 400)])
+    def test_tables_do_not_depend_on_blas_threads(self, method, shape):
+        rng = np.random.default_rng(11)
+        snaps = snapshots_from_states(rng.standard_normal(shape))
+        noise = NoiseModel(variances=np.full(shape[0], 1e-2))
+        quad = QuadratureConfig(method=method)
+        default = pinv_moments(snaps, noise, quad)
+        with numerics._one_blas_thread():
+            single = pinv_moments(snaps, noise, quad)
+        assert np.array_equal(default.first, single.first)
+        assert np.array_equal(default.second_raw, single.second_raw)
 
 
 class TestGramComplementInverses:
