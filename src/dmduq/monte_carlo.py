@@ -104,8 +104,6 @@ class McSummary:
         jensen = self.pinv_second_raw - self.pinv_mean**2
         if jensen.min() < -1e-12:
             raise DimensionMismatch("sample second moments below squared means")
-        if self.operator_variance.min() < -1e-12:
-            raise DimensionMismatch("negative sample variance")
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -165,40 +163,24 @@ class _MomentAccumulator:
 
     def statistics(self, count: int, raw_second: bool = True):
         """``(mean, second_raw, variance, se_mean, se_second, se_variance)``; the second_raw
-        pair is None unless ``raw_second``.  Blocks of an eighth of a table row block are
-        written into the tables in order, by the formulas in the comments, via 1 MB of scratch."""
+        pair is None unless ``raw_second``.  Written in order, in blocks of an eighth of a
+        table row block, so the temporaries stay near 1 MB."""
         mean, second_raw, var, se_mean, se_second, se_var = (
             np.empty_like(self.shift) if raw_second or i not in (1, 4) else None for i in range(6)
         )
-        blocks = row_blocks(len(self.shift), 8 * self.shift[0].size)
-        scratch = np.empty((7, max(b - a for a, b in blocks)) + self.shift.shape[1:])
-        for a, b in blocks:
-            c, (s1, s2, s3, s4, t, u, v) = self.shift[a:b], scratch[:, : b - a]
-            np.divide(self.sums[:, a:b], count, out=scratch[:4, : b - a])
-            np.add(c, s1, out=mean[a:b])
-            # var = max((sums[1] - sums[0]**2 / count) / (count - 1), 0)
-            np.divide(np.square(self.sums[0][a:b], out=t), count, out=t)
-            dvar = np.subtract(self.sums[1][a:b], t, out=var[a:b])
-            np.maximum(np.divide(dvar, count - 1, out=dvar), 0.0, out=dvar)
-            np.sqrt(np.divide(dvar, count, out=se_mean[a:b]), out=se_mean[a:b])
-            # m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2)**2
-            np.subtract(s4, np.multiply(np.multiply(4.0, s1, out=t), s3, out=t), out=t)
-            t += np.multiply(np.multiply(6.0, np.square(s1, out=u), out=u), s2, out=u)
-            t -= np.multiply(3.0, np.square(np.square(s1, out=u), out=u), out=u)
-            t -= np.square(dvar, out=u)  # se_var = sqrt(max(m4 - var**2, 0) / count)
-            np.sqrt(np.divide(np.maximum(t, 0.0, out=t), count, out=t), out=se_var[a:b])
+        for a, b in row_blocks(len(self.shift), 8 * self.shift[0].size):
+            c, sums = self.shift[a:b], self.sums[:, a:b]
+            s1, s2, s3, s4 = sums / count
+            mean[a:b] = c + s1
+            dvar = np.maximum((sums[1] - sums[0] ** 2 / count) / (count - 1), 0.0)
+            var[a:b], se_mean[a:b] = dvar, np.sqrt(dvar / count)
+            m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2) ** 2
+            se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
             if raw_second:
-                x2 = np.square(c, out=second_raw[a:b])  # c**2 + 2.0 * c * s1 + s2
-                x2 += np.multiply(np.multiply(2.0, c, out=t), s1, out=t)
-                x2 += s2
+                second_raw[a:b] = c**2 + 2.0 * c * s1 + s2
                 # Var(x**2) for x = c + d, from the sums of d: no O(c**4) terms cancel.
-                # 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
-                np.multiply(np.multiply(4.0, np.square(c, out=t), out=t),
-                            np.subtract(s2, np.square(s1, out=u), out=u), out=t)
-                np.subtract(s3, np.multiply(s1, s2, out=v), out=v)
-                t += np.multiply(np.multiply(4.0, c, out=u), v, out=u)
-                t += np.subtract(s4, np.square(s2, out=u), out=u)
-                np.sqrt(np.divide(np.maximum(t, 0.0, out=t), count, out=t), out=se_second[a:b])
+                var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
+                se_second[a:b] = np.sqrt(np.maximum(var_sq, 0.0) / count)
         return mean, second_raw, var, se_mean, se_second, se_var
 
 

@@ -8,11 +8,11 @@ for semi-infinite integrals weighted by ``exp(-p)`` and a composite
 Gauss-Legendre rule for truncated ones.  All functions are pure
 and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
 thread around the calls whose bits would otherwise depend on the BLAS thread
-setting, and ``slice_workers`` spreads such calls over one worker thread per
-BLAS thread, for the jobs that split: Monte Carlo trials and spectra.  A
-``RowTable`` is an m x m table read from its row source by ``row_blocks``, in
-order in the calling thread at one BLAS thread, so it has the same bits whether
-it is built whole or written out block by block.
+setting; nested and concurrent calls share one pin.  ``slice_workers`` spreads
+such calls over one worker thread per BLAS thread, for the jobs that split:
+Monte Carlo trials and spectra.  A ``RowTable`` is an m x m table read from its
+row source by ``row_blocks``, in order in the calling thread at one BLAS thread,
+so it has the same bits whether it is built whole or written out block by block.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -22,6 +22,7 @@ of the reference library rule the tests compare it with.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -38,8 +39,10 @@ _OPENBLAS_THREADS = [
     (f"{lib}_get_num_threads{tail}", f"{lib}_set_num_threads{tail}")
     for lib in ("scipy_openblas", "openblas") for tail in ("64_", "")
 ]
-_BLAS_PIN = threading.Lock()
-_PINNED = threading.local()  # .held: this thread holds _BLAS_PIN or is a slice_workers worker
+# Process-wide, as the OpenBLAS settings are: the callers inside _one_blas_thread and the
+# (setter, count) saved of each OpenBLAS, changed only under _PIN.
+_PIN = threading.Lock()
+_pin = {"entries": 0, "saved": []}
 
 
 @contextmanager
@@ -47,40 +50,38 @@ def _one_blas_thread():
     """Hold every OpenBLAS loaded in this process at one thread; yield the most one had.
 
     Yields 1 and changes nothing where no OpenBLAS thread setter is found
-    (another BLAS, or no ``/proc``).  Concurrent callers take turns; a thread
-    inside it, or a ``slice_workers`` worker, that enters again raises
-    RuntimeError instead of waiting on itself for ever.
+    (another BLAS, or no ``/proc``).  Nested and concurrent calls, from any
+    thread, share one pin: the first entry saves each count and sets it to 1,
+    and the last exit restores them.
     """
-    import ctypes
-
-    if getattr(_PINNED, "held", False):
-        raise RuntimeError("_one_blas_thread and slice_workers are not re-entrant: "
-                           "entered again inside one, or from a slice_workers worker")
-    with _BLAS_PIN:
-        try:
-            with open("/proc/self/maps", encoding="utf-8") as maps:
-                paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-            libraries = [ctypes.CDLL(path) for path in paths]
-        except OSError:  # no /proc, or a mapped path that cannot be opened
-            libraries = []
-        saved = []
-        for lib in libraries:
-            for get, set_ in _OPENBLAS_THREADS:
-                if hasattr(lib, get) and hasattr(lib, set_):
-                    getter, setter = getattr(lib, get), getattr(lib, set_)
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    saved.append((setter, getter()))
-                    break
-        try:
-            _PINNED.held = True
-            for setter, _ in saved:
-                setter(1)
-            yield max((count for _, count in saved), default=1)
-        finally:
-            _PINNED.held = False
-            for setter, count in saved:
-                setter(count)
+    with _PIN:
+        if not _pin["entries"]:
+            try:
+                with open("/proc/self/maps", encoding="utf-8") as maps:
+                    paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+                libraries = [ctypes.CDLL(path) for path in paths]
+            except OSError:  # no /proc, or a mapped path that cannot be opened
+                libraries = []
+            saved = []
+            for lib in libraries:
+                for get, set_ in _OPENBLAS_THREADS:
+                    if hasattr(lib, get) and hasattr(lib, set_):
+                        getter, setter = getattr(lib, get), getattr(lib, set_)
+                        getter.argtypes, getter.restype = [], ctypes.c_int
+                        setter.argtypes, setter.restype = [ctypes.c_int], None
+                        saved.append((setter, getter()))
+                        setter(1)
+                        break
+            _pin["saved"] = saved
+        _pin["entries"] += 1
+    try:  # _pin["saved"] is replaced only while no caller is inside
+        yield max((count for _, count in _pin["saved"]), default=1)
+    finally:
+        with _PIN:
+            _pin["entries"] -= 1
+            if not _pin["entries"]:
+                for setter, count in _pin["saved"]:
+                    setter(count)
 
 
 @contextmanager
@@ -88,10 +89,8 @@ def slice_workers():
     """Hold BLAS at one thread and yield ``map_slices(fn, count)``, which runs
     ``fn(lo, hi)`` on one contiguous slice of ``range(count)`` per BLAS thread in
     a pool that lives as long as the context and returns the results in slice
-    order.  Not re-entrant: entering ``_one_blas_thread`` or ``slice_workers`` again
-    inside the context, ``fn`` included, raises RuntimeError."""
-    hold = functools.partial(setattr, _PINNED, "held", True)
-    with _one_blas_thread() as threads, ThreadPoolExecutor(threads, initializer=hold) as pool:
+    order.  Calls inside ``fn`` that pin BLAS share the context's pin."""
+    with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as pool:
         def map_slices(fn, count):
             workers = max(1, min(threads, count))
             cuts = [count * k // workers for k in range(workers + 1)]

@@ -104,6 +104,11 @@ def openblas_thread_controls():
     return controls
 
 
+def openblas_thread_counts():
+    """The thread count each OpenBLAS loaded in this process reports."""
+    return [getter() for getter, _ in openblas_thread_controls()]
+
+
 @contextmanager
 def openblas_threads(count):
     """Every OpenBLAS loaded in this process at ``count`` threads; old counts restored after."""

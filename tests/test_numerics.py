@@ -1,5 +1,8 @@
+import threading
+
 import numpy as np
 import pytest
+from conftest import openblas_thread_controls, openblas_thread_counts, openblas_threads
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -24,6 +27,7 @@ from dmduq.numerics import (
     spd_factors,
     spd_inverses,
 )
+from dmduq.operator_moments import CORRECTED, check_tables
 
 
 class TestSpdFactors:
@@ -327,10 +331,55 @@ class TestGaussLaguerre:
 
 class TestRowTable:
     def test_pin_not_held_between_blocks(self):
-        # A consumer that stops mid-table, its generator still alive (as a traceback
-        # keeps it), leaves the BLAS pin free for this thread's next call.
-        blocks = RowTable((4, 4), lambda a, b, out=None: np.ones((b - a, 4))).blocks()
-        next(blocks)
-        with numerics._one_blas_thread():  # "not re-entrant" if the pin were still held
-            pass
-        blocks.close()
+        # Each block is made at one BLAS thread, and a consumer that stops mid-table, its
+        # generator still alive (as a traceback keeps it), finds the count back at its setting.
+        seen = []
+
+        def rows(a, b, out=None):
+            seen.append(openblas_thread_counts())
+            return np.ones((b - a, 4))
+
+        with openblas_threads(2):
+            blocks = RowTable((4, 4), rows).blocks()
+            next(blocks)
+            assert set(openblas_thread_counts()) <= {2}
+            blocks.close()
+        assert len(seen) == 1 and set(seen[0]) <= {1}
+
+
+def test_overlapping_entries_share_the_pin():
+    # While one thread holds the pin, another enters without waiting, finds BLAS at one
+    # thread, is told the count the first entry saved, and leaves the pin in place for the
+    # first; the last exit restores the setting.
+    if not openblas_thread_controls():
+        pytest.skip("no OpenBLAS with thread controls is loaded")
+    held, release, seen = threading.Event(), threading.Event(), []
+
+    def hold():
+        with numerics._one_blas_thread():
+            held.set()
+            release.wait(timeout=30)
+
+    def enter():
+        with numerics._one_blas_thread() as threads:
+            seen.append((threads, openblas_thread_counts()))
+            check_tables(np.eye(2), np.eye(2), CORRECTED)
+        seen.append("left")
+
+    with openblas_threads(2):
+        first = threading.Thread(target=hold, daemon=True)
+        second = threading.Thread(target=enter, daemon=True)
+        try:
+            first.start()
+            assert held.wait(timeout=5)
+            second.start()
+            second.join(timeout=5)
+            assert not second.is_alive()
+            assert seen == [(2, [1] * len(openblas_thread_controls())), "left"]
+            assert set(openblas_thread_counts()) == {1}
+        finally:
+            release.set()
+            first.join(timeout=30)
+            second.join(timeout=30)
+        assert not first.is_alive()
+        assert set(openblas_thread_counts()) == {2}

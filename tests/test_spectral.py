@@ -5,7 +5,10 @@ import time
 
 import numpy as np
 import pytest
-from conftest import fixed_blas_workers, openblas_thread_controls, spectra_batches
+from conftest import (
+    fixed_blas_workers, openblas_thread_controls, openblas_thread_counts, openblas_threads,
+    spectra_batches,
+)
 from scipy.integrate import trapezoid
 
 from dmduq import numerics, spectral
@@ -80,10 +83,6 @@ class TestEigenSamples:
         instances[1, 0, 1], instances[2, 1, 0] = 0.0, np.nan
         with pytest.raises(DimensionMismatch, match="instance 2$"):
             eigen_samples(instances)
-
-
-def _blas_thread_counts():
-    return [getter() for getter, _ in openblas_thread_controls()]
 
 
 _EIGVALS = np.linalg.eigvals
@@ -167,7 +166,7 @@ class TestBlasPin:
         controls = openblas_thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS with thread controls is loaded")
-        saved = _blas_thread_counts()
+        saved = openblas_thread_counts()
         for _, setter in controls:
             setter(2)
         yield
@@ -178,7 +177,7 @@ class TestBlasPin:
         seen = []
 
         def recording(a):
-            seen.append(_blas_thread_counts())
+            seen.append(openblas_thread_counts())
             return _EIGVALS(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", recording)
@@ -186,14 +185,14 @@ class TestBlasPin:
         eigen_samples(np.random.default_rng(0).standard_normal((4, 5, 5)))
         assert len(seen) == 2  # two batches of two
         assert all(set(counts) == {1} for counts in seen)
-        assert set(_blas_thread_counts()) == {2}
+        assert set(openblas_thread_counts()) == {2}
 
     def test_restored_after_convergence_failure(self, monkeypatch, two_blas_threads):
         instances = np.random.default_rng(0).standard_normal((4, 5, 5))
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[3]]))
         with pytest.raises(ConvergenceFailure, match="instance 3"):
             eigen_samples(instances)
-        assert set(_blas_thread_counts()) == {2}
+        assert set(openblas_thread_counts()) == {2}
 
     def test_kde2d_bits_independent_of_blas_threads(self, two_blas_threads):
         # A 256 x 1000 by 1000 x 256 kernel product is large enough for
@@ -232,36 +231,36 @@ class TestBlasPin:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert set(_blas_thread_counts()) == {2}
+        assert set(openblas_thread_counts()) == {2}
 
 
 class TestSliceWorkersReentry:
     @pytest.mark.parametrize("from_worker", [False, True])
-    def test_nested_entry_raises(self, from_worker):
+    def test_nested_entry_runs(self, from_worker):
         # Checking dense moment tables pins BLAS at one thread.  Inside slice_workers,
-        # from the thread that entered it or from one of its workers, that
-        # raises; a plain lock there waited on itself for ever.  The call runs
-        # in a thread joined with a timeout, so a hang fails the test.
+        # from the thread that entered it or from one of its workers, the check shares
+        # the pin and returns; a plain lock there waited on itself for ever.  The call
+        # runs in a thread joined with a timeout, so a hang fails the test.
         outcome = []
 
         def build(lo=0, hi=0):
-            return check_tables(np.eye(2), np.eye(2), CORRECTED)
+            check_tables(np.eye(2), np.eye(2), CORRECTED)
+            return "returned"
 
         def nested():
             try:
                 with numerics.slice_workers() as map_slices:
-                    map_slices(build, 1) if from_worker else build()
-            except RuntimeError as exc:
-                outcome.append(str(exc))
-            build()  # the pin is free again in this thread
-            outcome.append("free")
+                    outcome.extend(map_slices(build, 1) if from_worker else [build()])
+            except Exception as exc:
+                outcome.append(repr(exc))
 
-        caller = threading.Thread(target=nested, daemon=True)
-        caller.start()
-        caller.join(timeout=30)
-        assert not caller.is_alive()
-        assert len(outcome) == 2 and "not re-entrant" in outcome[0]
-        assert outcome[1] == "free"
+        with openblas_threads(2):
+            caller = threading.Thread(target=nested, daemon=True)
+            caller.start()
+            caller.join(timeout=30)
+            assert not caller.is_alive()
+            assert outcome == ["returned"]
+            assert set(openblas_thread_counts()) <= {2}
 
 
 class TestEigenMoments:
