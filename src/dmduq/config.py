@@ -3,13 +3,14 @@
 The JSON schema is the dataclass fields.  Unknown keys are rejected so typos
 fail loudly instead of silently falling back to defaults, and every value
 must have the JSON type of its field's default: integer fields take JSON
-integers, float fields any JSON number, bool fields ``true``/``false`` and
+integers, float fields finite JSON numbers, bool fields ``true``/``false`` and
 string fields strings; ``kde.bandwidth`` takes a number or ``"auto"``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
@@ -70,7 +71,8 @@ def _value(default, value, where: str):
     elif default is None and value == "auto":  # kde.bandwidth
         return None
     else:
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok, kind = ok and abs(value) <= sys.float_info.max, "a finite number"
         value = float(value) if ok else value
     if not ok:
         raise ConfigError(f"{where} must be {kind}, got {value!r}")

@@ -40,8 +40,8 @@ batched kernel over blocks of columns sized by ``_BLOCK_VALUES`` (X X.T is
 formed once per call): a stacked Cholesky of the Gram complements, a stacked
 whitening ``eigh``, and per column two matrix products and the node sums for
 all k.  The element-level functions run the same kernel on a block of one
-column, so they agree with the tables.  Each column is computed from its own
-data only, so no bit depends on the block size or on scheduling.
+column, so they equal the tables bit for bit.  Each column is computed from
+its own data only, so no bit depends on the block size or on scheduling.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .errors import (
     DimensionMismatch,
     DmduqError,
     MomentComputationError,
-    NotPositiveDefinite,
     QuadratureNotConverged,
     SingularGram,
 )
@@ -232,20 +231,7 @@ def build_context(
     R, singular = gram_complement_inverses(X, ridge, np.array([t]))
     if singular:
         raise singular[0][1]
-    return context_from_parts(R[0], X[:, t], noise, k)
-
-
-def context_from_parts(
-    R: np.ndarray, mu: np.ndarray, noise: NoiseModel, k: int
-) -> MgfContext:
-    """Build a context directly from an SPD matrix R and a mean vector.
-
-    Useful for scalar toys and randomized identity checks where V is not
-    accumulated from snapshots.
-    """
-    R = 0.5 * (np.asarray(R, dtype=float) + np.asarray(R, dtype=float).T)
-    mu = np.asarray(mu, dtype=float).ravel()
-    return MgfContext(_whiten(R[None], mu[None], noise), k)
+    return MgfContext(_whiten(R, X.T[[t]], noise), k)
 
 
 def _decay_rate(pieces) -> np.ndarray:
@@ -278,41 +264,6 @@ def _kernel(pieces, p2: np.ndarray):
     t_rb = (qa[:, :, None] * qg).transpose(0, 2, 1) @ weight
     t_rr = (qg * qg).transpose(0, 2, 1) @ weight
     return core_log, t_rb, t_rr
-
-
-def _kernel_pieces(context: MgfContext, p2: np.ndarray):
-    """:func:`_kernel` for one element at an array of p2 values."""
-    p2 = np.atleast_1d(p2)
-    if (2.0 * np.outer(p2, context.pieces[0])).min() <= -1.0:
-        raise NotPositiveDefinite("S = Sigma^-1/2 + p2 R is not positive definite")
-    core_log, t_rb, t_rr = _kernel(context.pieces, p2[None])
-    return core_log[0], t_rb[0, context.k], t_rr[0, context.k]
-
-
-def mgf_closed_form(context: MgfContext, p1: float, p2: float) -> tuple[float, int]:
-    """Closed-form conditional generating function value in log-sign form.
-
-    Evaluates ``c2 * exp((b + p1 r).T S^-1 (b + p1 r) / 4)`` with
-    ``c2 = exp(-mu.T Sigma^-1 mu / 2 - p2) / (2^(n/2) |S|^(1/2) |Sigma|^(1/2))``
-    as ``(log_magnitude, sign)``.  The value itself is a positive scalar, so
-    the sign is always +1; the log form is returned because the raw value
-    underflows for small noise variances.
-    """
-    core_log, t_rb, t_rr = _kernel_pieces(context, np.array([float(p2)]))
-    log_mag = float(core_log[0]) - float(p2) + p1 * float(t_rb[0]) + 0.5 * p1**2 * float(t_rr[0])
-    return log_mag, 1
-
-
-def moment_integrands(context: MgfContext, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full integrands (including the exp(-p2) weight) of both moment integrals.
-
-    The first equals the p1-derivative of :func:`mgf_closed_form` at p1 = 0;
-    the second equals p2 times its second p1-derivative at p1 = 0.
-    """
-    p2 = np.asarray(p2, dtype=float)
-    core_log, t_rb, t_rr = _kernel_pieces(context, p2)
-    envelope = np.exp(core_log - p2)
-    return envelope * t_rb, p2 * envelope * (t_rr + t_rb**2)
 
 
 def _rules(quad: QuadratureConfig) -> list[tuple]:

@@ -31,6 +31,9 @@ class SpringMassParams:
     dt: float = 0.01
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite")
         if min(self.mass, self.stiffness, self.dt, self.duration) <= 0:
             raise ConfigError("mass, stiffness, dt, and duration must be positive")
 
@@ -60,6 +63,11 @@ class OscillatorNetworkParams:
     def __post_init__(self):
         if not 1 <= self.node_count <= 32:
             raise ConfigError(f"node_count must be in [1, 32], got {self.node_count}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        for name, value in vars(self).items():
+            if value is not None and not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite")
         coupling = np.asarray(self.coupling, dtype=float)
         if coupling.shape != (self.node_count, self.node_count):
             raise DimensionMismatch("coupling must be node_count x node_count")
@@ -70,8 +78,6 @@ class OscillatorNetworkParams:
             raise ConfigError("damping must be per-node and nonnegative")
         if min(self.dt, self.duration) <= 0:
             raise ConfigError("dt and duration must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "damping", damping)
         if self.x0 is not None:

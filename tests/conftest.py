@@ -15,7 +15,7 @@ import dmduq
 import dmduq.numerics
 import dmduq.spectral
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots
-from dmduq.pinv_moments import _decay_rate, context_from_parts, moment_integrands
+from dmduq.pinv_moments import MgfContext, _decay_rate, _kernel, _whiten
 
 
 # Directory that holds the imported dmduq package: the checkout's src/ when the
@@ -153,6 +153,32 @@ def mgf_direct_mpmath(R, mu, cov, k, p1, p2, dps=60):
         return c2 * mp.e ** ((v.T * (S**-1 * v))[0] / 4)
 
 
+def element_context(R, mu, noise, k):
+    """Quadrature context of element k for an SPD matrix R and a mean vector mu.
+
+    For scalar toys and randomized identity checks where R is not the
+    inverse of a Gram complement accumulated from snapshots.
+    """
+    R = np.asarray(R, dtype=float)
+    mu = np.asarray(mu, dtype=float).ravel()
+    return MgfContext(_whiten(0.5 * (R + R.T)[None], mu[None], noise), k)
+
+
+def element_integrands(context, p2):
+    """Both moment integrands of a context's element at an array of p2 values.
+
+    From the kernel pieces with the exp(-p2) weight: the envelope
+    ``exp(core_log - p2)`` times ``t_rb`` (first moment) and ``p2`` times the
+    envelope times ``t_rr + t_rb**2`` (raw second moment).  These are the
+    first and p2 times the second p1-derivative at p1 = 0 of the generating
+    function that ``mgf_direct_mpmath`` evaluates.
+    """
+    p2 = np.atleast_1d(np.asarray(p2, dtype=float))
+    core_log, t_rb, t_rr = _kernel(context.pieces, p2[None])
+    envelope, t_rb, t_rr = np.exp(core_log[0] - p2), t_rb[0, context.k], t_rr[0, context.k]
+    return envelope * t_rb, p2 * envelope * (t_rr + t_rb**2)
+
+
 def random_mgf_context(rng, n=None):
     n = n or int(rng.integers(1, 4))
     B = rng.standard_normal((n, n))
@@ -160,19 +186,19 @@ def random_mgf_context(rng, n=None):
     mu = rng.standard_normal(n)
     noise = NoiseModel(variances=rng.uniform(0.05, 0.5, size=n))
     k = int(rng.integers(0, n))
-    return context_from_parts(R, mu, noise, k), R, mu, noise, k
+    return element_context(R, mu, noise, k), R, mu, noise, k
 
 
 def scipy_moment_element(context, order, p2_max=400.0, rel_tol=1e-8):
     """One moment of a context's element by adaptive ``scipy.integrate.quad``.
 
-    Integrates the full integrand of ``moment_integrands`` (``order`` 1 or 2)
+    Integrates the full integrand of ``element_integrands`` (``order`` 1 or 2)
     on the substituted axis u = rho * p2 in [0, p2_max], rho the column's
     decay rate, as the package's truncated route does with a fixed rule.
     """
     rate = float(_decay_rate(context.pieces)[0])
     return scipy.integrate.quad(
-        lambda u: float(moment_integrands(context, u / rate)[order - 1][0]) / rate,
+        lambda u: float(element_integrands(context, u / rate)[order - 1][0]) / rate,
         0.0,
         p2_max,
         epsabs=0.0,

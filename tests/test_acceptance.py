@@ -10,6 +10,8 @@ import time
 import numpy as np
 import pytest
 from conftest import (
+    element_context,
+    element_integrands,
     mgf_direct_mpmath,
     openblas_threads,
     random_mgf_context,
@@ -25,7 +27,7 @@ from dmduq.data_model import RawTrajectory
 from dmduq.monte_carlo import sample_operator_instances
 from dmduq.numerics import gauss_laguerre_nodes, spd_inverses
 from dmduq.operator_moments import CORRECTED, PAPER_LITERAL, OperatorMoments
-from dmduq.pinv_moments import QuadratureConfig, context_from_parts, moment_integrands
+from dmduq.pinv_moments import QuadratureConfig
 from dmduq.spectral import (
     EigenSampleSet,
     density_peak,
@@ -99,7 +101,7 @@ def test_criterion_1_scalar_oracle_equivalence():
                 limit=200,
             )[0]
             noise = dq.NoiseModel(variances=np.array([s2]))
-            ctx = context_from_parts(np.array([[1.0 / V]]), np.array([mu]), noise, k=0)
+            ctx = element_context(np.array([[1.0 / V]]), np.array([mu]), noise, k=0)
             m1 = dq.first_moment_element(ctx)
             m2 = dq.second_moment_element(ctx)
             worst = max(worst, abs(m1 - e1) / abs(e1), abs(m2 - e2) / abs(e2))
@@ -226,7 +228,7 @@ def test_criterion_5_identity_suite():
             fd1 = float((h(d1) - h(-d1)) / (2 * d1))
             fd2 = float((h(d2) - 2 * h0 + h(-d2)) / d2**2)
             envelope = float(h0)
-        f1, f2 = moment_integrands(ctx, np.array([p2]))
+        f1, f2 = element_integrands(ctx, np.array([p2]))
         assert fd1 == pytest.approx(f1[0], rel=1e-6, abs=1e-12 * envelope)
         assert fd2 == pytest.approx(f2[0] / p2, rel=1e-6)
         scale = max(abs(f1[0]), 1e-12 * envelope)

@@ -686,6 +686,22 @@ class TestConfigRejection:
         assert proc.returncode == 1
         assert stderr_error_code(proc) == "config_error"
 
+    @pytest.mark.parametrize("text, field", [('{"ridge": NaN}', "ridge"),
+                                             ('{"kde": {"bandwidth": Infinity}}', "kde.bandwidth")])
+    def test_non_finite_number(self, small_csv, tmp_path, capsys, text, field):
+        # Rejected while the config loads, naming the field, not later as a
+        # non-finite table or output value.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        argv = ["moments", str(small_csv), "--config", str(cfg), "--noise-variances", "1e-6,1e-6",
+                "--out", str(tmp_path / "m.json")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config_error"
+        assert error["message"].startswith(f"{field} must be a finite number")
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestMalformedInput:
     """Bad flags and bad input files exit 1 with a JSON error record, never a traceback."""
@@ -854,6 +870,27 @@ class TestMalformedInput:
         out = tmp_path / "t.csv"
         argv = ["simulate", system, "--duration", "1", "--stride", str(stride), "--out", str(out)]
         assert self.error_code(argv, capsys) == "config_error"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["spring-mass", "--dt", "nan"], "dt"),
+        (["spring-mass", "--duration", "inf"], "duration"),
+        (["spring-mass", "--x0", "nan,0"], "x0"),
+        (["spring-mass", "--mass", "nan"], "mass"),
+        (["spring-mass", "--gravity", "inf"], "gravity"),
+        (["network", "--duration", "nan"], "duration"),
+        (["network", "--dt", "inf"], "dt"),
+        (["network", "--coupling-strength", "nan"], "coupling"),
+        (["network", "--damping", "nan"], "damping"),
+    ])
+    def test_non_finite_simulate_flag(self, tmp_path, capsys, argv, field):
+        # A traceback, or a parse_error blaming the trajectory, before the
+        # parameters were checked to be finite.
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert main(["simulate", *argv, "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "config_error", "message": f"{field} must be finite"}
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,40 @@ def test_unknown_key_rejected(data):
 def test_malformed_value_names_field(data, where):
     with pytest.raises(ConfigError, match=re.escape(where)):
         config_from_dict(data)
+
+
+def float_fields(cls, prefix=""):
+    """Dotted paths of every float field of config dataclass ``cls``, sections included."""
+    for spec in fields(cls):
+        default = spec.default_factory() if spec.default is MISSING else spec.default
+        if is_dataclass(default):
+            yield from float_fields(type(default), f"{prefix}{spec.name}.")
+        elif spec.type.startswith("float"):
+            yield prefix + spec.name
+
+
+FLOAT_FIELDS = list(float_fields(PipelineConfig))
+
+
+def test_float_fields_listed():
+    assert FLOAT_FIELDS == ["quadrature.p2_max", "quadrature.rel_tol", "ridge", "kde.bandwidth"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("where", FLOAT_FIELDS)
+def test_non_finite_float_names_field(tmp_path, where, literal):
+    # json.load parses NaN and +-Infinity literals; 1e400 overflows to inf.
+    section, _, name = where.rpartition(".")
+    text = f'{{"{name}": {literal}}}'
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"{section}": {text}}}' if section else text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{where} must be a finite number")):
+        load_config(path)
+
+
+def test_huge_integer_for_float_field_rejected():
+    with pytest.raises(ConfigError, match="ridge must be a finite number"):
+        config_from_dict({"ridge": 10**400})
 
 
 @pytest.mark.parametrize("data", [[], "config", None, 3])

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
-    fixed_blas_workers, forbid_worker_threads, openblas_threads, snapshots_from_trajectory_matrix, spectra_batches,
+    element_context, fixed_blas_workers, forbid_worker_threads, openblas_threads,
+    snapshots_from_trajectory_matrix, spectra_batches,
 )
 
 from dmduq import monte_carlo, numerics, spectral
@@ -39,7 +40,6 @@ from dmduq.operator_moments import (
 from dmduq.numerics import product_eigenvalues, spd_inverses
 from dmduq.pinv_moments import (
     QuadratureConfig,
-    context_from_parts,
     first_moment_element,
     gram_complement_inverses,
 )
@@ -179,7 +179,7 @@ class TestRunMcStatistics:
         snaps = snapshots_from_trajectory_matrix([[1.0, 2.0, 3.0]])
         noise = NoiseModel(variances=np.array([0.04]))
         summary = run_mc(snaps, noise, McConfig(trials=200_000, master_seed=2))
-        ctx = context_from_parts(np.array([[0.25]]), np.array([1.0]), noise, k=0)
+        ctx = element_context(np.array([[0.25]]), np.array([1.0]), noise, k=0)
         exact = first_moment_element(ctx, QuadratureConfig())
         se = summary.standard_errors.pinv_mean[0, 0]
         assert abs(summary.pinv_mean[0, 0] - exact) <= 3.0 * se

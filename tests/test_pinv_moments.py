@@ -3,7 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import mgf_direct_mpmath, random_mgf_context, run_python, scipy_moment_element
+from conftest import (
+    element_context,
+    element_integrands,
+    mgf_direct_mpmath,
+    random_mgf_context,
+    run_python,
+    scipy_moment_element,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -24,12 +31,10 @@ from dmduq.pinv_moments import (
     QuadratureConfig,
     _decay_rate,
     _integrate,
+    _kernel,
     build_context,
-    context_from_parts,
     first_moment_element,
     gram_complement_inverses,
-    mgf_closed_form,
-    moment_integrands,
     pinv_moments,
     second_moment_element,
 )
@@ -63,7 +68,7 @@ def scalar_oracle(V: float, mu: float, s2: float) -> tuple[float, float]:
 
 def scalar_context(V: float, mu: float, s2: float) -> MgfContext:
     noise = NoiseModel(variances=np.array([s2]))
-    return context_from_parts(np.array([[1.0 / V]]), np.array([mu]), noise, k=0)
+    return element_context(np.array([[1.0 / V]]), np.array([mu]), noise, k=0)
 
 
 def snapshots_from_states(states: np.ndarray, extra_column=None):
@@ -91,7 +96,7 @@ class TestBuildContext:
         assert np.allclose(R, expected_R, rtol=1e-10)
         # The context is that R's and the column mean [1, 0]'s whitened pieces.
         ctx = build_context(snaps, noise, t=0, k=0)
-        want = context_from_parts(expected_R, np.array([1.0, 0.0]), noise, k=0)
+        want = element_context(expected_R, np.array([1.0, 0.0]), noise, k=0)
         for got, expected in zip(ctx.pieces, want.pieces, strict=True):
             assert np.allclose(got, expected, rtol=1e-10, atol=1e-14)
 
@@ -135,20 +140,17 @@ class TestShermanMorrison:
             assert rel <= 1e-10
 
 
+def mgf_at_p1_zero(context: MgfContext, p2: float) -> float:
+    """The generating function at p1 = 0, the envelope exp(core_log - p2) of the kernel."""
+    core_log, _, _ = _kernel(context.pieces, np.array([[p2]]))
+    return float(np.exp(core_log[0, 0] - p2))
+
+
 class TestMgfClosedForm:
     def test_scalar_substitution(self):
         noise = NoiseModel(variances=np.array([1.0]))
-        ctx = context_from_parts(np.array([[1.0]]), np.array([0.0]), noise, k=0)
-        log_mag, sign = mgf_closed_form(ctx, 0.0, 1.0)
-        assert sign == 1
-        assert np.exp(log_mag) == pytest.approx(np.exp(-1.0) / np.sqrt(3.0), rel=1e-12)
-
-    def test_sign_positive_at_p1_zero(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            ctx = random_context(rng)
-            _, sign = mgf_closed_form(ctx, 0.0, float(rng.uniform(0.01, 5.0)))
-            assert sign == 1
+        ctx = element_context(np.array([[1.0]]), np.array([0.0]), noise, k=0)
+        assert mgf_at_p1_zero(ctx, 1.0) == pytest.approx(np.exp(-1.0) / np.sqrt(3.0), rel=1e-12)
 
     def test_matches_direct_formula(self):
         # The stabilized log-domain value must equal the raw definition
@@ -158,8 +160,7 @@ class TestMgfClosedForm:
             ctx, R, mu, noise, k = random_mgf_context(rng)
             p2 = float(rng.uniform(0.05, 4.0))
             direct = float(mgf_direct_mpmath(R, mu, noise.covariance(), k, mp.mpf(0), mp.mpf(p2)))
-            log_mag, sign = mgf_closed_form(ctx, 0.0, p2)
-            assert sign * np.exp(log_mag) == pytest.approx(direct, rel=1e-12)
+            assert mgf_at_p1_zero(ctx, p2) == pytest.approx(direct, rel=1e-12)
 
     def test_finite_difference_consistency(self):
         # Central differences of the generating function in p1 at 0 must
@@ -184,22 +185,9 @@ class TestMgfClosedForm:
                 fd1 = float((h(d1) - h(-d1)) / (2 * d1))
                 fd2 = float((h(d2) - 2 * h0 + h(-d2)) / d2**2)
                 envelope = float(h0)
-            f1, f2 = moment_integrands(ctx, np.array([p2]))
+            f1, f2 = element_integrands(ctx, np.array([p2]))
             assert fd1 == pytest.approx(f1[0], rel=1e-6, abs=1e-12 * envelope)
             assert fd2 == pytest.approx(f2[0] / p2, rel=1e-6)
-
-    def test_float_first_difference_consistency(self):
-        # The first derivative is within reach of plain float evaluations
-        # away from the kernel's zero crossing.
-        rng = np.random.default_rng(15)
-        delta = 1e-5
-        for _ in range(50):
-            ctx = random_context(rng)
-            p2 = float(rng.uniform(0.05, 4.0))
-            h = lambda p1: np.exp(mgf_closed_form(ctx, p1, p2)[0])
-            fd1 = (h(delta) - h(-delta)) / (2.0 * delta)
-            f1, _ = moment_integrands(ctx, np.array([p2]))
-            assert fd1 == pytest.approx(f1[0], rel=1e-6, abs=1e-9 * h(0.0))
 
 
 class TestFirstMomentElement:
@@ -282,7 +270,7 @@ class TestSecondMomentElement:
         x = mu + rng.multivariate_normal(np.zeros(2), cov, size=2_000_000)
         den = 1.0 + np.einsum("ij,jk,ik->i", x, R, x)
         for k in range(2):
-            ctx = context_from_parts(R, mu, noise, k=k)
+            ctx = element_context(R, mu, noise, k=k)
             num = x @ R[:, k]
             ratio = num / den
             for order, op in ((1, first_moment_element), (2, second_moment_element)):
@@ -296,7 +284,7 @@ class TestSecondMomentElement:
         V = np.array([[5.0, 1.0], [1.0, 2.0]])
         R = np.linalg.inv(V)
         noise = NoiseModel(variances=np.array([0.01, 0.01]))
-        ctx = context_from_parts(R, np.zeros(2), noise, k=0)
+        ctx = element_context(R, np.zeros(2), noise, k=0)
         value = second_moment_element(ctx)
         rng = np.random.default_rng(5)
         x = 0.1 * rng.standard_normal((1_000_000, 2))
@@ -409,10 +397,8 @@ class TestPinvMomentsTable:
         for t in range(m):
             for k in range(n):
                 ctx = build_context(snaps, noise, t, k, ridge=ridge)
-                assert first_moment_element(ctx) == pytest.approx(table.first[t, k], rel=1e-12)
-                assert second_moment_element(ctx) == pytest.approx(
-                    table.second_raw[t, k], rel=1e-12
-                )
+                assert first_moment_element(ctx) == table.first[t, k]
+                assert second_moment_element(ctx) == table.second_raw[t, k]
 
     def test_only_singular_columns_reported(self):
         # X = [e1, e2, e2]: dropping column 0 leaves two copies of e2, so only
@@ -526,7 +512,7 @@ class TestIntegrate:
             nodes, weights = (numerics.gauss_laguerre_nodes(64) if laguerre
                               else numerics.composite_legendre_nodes(400.0))
             rate = float(_decay_rate(context.pieces)[0])
-            integrands = moment_integrands(context, nodes / rate)
+            integrands = element_integrands(context, nodes / rate)
             factor = weights * (np.exp(nodes) if laguerre else 1.0) / rate
             tables = _integrate(context.pieces, nodes, weights, laguerre)
             for table, integrand in zip(tables, integrands):

@@ -96,6 +96,17 @@ class TestSpringMass:
         with pytest.raises(ConfigError):
             SpringMassParams(dt=0.0)
 
+    @pytest.mark.parametrize("field", ["mass", "stiffness", "gravity", "duration", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
+            SpringMassParams(**{field: value})
+
+    @pytest.mark.parametrize("x0", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_non_finite_x0_rejected(self, x0):
+        with pytest.raises(ConfigError, match="^x0 must be finite$"):
+            SpringMassParams(x0=x0)
+
 
 class TestOscillatorNetwork:
     def test_single_node_reduces_to_oscillator(self):
@@ -165,6 +176,16 @@ class TestOscillatorNetwork:
         )
         with pytest.raises(ConfigError, match=r"dt=0.05 exceeds 0.1/sqrt\(max stiffness"):
             simulate_oscillator_network(params)
+
+    @pytest.mark.parametrize("field", ["coupling", "damping", "x0", "duration", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        params = {"coupling": np.eye(2), "damping": np.zeros(2), "x0": np.zeros(4),
+                  "duration": 1.0, "dt": 0.01}
+        bad = np.array(params[field], dtype=float)
+        bad.flat[-1] = value  # one entry is enough
+        with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
+            OscillatorNetworkParams(node_count=2, **{**params, field: bad})
 
     def test_asymmetric_coupling_rejected(self):
         with pytest.raises(ConfigError):
