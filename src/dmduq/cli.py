@@ -53,10 +53,10 @@ _COMPARED = (
 
 
 def _emit(write, node, precision: int) -> None:
-    """Pass the JSON text of ``node`` to ``write`` piece by piece, with deterministic key
-    order and float format; float arrays and ``RowTable`` values go by :func:`_emit_floats`."""
+    """The JSON text of ``node``, piece by piece to ``write``, in deterministic key order and
+    float format; 1-D and 2-D float arrays and ``RowTable`` values go by :func:`_emit_floats`."""
     if isinstance(node, RowTable) or (isinstance(node, np.ndarray) and node.dtype.kind == "f"
-                                    and node.ndim and node.size):
+                                    and node.ndim in (1, 2) and node.size):
         _emit_floats(write, node, precision)
     elif isinstance(node, np.ndarray):
         _emit(write, node.tolist(), precision)
@@ -83,14 +83,8 @@ def _emit(write, node, precision: int) -> None:
 
 
 def _emit_floats(write, array, precision: int) -> None:
-    """Nested lists of a non-empty float array, or of a ``RowTable`` by its row blocks, written
-    per :func:`format_blocks` block: no more than one block's text is held at a time."""
-    if len(array.shape) > 2:
-        for i, item in enumerate(array):
-            write("," if i else "[")
-            _emit_floats(write, item, precision)
-        write("]")
-        return
+    """Nested lists of a non-empty 1-D or 2-D float array, or of a ``RowTable`` by its row
+    blocks, written per :func:`format_blocks` block: no more than one block's text is held."""
     blocks = array.blocks() if isinstance(array, RowTable) else [np.atleast_2d(array)]
     write("[" * len(array.shape))
     for k, rows in enumerate(rows for block in blocks for rows in format_blocks(block, precision)):

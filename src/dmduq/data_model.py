@@ -26,7 +26,7 @@ from .errors import (
     TooFewSnapshots,
     ZeroVariance,
 )
-from .numerics import _readonly, spd_factors
+from .numerics import _readonly, row_blocks, spd_factors
 
 UNIFORMITY_RTOL = 1e-9
 
@@ -270,19 +270,12 @@ def format_rows(table: np.ndarray, precision: int = 17) -> list[str]:
     return [fmt % tuple(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
 
 
-_FORMAT_VALUES = 8192  # values per format_rows call, so no whole table's text is held
-
-
 def format_blocks(rows: np.ndarray, precision: int = 17):
-    """:func:`format_rows` of a 2-D float array, yielded as lists of row texts for at
-    most ``_FORMAT_VALUES`` values each; each block is formatted in column pieces of at
-    most ``_FORMAT_VALUES`` values, joined."""
-    width = rows.shape[1]
-    step = max(1, _FORMAT_VALUES // max(1, width))
-    for a in range(0, len(rows), step):
-        pieces = [format_rows(rows[a : a + step, j : j + _FORMAT_VALUES], precision)
-                  for j in range(0, width, _FORMAT_VALUES)]
-        yield [",".join(texts) for texts in zip(*pieces)]
+    """:func:`format_rows` of a 2-D float array, yielded as lists of row texts per
+    :func:`numerics.row_blocks` block at width ``16 * width`` (a value's text and
+    temporaries), so no whole table's text is held."""
+    for a, b in row_blocks(len(rows), 16 * rows.shape[1]):
+        yield format_rows(rows[a:b], precision)
 
 
 @contextmanager

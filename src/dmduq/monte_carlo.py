@@ -22,8 +22,9 @@ sized by the problem shape only.  A chunk's trials are drawn in one slice per
 BLAS thread.  Its operators are then formed one block of table rows at a time,
 and each block's power sums join one running accumulator pair: the bits do not
 depend on the thread count, and memory does not grow with the number of trials.
-Independent-mode column draws pass through row-block-sized scratch, so a chunk
-holds neither its m n^2 draws nor its m x m operators.
+Independent-mode draws pass through scratch cut by ``numerics.row_blocks``, runs
+of trials by columns, so a chunk holds neither its m n^2 draws nor its m x m
+operators.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, SingularGram
 from . import numerics
-from .numerics import product_eigenvalues, row_blocks, slice_workers, spd_inverses
+from .numerics import product_eigenvalues, product_rows, row_blocks, slice_workers, spd_inverses
 from .operator_moments import gram_inverse
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, pulled_spectra
@@ -135,8 +136,8 @@ def _restart(rng: np.random.Generator, master_seed: int, trial: int) -> np.rando
 def _chunk_size(m: int, n: int) -> int:
     # Trials per chunk, from the problem shape only.  A chunk's power sums join the
     # running sums as one partial sum, so the chunk size fixes the rounding and must
-    # not change; hence the m n^2 and m^2 terms, though no buffer holds a chunk's
-    # draws or operators.
+    # not change: it keeps this formula, not row_blocks, with its m n^2 and m^2 terms,
+    # though no buffer holds a chunk's draws or operators.
     return max(1, min(4096, numerics._CHUNK_SCALARS // max(m * n * n, m * m)))
 
 
@@ -206,11 +207,12 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         r_stack, singular = gram_complement_inverses(X, ridge, np.arange(m))
         if singular:
             raise singular[0][1]
-        # Draws go through scratch blocks of about a table row block's budget: runs of
-        # whole trials where one fits, else columns t of one trial (Y after the last).
-        budget, per_trial = max(1, numerics._CHUNK_SCALARS // 32), m * n * (n + 1)
-        block_trials = max(1, budget // per_trial)
-        block_cols = m if per_trial <= budget else max(1, budget // (n * n))
+        # Scratch blocks: runs of trials by their m n (n + 1) draws, times columns t by their
+        # n^2 (Y after the last).  A run holds several trials only if a trial fits the budget,
+        # and then its m n^2 column draws do too: a trial spanning several column blocks is a
+        # run of its own, and its stream goes on from each block to the next.
+        col_blocks = row_blocks(m, n * n)
+        cols = max(t1 - t0 for t0, t1 in col_blocks)
     else:
         trajectory = snapshots.trajectory_columns()
         z_buf = np.empty((chunk, n, m + 1))
@@ -220,10 +222,10 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         Gram matrix with a Cholesky factor (all, in independent mode)."""
         rng = np.random.Generator(np.random.Philox(0))  # one per slice, reset per trial
         if independent:
-            trials, width = min(block_trials, hi - lo), block_cols * n * n
+            runs = [(lo + a, lo + b) for a, b in row_blocks(hi - lo, m * n * (n + 1))]
+            trials, width = max(i1 - i0 for i0, i1 in runs), cols * n * n
             z, x = np.empty((trials, width + n * m)), np.empty(trials * width)
-            for i0, t0 in itertools.product(range(lo, hi, trials), range(0, m, block_cols)):
-                i1, t1 = min(i0 + trials, hi), min(t0 + block_cols, m)
+            for (i0, i1), (t0, t1) in itertools.product(runs, col_blocks):
                 shape, size = (i1 - i0, t1 - t0, n, n), (t1 - t0) * n * n
                 for i in range(i0, i1):  # a trial's stream: its columns in order, then Y
                     if t0 == 0:
@@ -270,11 +272,7 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
             kept += len(pinv_tables)
 
             def add_rows(a: int, b: int) -> None:
-                # Operator rows a:b round as in the whole-chunk product, provided the
-                # product has two rows or more: numpy sends one row through gemv.
-                lo = min(a, m - 2) if b - a == 1 else a
-                operators = pinv_tables[:, lo : max(b, lo + 2)] @ y_draws
-                op_acc.add_block(operators[:, a - lo : b - lo], a)
+                op_acc.add_block(product_rows(pinv_tables, y_draws, a, b), a)
                 pinv_acc.add_block(pinv_tables[:, a:b], a)  # last: it overwrites the tables
 
             blocks = row_blocks(m, len(pinv_tables) * m)

@@ -99,15 +99,29 @@ def slice_workers():
         yield map_slices
 
 
-_CHUNK_SCALARS = 4_000_000  # per Monte Carlo chunk; a table's row block holds 1/32 (1 MB)
+_CHUNK_SCALARS = 4_000_000  # per Monte Carlo chunk; a row_blocks block holds 1/32 (1 MB)
 
 
 def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
     """The row blocks ``(a, b)`` of a ``count`` x ``width`` table, in order: near-equal,
-    of at most ``_CHUNK_SCALARS / 32`` elements (or one row), cut by the shape alone."""
+    of at most ``_CHUNK_SCALARS / 32`` elements (or one row), cut by the shape alone.
+    The bounded loops are cut so, each ``width`` scaled by the temporaries a row holds."""
     n_blocks = -(-count // max(1, _CHUNK_SCALARS // 32 // max(1, width)))
     cuts = [count * k // n_blocks for k in range(n_blocks + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
+
+
+def product_rows(left: np.ndarray, right: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
+    """Rows a:b of ``left @ right`` (over the last two axes), into ``out`` when given, rounded
+    as in the whole product: numpy sends a product of one row through gemv, which rounds
+    unlike gemm, so a lone row is taken from the product of it and a neighbour."""
+    if b - a > 1 or left.shape[-2] < 2:
+        return np.matmul(left[..., a:b, :], right, out=out)
+    lo = min(a, left.shape[-2] - 2)
+    row = np.matmul(left[..., lo : lo + 2, :], right)[..., a - lo : b - lo, :]
+    if out is not None:
+        out[...] = row
+    return row if out is None else out
 
 
 class RowTable(NamedTuple):

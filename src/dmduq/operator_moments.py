@@ -40,7 +40,8 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, SingularGram
 from .numerics import (
-    RowTable, Spectrum, _one_blas_thread, product_eigenvalues, row_blocks, spd_inverses,
+    RowTable, Spectrum, _one_blas_thread, product_eigenvalues, product_rows, row_blocks,
+    spd_inverses,
 )
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
@@ -62,7 +63,7 @@ class DmdEstimate:
 
     def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows a:b of the operator, written into ``out`` when given."""
-        return np.matmul(self.states_t[a:b], self.solved, out=out)
+        return product_rows(self.states_t, self.solved, a, b, out)
 
     @functools.cached_property
     def operator(self) -> np.ndarray:
@@ -91,9 +92,9 @@ class OperatorMoments:
                                     f"does not match Y {Y.shape}")
         if len(var) != Y.shape[0]:
             raise DimensionMismatch("noise model does not match state count")
-        # Formed once for every block: c = M2x @ var and Y**2.
-        self.__dict__.update(_scale=self.pinv.second_raw @ var, _y_sq=Y**2,
-                             shape=(len(self.pinv.first), Y.shape[1]))
+        # Formed once for every block: c = M2x @ var, M1x**2 and Y**2.
+        self.__dict__.update(_scale=self.pinv.second_raw @ var, _first_sq=self.pinv.first**2,
+                             _y_sq=Y**2, shape=(len(self.pinv.first), Y.shape[1]))
         if self.variance_mode == CORRECTED and _certified(self.pinv.first, self.pinv.second_raw,
                                                           Y, self._scale):
             return
@@ -105,15 +106,15 @@ class OperatorMoments:
 
     def first_rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows a:b of ``first = M1x @ Y``, into ``out`` when given."""
-        return np.matmul(self.pinv.first[a:b], self.shifted, out=out)
+        return product_rows(self.pinv.first, self.shifted, a, b, out)
 
     def second_rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows a:b of ``second_central = c[:, None] - M1x**2 @ Y**2 (+ M2x @ Y**2 if
         corrected)``, c = M2x @ var, into ``out`` when given."""
-        spread = np.matmul(self.pinv.first[a:b] ** 2, self._y_sq, out=out)
+        spread = product_rows(self._first_sq, self._y_sq, a, b, out)
         np.subtract(self._scale[a:b, None], spread, out=spread)
         if self.variance_mode == CORRECTED:
-            spread += self.pinv.second_raw[a:b] @ self._y_sq
+            spread += product_rows(self.pinv.second_raw, self._y_sq, a, b)
         return spread
 
     @functools.cached_property

@@ -36,12 +36,13 @@ underflows.
 All of this is computed per snapshot column t, for every k at once: within a
 column only ``g`` depends on k, so the decay rate, the envelope and the
 weights ``1 / (1 + 2 p2 lambda)`` are shared.  ``pinv_moments`` runs one
-batched kernel over blocks of columns sized by ``_BLOCK_VALUES`` (X X.T is
-formed once per call): a stacked Cholesky of the Gram complements, a stacked
-whitening ``eigh``, and per column two matrix products and the node sums for
-all k.  The element-level functions run the same kernel on a block of one
-column, so they equal the tables bit for bit.  Each column is computed from
-its own data only, so no bit depends on the block size or on scheduling.
+batched kernel over the columns (X X.T is formed once per call), cut by
+``numerics.row_blocks``: a stacked Cholesky of each group's Gram complements,
+then, per block of the group, a stacked whitening ``eigh`` and per column two
+matrix products and the node sums for all k.  The element-level functions run
+the same kernel on a block of one column, so they equal the tables bit for
+bit.  Each column is computed from its own data only, so no bit depends on the
+block size or on scheduling.
 """
 
 from __future__ import annotations
@@ -59,21 +60,12 @@ from .errors import (
     QuadratureNotConverged,
     SingularGram,
 )
-from . import numerics
-from .numerics import (
-    composite_legendre_nodes,
-    gauss_laguerre_nodes,
-    spd_inverses,
-)
+from .numerics import composite_legendre_nodes, gauss_laguerre_nodes, row_blocks, spd_inverses
 
 JENSEN_SLACK = 1e-12
 
 GAUSS_LAGUERRE = "gauss_laguerre"
 ADAPTIVE_TRUNCATED = "adaptive_truncated"
-
-# Values per (block, n, nodes) kernel temporary: a block holds
-# _BLOCK_VALUES // (n * nodes) columns, at least one; results do not depend on it.
-_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -171,19 +163,18 @@ def gram_complement_inverses(
     """``R_t = inv(X X.T - x_t x_t.T + ridge I)`` for each column index t given.
 
     ``gram`` is ``X @ X.T`` when the caller has it.  Returns the stack (len(columns), n, n),
-    filled in groups of at most a table row block's budget of values (its bits do not depend
-    on them), and a ``(t, SingularGram)`` pair for every column whose complement has no
-    Cholesky factor (its R is NaN).
+    filled by ``row_blocks`` groups (its bits do not depend on them), and a
+    ``(t, SingularGram)`` pair for every column whose complement has no Cholesky factor
+    (its R is NaN).
     """
     n, columns = X.shape[0], np.asarray(columns)
     gram = X @ X.T if gram is None else gram
     R, positive = np.empty((len(columns), n, n)), np.empty(len(columns), dtype=bool)
-    group = max(1, numerics._CHUNK_SCALARS // 32 // (n * n))
-    for a in range(0, len(columns), group):
-        x = X.T[columns[a : a + group]]
+    for a, b in row_blocks(len(columns), n * n):
+        x = X.T[columns[a:b]]
         V = gram - x[:, :, None] * x[:, None, :]
         V += ridge * np.eye(n)
-        R[a : a + group], positive[a : a + group] = spd_inverses(0.5 * (V + V.transpose(0, 2, 1)))
+        R[a:b], positive[a:b] = spd_inverses(0.5 * (V + V.transpose(0, 2, 1)))
     singular = columns[~positive]
     if singular.size == 0:
         return R, []
@@ -335,10 +326,10 @@ def pinv_moments(
 ) -> PinvMoments:
     """Both moment tables for every element of the m x n pseudoinverse.
 
-    Columns are processed in fixed-size blocks by one batched kernel, which
-    runs both rules on each block under ``cross_check``.  Failures are
-    aggregated with their (t, k) locations, k = None for a column whose Gram
-    complement is singular.
+    Columns are processed in blocks by one batched kernel, which runs both
+    rules on each block under ``cross_check``.  Failures are aggregated with
+    their (t, k) locations, k = None for a column whose Gram complement is
+    singular.
     """
     quad = quad or QuadratureConfig()
     X = snapshots.states
@@ -349,18 +340,18 @@ def pinv_moments(
     first = np.empty((m, n))
     second = np.empty((m, n))
     failures: list[tuple[int, int | None, DmduqError]] = []
-    block = max(1, _BLOCK_VALUES // (n * max(rule[1].size for rule in rules)))
-    group = block * max(1, 4 * _BLOCK_VALUES // (n * n * block))  # n x n inverses per call
-    for start in range(0, m, block):
-        columns = np.arange(start, min(start + block, m))
-        if start % group == 0:  # each inverse is formed on its own: the bits do not move
-            Rs, singular = gram_complement_inverses(X, ridge, np.arange(start, m)[:group], gram)
-            failures.extend((t, None, err) for t, err in singular)
-        ok = np.isin(columns, [t for t, _ in singular], invert=True)
-        columns, R, mu = columns[ok], Rs[columns[ok] % group], X.T[columns[ok]]
-        first[columns], second[columns], failed = _tables(
-            _whiten(R, mu, noise), columns, rules, quad.rel_tol)
-        failures.extend(failed)
+    nodes = max(rule[1].size for rule in rules)
+    for a, b in row_blocks(m, n * n):  # one group of n x n inverses per call
+        Rs, singular = gram_complement_inverses(X, ridge, np.arange(a, b), gram)
+        failures.extend((t, None, err) for t, err in singular)
+        ok = np.ones(b - a, dtype=bool)
+        ok[[t - a for t, _ in singular]] = False
+        # Kernel blocks: each column holds about 8 (n, nodes) temporaries.
+        for c, d in row_blocks(b - a, 8 * n * nodes):
+            columns, R = np.arange(a + c, a + d)[ok[c:d]], Rs[c:d][ok[c:d]]
+            first[columns], second[columns], failed = _tables(
+                _whiten(R, X.T[columns], noise), columns, rules, quad.rel_tol)
+            failures.extend(failed)
 
     if failures:
         raise MomentComputationError(sorted(failures, key=lambda f: f[0]))

@@ -68,6 +68,7 @@ def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
     outside, with BLAS at one thread.  A batch is about a table row block, and at least
     ``_EIGVALS_ROWS`` rows.  Failures name the instance by its position; after one no batch
     is taken, those taken finish, and the lowest instance's is raised."""
+    # Not numerics.row_blocks: a batch has the _EIGVALS_ROWS floor, however small the budget.
     batch = max(numerics._CHUNK_SCALARS // 32 // (m * m), -(-_EIGVALS_ROWS // m))
     lock, starts, failures = threading.Lock(), iter(range(0, count, batch)), []
     samples = np.empty((count, m), dtype=complex)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from conftest import run_cli, run_python
 
-from dmduq import cli, data_model, numerics
+from dmduq import cli, monte_carlo, numerics
 from dmduq.cli import dumps_json, main
-from dmduq.config import load_config
+from dmduq.config import PipelineConfig, load_config
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, format_rows, load_csv
 from dmduq.data_model import decimate_trajectory, save_csv
 from dmduq.errors import ConfigError
-from dmduq.monte_carlo import sample_operator_instances
+from dmduq.monte_carlo import SAMPLING_MODES, McConfig, sample_operator_instances
+from dmduq.pinv_moments import pinv_moments
 from dmduq.spectral import eigen_samples
 from dmduq.systems import (
     SpringMassParams,
@@ -119,11 +120,11 @@ class TestRowFormatter:
 
     @pytest.mark.parametrize("index", range(len(FLOAT_ARRAYS)))
     def test_small_blocks_match_per_value_path(self, index, monkeypatch, tmp_path):
-        # Blocks of at most 3 values: rows of 4 or more go in pieces, and the items
-        # of a 3-D array go one after another, a row or a piece at a time.
+        # Blocks of at most 3 values: rows of 4 or more go one row per block, and a
+        # 3-D array goes by the nested-list path.
         array = FLOAT_ARRAYS[index]
         want = dumps_json({"a": array.tolist()})
-        monkeypatch.setattr(data_model, "_FORMAT_VALUES", 3)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 16 * 3)
         assert dumps_json({"a": array}) == want
         cli._write_json(tmp_path / "a.json", {"a": array}, 17)
         assert (tmp_path / "a.json").read_text(encoding="utf-8") == want
@@ -157,6 +158,36 @@ class TestRowFormatter:
         ]
         assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
         assert np.array_equal(load_csv(path).samples, samples)
+
+
+class TestOneBlockBudget:
+    def test_small_budget_keeps_the_bits(self, monkeypatch):
+        # A budget of 4 columns of n^2 values: every row_blocks cutter makes many blocks.
+        # pinv_moments forms 10 groups of Gram-complement inverses and runs its kernel a
+        # column at a time; the operator tables and the text go a row at a time; an
+        # independent trial is a run of its own over 10 column blocks, where the default
+        # budget draws the chunk in one run of whole trials.  _chunk_size keeps its
+        # default value, so the MC rounding is the same.
+        n, m = 3, 40
+        X = np.random.default_rng(4).standard_normal((n, m + 1))
+        snapshots = build_snapshots(RawTrajectory(np.arange(m + 1) * 0.1, X))
+        noise, chunk = NoiseModel(np.full(n, 1e-2)), monte_carlo._chunk_size(m, n)
+        monkeypatch.setattr(monte_carlo, "_chunk_size", lambda *_: chunk)
+        configs = [PipelineConfig(mc=McConfig(trials=30, sampling_mode=mode))
+                   for mode in SAMPLING_MODES]
+
+        def outputs():
+            tables = pinv_moments(snapshots, noise)
+            return [tables.first, tables.second_raw,
+                    dumps_json(cli._moments_payload(snapshots, noise, configs[0])),
+                    *(dumps_json(cli._mc_payload(snapshots, noise, cfg)) for cfg in configs)]
+
+        default = outputs()
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 4 * n * n)
+        assert len(numerics.row_blocks(m, n * n)) == 10
+        assert numerics.row_blocks(2, m * n * (n + 1)) == [(0, 1), (1, 2)]
+        for want, got in zip(default, outputs(), strict=True):
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -870,6 +901,17 @@ class TestMalformedInput:
         out = tmp_path / "t.csv"
         argv = ["simulate", system, "--duration", "1", "--stride", str(stride), "--out", str(out)]
         assert self.error_code(argv, capsys) == "config_error"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--dt", "1e-320"], ["--duration", "1e12"]])
+    def test_simulate_table_too_large(self, tmp_path, capsys, argv):
+        # An OverflowError, or a petabyte np.empty, before the step count was bounded.
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert main(["simulate", "spring-mass", *argv, "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config_error"
+        assert "duration" in error["message"] and "dt" in error["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmduq import data_model
+from dmduq import numerics
 from dmduq.data_model import (
     NoiseModel,
     RawTrajectory,
@@ -188,8 +188,8 @@ class TestCsv:
 
 
     def test_indexed_rows_across_blocks(self, tmp_path, monkeypatch):
-        # Blocks of 2 rows of 3 values: the row numbers run on across blocks.
-        monkeypatch.setattr(data_model, "_FORMAT_VALUES", 7)
+        # Blocks of at most 2 rows of 3 values: the row numbers run on across blocks.
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 16 * 3 * 2)
         table = np.arange(15.0).reshape(5, 3) / 7.0
         path = tmp_path / "t.csv"
         write_csv(path, ["index", "a", "b", "c"], table, index=True)

@@ -364,10 +364,8 @@ class TestPinvMomentsTable:
         snaps = snapshots_from_states(rng.standard_normal((3, 11)))
         noise = NoiseModel(variances=np.array([0.03, 0.01, 0.02]))
         a = pinv_moments(snaps, noise)
-        # The package exports a function named like the module, so fetch
-        # the module itself.
-        # Blocks of 4 columns at n = 3 and the default 64 nodes.
-        monkeypatch.setattr(sys.modules["dmduq.pinv_moments"], "_BLOCK_VALUES", 4 * 3 * 64)
+        # Kernel blocks of at most 4 columns at n = 3 and the default 64 nodes.
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 8 * 3 * 64 * 4)
         b = pinv_moments(snaps, noise)
         assert np.array_equal(a.first, b.first)
         assert np.array_equal(a.second_raw, b.second_raw)

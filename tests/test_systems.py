@@ -107,6 +107,12 @@ class TestSpringMass:
         with pytest.raises(ConfigError, match="^x0 must be finite$"):
             SpringMassParams(x0=x0)
 
+    @pytest.mark.parametrize("params", [{"dt": 1e-320}, {"duration": 1e12}])
+    def test_table_size_bounded(self, params):
+        # Finite, but duration / dt overflows int() or asks np.empty for petabytes.
+        with pytest.raises(ConfigError, match=r"^duration .* / dt .* asks for 3 x "):
+            simulate_spring_mass(SpringMassParams(**params))
+
 
 class TestOscillatorNetwork:
     def test_single_node_reduces_to_oscillator(self):
@@ -186,6 +192,11 @@ class TestOscillatorNetwork:
         bad.flat[-1] = value  # one entry is enough
         with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
             OscillatorNetworkParams(node_count=2, **{**params, field: bad})
+
+    def test_table_size_bounded(self):
+        params = random_network_params(32, duration=1e6, dt=0.01)
+        with pytest.raises(ConfigError, match=r"asks for 64 x 1e\+08 simulated values"):
+            simulate_oscillator_network(params)
 
     def test_asymmetric_coupling_rejected(self):
         with pytest.raises(ConfigError):
