@@ -1,10 +1,9 @@
 """Snapshot matrices, noise models, CSV ingestion, and noise-window estimation.
 
-A recorded run is a RawTrajectory (uniformly sampled states over time).
-From it we build the paired snapshot matrices X (columns 1..m) and Y
-(columns 2..m+1), and estimate per-state measurement variances from a
-window where the signal is steady.  All types are immutable after
-construction and freely shareable across threads.
+A recorded run is a RawTrajectory (uniformly sampled states over time).  A SnapshotSet
+is one whose snapshot matrices X (columns 1..m) and Y (columns 2..m+1) are read-only
+views of its samples.  Per-state measurement variances are estimated from a window where
+the signal is steady.  All types are immutable and freely shareable across threads.
 """
 
 from __future__ import annotations
@@ -54,10 +53,10 @@ class RawTrajectory:
         if np.any(steps <= 0):
             raise NonUniformSampling("times must be strictly increasing")
         mean_step = (times[-1] - times[0]) / (times.size - 1)
-        if np.abs(steps - mean_step).max() > UNIFORMITY_RTOL * abs(mean_step):
-            raise NonUniformSampling(
-                f"sampling not uniform within {UNIFORMITY_RTOL:.0e} relative"
-            )
+        # Each time is rounded at its own magnitude: large offsets jitter by their spacing.
+        jitter = max(UNIFORMITY_RTOL * abs(mean_step), 4 * np.spacing(np.abs(times).max()))
+        if np.abs(steps - mean_step).max() > jitter:
+            raise NonUniformSampling(f"sampling not uniform within {jitter:.3g} per step")
         names = list(self.state_names) or [f"x{i + 1}" for i in range(samples.shape[0])]
         if len(names) != samples.shape[0]:
             raise DimensionMismatch("state_names length does not match state count")
@@ -75,43 +74,27 @@ class RawTrajectory:
 
 
 @dataclass(frozen=True, eq=False)
-class SnapshotSet:
-    """Paired data matrices X (n x m) and Y (n x m) with Y the one-step shift of X."""
-
-    states: np.ndarray
-    shifted: np.ndarray
-    dt: float
-    state_names: list[str]
+class SnapshotSet(RawTrajectory):
+    """A recording whose X = samples 0..m-1 (``states``) and Y = samples 1..m (``shifted``)
+    are read-only views of its one stored ``samples``: Y is the one-step shift of X."""
 
     def __post_init__(self):
-        X = _readonly(np.atleast_2d(self.states))
-        Y = _readonly(np.atleast_2d(self.shifted))
-        if X.shape != Y.shape:
-            raise DimensionMismatch(f"X shape {X.shape} != Y shape {Y.shape}")
-        n, m = X.shape
-        if n < 1 or m < 2:
-            raise TooFewSnapshots(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise ParseError("snapshot matrices contain non-finite values")
-        # Columns come from one recording, so the overlap must be exact.
-        if not np.array_equal(X[:, 1:], Y[:, :-1]):
-            raise DimensionMismatch("Y is not the one-step shift of X")
-        if len(self.state_names) != n:
-            raise DimensionMismatch("state_names length does not match state count")
-        object.__setattr__(self, "states", X)
-        object.__setattr__(self, "shifted", Y)
+        super().__post_init__()
+        n, cols = self.samples.shape
+        if n < 1 or cols < 3:
+            raise TooFewSnapshots(f"need 3 samples of a state for snapshot pairs, got {n} x {cols}")
 
     @property
-    def state_count(self) -> int:
-        return self.states.shape[0]
+    def states(self) -> np.ndarray:
+        return self.samples[:, :-1]
+
+    @property
+    def shifted(self) -> np.ndarray:
+        return self.samples[:, 1:]
 
     @property
     def snapshot_count(self) -> int:
-        return self.states.shape[1]
-
-    def trajectory_columns(self) -> np.ndarray:
-        """Reconstruct the underlying (n, m+1) recording."""
-        return np.hstack([self.states, self.shifted[:, -1:]])
+        return self.samples.shape[1] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,16 +149,8 @@ class NoiseModel:
 
 
 def build_snapshots(trajectory: RawTrajectory) -> SnapshotSet:
-    """Split a recording into X = columns 1..m and Y = columns 2..m+1."""
-    cols = trajectory.samples.shape[1]
-    if cols < 3:
-        raise TooFewSnapshots(f"need at least 3 samples to form snapshot pairs, got {cols}")
-    return SnapshotSet(
-        states=trajectory.samples[:, :-1],
-        shifted=trajectory.samples[:, 1:],
-        dt=trajectory.dt,
-        state_names=list(trajectory.state_names),
-    )
+    """The recording as X = columns 1..m and Y = columns 2..m+1."""
+    return SnapshotSet(trajectory.times, trajectory.samples, trajectory.state_names)
 
 
 def estimate_noise(trajectory: RawTrajectory, window: tuple[float, float]) -> NoiseModel:

@@ -192,6 +192,10 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
     X, Y = snapshots.states, snapshots.shifted
     n, m = X.shape
     _check_inputs(X, noise, ridge)
+    if config.compute_eigenvalues:
+        size = 2 * config.trials * m  # complex: 2 floats each
+        numerics.check_table_size(size, f"{config.trials} trials of {m} eigenvalues (turn "
+                                  f"mc.compute_eigenvalues off to keep none) ask for {size}")
 
     sigma_L = noise.covariance_factor
     y_std = np.sqrt(noise.variances)
@@ -214,7 +218,6 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         col_blocks = row_blocks(m, n * n)
         cols = max(t1 - t0 for t0, t1 in col_blocks)
     else:
-        trajectory = snapshots.trajectory_columns()
         z_buf = np.empty((chunk, n, m + 1))
 
     def sample_slice(start: int, lo: int, hi: int) -> np.ndarray:
@@ -248,7 +251,7 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         for i in range(lo, hi):
             _restart(rng, config.master_seed, start + i)
             rng.standard_normal(out=z_buf[i])
-        noisy = trajectory[None, :, :] + np.einsum("de,cem->cdm", sigma_L, z_buf[lo:hi])
+        noisy = snapshots.samples[None] + np.einsum("de,cem->cdm", sigma_L, z_buf[lo:hi])
         x_t = noisy[:, :, :m]
         y_buf[lo:hi] = noisy[:, :, 1:]
         grams = x_t @ x_t.transpose(0, 2, 1)

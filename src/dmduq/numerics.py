@@ -100,6 +100,14 @@ def slice_workers():
 
 
 _CHUNK_SCALARS = 4_000_000  # per Monte Carlo chunk; a row_blocks block holds 1/32 (1 MB)
+_MAX_TABLE_VALUES = 2**28  # floats in any table whose size a user's number sets (2 GiB)
+
+
+def check_table_size(values: float, request: str) -> None:
+    """ConfigError ``"<request> values, more than <bound>"`` when a table sized by a user's
+    number would hold more than ``_MAX_TABLE_VALUES`` floats (an infinite count too)."""
+    if not values <= _MAX_TABLE_VALUES:
+        raise ConfigError(f"{request} values, more than {_MAX_TABLE_VALUES}")
 
 
 def row_blocks(count: int, width: int) -> list[tuple[int, int]]:

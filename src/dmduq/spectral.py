@@ -22,22 +22,19 @@ from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, slice_wor
 
 @dataclass(frozen=True, eq=False)
 class EigenSampleSet:
-    """Sorted eigenvalue samples (N x m) plus the largest-eigenvalue representative.
-
-    The representative of each sample is the member of the top-magnitude
-    conjugate pair with nonnegative imaginary part.
-    """
+    """Sorted eigenvalue samples (N x m).  The representative of each sample is the member
+    of its top-magnitude conjugate pair with nonnegative imaginary part."""
 
     samples: np.ndarray
-    representative_lambda1: np.ndarray
 
     def __post_init__(self):
         if self.samples.ndim != 2:
             raise DimensionMismatch("samples must be a 2-D array")
-        if self.representative_lambda1.shape != (self.samples.shape[0],):
-            raise DimensionMismatch("one representative per sample row required")
-        if np.any(self.representative_lambda1.imag < 0):
-            raise DimensionMismatch("representatives must have nonnegative imaginary part")
+
+    @property
+    def representative_lambda1(self) -> np.ndarray:
+        top = self.samples[:, 0]
+        return np.where(top.imag < 0, np.conj(top), top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +65,8 @@ def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
     outside, with BLAS at one thread.  A batch is about a table row block, and at least
     ``_EIGVALS_ROWS`` rows.  Failures name the instance by its position; after one no batch
     is taken, those taken finish, and the lowest instance's is raised."""
+    size = 2 * count * m  # complex: 2 floats each
+    numerics.check_table_size(size, f"{count} samples of {m} eigenvalues ask for {size}")
     # Not numerics.row_blocks: a batch has the _EIGVALS_ROWS floor, however small the budget.
     batch = max(numerics._CHUNK_SCALARS // 32 // (m * m), -(-_EIGVALS_ROWS // m))
     lock, starts, failures = threading.Lock(), iter(range(0, count, batch)), []
@@ -94,8 +93,7 @@ def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
             starts = iter(())
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    top = samples[:, 0]
-    return EigenSampleSet(samples, np.where(top.imag < 0, np.conj(top), top))
+    return EigenSampleSet(samples)
 
 
 def eigen_samples(instances: np.ndarray) -> EigenSampleSet:
@@ -160,6 +158,10 @@ def kde2d(
     """Joint density over a product grid with per-axis Silverman bandwidths."""
     if np.size(values_re) != np.size(values_im):
         raise DimensionMismatch("real and imaginary sample counts differ")
+    gx, gy = (grid_points if grid is None else np.size(grid) for grid in (grid_re, grid_im))
+    size = max(gx * gy, max(gx, gy) * np.size(values_re))  # the density or an axis's kernels
+    numerics.check_table_size(size, f"a {gx} x {gy} grid over {np.size(values_re)} samples "
+                              f"asks for {size} density or kernel")
     bw_re, bw_im = (None, None) if bandwidths is None else bandwidths
     hx, grid_re, ex = _axis_kernel(values_re, bw_re, grid_points, grid_re)
     hy, grid_im, ey = _axis_kernel(values_im, bw_im, grid_points, grid_im)

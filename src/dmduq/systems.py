@@ -17,6 +17,7 @@ import numpy as np
 
 from .data_model import RawTrajectory
 from .errors import ConfigError, DimensionMismatch
+from .numerics import check_table_size
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,11 @@ class OscillatorNetworkParams:
         return np.diag(np.diag(self.coupling) + off.sum(axis=1)) - off
 
 
-_MAX_TABLE_VALUES = 2**28  # states x samples of a table _rk4 may make (2 GiB of floats)
-
-
 def _rk4(A: np.ndarray, state: np.ndarray, duration: float, dt: float):
     """Times and states of classic RK4 on y' = A y, stepped by its exact propagator M."""
     ratio = duration / dt
-    if not len(A) * (ratio + 1) <= _MAX_TABLE_VALUES:  # an infinite ratio too
-        raise ConfigError(f"duration {duration:g} / dt {dt:g} asks for {len(A)} x {ratio + 1:.6g} "
-                          f"simulated values, more than {_MAX_TABLE_VALUES}")
+    check_table_size(len(A) * (ratio + 1), f"duration {duration:g} / dt {dt:g} asks for "
+                                           f"{len(A)} x {ratio + 1:.6g} simulated")
     steps = int(round(ratio))
     M = term = np.eye(len(A))
     for j in range(1, 5):

@@ -302,7 +302,7 @@ def test_criterion_7_spectral_pipeline():
     mc = dq.run_mc(snaps, noise, dq.McConfig(trials=n_samples, master_seed=77))
     top = mc.eigen_samples[:, 0]
     mc_l1 = np.where(top.imag < 0, np.conj(top), top)
-    mc_set = EigenSampleSet(samples=mc.eigen_samples, representative_lambda1=mc_l1)
+    mc_set = EigenSampleSet(mc.eigen_samples)
     p_l1 = proposed.representative_lambda1
 
     def union_grid(a, b):

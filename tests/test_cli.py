@@ -377,6 +377,23 @@ class TestMoments:
         assert proc.returncode == 1
         assert stderr_error_code(proc) == "zero_variance"
 
+    @pytest.mark.parametrize("t0", [1e6, 1.7e9])
+    def test_time_offset_keeps_the_tables(self, small_csv, tmp_path, t0):
+        # Absolute time stamps used to be refused as non-uniform: a time near t0 is
+        # rounded to a spacing of doubles there, far above 1e-9 of the 0.1 s step.
+        traj = load_csv(small_csv)
+        offset = tmp_path / "offset.csv"
+        save_csv(RawTrajectory(traj.times + t0, traj.samples, traj.state_names), offset)
+        assert load_csv(offset).dt == pytest.approx(traj.dt, rel=1e-6)
+        keys = ["pinv_first", "pinv_second_raw", "operator_first", "operator_second_central"]
+        tables = []
+        for path in (small_csv, offset):
+            out = tmp_path / f"{path.stem}.json"
+            argv = ["moments", str(path), "--noise-variances", "1e-6,1e-6", "--out", str(out)]
+            assert main(argv) == 0
+            tables.append([json.loads(out.read_text())[key] for key in keys])
+        assert tables[0] == tables[1]
+
     def test_noise_source_required(self, small_csv, tmp_path):
         proc = run_cli(
             ["moments", str(small_csv), "--out", "m.json"], cwd=tmp_path
@@ -948,6 +965,25 @@ class TestMalformedInput:
         out = tmp_path / "kde.csv"
         argv = ["spectrum", str(outputs[0]), "--samples", "20", "--seed", str(seed)]
         assert self.error_code(argv + ["--out", str(out)], capsys) == "config_error"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, config, asked", [
+        ("spectrum", ["--samples", "1000000000"], {}, "1000000000 samples of 20 eigenvalues"),
+        ("mc", [], {"mc": {"trials": 1000000000}}, "1000000000 trials of 20 eigenvalues"),
+        ("spectrum", [], {"kde": {"grid_points": 100000}}, "a 100000 x 100000 grid"),
+    ], ids=["spectrum-samples", "mc-trials", "kde-grid-points"])
+    def test_oversized_count(self, outputs, small_csv, tmp_path, capsys, command, flags, config,
+                             asked):
+        # A traceback from a multi-GiB np.empty before these tables were bounded.
+        cfg, out = tmp_path / "big.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps(config))
+        source = [str(outputs[0])] if command == "spectrum" else [str(small_csv),
+                                                                  "--noise-variances", "1e-8,1e-8"]
+        capsys.readouterr()
+        assert main([command, *source, *flags, "--config", str(cfg), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config_error"
+        assert error["message"].startswith(asked) and "more than 268435456" in error["message"]
         assert not out.exists()
 
     def test_spectrum_one_sample(self, tmp_path, capsys):

@@ -39,6 +39,21 @@ class TestRawTrajectory:
         with pytest.raises(NonUniformSampling):
             RawTrajectory(times=np.array([0.0, -0.1, -0.2]), samples=np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("times", [
+        [1e6, 1e6 + 0.1, 1e6 + 0.3], [1.7e9, 1.7e9 + 0.01, 1.7e9 + 0.03],
+    ])
+    def test_non_uniform_rejected_at_large_offsets(self, times):
+        with pytest.raises(NonUniformSampling):
+            RawTrajectory(times=np.array(times), samples=np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("t0", [1e6, -5e5, 1.7e9])
+    @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.05])
+    def test_large_time_offsets_accepted(self, t0, dt):
+        # Each time is rounded at its own magnitude, by up to a spacing of doubles there:
+        # 1.2e-7 at 1e9, far above 1e-9 of a 0.01 s step.
+        traj = RawTrajectory(times=t0 + dt * np.arange(400), samples=np.zeros((1, 400)))
+        assert traj.dt == pytest.approx(dt, rel=1e-6)
+
     def test_dt(self):
         traj = make_trajectory([[1.0, 2.0, 3.0]], dt=0.25)
         assert traj.dt == pytest.approx(0.25)
@@ -70,14 +85,20 @@ class TestBuildSnapshots:
         snaps = build_snapshots(make_trajectory(rng.standard_normal((3, 20))))
         assert np.array_equal(snaps.states[:, 1:], snaps.shifted[:, :-1])
 
-    def test_shift_enforced_on_direct_construction(self):
-        with pytest.raises(DimensionMismatch):
-            SnapshotSet(
-                states=np.array([[1.0, 2.0]]),
-                shifted=np.array([[5.0, 6.0]]),
-                dt=0.1,
-                state_names=["x1"],
-            )
+    def test_matrices_are_read_only_views_of_the_recording(self):
+        snaps = build_snapshots(make_trajectory(np.arange(12.0).reshape(3, 4)))
+        assert isinstance(snaps, RawTrajectory) and snaps.snapshot_count == 3
+        for view in (snaps.states, snaps.shifted):
+            assert np.shares_memory(view, snaps.samples)
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 5.0
+
+    @pytest.mark.parametrize("samples", [np.zeros((1, 2)), np.zeros((0, 5))],
+                             ids=["2-samples", "no-state"])
+    def test_too_few_on_direct_construction(self, samples):
+        with pytest.raises(TooFewSnapshots):
+            SnapshotSet(np.arange(samples.shape[1]) * 0.1, samples)
 
 
 class TestNoiseModel:

@@ -255,7 +255,7 @@ class TestRunMcStatistics:
                         table[t, k] = (r @ x)[k] / (1.0 + x @ r @ x)
                 y_t = Y + np.sqrt(noise.variances)[:, None] * zy
             else:
-                noisy = snaps.trajectory_columns() + sigma_L @ rng.standard_normal((n, m + 1))
+                noisy = snaps.samples + sigma_L @ rng.standard_normal((n, m + 1))
                 x_t, y_t = noisy[:, :m], noisy[:, 1:]
                 table = np.linalg.solve(x_t @ x_t.T, x_t).T
             tables.append(table)
@@ -336,7 +336,7 @@ class TestSingularGram:
         snaps, _ = toy_system
         m = snaps.states.shape[1]
         noise = NoiseModel(variances=np.array([0.25, 0.25]))  # covariance factor 0.5 I, exactly
-        first_state = snaps.trajectory_columns()[0]
+        first_state = snaps.samples[0]
 
         class Rigged(np.random.Generator):
             def standard_normal(self, *args, out=None, **kwargs):
@@ -422,7 +422,7 @@ class TestRunMcWorkers:
         n, m = snaps.states.shape
         base = trial_rng(3, 9).standard_normal((n, m + 1))
         sigma_l = np.linalg.cholesky(noise.covariance())
-        x = (snaps.trajectory_columns() + sigma_l @ base)[:, :m]
+        x = (snaps.samples + sigma_l @ base)[:, :m]
         target = x @ x.T
         cholesky = np.linalg.cholesky
 
@@ -546,7 +546,7 @@ def _whole_chunk_reference(snaps, noise, cfg):
         else:
             z = np.stack([trial_rng(cfg.master_seed, i).standard_normal((n, m + 1))
                           for i in trials])
-            noisy = snaps.trajectory_columns() + np.einsum("de,cem->cdm", sigma_l, z)
+            noisy = snaps.samples + np.einsum("de,cem->cdm", sigma_l, z)
             x_t, y = noisy[:, :, :m], noisy[:, :, 1:]
             inverses, ok = spd_inverses(x_t @ x_t.transpose(0, 2, 1))
             failed += int((~ok).sum())
@@ -601,7 +601,7 @@ class TestRunMcBlocks:
         snaps, noise = toy_system
         n, m = snaps.states.shape
         z = trial_rng(3, 9).standard_normal((n, m + 1))
-        target = (snaps.trajectory_columns() + noise.covariance_factor @ z)[:, :m]
+        target = (snaps.samples + noise.covariance_factor @ z)[:, :m]
         target = target @ target.T
         cholesky = np.linalg.cholesky
 
@@ -704,6 +704,30 @@ class TestSampleOperatorInstances:
 def _random_moments(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((m, m)) / np.sqrt(m), rng.uniform(0.0, 0.01, (m, m))
+
+
+class TestTableSizeBound:
+    def test_spectra_table(self, monkeypatch):
+        first, second = _random_moments(3, seed=0)
+        with pytest.raises(ConfigError, match="^1000000000 samples of 3 eigenvalues ask for "
+                                              "6000000000 values, more than 268435456$"):
+            sample_operator_spectra(first, second, count=10**9, seed=0)
+        monkeypatch.setattr(numerics, "_MAX_TABLE_VALUES", 2 * 4 * 3)  # complex: 2 floats each
+        assert sample_operator_spectra(first, second, count=4, seed=0).samples.shape == (4, 3)
+        with pytest.raises(ConfigError, match="^5 samples of 3 eigenvalues ask for 30 values"):
+            sample_operator_spectra(first, second, count=5, seed=0)
+
+    def test_mc_eigenvalue_table(self, toy_system, monkeypatch):
+        # Only the eigenvalue table grows with the trial count; without it trials run in chunks.
+        snaps, noise = toy_system
+        with pytest.raises(ConfigError, match=r"\(turn mc.compute_eigenvalues off to keep none\) "
+                                              "ask for 16000000000 values, more than 268435456$"):
+            run_mc(snaps, noise, McConfig(trials=10**9))
+        monkeypatch.setattr(numerics, "_MAX_TABLE_VALUES", 2 * 10 * 8)
+        assert run_mc(snaps, noise, McConfig(trials=10)).eigen_samples.shape == (10, 8)
+        with pytest.raises(ConfigError, match="^11 trials of 8 eigenvalues .* ask for 176 values"):
+            run_mc(snaps, noise, McConfig(trials=11))
+        assert run_mc(snaps, noise, McConfig(trials=11, compute_eigenvalues=False)).trials == 11
 
 
 class TestSampleOperatorSpectra:

@@ -12,7 +12,9 @@ from conftest import (
 from scipy.integrate import trapezoid
 
 from dmduq import numerics, spectral
-from dmduq.errors import ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples
+from dmduq.errors import (
+    ConfigError, ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples,
+)
 from dmduq.numerics import eigenvalue_rows
 from dmduq.operator_moments import CORRECTED, check_tables
 from dmduq.spectral import (
@@ -28,20 +30,14 @@ from dmduq.spectral import (
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: EigenSampleSet(np.zeros(3, complex), np.zeros(3, complex)), DimensionMismatch,
-         "2-D array"),
-        (lambda: EigenSampleSet(np.zeros((2, 3), complex), np.zeros(3, complex)),
-         DimensionMismatch, "one representative per sample row"),
-        (lambda: EigenSampleSet(np.zeros((2, 3), complex), np.array([1j, -1j])),
-         DimensionMismatch, "nonnegative imaginary part"),
+        (lambda: EigenSampleSet(np.zeros(3, complex)), DimensionMismatch, "2-D array"),
         (lambda: eigen_samples(np.zeros((0, 2, 2))), TooFewSamples, "at least one instance"),
         (lambda: kde2d(np.array([0.0, np.nan, 1.0]), np.zeros(3)), TooFewSamples,
          "at least 2 finite values"),
         (lambda: kde2d(np.zeros(3), np.zeros(2)), DimensionMismatch,
          "sample counts differ"),
     ],
-    ids=["samples-1d", "representative-count", "representative-lower-half", "empty-stack",
-         "kde-nonfinite", "kde-unequal-lengths"],
+    ids=["samples-1d", "empty-stack", "kde-nonfinite", "kde-unequal-lengths"],
 )
 def test_argument_checks(call, error, message):
     with pytest.raises(error, match=message):
@@ -70,6 +66,14 @@ class TestEigenSamples:
         rng = np.random.default_rng(1)
         out = eigen_samples(rng.standard_normal((100, 3, 3)))
         assert np.all(out.representative_lambda1.imag >= 0)
+
+    def test_representative_derived_from_the_top_column(self):
+        # Top eigenvalues with negative imaginary part are represented by their conjugates.
+        top = np.array([1.0 - 2.0j, -0.5 - 0.25j, 0.3 - 1e-300j, 3.0 + 1.0j])
+        samples = EigenSampleSet(np.column_stack([top, np.full(4, 0.1 - 0.1j)]))
+        want = np.where(top.imag < 0, np.conj(top), top)
+        assert np.array_equal(samples.representative_lambda1, want)
+        assert np.all(samples.representative_lambda1.imag >= 0)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -340,6 +344,22 @@ class TestKde:
 
 
 class TestKde2d:
+    @pytest.mark.parametrize("grid_points, count, size", [
+        (100_000, 3, 10**10), (1000, 300_000, 3 * 10**8),
+    ], ids=["density", "kernels"])
+    def test_table_size_bounded(self, grid_points, count, size):
+        # Before any table is made: a grid_points^2 density or a grid x samples kernel.
+        values = np.linspace(0.0, 1.0, count)
+        with pytest.raises(ConfigError, match=f"asks for {size} density or kernel values, more "
+                                              f"than 268435456$"):
+            kde2d(values, values, grid_points=grid_points)
+
+    def test_table_size_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_TABLE_VALUES", 100)
+        assert kde2d(np.arange(10.0), np.arange(10.0), grid_points=10).density.shape == (10, 10)
+        with pytest.raises(ConfigError, match="^a 10 x 10 grid over 11 samples asks for 110 "):
+            kde2d(np.arange(11.0), np.arange(11.0), grid_points=10)
+
     def test_integrates_to_one(self):
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal(3000), rng.standard_normal(3000)
