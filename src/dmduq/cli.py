@@ -3,8 +3,11 @@
 Commands are single deterministic processes: identical inputs, config, and
 seeds produce byte-identical outputs.  Structured results are JSON with
 floats printed at a fixed number of significant digits (17 by default,
-lossless for doubles); trajectories and density curves are CSV.  Errors are
-emitted as machine-readable JSON on stderr with a nonzero exit code.
+lossless for doubles); trajectories and density curves are CSV.  ``compare`` and
+``spectrum`` read their JSON inputs a text block at a time: each table they use is
+decoded row by row into one float array, a block of rows at a time, and every other
+value is checked as ``json.load`` checks it and dropped.  Errors are emitted as
+machine-readable JSON on stderr with a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numerics
 from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
 from .data_model import decimate_trajectory, load_csv, replacing, save_csv, write_csv
@@ -107,17 +111,186 @@ def _write_json(path, payload: dict, precision: int) -> None:
         handle.write("\n")
 
 
-def _load_json(path):
+_TEXT_BLOCK = 1 << 16  # characters of a JSON input read at a time
+_SPACE = re.compile(r"[ \t\n\r]*")
+_AFTER_VALUE = frozenset(" \t\n\r,:]}")  # what may follow a whole JSON value
+_CLOSE = {"[": "]", "{": "}"}
+_DECODER = json.JSONDecoder()
+
+
+class _JsonReader:
+    """The JSON text of ``handle``, read a text block at a time and checked as
+    ``json.load`` checks it.  Each value is decoded by json's C scanner once the text at
+    hand holds all of it; an object, or an array of arrays or objects, can instead be
+    walked element by element, so no more than one such element is decoded at once."""
+
+    def __init__(self, handle, path):
+        self.handle, self.path = handle, path
+        self.text, self.pos, self.start = "", 0, 0  # start: the file offset of text[0]
+
+    def _more(self) -> bool:
+        """Drop the text before ``pos`` and read a block more, and at least as much as is
+        left, so a long value is retried a bounded number of times; False at the end."""
+        block = self.handle.read(max(_TEXT_BLOCK, len(self.text) - self.pos))
+        if block:
+            self.start += self.pos
+            self.text, self.pos = self.text[self.pos:] + block, 0
+        return bool(block)
+
+    def _fail(self, message: str, pos: int | None = None):
+        at = self.start + (self.pos if pos is None else pos)
+        raise ParseError(f"{self.path}: not valid JSON: {message} (char {at})")
+
+    def peek(self) -> str:
+        """The next character that is not white space, or '' at the end of the text."""
+        while True:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos : self.pos + 1]
+
+    def expect(self, chars: str) -> str:
+        """The next character that is not white space, which must be one of ``chars``."""
+        char = self.peek()
+        if not char or char not in chars:
+            self._fail(f"expecting one of {' '.join(chars)}")
+        self.pos += 1
+        return char
+
+    def decode(self):
+        """The next value, decoded whole."""
+        close = _CLOSE.get(self.peek())
+        while close and self.text.find(close, self.pos) < 0 and self._more():
+            pass  # an array or object that cannot have ended in the text at hand
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:  # or cut off at the end of the text at hand
+                if not self._more():
+                    self._fail(exc.msg, exc.pos)
+                continue
+            # A number cut off at the end of the text at hand decodes; what follows it tells.
+            if end < len(self.text) and self.text[end] in _AFTER_VALUE or not self._more():
+                self.pos = end
+                return value
+
+    def elements(self, close: str):
+        """Step through the array or object just opened, up to and over its ``close``:
+        yield once per element for the caller to read it, with an object's key (read with
+        its colon) or None."""
+        if self.peek() == close:
+            self.pos += 1
+            return
+        while True:
+            key = None
+            if close == "}":
+                if self.peek() != '"':
+                    self._fail("expecting a property name in double quotes")
+                key = self.decode()
+                self.expect(":")
+            yield key
+            if self.expect("," + close) == close:
+                return
+
+    def _nested(self) -> bool:
+        """Whether the array at ``pos`` starts with an array or an object."""
+        while True:
+            after = _SPACE.match(self.text, self.pos + 1).end()
+            if after < len(self.text) or not self._more():
+                return self.text[after : after + 1] in ("[", "{")
+
+    def skip(self) -> None:
+        """Check the next value and drop it: an object, or an array of arrays or objects,
+        element by element; any other value decoded whole."""
+        opening = self.peek()
+        if opening == "{" or opening == "[" and self._nested():
+            self.pos += 1
+            for _ in self.elements(_CLOSE[opening]):
+                self.skip()
+        else:
+            self.decode()
+
+    def row_blocks(self):
+        """The elements of the array just opened, each decoded whole, in one list refilled
+        with about 1 MB of Python floats (32 bytes each with their list slot) at a time."""
+        rows = []
+        for _ in self.elements("]"):
+            rows.append(self.decode())
+            width = len(rows[0]) if isinstance(rows[0], list) else 1
+            if 4 * len(rows) * max(1, width) >= numerics._CHUNK_SCALARS // 32:
+                yield rows
+                rows.clear()  # so one block of Python floats is held at a time
+        if rows:
+            yield rows
+
+    def table(self) -> np.ndarray:
+        """The next value as a 2-D float array, as ``np.array(value, dtype=float)`` makes it,
+        or an empty array when it is no such table (a string, a ragged table).  Each row block
+        is copied into one array, preallocated as square and grown when full."""
+        if self.peek() != "[":
+            self.skip()
+            return np.empty(0)
+        self.pos += 1
+        table, count, blocks = None, 0, self.row_blocks()
+        for rows in blocks:
+            try:
+                block = np.array(rows, dtype=float)
+            except (TypeError, ValueError):  # a string, or ragged rows
+                block = np.empty(0)
+            if block.ndim != 2 or table is not None and block.shape[1] != table.shape[1]:
+                for _ in blocks:  # the rest is only checked
+                    pass
+                return np.empty(0)
+            if table is None:
+                table = np.empty((max(len(block), block.shape[1]), block.shape[1]))
+            elif count + len(block) > len(table):
+                table.resize((max(count + len(block), 2 * len(table)), table.shape[1]),
+                             refcheck=False)
+            table[count : count + len(block)] = block
+            count += len(block)
+        if table is None:  # an empty array, as np.array([]) is 1-D
+            return np.empty(0)
+        table.resize((count, table.shape[1]), refcheck=False)
+        return table
+
+    def finish(self) -> None:
+        if self.peek():
+            self._fail("extra data")
+
+
+def _load_json(path, tables, keys):
+    """The JSON value in ``path``, read a text block at a time.  Of an object, only the
+    members named in ``tables`` (each as :meth:`_JsonReader.table` makes it) and ``keys`` are
+    kept; an array is returned empty.  Every value is checked as ``json.load`` checks it, and
+    a repeated key keeps its last value."""
     with open(path, "r", encoding="utf-8") as handle:
+        reader = _JsonReader(handle, path)
         try:
-            return json.load(handle)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            first = reader.peek()
+            if first == "{":
+                reader.pos += 1
+                value = {}
+                for key in reader.elements("}"):
+                    if key in tables:
+                        value[key] = reader.table()
+                    elif key in keys:
+                        value[key] = reader.decode()
+                    else:
+                        reader.skip()
+            elif first == "[":
+                reader.skip()
+                value = []
+            else:
+                value = reader.decode()
+            reader.finish()
+        except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    return value
 
 
 def _read_payload(path, tables, keys=()) -> dict:
-    """A dmduq JSON output of a supported schema with every key, ``tables`` as 2-D float arrays."""
-    data = _load_json(path)
+    """``tables`` (2-D float arrays), ``keys``, ``schema_version`` and any ``metadata`` of a
+    dmduq JSON output of a supported schema; its other members are checked and dropped."""
+    data = _load_json(path, tables, {"schema_version", "metadata", *keys})
     if not isinstance(data, dict):
         raise ShapeMismatch(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = str(data.get("schema_version", ""))
@@ -127,10 +300,6 @@ def _read_payload(path, tables, keys=()) -> dict:
     if missing:
         raise ShapeMismatch(f"{path}: missing key(s) {missing}")
     for key in tables:
-        try:
-            data[key] = np.array(data[key], dtype=float)
-        except (TypeError, ValueError):  # a string, or a ragged table
-            data[key] = np.empty(0)
         if data[key].ndim != 2:
             raise ShapeMismatch(f"{path}: {key!r} is not a 2-D table of numbers")
     return data

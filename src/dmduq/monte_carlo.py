@@ -177,11 +177,14 @@ class _MomentAccumulator:
             var[a:b], se_mean[a:b] = dvar, np.sqrt(dvar / count)
             m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2) ** 2
             se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
+            del dvar, m4  # each block temporary goes after its last use, none into the next block
             if raw_second:
                 second_raw[a:b] = c**2 + 2.0 * c * s1 + s2
                 # Var(x**2) for x = c + d, from the sums of d: no O(c**4) terms cancel.
                 var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
                 se_second[a:b] = np.sqrt(np.maximum(var_sq, 0.0) / count)
+                del var_sq
+            del s1, s2, s3, s4
         return mean, second_raw, var, se_mean, se_second, se_var
 
 

@@ -185,12 +185,13 @@ def check_outliers(first: np.ndarray, variance: np.ndarray) -> None:
     variance table: the radius of the disc that the random part's eigenvalues fill (Cook, Hachem,
     Najim and Renfrew, EJP 2018).  The "dominant" eigenvalue is then a bulk one."""
     v, x, rho = np.maximum(variance, 0.0), np.full(len(variance), len(variance) ** -0.5), 0.0
-    for _ in range(200):  # power iteration, O(m^2) per step; x has unit norm
-        last, rho = rho, float(np.linalg.norm(y := v @ x))
-        if rho == 0.0 or abs(rho - last) <= 1e-9 * rho:
-            break
-        x = y / rho
-    radius, largest = np.sqrt(rho), float(np.abs(np.linalg.eigvals(first)).max())
+    with _one_blas_thread():
+        for _ in range(200):  # power iteration, O(m^2) per step; x has unit norm
+            last, rho = rho, float(np.linalg.norm(y := v @ x))
+            if rho == 0.0 or abs(rho - last) <= 1e-9 * rho:
+                break
+            x = y / rho
+        radius, largest = np.sqrt(rho), float(np.abs(np.linalg.eigvals(first)).max())
     if largest <= radius:
         logger.warning("no eigenvalue of the mean operator lies outside the noise bulk: bulk "
                        "radius sqrt(rho(V)) = %.4g, largest mean |lambda| = %.4g", radius, largest)

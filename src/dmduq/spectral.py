@@ -144,7 +144,11 @@ def _axis_kernel(
         grid = np.linspace(v.min() - 4.0 * h, v.max() + 4.0 * h, grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
-    return h, grid, np.exp(-0.5 * ((grid[:, None] - v[None, :]) / h) ** 2)
+    kernel = np.subtract.outer(grid, v)  # exp(-0.5 * ((grid - v) / h) ** 2), in place
+    kernel /= h
+    np.square(kernel, out=kernel)
+    kernel *= -0.5
+    return h, grid, np.exp(kernel, out=kernel)
 
 
 def kde2d(

@@ -10,7 +10,7 @@ from dmduq.cli import dumps_json, main
 from dmduq.config import PipelineConfig, load_config
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, format_rows, load_csv
 from dmduq.data_model import decimate_trajectory, save_csv
-from dmduq.errors import ConfigError
+from dmduq.errors import ConfigError, ParseError, ShapeMismatch
 from dmduq.monte_carlo import SAMPLING_MODES, McConfig, sample_operator_instances
 from dmduq.pinv_moments import pinv_moments
 from dmduq.spectral import eigen_samples
@@ -91,6 +91,141 @@ class TestDumpsJson:
             tracemalloc.stop()
         assert peak < 4e6
         assert out.read_text(encoding="utf-8") == dumps_json(payload)
+
+
+MOMENTS_TABLES = [moments for moments, _ in cli._COMPARED]
+MC_TABLES = [mc for _, mc in cli._COMPARED]
+KEPT = {"schema_version", "metadata", "variance_mode"}
+
+# Tables of every kind, and values that are none: empty, 1 x 1, m x 1 and 1 x m tables,
+# NaN and Infinity tokens, a ragged, a 1-D and a 3-D table, a string, an object and an array
+# of objects under a table key, brackets inside strings, and repeated keys, of which the
+# last counts.
+EDGE_PAYLOAD = (
+    '{"schema_version": "1.0", "operator_first": "not yet", "empty": {}, "none": [],'
+    ' "rows": [[]], "objects": [{}, {"a": [[1, 2], "]"]}], "one": [[2.5]],'
+    ' "column": [[1], [2], [3], [4], [5], [6], [7]], "wide": [[1, 2, 3, 4, 5, 6, 7]],'
+    ' "specials": [[NaN, Infinity], [-Infinity, -0.0]], "twice": [[1.0, 2.0]],'
+    ' "metadata": {"k": "v", "k": [1, {"deep": null}], "e": {}, "l": []},'
+    ' "ragged": [[1, 2], [3]], "text": "a \\"quoted\\" ] } [ { string",'
+    ' "operator_first": [[1e-300, -2E+5], [3.25, 0]], "variance_mode": "corrected",'
+    ' "flat": [1, 2, 3], "cube": [[[1]]], "flags": [[true, false, null]], "twice": "gone",'
+    ' "skipped": [[[1, [2]], {"x": [3]}], "s\\u00e9"]}'
+)
+EDGE_TABLES = ["operator_first", "empty", "none", "rows", "objects", "one", "column", "wide",
+               "specials", "twice", "ragged", "text", "flat", "cube", "flags"]
+
+
+def json_load_reference(path, tables, keys) -> dict:
+    """What json.load and np.array(value, dtype=float) make of the members ``tables`` and
+    ``keys`` of the object in ``path``; a table that is not 2-D is an empty array."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    out = {key: data[key] for key in keys if key in data}
+    for key in tables:
+        try:
+            table = np.array(data[key], dtype=float)
+        except (TypeError, ValueError):
+            table = np.empty(0)
+        out[key] = table if table.ndim == 2 else np.empty(0)
+    return out
+
+
+class TestPayloadReader:
+    @pytest.fixture()
+    def payloads(self, small_csv, tmp_path):
+        """(path, tables) of dmduq's moments.json and mc.json of the small recording, of
+        pretty-printed and key-reversed copies, and of EDGE_PAYLOAD."""
+        cfg = tmp_path / "mc_cfg.json"
+        cfg.write_text(json.dumps({"mc": {"trials": 20}}))
+        common = [str(small_csv), "--noise-variances", "1e-8,1e-8", "--config", str(cfg)]
+        cases = []
+        for command, tables in (("moments", MOMENTS_TABLES), ("mc", MC_TABLES)):
+            path = tmp_path / f"{command}.json"
+            assert main([command, *common, "--out", str(path)]) == 0
+            data = json.loads(path.read_text())
+            reversed_data = {key: data[key] for key in reversed(data)}
+            reversed_data["metadata"] = dict(reversed(data["metadata"].items()))
+            for name, text in (("indented", json.dumps(data, indent=2)),
+                               ("reversed", json.dumps(reversed_data))):
+                copy = tmp_path / f"{command}_{name}.json"
+                copy.write_text(text)
+                cases.append((copy, tables))
+            cases.append((path, tables))
+        edge = tmp_path / "edge.json"
+        edge.write_text(EDGE_PAYLOAD)
+        return cases + [(edge, EDGE_TABLES)]
+
+    @pytest.mark.parametrize("text_block", [1, 2, 3, 7, 64, None])
+    @pytest.mark.parametrize("row_values", [3, None], ids=["row_per_block", "budget"])
+    def test_reads_as_json_load(self, payloads, monkeypatch, text_block, row_values):
+        # Block edges fall inside numbers, strings, keys and rows; row blocks of one row
+        # grow the preallocated tables.  None: the default size.
+        if text_block:
+            monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
+        if row_values:
+            monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 4 * row_values)
+        for path, tables in payloads:
+            got = cli._load_json(path, tables, KEPT)
+            want = json_load_reference(path, tables, KEPT)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if key in tables:
+                    assert got[key].dtype == float and got[key].shape == value.shape, key
+                    assert got[key].tobytes() == value.tobytes(), key
+                else:
+                    assert json.dumps(got[key]) == json.dumps(value), key
+
+    def test_non_table_is_shape_mismatch(self, tmp_path):
+        edge = tmp_path / "edge.json"
+        edge.write_text(EDGE_PAYLOAD)
+        with pytest.raises(ShapeMismatch, match="'empty' is not a 2-D table"):
+            cli._read_payload(edge, EDGE_TABLES)
+
+    @pytest.mark.parametrize("text_block", [3, None])
+    def test_truncated_or_trailing_text_is_parse_error(self, tmp_path, monkeypatch, text_block):
+        # Every prefix, cut anywhere (so at each structural position), is not JSON, and
+        # a parse error comes before any shape error.
+        if text_block:
+            monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
+        path = tmp_path / "cut.json"
+        endings = [EDGE_PAYLOAD[:cut] for cut in range(len(EDGE_PAYLOAD))]
+        endings += [EDGE_PAYLOAD + tail for tail in (" x", "{}", ",", "]", " {", '"')]
+        for text in endings:
+            path.write_text(text)
+            with pytest.raises(ParseError, match="not valid JSON"):
+                cli._read_payload(path, EDGE_TABLES)
+
+    def test_truncated_output_is_parse_error_from_compare(self, payloads, tmp_path, capsys):
+        text = (tmp_path / "moments.json").read_text()
+        cut = tmp_path / "cut.json"
+        for end in (1, text.index("operator_first") + 30, len(text) // 2, len(text) - 2):
+            cut.write_text(text[:end])
+            capsys.readouterr()
+            assert main(["compare", str(cut), str(tmp_path / "mc.json"),
+                         "--out", str(tmp_path / "report.json")]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "parse_error"
+
+    def test_compare_inputs_read_in_twice_their_tables(self, tmp_path):
+        # At m = 300 compare holds its eight tables (2.9 MB) plus a row block and a text
+        # block while it reads (1.6 times the tables); json.load and np.array took 7.5 times.
+        trajectory = simulate_spring_mass(SpringMassParams(duration=15.0, dt=0.05))
+        snapshots, noise = build_snapshots(trajectory), NoiseModel([1e-6, 1e-6])
+        cfg = PipelineConfig(mc=McConfig(trials=20))
+        paths = tmp_path / "moments.json", tmp_path / "mc.json"
+        for path, payload in zip(paths, (cli._moments_payload, cli._mc_payload)):
+            cli._write_json(path, payload(snapshots, noise, cfg), 17)
+        tracemalloc.start()
+        try:
+            read = [cli._read_payload(path, tables)
+                    for path, tables in zip(paths, (MOMENTS_TABLES, MC_TABLES))]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(data[key].nbytes for data, tables in zip(read, (MOMENTS_TABLES, MC_TABLES))
+                   for key in tables)
+        assert read[0]["operator_first"].shape == (300, 300)
+        assert peak < 2 * size
 
 
 # Float arrays covering the edge cases of %g formatting: signed zero,

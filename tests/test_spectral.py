@@ -2,6 +2,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dmduq.errors import (
     ConfigError, ConvergenceFailure, DegenerateData, DimensionMismatch, TooFewSamples,
 )
 from dmduq.numerics import eigenvalue_rows
-from dmduq.operator_moments import CORRECTED, check_tables
+from dmduq.operator_moments import CORRECTED, check_outliers, check_tables
 from dmduq.spectral import (
     EigenSampleSet,
     density_peak,
@@ -191,6 +192,19 @@ class TestBlasPin:
         assert all(set(counts) == {1} for counts in seen)
         assert set(openblas_thread_counts()) == {2}
 
+    def test_check_outliers_pinned(self, monkeypatch, two_blas_threads):
+        seen = []
+
+        def recording(a):
+            seen.append(openblas_thread_counts())
+            return _EIGVALS(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        rng = np.random.default_rng(3)
+        check_outliers(rng.standard_normal((6, 6)), rng.random((6, 6)))
+        assert len(seen) == 1 and set(seen[0]) == {1}
+        assert set(openblas_thread_counts()) == {2}
+
     def test_restored_after_convergence_failure(self, monkeypatch, two_blas_threads):
         instances = np.random.default_rng(0).standard_normal((4, 5, 5))
         monkeypatch.setattr(np.linalg, "eigvals", _eigvals_failing_on(instances[[3]]))
@@ -359,6 +373,20 @@ class TestKde2d:
         assert kde2d(np.arange(10.0), np.arange(10.0), grid_points=10).density.shape == (10, 10)
         with pytest.raises(ConfigError, match="^a 10 x 10 grid over 11 samples asks for 110 "):
             kde2d(np.arange(11.0), np.arange(11.0), grid_points=10)
+
+    def test_kernels_built_in_place(self):
+        # Each axis's grid x samples kernel is one array, made and transformed in place: the
+        # two kernels and the density, where the temporaries of a chained expression made
+        # the peak about 3.1 kernels.
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal(5000), rng.standard_normal(5000)
+        tracemalloc.start()
+        try:
+            kde2d(x, y, grid_points=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 256 * 5000 * 8
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(6)
