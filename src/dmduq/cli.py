@@ -474,42 +474,60 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _kde_rows(curve) -> RowTable:
+    """The ``grid_re, grid_im, density`` rows of a density curve, one per grid point with
+    ``grid_re`` the slower index, made a row block at a time from the grid axes."""
+    density, width = curve.density.reshape(-1), len(curve.grid_im)
+
+    def rows(a: int, b: int, out=None) -> np.ndarray:
+        out = np.empty((b - a, 3)) if out is None else out
+        i, j = np.divmod(np.arange(a, b), width)
+        out[:, 0], out[:, 1], out[:, 2] = curve.grid_re[i], curve.grid_im[j], density[a:b]
+        return out
+
+    return RowTable((len(density), 3), rows)
+
+
 def cmd_spectrum(args) -> int:
+    """Hold only what is still to be written: the tables until they are sampled (the
+    variances until their std table is formed), the spectra until the bands and lambda1
+    are taken, and lambda1 until its density is."""
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
+    if not 0 <= args.seed < 2**64:  # before any input is read
+        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     cfg = _load_pipeline_config(args)
     keys = ["operator_first", "operator_second_central"]
     data = _read_payload(args.moments, keys, ["variance_mode"])
-    first, second, mode = data[keys[0]], data[keys[1]], data["variance_mode"]
+    m, mode = len(data[keys[0]]), data["variance_mode"]
     for key in keys:  # before any draw
-        if data[key].shape != (len(first),) * 2:
+        if data[key].shape != (m, m):
             raise ShapeMismatch(f"{args.moments}: {key!r} is {data[key].shape}, not m x m as both")
     if mode not in VARIANCE_MODES:
         raise ShapeMismatch(f"{args.moments}: 'variance_mode' {mode!r} is not in {VARIANCE_MODES}")
-    check_tables(first, second, mode)
-    check_outliers(first, second)
-    samples = sample_operator_spectra(
-        first, second, count=args.samples, seed=args.seed, clamp_negative=args.clamp_negative
-    )
-    lam1 = samples.representative_lambda1
-    bandwidth = None if cfg.kde.bandwidth is None else (cfg.kde.bandwidth, cfg.kde.bandwidth)
-    try:
-        density = kde2d(lam1.real, lam1.imag, bandwidths=bandwidth, grid_points=cfg.kde.grid_points)
-    except DegenerateData as exc:
-        if not (clamped := int(np.count_nonzero(second < 0))):
-            raise
-        raise DegenerateData(f"{exc}; {clamped} of {second.size} variances clamped to zero")
-    precision = cfg.output_precision
-    grid_re, grid_im = np.meshgrid(density.grid_re, density.grid_im, indexing="ij")
-    curve = np.column_stack([grid_re.ravel(), grid_im.ravel(), density.density.ravel()])
-    out_path = Path(args.out)
-    write_csv(out_path, ["grid_re", "grid_im", "density"], curve, precision)
+    check_tables(data[keys[0]], data[keys[1]], mode)
+    check_outliers(data[keys[0]], data[keys[1]])
+    clamped = int(np.count_nonzero(data[keys[1]] < 0))
+    samples = sample_operator_spectra(data.pop(keys[0]), data.pop(keys[1]), count=args.samples,
+                                      seed=args.seed, clamp_negative=args.clamp_negative)
     table = eigen_moments(samples)
     re, im, var_re, var_im = table.mean.real, table.mean.imag, table.variance_re, table.variance_im
     half_re, half_im = 2.0 * np.sqrt(var_re), 2.0 * np.sqrt(var_im)
     bands = np.column_stack(
         [re, im, var_re, var_im, re - half_re, re + half_re, im - half_im, im + half_im]
     )
+    lam1 = samples.representative_lambda1
+    del samples
+    bandwidth = None if cfg.kde.bandwidth is None else (cfg.kde.bandwidth, cfg.kde.bandwidth)
+    try:
+        density = kde2d(lam1.real, lam1.imag, bandwidths=bandwidth, grid_points=cfg.kde.grid_points)
+    except DegenerateData as exc:
+        if not clamped:
+            raise
+        raise DegenerateData(f"{exc}; {clamped} of {m * m} variances clamped to zero")
+    precision = cfg.output_precision
+    out_path = Path(args.out)
+    write_csv(out_path, ["grid_re", "grid_im", "density"], _kde_rows(density), precision)
     bands_path = out_path.with_name(out_path.stem + "_bands" + out_path.suffix)
     header = ["index", "mean_re", "mean_im", "var_re", "var_im"]
     header += ["band_re_lo", "band_re_hi", "band_im_lo", "band_im_hi"]

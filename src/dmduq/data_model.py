@@ -25,7 +25,7 @@ from .errors import (
     TooFewSnapshots,
     ZeroVariance,
 )
-from .numerics import _readonly, row_blocks, spd_factors
+from .numerics import RowTable, _readonly, row_blocks, spd_factors
 
 UNIFORMITY_RTOL = 1e-9
 
@@ -271,17 +271,22 @@ def replacing(path):
 
 
 def write_csv(
-    path, header: list[str], table: np.ndarray, precision: int = 17, index: bool = False
+    path, header: list[str], table, precision: int = 17, index: bool = False
 ) -> None:
-    """Write a header line, then one :func:`format_rows` line per row of ``table``, by
-    :func:`format_blocks` blocks, into a file that replaces ``path`` when complete.
+    """Write a header line, then one :func:`format_rows` line per row of ``table`` (a float
+    array, or a ``RowTable`` read by its row blocks), by :func:`format_blocks` blocks, into a
+    file that replaces ``path`` when complete.
 
     With ``index`` every row starts with its 0-based row number.
     """
+    if isinstance(table, RowTable):
+        blocks = table.blocks()
+    else:
+        blocks = [np.atleast_2d(np.asarray(table, dtype=float))]
     with replacing(path) as handle:
         handle.write(",".join(header) + "\n")
         done = 0
-        for rows in format_blocks(np.atleast_2d(np.asarray(table, dtype=float)), precision):
+        for rows in (rows for block in blocks for rows in format_blocks(block, precision)):
             if index:
                 rows = [f"{i},{row}" for i, row in enumerate(rows, done)]
                 done += len(rows)

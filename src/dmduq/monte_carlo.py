@@ -65,12 +65,12 @@ class McConfig:
             raise ConfigError(f"trials must be >= 2, got {self.trials}")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(f"unknown sampling mode {self.sampling_mode!r}")
-        _check_seed(self.master_seed)
+        _check_seed(self.master_seed, "master_seed")
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int, name: str) -> None:
     if not 0 <= seed <= _MASK64:
-        raise ConfigError("master_seed must fit in 64 unsigned bits")
+        raise ConfigError(f"{name} must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +318,7 @@ def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, s
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    _check_seed(seed)
+    _check_seed(seed, "seed")
     negatives = int(np.count_nonzero(second_central < -1e-12))
     if negatives and not clamp_negative:
         raise NegativeVarianceInput(
@@ -327,7 +327,8 @@ def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, s
         )
     if clamped := int(np.count_nonzero(second_central < 0)):  # np.clip zeroes every one
         logger.warning("clamping %d negative variance element(s) to zero", clamped)
-    std, rng = np.sqrt(np.clip(second_central, 0.0, None)), trial_rng(seed, 0)
+    std, rng = np.clip(second_central, 0.0, None), trial_rng(seed, 0)
+    np.sqrt(std, out=std)
 
     def take(start: int, stop: int) -> np.ndarray:
         draws = rng.standard_normal((stop - start,) + std.shape)
@@ -354,9 +355,11 @@ def sample_operator_spectra(first: np.ndarray, second_central: np.ndarray, count
     """Sorted spectra of ``count`` instances drawn as by :func:`sample_operator_instances`,
     bit for bit ``eigen_samples(sample_operator_instances(...))``.
 
-    Each worker of :func:`spectral.pulled_spectra` draws its own batch, in turn,
-    so memory holds a batch per worker plus the ``count x m`` spectra, whatever
-    ``count`` is.
+    Each slice of :func:`spectral.pulled_spectra` draws its own batch, in turn,
+    so memory holds ``first``, the std table, a batch per slice and the ``count x m``
+    spectra, whatever ``count`` is: ``second_central`` is dropped once the std table
+    is formed, and freed then if the caller passed its last reference.
     """
     take = _instance_draws(first, second_central, count, seed, clamp_negative)
+    del second_central
     return pulled_spectra(count, len(first), take)

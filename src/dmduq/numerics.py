@@ -9,10 +9,11 @@ Gauss-Legendre rule for truncated ones.  All functions are pure
 and safe to call concurrently.  ``_one_blas_thread`` holds OpenBLAS at one
 thread around the calls whose bits would otherwise depend on the BLAS thread
 setting; nested and concurrent calls share one pin.  ``slice_workers`` spreads
-such calls over one worker thread per BLAS thread, for the jobs that split:
-Monte Carlo trials and spectra.  A ``RowTable`` is an m x m table read from its
-row source by ``row_blocks``, in order in the calling thread at one BLAS thread,
-so it has the same bits whether it is built whole or written out block by block.
+such calls over one slice per BLAS thread, the first in the calling thread, for
+the jobs that split: Monte Carlo trials and spectra.  A ``RowTable`` is an m x m
+table read from its row source by ``row_blocks``, in order in the calling thread
+at one BLAS thread, so it has the same bits whether it is built whole or written
+out block by block.
 
 The Gauss-Laguerre rule is built in house (Golub & Welsch, Math. Comp. 23,
 1969): Jacobi-matrix eigenvalues polished by two Newton steps, and weights
@@ -87,14 +88,22 @@ def _one_blas_thread():
 @contextmanager
 def slice_workers():
     """Hold BLAS at one thread and yield ``map_slices(fn, count)``, which runs
-    ``fn(lo, hi)`` on one contiguous slice of ``range(count)`` per BLAS thread in
-    a pool that lives as long as the context and returns the results in slice
-    order.  Calls inside ``fn`` that pin BLAS share the context's pin."""
-    with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as pool:
+    ``fn(lo, hi)`` on one contiguous slice of ``range(count)`` per BLAS thread and
+    returns the results in slice order.  The calling thread runs the first slice and a
+    pool that lives as long as the context runs the rest, so one BLAS thread starts no
+    thread.  The first failing slice's exception is raised.  Calls inside ``fn`` that
+    pin BLAS share the context's pin."""
+    with _one_blas_thread() as threads, ThreadPoolExecutor(max(1, threads - 1)) as pool:
         def map_slices(fn, count):
             workers = max(1, min(threads, count))
             cuts = [count * k // workers for k in range(workers + 1)]
-            return list(pool.map(fn, cuts[:-1], cuts[1:]))
+            rest = [pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+            try:
+                return [fn(cuts[0], cuts[1]), *(future.result() for future in rest)]
+            except BaseException:  # as pool.map does: slices not yet started never start
+                for future in rest:
+                    future.cancel()
+                raise
 
         yield map_slices
 

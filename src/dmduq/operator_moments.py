@@ -183,11 +183,17 @@ def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> No
 def check_outliers(first: np.ndarray, variance: np.ndarray) -> None:
     """Warn when no eigenvalue of the mean operator lies outside sqrt(rho(V)), V the clamped
     variance table: the radius of the disc that the random part's eigenvalues fill (Cook, Hachem,
-    Najim and Renfrew, EJP 2018).  The "dominant" eigenvalue is then a bulk one."""
-    v, x, rho = np.maximum(variance, 0.0), np.full(len(variance), len(variance) ** -0.5), 0.0
+    Najim and Renfrew, EJP 2018).  The "dominant" eigenvalue is then a bulk one.  V is
+    clamped in blocks of an eighth of a table row block, each used by its product while in
+    cache, so no m x m copy of it is made."""
+    m = len(variance)
+    x, y, rho, blocks = np.full(m, m**-0.5), np.empty(m), 0.0, row_blocks(m, 8 * m)
+    clamped = np.empty((max(b - a for a, b in blocks), m))
     with _one_blas_thread():
         for _ in range(200):  # power iteration, O(m^2) per step; x has unit norm
-            last, rho = rho, float(np.linalg.norm(y := v @ x))
+            for a, b in blocks:
+                np.matmul(np.maximum(variance[a:b], 0.0, out=clamped[: b - a]), x, out=y[a:b])
+            last, rho = rho, float(np.linalg.norm(y))
             if rho == 0.0 or abs(rho - last) <= 1e-9 * rho:
                 break
             x = y / rho

@@ -60,11 +60,12 @@ _EIGVALS_ROWS = 1000
 
 
 def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
-    """Sorted spectra of ``count`` m x m instances across ``slice_workers``, each worker taking
-    the next batch ``take(start, stop)`` under a lock and checking and eigendecomposing it
-    outside, with BLAS at one thread.  A batch is about a table row block, and at least
-    ``_EIGVALS_ROWS`` rows.  Failures name the instance by its position; after one no batch
-    is taken, those taken finish, and the lowest instance's is raised."""
+    """Sorted spectra of ``count`` m x m instances across the slices of ``slice_workers`` (the
+    calling thread and its pool), each taking the next batch ``take(start, stop)`` under a
+    lock and checking and eigendecomposing it outside, with BLAS at one thread.  A batch is
+    about a table row block, and at least ``_EIGVALS_ROWS`` rows.  Failures name the instance
+    by its position; after one no batch is taken, those taken finish, and the lowest
+    instance's is raised."""
     size = 2 * count * m  # complex: 2 floats each
     numerics.check_table_size(size, f"{count} samples of {m} eigenvalues ask for {size}")
     # Not numerics.row_blocks: a batch has the _EIGVALS_ROWS floor, however small the budget.
@@ -170,7 +171,8 @@ def kde2d(
     hx, grid_re, ex = _axis_kernel(values_re, bw_re, grid_points, grid_re)
     hy, grid_im, ey = _axis_kernel(values_im, bw_im, grid_points, grid_im)
     with _one_blas_thread():  # so the bits do not depend on the BLAS thread setting
-        density = (ex @ ey.T) / (ex.shape[1] * 2.0 * np.pi * hx * hy)
+        density = ex @ ey.T
+    density /= ex.shape[1] * 2.0 * np.pi * hx * hy
     return Kde2d(grid_re, grid_im, density)
 
 

@@ -1,11 +1,12 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import run_cli, run_python
 
-from dmduq import cli, monte_carlo, numerics
+from dmduq import cli, monte_carlo, numerics, spectral
 from dmduq.cli import dumps_json, main
 from dmduq.config import PipelineConfig, load_config
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, format_rows, load_csv
@@ -770,6 +771,59 @@ class TestSpectrum:
             one, two = ((tmp_path / name.format(t)).read_bytes() for t in ("1", "2"))
             assert one == two
 
+    def test_density_written_by_row_blocks(self, small_csv, tmp_path, monkeypatch):
+        # kde.csv is made a row block at a time from the grid axes: at 512 grid points the
+        # peak is under three density tables, where the meshgrid (two) and the three-column
+        # curve (three) were held beside the density while it was written.  The rows are
+        # those of the meshgrid, whatever the block size.
+        moments, cfg = tmp_path / "moments.json", tmp_path / "kde_cfg.json"
+        argv = ["moments", str(small_csv), "--noise-variances", "1e-4,1e-4", "--out", str(moments)]
+        assert main(argv) == 0
+        cfg.write_text(json.dumps({"kde": {"grid_points": 512}}))
+        argv = ["spectrum", str(moments), "--samples", "20", "--config", str(cfg), "--out"]
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(tmp_path / "kde.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 512 * 512 * 8
+        curve = spectral.kde2d(np.arange(5.0), np.arange(5.0) ** 2, grid_points=7)
+        curve = spectral.Kde2d(curve.grid_re, curve.grid_im[:4], curve.density[:, :4].copy())
+        grid_re, grid_im = np.meshgrid(curve.grid_re, curve.grid_im, indexing="ij")
+        want = np.column_stack([grid_re.ravel(), grid_im.ravel(), curve.density.ravel()])
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 5 * 3)  # blocks of 5 rows
+        assert np.array_equal(np.array(cli._kde_rows(curve)), want)
+        assert np.array_equal(np.concatenate(list(cli._kde_rows(curve).blocks())), want)
+
+    def test_variances_dropped_before_sampling(self, tmp_path, monkeypatch):
+        # At m = 300 spectrum samples holding operator_first and the std table, not the
+        # variances beside them: it passes its last reference on, and the sampler drops it.
+        # Before Python 3.11 the calling frame keeps a call's arguments until it returns.
+        m, rng = 300, np.random.default_rng(4)
+        first = 0.5 * np.eye(m)
+        first[:2, :2] = [[0.9, 0.3], [-0.3, 0.9]]  # lambda1 = 0.9 + 0.3i
+        moments = tmp_path / "moments.json"
+        cli._write_json(moments, {
+            "schema_version": cli.SCHEMA_VERSION, "variance_mode": "corrected",
+            "operator_first": first, "operator_second_central": 1e-6 * rng.random((m, m)),
+        }, 17)
+        held, pulled = [], monte_carlo.pulled_spectra
+
+        def recording(count, size, take):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return pulled(count, size, take)
+
+        monkeypatch.setattr(monte_carlo, "pulled_spectra", recording)
+        tracemalloc.start()
+        try:
+            argv = ["spectrum", str(moments), "--samples", "2", "--out", str(tmp_path / "k.csv")]
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        tables = 2 if sys.version_info >= (3, 11) else 3
+        assert len(held) == 1 and held[0] < (tables + 0.5) * m * m * 8
+
 
     def test_chunked_matches_unchunked_reference(
         self, small_csv, config_path, tmp_path, monkeypatch
@@ -1096,10 +1150,15 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_spectrum_seed_out_of_range(self, outputs, tmp_path, capsys, seed):
-        # Outside [0, 2**64) a seed used to alias: -1 drew as 2**64 - 1 and 2**64 as 0.
+        # Outside [0, 2**64) a seed used to alias: -1 drew as 2**64 - 1 and 2**64 as 0.  It
+        # is checked before any input is read, so a missing moments file gives the same error.
         out = tmp_path / "kde.csv"
-        argv = ["spectrum", str(outputs[0]), "--samples", "20", "--seed", str(seed)]
-        assert self.error_code(argv + ["--out", str(out)], capsys) == "config_error"
+        for moments in (outputs[0], tmp_path / "missing.json"):
+            capsys.readouterr()
+            argv = ["spectrum", str(moments), "--samples", "20", "--seed", str(seed)]
+            assert main(argv + ["--out", str(out)]) == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "config_error", "message": f"--seed must be in [0, 2**64), got {seed}"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, config, asked", [

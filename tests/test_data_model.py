@@ -162,6 +162,16 @@ class TestEstimateNoise:
 
 
 class TestCsv:
+    def test_row_table_written_as_its_array(self, tmp_path, monkeypatch):
+        # Read by row blocks of at most 4 rows; the row numbers run on across blocks.
+        table = np.random.default_rng(3).standard_normal((11, 3))
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 4 * 3)
+        source = numerics.RowTable(table.shape, lambda a, b, out=None: table[a:b])
+        for index in (False, True):
+            write_csv(tmp_path / "rows.csv", ["x", "y", "z"], source, index=index)
+            write_csv(tmp_path / "whole.csv", ["x", "y", "z"], table, index=index)
+            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_parse_simple(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time,x1\n0.0,1.0\n0.1,2.0\n")

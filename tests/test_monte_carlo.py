@@ -820,6 +820,14 @@ class TestSampleOperatorSpectra:
         assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_named(self, seed):
+        # Each names its own field: the sampler's argument and the MC config's.
+        with pytest.raises(ConfigError, match="^seed must fit in 64 unsigned bits$"):
+            sample_operator_spectra(np.eye(2), np.zeros((2, 2)), count=2, seed=seed)
+        with pytest.raises(ConfigError, match="^master_seed must fit in 64 unsigned bits$"):
+            McConfig(master_seed=seed)
+
     def test_validation_once_per_call(self, monkeypatch, caplog):
         moments = np.eye(2), np.array([[-1e-6, 0.01], [0.01, 0.01]])
         with pytest.raises(NegativeVarianceInput):

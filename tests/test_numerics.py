@@ -1,8 +1,11 @@
 import threading
+import time
 
 import numpy as np
 import pytest
-from conftest import openblas_thread_controls, openblas_thread_counts, openblas_threads
+from conftest import (
+    fixed_blas_workers, openblas_thread_controls, openblas_thread_counts, openblas_threads,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -345,6 +348,45 @@ class TestRowTable:
             assert set(openblas_thread_counts()) <= {2}
             blocks.close()
         assert len(seen) == 1 and set(seen[0]) <= {1}
+
+
+class TestSliceWorkers:
+    """The calling thread runs the first slice and a pool of ``threads - 1`` the rest."""
+
+    @staticmethod
+    def map_slices(monkeypatch, threads, fn, count):
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(threads))
+        with numerics.slice_workers() as map_slices:
+            return map_slices(fn, count)
+
+    def test_first_slice_on_calling_thread_results_in_slice_order(self, monkeypatch):
+        # Slice 0 finishes last, yet comes back first; every other slice runs on a pool thread.
+        def fn(lo, hi):
+            if lo == 0:
+                time.sleep(0.2)
+            return lo, hi, threading.get_ident()
+
+        got = self.map_slices(monkeypatch, 3, fn, 7)
+        assert [(lo, hi) for lo, hi, _ in got] == [(0, 2), (2, 4), (4, 7)]
+        assert got[0][2] == threading.get_ident()
+        assert threading.get_ident() not in {ident for _, _, ident in got[1:]}
+
+    @pytest.mark.parametrize("failing", [0, 2], ids=["caller", "pool"])
+    def test_slice_exception_propagates(self, monkeypatch, failing):
+        def fn(lo, hi):
+            if lo == failing:
+                raise ValueError(f"slice at {lo}")
+            return lo
+
+        with pytest.raises(ValueError, match=f"^slice at {failing}$"):
+            self.map_slices(monkeypatch, 2, fn, 4)
+
+    def test_no_thread_started_at_one_blas_thread(self, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        got = self.map_slices(monkeypatch, 1, lambda lo, hi: (lo, hi, threading.get_ident()), 5)
+        assert got == [(0, 5, threading.get_ident())]
+        assert started == []
 
 
 def test_overlapping_entries_share_the_pin():

@@ -17,6 +17,7 @@ from dmduq.errors import (
 from dmduq.operator_moments import (
     CORRECTED,
     PAPER_LITERAL,
+    check_outliers,
     check_tables,
     dmd_point_estimate,
     OperatorMoments,
@@ -461,6 +462,28 @@ def construction_outcome(pinv, Y, variances, mode):
 
 def row_pass_alone():
     return mock.patch.object(operator_moments, "_certified", lambda *args: False)
+
+
+class TestCheckOutliers:
+    def test_variance_clamped_by_row_blocks(self, caplog):
+        # At m = 300 the check adds a third of a table (a clamped block, the iterates and the
+        # eigenvalues), where np.maximum's whole clamped copy took 1.14 tables.  The radius is
+        # still that of the whole clamped table.
+        m, rng = 300, np.random.default_rng(1)
+        first, variance = rng.standard_normal((m, m)) / m, rng.standard_normal((m, m))
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="dmduq.operator_moments"):
+                check_outliers(first, variance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8
+        radius = np.sqrt(np.abs(np.linalg.eigvals(np.maximum(variance, 0.0))).max())
+        largest = np.abs(np.linalg.eigvals(first)).max()
+        assert [r.getMessage() for r in caplog.records] == [
+            "no eigenvalue of the mean operator lies outside the noise bulk: bulk radius "
+            f"sqrt(rho(V)) = {radius:.4g}, largest mean |lambda| = {largest:.4g}"]
 
 
 class TestCertificate:

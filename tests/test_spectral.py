@@ -258,7 +258,8 @@ class TestSliceWorkersReentry:
         # Checking dense moment tables pins BLAS at one thread.  Inside slice_workers,
         # from the thread that entered it or from one of its workers, the check shares
         # the pin and returns; a plain lock there waited on itself for ever.  The call
-        # runs in a thread joined with a timeout, so a hang fails the test.
+        # runs in a thread joined with a timeout, so a hang fails the test.  Two slices: the
+        # entering thread runs the first, so the last runs on a worker at two BLAS threads.
         outcome = []
 
         def build(lo=0, hi=0):
@@ -268,7 +269,7 @@ class TestSliceWorkersReentry:
         def nested():
             try:
                 with numerics.slice_workers() as map_slices:
-                    outcome.extend(map_slices(build, 1) if from_worker else [build()])
+                    outcome.extend(map_slices(build, 2)[-1:] if from_worker else [build()])
             except Exception as exc:
                 outcome.append(repr(exc))
 
