@@ -24,11 +24,15 @@ and each block's power sums join one running accumulator pair: the bits do not
 depend on the thread count, and memory does not grow with the number of trials.
 Independent-mode draws pass through scratch cut by ``numerics.row_blocks``, runs
 of trials by columns, so a chunk holds neither its m n^2 draws nor its m x m
-operators.
+operators.  The operator's power sums are the run's only m x m tables: their
+centre, the point estimate, is formed a block of rows at a time as it is used,
+the sampling buffers go before the statistics, and the statistics are written
+over the sums they come from.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -38,7 +42,9 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, SingularGram
 from . import numerics
-from .numerics import product_eigenvalues, product_rows, row_blocks, slice_workers, spd_inverses
+from .numerics import (
+    RowTable, product_eigenvalues, product_rows, row_blocks, slice_workers, spd_inverses,
+)
 from .operator_moments import gram_inverse
 from .pinv_moments import _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, pulled_spectra
@@ -142,18 +148,20 @@ def _chunk_size(m: int, n: int) -> int:
 
 
 class _MomentAccumulator:
-    """Power sums of (value - shift) up to fourth order, per element."""
+    """Power sums of (value - centre) up to fourth order, per element.  The centre is a
+    ``numerics.RowTable``: its rows are read, at one BLAS thread, only as they are used."""
 
-    def __init__(self, shift: np.ndarray):
-        self.shift = shift
-        self.sums = np.zeros((4,) + shift.shape)
+    def __init__(self, centre: RowTable):
+        self.centre = centre
+        self.sums = np.zeros((4,) + centre.shape)
 
     def add_block(self, d: np.ndarray, lo: int) -> None:
         # ``d`` holds elements lo:lo + d.shape[1] of the first axis for each trial; each
         # is summed over the trials in order, so any split gives the same bits.
         # Overwrites ``d``.
         hi = lo + d.shape[1]
-        d -= self.shift[lo:hi]
+        with numerics._one_blas_thread():  # shares the pin of a caller that holds one
+            d -= self.centre.rows(lo, hi)
         d2 = d * d
         self.sums[0][lo:hi] += d.sum(axis=0)
         self.sums[1][lo:hi] += d2.sum(axis=0)
@@ -162,30 +170,30 @@ class _MomentAccumulator:
         d2 *= d2
         self.sums[3][lo:hi] += d2.sum(axis=0)
 
-    def statistics(self, count: int, raw_second: bool = True):
-        """``(mean, second_raw, variance, se_mean, se_second, se_variance)``; the second_raw
-        pair is None unless ``raw_second``.  Written in order, in blocks of an eighth of a
-        table row block, so the temporaries stay near 1 MB."""
-        mean, second_raw, var, se_mean, se_second, se_var = (
-            np.empty_like(self.shift) if raw_second or i not in (1, 4) else None for i in range(6)
-        )
-        for a, b in row_blocks(len(self.shift), 8 * self.shift[0].size):
-            c, sums = self.shift[a:b], self.sums[:, a:b]
-            s1, s2, s3, s4 = sums / count
-            mean[a:b] = c + s1
-            dvar = np.maximum((sums[1] - sums[0] ** 2 / count) / (count - 1), 0.0)
-            var[a:b], se_mean[a:b] = dvar, np.sqrt(dvar / count)
-            m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2) ** 2
-            se_var[a:b] = np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
-            del dvar, m4  # each block temporary goes after its last use, none into the next block
-            if raw_second:
-                second_raw[a:b] = c**2 + 2.0 * c * s1 + s2
-                # Var(x**2) for x = c + d, from the sums of d: no O(c**4) terms cancel.
-                var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
-                se_second[a:b] = np.sqrt(np.maximum(var_sq, 0.0) / count)
-                del var_sq
-            del s1, s2, s3, s4
-        return mean, second_raw, var, se_mean, se_second, se_var
+    def statistics(self, count: int, raw_second: bool = True) -> tuple:
+        """``(mean, second_raw, se_mean, se_second)``, or ``(mean, variance, se_mean,
+        se_variance)`` unless ``raw_second``: views of the four sums, which they overwrite,
+        so the accumulator is spent.  Written in blocks of an eighth of a table row block,
+        so the temporaries stay near 1 MB."""
+        with numerics._one_blas_thread():
+            for a, b in row_blocks(len(self.sums[0]), 8 * self.sums[0][0].size):
+                _block_statistics(self.centre.rows(a, b), self.sums[:, a:b], count, raw_second)
+        return tuple(self.sums)
+
+
+def _block_statistics(c: np.ndarray, sums: np.ndarray, count: int, raw_second: bool) -> None:
+    # Every output is formed from the block's sums before any of them is overwritten.
+    s1, s2, s3, s4 = sums / count
+    dvar = np.maximum((sums[1] - sums[0] ** 2 / count) / (count - 1), 0.0)
+    sums[0], sums[2] = c + s1, np.sqrt(dvar / count)
+    if raw_second:
+        sums[1] = c**2 + 2.0 * c * s1 + s2
+        # Var(x**2) for x = c + d, from the sums of d: no O(c**4) terms cancel.
+        var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
+        sums[3] = np.sqrt(np.maximum(var_sq, 0.0) / count)
+    else:
+        m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2) ** 2
+        sums[1], sums[3] = dvar, np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)
 
 
 def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = None,
@@ -200,11 +208,47 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         numerics.check_table_size(size, f"{config.trials} trials of {m} eigenvalues (turn "
                                   f"mc.compute_eigenvalues off to keep none) ask for {size}")
 
+    with numerics._one_blas_thread():
+        pinv_point = (gram_inverse(X, ridge) @ X).T  # (m, n)
+    # The operator's centre pinv_point @ Y is never formed whole: its rows are made as used.
+    pinv_acc = _MomentAccumulator(RowTable((m, n), lambda a, b, out=None: pinv_point[a:b]))
+    op_acc = _MomentAccumulator(RowTable((m, m), functools.partial(product_rows, pinv_point, Y)))
+    eigen = np.empty((config.trials, m), dtype=complex) if config.compute_eigenvalues else None
+    kept = _add_trials(snapshots, noise, config, ridge, pinv_acc, op_acc, eigen)
+
+    failed_count = config.trials - kept
+    if failed_count > _FAILURE_FRACTION * config.trials:
+        raise SingularGram(f"{failed_count} of {config.trials} trials failed (> "
+                           f"{_FAILURE_FRACTION:.0%}): their Gram matrix has no Cholesky factor")
+    if failed_count:
+        logger.warning("%d of %d trials had singular Gram matrices", failed_count, config.trials)
+    p_mean, p_second, p_se_mean, p_se_second = pinv_acc.statistics(kept)
+    o_mean, o_var, o_se_mean, o_se_var = op_acc.statistics(kept, raw_second=False)
+
+    return McSummary(
+        pinv_mean=p_mean,
+        pinv_second_raw=p_second,
+        operator_mean=o_mean,
+        operator_variance=o_var,
+        standard_errors=McStandardErrors(p_se_mean, p_se_second, o_se_mean, o_se_var),
+        eigen_samples=None if eigen is None else eigen[:kept],
+        trials=config.trials,
+        failed_trials=failed_count,
+        sampling_mode=config.sampling_mode,
+        master_seed=config.master_seed,
+    )
+
+
+def _add_trials(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig, ridge: float,
+                pinv_acc: _MomentAccumulator, op_acc: _MomentAccumulator,
+                eigen: np.ndarray | None) -> int:
+    """Draw the trials chunk by chunk, add their power sums to ``pinv_acc`` and ``op_acc`` and
+    their spectra to the first rows of ``eigen`` (when given); return how many were kept.
+    The sampling buffers are its own, so they go before the statistics are written."""
+    X, Y = snapshots.states, snapshots.shifted
+    n, m = X.shape
     sigma_L = noise.covariance_factor
     y_std = np.sqrt(noise.variances)
-
-    pinv_point = (gram_inverse(X, ridge) @ X).T  # (m, n)
-    operator_point = pinv_point @ Y
 
     n_trials = config.trials
     chunk = min(_chunk_size(m, n), n_trials)
@@ -214,11 +258,11 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         r_stack, singular = gram_complement_inverses(X, ridge, np.arange(m))
         if singular:
             raise singular[0][1]
-        # Scratch blocks: runs of trials by their m n (n + 1) draws, times columns t by their
-        # n^2 (Y after the last).  A run holds several trials only if a trial fits the budget,
-        # and then its m n^2 column draws do too: a trial spanning several column blocks is a
-        # run of its own, and its stream goes on from each block to the next.
-        col_blocks = row_blocks(m, n * n)
+        # Scratch blocks: runs of trials by their m n (n + 1) draws, times columns t by the
+        # 2 n^2 that z and x hold of each (Y after the last).  A run holds several trials only
+        # if a trial fits the budget, and then its columns do too: a trial spanning several
+        # column blocks is a run of its own, and its stream goes on from each block to the next.
+        col_blocks = row_blocks(m, 2 * n * n)
         cols = max(t1 - t0 for t0, t1 in col_blocks)
     else:
         z_buf = np.empty((chunk, n, m + 1))
@@ -263,8 +307,6 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
         np.matmul(x_t.transpose(0, 2, 1), inverses, out=pinv_buf[lo:hi])
         return positive
 
-    pinv_acc, op_acc = _MomentAccumulator(pinv_point), _MomentAccumulator(operator_point)
-    eigen = np.empty((n_trials, m), dtype=complex) if config.compute_eigenvalues else None
     kept = 0  # trials kept so far: the rows of eigen filled
     with slice_workers() as map_slices:  # one pool and one BLAS pin for every chunk
         for start in range(0, n_trials, chunk):
@@ -281,30 +323,10 @@ def run_mc(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig | None = 
                 op_acc.add_block(product_rows(pinv_tables, y_draws, a, b), a)
                 pinv_acc.add_block(pinv_tables[:, a:b], a)  # last: it overwrites the tables
 
-            blocks = row_blocks(m, len(pinv_tables) * m)
+            # A block's operator rows d and their squares d2 are its two temporaries.
+            blocks = row_blocks(m, 2 * len(pinv_tables) * m)
             map_slices(lambda lo, hi: [add_rows(a, b) for a, b in blocks[lo:hi]], len(blocks))
-
-    failed_count = n_trials - kept
-    if failed_count > _FAILURE_FRACTION * n_trials:
-        raise SingularGram(f"{failed_count} of {n_trials} trials failed (> "
-                           f"{_FAILURE_FRACTION:.0%}): their Gram matrix has no Cholesky factor")
-    if failed_count:
-        logger.warning("%d of %d trials had singular Gram matrices", failed_count, n_trials)
-    p_mean, p_second, _, p_se_mean, p_se_second, _ = pinv_acc.statistics(kept)
-    o_mean, _, o_var, o_se_mean, _, o_se_var = op_acc.statistics(kept, False)
-
-    return McSummary(
-        pinv_mean=p_mean,
-        pinv_second_raw=p_second,
-        operator_mean=o_mean,
-        operator_variance=o_var,
-        standard_errors=McStandardErrors(p_se_mean, p_se_second, o_se_mean, o_se_var),
-        eigen_samples=None if eigen is None else eigen[:kept],
-        trials=n_trials,
-        failed_trials=failed_count,
-        sampling_mode=config.sampling_mode,
-        master_seed=config.master_seed,
-    )
+    return kept
 
 
 def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,

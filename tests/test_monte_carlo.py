@@ -446,38 +446,39 @@ class TestRunMcWorkers:
                 assert np.array_equal(a, b)
 
     def test_statistics_blocks_match_whole_tables(self, monkeypatch):
-        # The element-wise formulas on whole tables are the reference.
+        # The element-wise formulas on whole tables are the reference.  statistics() writes
+        # over the sums, so each return has an accumulator of its own.
         rng = np.random.default_rng(8)
-        shift = np.asfortranarray(rng.standard_normal((9, 5)))
-        acc = monte_carlo._MomentAccumulator(shift)
-        values = shift + 0.1 * rng.standard_normal((6, 9, 5))
-        acc.add_block(values, 0)
-        count, c = 6, shift
-        s1, s2, s3, s4 = (s / count for s in acc.sums)
-        dvar = np.maximum((acc.sums[1] - acc.sums[0] ** 2 / count) / (count - 1), 0.0)
-        second_raw = c**2 + 2.0 * c * s1 + s2
+        c = np.asfortranarray(rng.standard_normal((9, 5)))
+        values = c + 0.1 * rng.standard_normal((6, 9, 5))
+        accs = {raw_second: _accumulator(c) for raw_second in (True, False)}
+        for acc in accs.values():
+            acc.add_block(values.copy(), 0)
+        count, sums = 6, accs[True].sums.copy()
+        s1, s2, s3, s4 = (s / count for s in sums)
+        dvar = np.maximum((sums[1] - sums[0] ** 2 / count) / (count - 1), 0.0)
         var_sq = 4.0 * c**2 * (s2 - s1**2) + 4.0 * c * (s3 - s1 * s2) + (s4 - s2**2)
         m4 = s4 - 4.0 * s1 * s3 + 6.0 * s1**2 * s2 - 3.0 * (s1**2) ** 2
-        want = (
-            c + s1, second_raw, dvar, np.sqrt(dvar / count),
-            np.sqrt(np.maximum(var_sq, 0.0) / count),
-            np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count),
-        )
+        want = {
+            True: (c + s1, c**2 + 2.0 * c * s1 + s2, np.sqrt(dvar / count),
+                   np.sqrt(np.maximum(var_sq, 0.0) / count)),
+            False: (c + s1, dvar, np.sqrt(dvar / count),
+                    np.sqrt(np.maximum(m4 - dvar**2, 0.0) / count)),
+        }
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 8 * 32 * 2 * 5)  # blocks of 2 rows
         forbid_worker_threads(monkeypatch)  # the blocks run in order in this thread
-        got = acc.statistics(count)
-        some = acc.statistics(count, raw_second=False)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        assert some[1] is None and some[4] is None
-        for i in (0, 2, 3, 5):
-            assert np.array_equal(some[i], want[i])
+        for raw_second, acc in accs.items():
+            got = acc.statistics(count, raw_second)
+            assert len(got) == 4
+            for table, a, b in zip(acc.sums, got, want[raw_second]):
+                assert np.shares_memory(a, table)  # written over the spent sums
+                assert np.array_equal(a, b)
 
     @staticmethod
     def _se_second(values, centre):
-        acc = monte_carlo._MomentAccumulator(np.full((1, 1), centre))
+        acc = _accumulator(np.full((1, 1), centre))
         acc.add_block(values.copy(), 0)
-        return acc.statistics(len(values))[4][0, 0]
+        return acc.statistics(len(values))[3][0, 0]
 
     def test_se_second_against_exact_arithmetic(self):
         # x = c + d with c = 1e3 and d ~ N(0, 1e-6): Var(x**2) is about 4e-6 * c**2, while
@@ -497,22 +498,21 @@ class TestRunMcWorkers:
 
     @pytest.mark.parametrize("raw_second", [True, False])
     def test_statistics_memory(self, monkeypatch, raw_second):
-        # Beyond its output tables, statistics() holds the temporaries of one
-        # block of 4 rows; on whole tables they were about a dozen tables.
+        # statistics() writes its tables over the sums, so it holds only the temporaries
+        # of one block of 4 rows; on whole tables they were about a dozen tables.
         m, rows = 200, 4
         rng = np.random.default_rng(1)
-        acc = monte_carlo._MomentAccumulator(rng.standard_normal((m, m)))
+        acc = _accumulator(rng.standard_normal((m, m)))
         acc.add_block(rng.standard_normal((3, m, m)), 0)
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 8 * 32 * rows * m)
-        table_bytes, block_bytes = m * m * 8, rows * m * 8
+        block_bytes = rows * m * 8
         tracemalloc.start()
         try:
             acc.statistics(3, raw_second)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        tables = 6 if raw_second else 4
-        assert peak < tables * table_bytes + 16 * block_bytes
+        assert peak < 16 * block_bytes
 
     @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
     def test_negative_ridge_rejected(self, toy_system, mode):
@@ -523,6 +523,12 @@ class TestRunMcWorkers:
             dmd_point_estimate(snaps, ridge=-1.0)
 
 
+def _accumulator(centre):
+    """A ``_MomentAccumulator`` about a centre held whole, its rows read as slices."""
+    return monte_carlo._MomentAccumulator(
+        numerics.RowTable(centre.shape, lambda a, b, out=None: centre[a:b]))
+
+
 def _whole_chunk_reference(snaps, noise, cfg):
     """``_summary_arrays`` of run_mc from whole-chunk formulas: each chunk's draws
     held at once (one draw call per trial), its power sums added as whole tables.
@@ -531,7 +537,7 @@ def _whole_chunk_reference(snaps, noise, cfg):
     n, m = X.shape
     sigma_l, y_std = noise.covariance_factor, np.sqrt(noise.variances)
     pinv_point = (gram_inverse(X, 0.0) @ X).T
-    accs = [monte_carlo._MomentAccumulator(c) for c in (pinv_point, pinv_point @ Y)]
+    accs = [_accumulator(c) for c in (pinv_point, pinv_point @ Y)]
     r_stack = gram_complement_inverses(X, 0.0, np.arange(m))[0]
     chunk, eig, failed = min(_chunk_size(m, n), cfg.trials), [], 0
     for start in range(0, cfg.trials, chunk):
@@ -556,8 +562,8 @@ def _whole_chunk_reference(snaps, noise, cfg):
         accs[0].add_block(pinv, 0)
         accs[1].add_block(operators, 0)
 
-    p_mean, p_second, _, p_se_mean, p_se_second, _ = accs[0].statistics(cfg.trials - failed)
-    o_mean, _, o_var, o_se_mean, _, o_se_var = accs[1].statistics(cfg.trials - failed, False)
+    p_mean, p_second, p_se_mean, p_se_second = accs[0].statistics(cfg.trials - failed)
+    o_mean, o_var, o_se_mean, o_se_var = accs[1].statistics(cfg.trials - failed, False)
     return [p_mean, p_second, o_mean, o_var, p_se_mean, p_se_second, o_se_mean, o_se_var,
             np.vstack(eig)]
 
@@ -660,6 +666,24 @@ class TestRunMcBlocks:
         finally:
             tracemalloc.stop()
         assert peak < operators_bytes / 3
+
+    @pytest.mark.parametrize("mode", [INDEPENDENT, SHARED_TRAJECTORY])
+    def test_power_sums_are_the_only_tables(self, monkeypatch, mode):
+        # m = 600, n = 2: the operator's four power sums are the run's only m x m tables.
+        # Its centre is made by row blocks, the sampling buffers go before the statistics,
+        # and the statistics are written over the sums: 9.5 tables when each was whole.
+        monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(2))
+        rng = np.random.default_rng(4)
+        n, m = 2, 600
+        snaps = snapshots_from_trajectory_matrix(rng.standard_normal((n, m + 1)))
+        noise = NoiseModel(variances=np.full(n, 1e-4))
+        tracemalloc.start()
+        try:
+            run_mc(snaps, noise, McConfig(trials=20, master_seed=2, sampling_mode=mode))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * m * m * 8
 
 
 class TestSampleOperatorInstances:
