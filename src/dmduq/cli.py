@@ -1,13 +1,13 @@
 """Command-line pipeline: simulate, fit noise, estimate moments, verify, report.
 
-Commands are single deterministic processes: identical inputs, config, and
-seeds produce byte-identical outputs.  Structured results are JSON with
-floats printed at a fixed number of significant digits (17 by default,
-lossless for doubles); trajectories and density curves are CSV.  ``compare`` and
-``spectrum`` read their JSON inputs a text block at a time: each table they use is
-decoded row by row into one float array, a block of rows at a time, and every other
-value is checked as ``json.load`` checks it and dropped.  Errors are emitted as
-machine-readable JSON on stderr with a nonzero exit code.
+Commands are single deterministic processes: identical inputs, config, and seeds produce
+byte-identical outputs.  Structured results are JSON with floats printed at a fixed number of
+significant digits (17 by default, lossless for doubles); trajectories and density curves are
+CSV, all written a block of rows at a time.  ``compare`` and ``spectrum`` read their JSON inputs
+in one walk, a text block at a time: each table they use is made float arrays a block of rows at
+a time, joined once, and every other value is checked as ``json.load`` checks it and dropped.
+``moments``, ``mc`` and ``pipeline`` warn on stderr when the recording is not the noisy linear
+map the moments assume.  Errors are emitted as machine-readable JSON on stderr, exit code 1.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from .errors import ConfigError, DegenerateData, DmduqError, ParseError, ShapeMi
 from .metrics import compare, decimate, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
 from .numerics import RowTable
-from .operator_moments import (
-    VARIANCE_MODES, check_outliers, check_tables, dmd_point_estimate, estimate_operator_moments,
-)
+from .operator_moments import VARIANCE_MODES, check_outliers, check_residual, check_tables
+from .operator_moments import dmd_point_estimate, estimate_operator_moments
 from .pinv_moments import pinv_moments
-from .spectral import eigen_moments, kde2d
+from .spectral import check_kde_size, check_spectra_size, eigen_moments, kde2d
 from .systems import (
     SpringMassParams,
     random_network_params,
@@ -58,10 +57,13 @@ _COMPARED = (
 
 def _emit(write, node, precision: int) -> None:
     """The JSON text of ``node``, piece by piece to ``write``, in deterministic key order and
-    float format; 1-D and 2-D float arrays and ``RowTable`` values go by :func:`_emit_floats`."""
+    float format; a non-empty 1-D or 2-D float array or ``RowTable`` by :func:`format_blocks`."""
     if isinstance(node, RowTable) or (isinstance(node, np.ndarray) and node.dtype.kind == "f"
                                     and node.ndim in (1, 2) and node.size):
-        _emit_floats(write, node, precision)
+        write("[" * len(node.shape))
+        for k, rows in enumerate(format_blocks(node, precision)):
+            write(("],[" if k else "") + "],[".join(rows))
+        write("]" * len(node.shape))
     elif isinstance(node, np.ndarray):
         _emit(write, node.tolist(), precision)
     elif isinstance(node, dict):
@@ -86,16 +88,6 @@ def _emit(write, node, precision: int) -> None:
         raise ConfigError(f"cannot serialize {type(node).__name__} to JSON")
 
 
-def _emit_floats(write, array, precision: int) -> None:
-    """Nested lists of a non-empty 1-D or 2-D float array, or of a ``RowTable`` by its row
-    blocks, written per :func:`format_blocks` block: no more than one block's text is held."""
-    blocks = array.blocks() if isinstance(array, RowTable) else [np.atleast_2d(array)]
-    write("[" * len(array.shape))
-    for k, rows in enumerate(rows for block in blocks for rows in format_blocks(block, precision)):
-        write(("],[" if k else "") + "],[".join(rows))
-    write("]" * len(array.shape))
-
-
 def dumps_json(obj, precision: int = 17) -> str:
     """``obj`` as JSON text, with deterministic key order and float format."""
     text = io.StringIO()
@@ -118,11 +110,19 @@ _CLOSE = {"[": "]", "{": "}"}
 _DECODER = json.JSONDecoder()
 
 
+def _float_rows(rows: list) -> np.ndarray:
+    """``np.array(rows, dtype=float)``, or an empty array for a string or ragged rows."""
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        return np.empty(0)
+
+
 class _JsonReader:
     """The JSON text of ``handle``, read a text block at a time and checked as
     ``json.load`` checks it.  Each value is decoded by json's C scanner once the text at
-    hand holds all of it; an object, or an array of arrays or objects, can instead be
-    walked element by element, so no more than one such element is decoded at once."""
+    hand holds all of it, or walked by :meth:`value` an element at a time, so no more than
+    one element of an array is decoded at once."""
 
     def __init__(self, handle, path):
         self.handle, self.path = handle, path
@@ -191,66 +191,35 @@ class _JsonReader:
             if self.expect("," + close) == close:
                 return
 
-    def _nested(self) -> bool:
-        """Whether the array at ``pos`` starts with an array or an object."""
-        while True:
-            after = _SPACE.match(self.text, self.pos + 1).end()
-            if after < len(self.text) or not self._more():
-                return self.text[after : after + 1] in ("[", "{")
-
-    def skip(self) -> None:
-        """Check the next value and drop it: an object, or an array of arrays or objects,
-        element by element; any other value decoded whole."""
-        opening = self.peek()
-        if opening == "{" or opening == "[" and self._nested():
-            self.pos += 1
-            for _ in self.elements(_CLOSE[opening]):
-                self.skip()
-        else:
+    def value(self, keep: bool = False) -> np.ndarray:
+        """Check the next value and drop it: an object member by member, an array element by
+        element (each decoded whole), any other value decoded whole.  With ``keep``, return
+        it as ``np.array(value, dtype=float)`` makes it when that is 2-D, else an empty
+        array (a string, a ragged table) whose rest is still checked; its rows are made
+        float arrays about 1 MB of Python floats (32 bytes each with their list slot) at a
+        time, joined once at the end."""
+        opening, blocks, rows = self.peek(), [], []
+        if opening not in _CLOSE:
             self.decode()
-
-    def row_blocks(self):
-        """The elements of the array just opened, each decoded whole, in one list refilled
-        with about 1 MB of Python floats (32 bytes each with their list slot) at a time."""
-        rows = []
-        for _ in self.elements("]"):
-            rows.append(self.decode())
-            width = len(rows[0]) if isinstance(rows[0], list) else 1
-            if 4 * len(rows) * max(1, width) >= numerics._CHUNK_SCALARS // 32:
-                yield rows
-                rows.clear()  # so one block of Python floats is held at a time
-        if rows:
-            yield rows
-
-    def table(self) -> np.ndarray:
-        """The next value as a 2-D float array, as ``np.array(value, dtype=float)`` makes it,
-        or an empty array when it is no such table (a string, a ragged table).  Each row block
-        is copied into one array, preallocated as square and grown when full."""
-        if self.peek() != "[":
-            self.skip()
             return np.empty(0)
         self.pos += 1
-        table, count, blocks = None, 0, self.row_blocks()
-        for rows in blocks:
-            try:
-                block = np.array(rows, dtype=float)
-            except (TypeError, ValueError):  # a string, or ragged rows
-                block = np.empty(0)
-            if block.ndim != 2 or table is not None and block.shape[1] != table.shape[1]:
-                for _ in blocks:  # the rest is only checked
-                    pass
-                return np.empty(0)
-            if table is None:
-                table = np.empty((max(len(block), block.shape[1]), block.shape[1]))
-            elif count + len(block) > len(table):
-                table.resize((max(count + len(block), 2 * len(table)), table.shape[1]),
-                             refcheck=False)
-            table[count : count + len(block)] = block
-            count += len(block)
-        if table is None:  # an empty array, as np.array([]) is 1-D
+        for _ in self.elements(_CLOSE[opening]):
+            if opening == "{":
+                self.value()
+            elif keep:
+                rows.append(self.decode())
+                width = len(rows[0]) if isinstance(rows[0], list) else 1
+                if 4 * len(rows) * max(1, width) >= numerics._CHUNK_SCALARS // 32:
+                    blocks.append(_float_rows(rows))
+                    rows = []  # so one block of Python floats is held at a time
+            else:
+                self.decode()
+        if rows:
+            blocks.append(_float_rows(rows))
+        # No rows (np.array([]) is 1-D), rows of a string, ragged rows or not all 2-D.
+        if not blocks or blocks[0].ndim != 2 or len({block.shape[1:] for block in blocks}) > 1:
             return np.empty(0)
-        table.resize((count, table.shape[1]), refcheck=False)
-        return table
+        return np.concatenate(blocks)
 
     def finish(self) -> None:
         if self.peek():
@@ -259,7 +228,7 @@ class _JsonReader:
 
 def _load_json(path, tables, keys):
     """The JSON value in ``path``, read a text block at a time.  Of an object, only the
-    members named in ``tables`` (each as :meth:`_JsonReader.table` makes it) and ``keys`` are
+    members named in ``tables`` (each as :meth:`_JsonReader.value` keeps it) and ``keys`` are
     kept; an array is returned empty.  Every value is checked as ``json.load`` checks it, and
     a repeated key keeps its last value."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -271,13 +240,13 @@ def _load_json(path, tables, keys):
                 value = {}
                 for key in reader.elements("}"):
                     if key in tables:
-                        value[key] = reader.table()
+                        value[key] = reader.value(keep=True)
                     elif key in keys:
                         value[key] = reader.decode()
                     else:
-                        reader.skip()
+                        reader.value()
             elif first == "[":
-                reader.skip()
+                reader.value()
                 value = []
             else:
                 value = reader.decode()
@@ -413,9 +382,9 @@ def cmd_simulate(args) -> int:
 def cmd_table(args) -> int:
     """``moments`` and ``mc``: one payload from a recording, written as JSON."""
     cfg, snapshots, noise = _recording_inputs(args)
-    payload = args.payload(snapshots, noise, cfg)
-    _write_json(args.out, payload, cfg.output_precision)
+    _write_json(args.out, args.payload(snapshots, noise, cfg), cfg.output_precision)
     print(f"wrote {args.out}")
+    check_residual(snapshots, noise, cfg.ridge)
     return 0
 
 
@@ -505,6 +474,8 @@ def cmd_spectrum(args) -> int:
             raise ShapeMismatch(f"{args.moments}: {key!r} is {data[key].shape}, not m x m as both")
     if mode not in VARIANCE_MODES:
         raise ShapeMismatch(f"{args.moments}: 'variance_mode' {mode!r} is not in {VARIANCE_MODES}")
+    check_spectra_size(args.samples, m)  # before kde2d's bound, which --samples also sizes
+    check_kde_size(cfg.kde.grid_points, cfg.kde.grid_points, args.samples)
     check_tables(data[keys[0]], data[keys[1]], mode)
     check_outliers(data[keys[0]], data[keys[1]])
     clamped = int(np.count_nonzero(data[keys[1]] < 0))
@@ -550,6 +521,7 @@ def cmd_pipeline(args) -> int:
     report = _report_payload(moments_payload, mc_payload, cfg.decimate_stride)
     _write_json(out_dir / "report.json", report, cfg.output_precision)
     print(f"wrote {out_dir / 'moments.json'}, {out_dir / 'mc.json'}, {out_dir / 'report.json'}")
+    check_residual(snapshots, noise, cfg.ridge)
     return 0
 
 

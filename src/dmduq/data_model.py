@@ -245,12 +245,13 @@ def format_rows(table: np.ndarray, precision: int = 17) -> list[str]:
     return [fmt % tuple(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
 
 
-def format_blocks(rows: np.ndarray, precision: int = 17):
-    """:func:`format_rows` of a 2-D float array, yielded as lists of row texts per
-    :func:`numerics.row_blocks` block at width ``16 * width`` (a value's text and
-    temporaries), so no whole table's text is held."""
-    for a, b in row_blocks(len(rows), 16 * rows.shape[1]):
-        yield format_rows(rows[a:b], precision)
+def format_blocks(table, precision: int = 17):
+    """:func:`format_rows` of a float array (1-D as one row) or of a ``RowTable`` by its row
+    blocks, yielded as lists of row texts per :func:`numerics.row_blocks` block at width
+    ``16 * width`` (a value's text and temporaries), so no whole table's text is held."""
+    for block in table.blocks() if isinstance(table, RowTable) else [np.atleast_2d(table)]:
+        for a, b in row_blocks(len(block), 16 * block.shape[1]):
+            yield format_rows(block[a:b], precision)
 
 
 @contextmanager
@@ -274,19 +275,15 @@ def write_csv(
     path, header: list[str], table, precision: int = 17, index: bool = False
 ) -> None:
     """Write a header line, then one :func:`format_rows` line per row of ``table`` (a float
-    array, or a ``RowTable`` read by its row blocks), by :func:`format_blocks` blocks, into a
-    file that replaces ``path`` when complete.
+    array or a ``RowTable``), by :func:`format_blocks` blocks, into a file that replaces
+    ``path`` when complete.
 
     With ``index`` every row starts with its 0-based row number.
     """
-    if isinstance(table, RowTable):
-        blocks = table.blocks()
-    else:
-        blocks = [np.atleast_2d(np.asarray(table, dtype=float))]
     with replacing(path) as handle:
         handle.write(",".join(header) + "\n")
         done = 0
-        for rows in (rows for block in blocks for rows in format_blocks(block, precision)):
+        for rows in format_blocks(table, precision):
             if index:
                 rows = [f"{i},{row}" for i, row in enumerate(rows, done)]
                 done += len(rows)

@@ -50,6 +50,7 @@ logger = logging.getLogger(__name__)
 PAPER_LITERAL = "paper_literal"
 CORRECTED = "corrected"
 VARIANCE_MODES = (PAPER_LITERAL, CORRECTED)
+MODEL_ERROR_RATIO = 10  # check_residual's rho on a recording the model fits is about 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +202,26 @@ def check_outliers(first: np.ndarray, variance: np.ndarray) -> None:
     if largest <= radius:
         logger.warning("no eigenvalue of the mean operator lies outside the noise bulk: bulk "
                        "radius sqrt(rho(V)) = %.4g, largest mean |lambda| = %.4g", radius, largest)
+
+
+def check_residual(snapshots: SnapshotSet, noise: NoiseModel, ridge: float = 0.0) -> None:
+    """Warn when a state's ``rho_i = |r_i|^2 / (var_i (m - n) (1 + |F_i|^2))``, about 1 on a
+    noisy recording of a linear map, is above MODEL_ERROR_RATIO: ``r = Y - F X`` is the
+    residual of the n x n fit ``F = Y X.T inv(X X.T + ridge I)`` and ``var`` the noise
+    variances (of a full covariance, its diagonal).  O(n^2 m) at one BLAS thread; none if m <= n."""
+    X, Y = snapshots.states, snapshots.shifted
+    n, m = X.shape
+    if m <= n:
+        return
+    with _one_blas_thread():
+        fit = Y @ X.T @ gram_inverse(X, ridge)
+        residual = Y - fit @ X
+    rho = (residual**2).sum(axis=1) / (noise.variances * (m - n) * (1 + (fit**2).sum(axis=1)))
+    worst = int(np.argmax(rho))
+    if rho[worst] > MODEL_ERROR_RATIO:
+        logger.warning("model error: state %s has a one-step residual rho = %.4g times what "
+                       "noise explains (threshold %g); the moments describe measurement noise "
+                       "only", snapshots.state_names[worst], rho[worst], MODEL_ERROR_RATIO)
 
 
 def gram_inverse(X: np.ndarray, ridge: float) -> np.ndarray:

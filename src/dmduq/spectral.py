@@ -59,6 +59,12 @@ class Kde2d:
 _EIGVALS_ROWS = 1000
 
 
+def check_spectra_size(count: int, m: int) -> None:
+    """ConfigError when :func:`pulled_spectra`'s ``count`` x m eigenvalues pass the size bound."""
+    size = 2 * count * m  # complex: 2 floats each
+    numerics.check_table_size(size, f"{count} samples of {m} eigenvalues ask for {size}")
+
+
 def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
     """Sorted spectra of ``count`` m x m instances across the slices of ``slice_workers`` (the
     calling thread and its pool), each taking the next batch ``take(start, stop)`` under a
@@ -66,8 +72,7 @@ def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
     about a table row block, and at least ``_EIGVALS_ROWS`` rows.  Failures name the instance
     by its position; after one no batch is taken, those taken finish, and the lowest
     instance's is raised."""
-    size = 2 * count * m  # complex: 2 floats each
-    numerics.check_table_size(size, f"{count} samples of {m} eigenvalues ask for {size}")
+    check_spectra_size(count, m)
     # Not numerics.row_blocks: a batch has the _EIGVALS_ROWS floor, however small the budget.
     batch = max(numerics._CHUNK_SCALARS // 32 // (m * m), -(-_EIGVALS_ROWS // m))
     lock, starts, failures = threading.Lock(), iter(range(0, count, batch)), []
@@ -152,6 +157,13 @@ def _axis_kernel(
     return h, grid, np.exp(kernel, out=kernel)
 
 
+def check_kde_size(gx: int, gy: int, samples: int) -> None:
+    """ConfigError when :func:`kde2d`'s density or an axis's kernels pass the size bound."""
+    size = max(gx * gy, max(gx, gy) * samples)
+    numerics.check_table_size(size, f"a {gx} x {gy} grid over {samples} samples "
+                              f"asks for {size} density or kernel")
+
+
 def kde2d(
     values_re: np.ndarray,
     values_im: np.ndarray,
@@ -164,9 +176,7 @@ def kde2d(
     if np.size(values_re) != np.size(values_im):
         raise DimensionMismatch("real and imaginary sample counts differ")
     gx, gy = (grid_points if grid is None else np.size(grid) for grid in (grid_re, grid_im))
-    size = max(gx * gy, max(gx, gy) * np.size(values_re))  # the density or an axis's kernels
-    numerics.check_table_size(size, f"a {gx} x {gy} grid over {np.size(values_re)} samples "
-                              f"asks for {size} density or kernel")
+    check_kde_size(gx, gy, np.size(values_re))
     bw_re, bw_im = (None, None) if bandwidths is None else bandwidths
     hx, grid_re, ex = _axis_kernel(values_re, bw_re, grid_points, grid_re)
     hy, grid_im, ey = _axis_kernel(values_im, bw_im, grid_points, grid_im)

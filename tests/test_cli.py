@@ -161,7 +161,7 @@ class TestPayloadReader:
     @pytest.mark.parametrize("row_values", [3, None], ids=["row_per_block", "budget"])
     def test_reads_as_json_load(self, payloads, monkeypatch, text_block, row_values):
         # Block edges fall inside numbers, strings, keys and rows; row blocks of one row
-        # grow the preallocated tables.  None: the default size.
+        # are joined into each table.  None: the default size.
         if text_block:
             monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
         if row_values:
@@ -196,6 +196,26 @@ class TestPayloadReader:
             path.write_text(text)
             with pytest.raises(ParseError, match="not valid JSON"):
                 cli._read_payload(path, EDGE_TABLES)
+
+    @pytest.mark.parametrize("text_block", [1, 3, None])
+    def test_bad_token_in_a_dropped_member_is_parse_error(self, tmp_path, monkeypatch,
+                                                          text_block):
+        # What is dropped is checked as what is kept: a bad token in a dropped table, two
+        # objects down, in a dropped 3-D array or in a kept table is a parse error, before
+        # the shape error of the string table "empty" (and of a missing table).
+        if text_block:
+            monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
+        sites = ['"dropped": [[1, 2], [3, {bad}]]',
+                 '"standard_errors": {{"pinv_mean": [[0.5]], "operator_mean": [[1], [{bad}]]}}',
+                 '"cube": [[[1, 2]], [[3, {bad}]]]',
+                 '"operator_first": [[1, 2], [3, {bad}]]']
+        path = tmp_path / "bad.json"
+        for site in sites:
+            for bad in ("2x", "tru", "[1,,2]", '"unclosed'):
+                path.write_text('{"schema_version": "1.0", ' + site.format(bad=bad)
+                                + ', "empty": "text"}')
+                with pytest.raises(ParseError, match="not valid JSON"):
+                    cli._read_payload(path, ["operator_first", "empty"])
 
     def test_truncated_output_is_parse_error_from_compare(self, payloads, tmp_path, capsys):
         text = (tmp_path / "moments.json").read_text()
@@ -722,14 +742,19 @@ class TestSpectrum:
 
     def test_no_warning_on_the_readme_spring_mass_tables(self, tmp_path):
         # Bulk radius 3.2e-5 against |lambda| = 1.0: the outliers stand clear of the bulk.
+        # moments warns of model error instead: gravity's offset is no linear map of x.
+        model_error = ("model error: state x2 has a one-step residual rho = 4.153e+04 times "
+                       "what noise explains (threshold 10); the moments describe measurement "
+                       "noise only\n")
         steps = [
-            ["simulate", "spring-mass", "--duration", "20", "--dt", "0.05", "--out", "t.csv"],
-            ["moments", "t.csv", "--noise-variances", "1e-6,1e-6", "--out", "m.json"],
-            ["spectrum", "m.json", "--samples", "6", "--seed", "7", "--out", "k.csv"],
+            (["simulate", "spring-mass", "--duration", "20", "--dt", "0.05", "--out", "t.csv"], ""),
+            (["moments", "t.csv", "--noise-variances", "1e-6,1e-6", "--out", "m.json"],
+             model_error),
+            (["spectrum", "m.json", "--samples", "6", "--seed", "7", "--out", "k.csv"], ""),
         ]
-        for args in steps:
+        for args, stderr in steps:
             proc = run_cli(args, cwd=tmp_path)
-            assert (proc.returncode, proc.stderr) == (0, "")
+            assert (proc.returncode, proc.stderr) == (0, stderr)
 
     def test_deterministic(self, small_csv, config_path, tmp_path):
         moments = tmp_path / "moments.json"
@@ -861,6 +886,22 @@ class TestSpectrum:
 
 
 class TestPipeline:
+    def test_model_error_warned_once_after_the_outputs(self, small_csv, tmp_path):
+        # mc and pipeline warn as moments does, once, after their files are written; a
+        # command that fails writes its JSON error record alone.
+        (tmp_path / "cfg.json").write_text(json.dumps({"mc": {"trials": 20}}))
+        (tmp_path / "big.json").write_text(json.dumps({"mc": {"trials": 10**9}}))
+        common = [str(small_csv), "--noise-variances", "1e-8,1e-8"]
+        for args in (["mc", *common, "--config", "cfg.json", "--out", "mc.json"],
+                     ["pipeline", *common, "--config", "cfg.json", "--out-dir", "run"]):
+            proc = run_cli(args, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.startswith("model error: state x2 has a one-step residual")
+            assert proc.stderr.count("\n") == 1
+        proc = run_cli(["mc", *common, "--config", "big.json", "--out", "big_mc.json"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1 and stderr_error_code(proc) == "config_error"
+
     def test_writes_three_files(self, small_csv, config_path, tmp_path):
         out_dir = tmp_path / "run"
         code = main(
@@ -1166,9 +1207,12 @@ class TestMalformedInput:
         ("mc", [], {"mc": {"trials": 1000000000}}, "1000000000 trials of 20 eigenvalues"),
         ("spectrum", [], {"kde": {"grid_points": 100000}}, "a 100000 x 100000 grid"),
     ], ids=["spectrum-samples", "mc-trials", "kde-grid-points"])
-    def test_oversized_count(self, outputs, small_csv, tmp_path, capsys, command, flags, config,
-                             asked):
-        # A traceback from a multi-GiB np.empty before these tables were bounded.
+    def test_oversized_count(self, outputs, small_csv, tmp_path, capsys, monkeypatch, command,
+                             flags, config, asked):
+        # A traceback from a multi-GiB np.empty before these tables were bounded.  spectrum
+        # refuses both counts before any instance is drawn, --samples first.
+        monkeypatch.setattr(cli, "sample_operator_spectra",
+                            lambda *args, **kwargs: pytest.fail("instances were drawn"))
         cfg, out = tmp_path / "big.json", tmp_path / "out.csv"
         cfg.write_text(json.dumps(config))
         source = [str(outputs[0])] if command == "spectrum" else [str(small_csv),

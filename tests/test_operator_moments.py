@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmduq import numerics, operator_moments
-from dmduq.data_model import NoiseModel, build_snapshots, decimate_trajectory
+from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, decimate_trajectory
 from dmduq.errors import (
     ConfigError, DimensionMismatch, DmduqError, MomentComputationError, SingularGram,
 )
@@ -18,6 +19,7 @@ from dmduq.operator_moments import (
     CORRECTED,
     PAPER_LITERAL,
     check_outliers,
+    check_residual,
     check_tables,
     dmd_point_estimate,
     OperatorMoments,
@@ -484,6 +486,71 @@ class TestCheckOutliers:
         assert [r.getMessage() for r in caplog.records] == [
             "no eigenvalue of the mean operator lies outside the noise bulk: bulk radius "
             f"sqrt(rho(V)) = {radius:.4g}, largest mean |lambda| = {largest:.4g}"]
+
+
+def residual_ratios(snapshots, variances):
+    """rho_i of check_residual, with the n x n fit by least squares."""
+    X, Y = snapshots.states, snapshots.shifted
+    n, m = X.shape
+    fit = np.linalg.lstsq(X.T, Y.T, rcond=None)[0].T
+    residual = Y - fit @ X
+    return (residual**2).sum(axis=1) / (variances * (m - n) * (1 + (fit**2).sum(axis=1)))
+
+
+def residual_warnings(snapshots, noise, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dmduq.operator_moments"):
+        check_residual(snapshots, noise)
+    return [record.getMessage() for record in caplog.records]
+
+
+class TestCheckResidual:
+    @pytest.mark.parametrize("variance", [1e-10, 1e-8, 1e-6, 1e-4])
+    def test_readme_spring_mass_warns(self, variance, caplog):
+        # Gravity makes the dynamics affine, and simulate does not write the state that
+        # carries the offset: rho is 4.15e4 (x2) and 26.0 (x1) at variance 1e-6.
+        snapshots = build_snapshots(simulate_spring_mass(SpringMassParams(duration=20, dt=0.05)))
+        rho = residual_ratios(snapshots, np.full(2, variance))
+        assert rho[1] == pytest.approx(4.153e4 * 1e-6 / variance, rel=1e-3)
+        message = (f"model error: state x2 has a one-step residual rho = {rho[1]:.4g} times "
+                   "what noise explains (threshold 10); the moments describe measurement "
+                   "noise only")
+        assert residual_warnings(snapshots, NoiseModel([variance] * 2), caplog) == [message]
+        # A full covariance: its diagonal.
+        noise = NoiseModel([variance] * 2, variance * np.array([[1.0, 0.9], [0.9, 1.0]]))
+        assert residual_warnings(snapshots, noise, caplog) == [message]
+
+    def test_network_recordings_do_not_warn(self, caplog):
+        # The 34-state network (m = 400) and the 6-state one (m = 1200), noiseless and in
+        # 20 seeded noisy copies per variance: rho is at most 8e-14 noiseless and 1.03-1.46
+        # noisy, where the model holds.
+        networks = [
+            decimate_trajectory(simulate_oscillator_network(random_network_params(
+                node_count=17, duration=120.0, dt=0.01)), 30),
+            simulate_oscillator_network(random_network_params(node_count=3, duration=12.0)),
+        ]
+        noiseless, noisy = [], []
+        for trajectory in networks:
+            for variance in (1e-10, 1e-8, 1e-6, 1e-4):
+                noise = NoiseModel([variance] * trajectory.state_count)
+                for seed in (None, *range(20)):
+                    samples = trajectory.samples if seed is None else trajectory.samples + (
+                        np.sqrt(variance)
+                        * np.random.default_rng(seed).standard_normal(trajectory.samples.shape))
+                    snapshots = build_snapshots(
+                        RawTrajectory(trajectory.times, samples, trajectory.state_names))
+                    assert residual_warnings(snapshots, noise, caplog) == []
+                    rho = residual_ratios(snapshots, noise.variances).max()
+                    (noiseless if seed is None else noisy).append(rho)
+        assert max(noiseless) < 1e-13
+        assert 1.0 < min(noisy) and max(noisy) < 1.5
+
+    def test_no_residual_without_more_snapshots_than_states(self, caplog):
+        # m = 2 <= n = 3: the fit is exact, and X X.T is singular.
+        snapshots = snapshots_from_trajectory_matrix(np.arange(9.0).reshape(3, 3) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert residual_warnings(snapshots, NoiseModel([1e-6] * 3), caplog) == []
 
 
 class TestCertificate:
