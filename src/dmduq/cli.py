@@ -26,7 +26,7 @@ from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
 from .data_model import decimate_trajectory, load_csv, replacing, save_csv, write_csv
 from .errors import ConfigError, DegenerateData, DmduqError, ParseError, ShapeMismatch
-from .metrics import compare, decimate, min_max_normalize
+from .metrics import compare, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
 from .numerics import RowTable
 from .operator_moments import VARIANCE_MODES, check_outliers, check_residual, check_tables
@@ -397,7 +397,7 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
     delta = np.abs(mc_var - est_var)
 
     def curve(matrix: np.ndarray) -> dict:
-        flat = decimate(matrix.ravel(), stride)
+        flat = matrix.ravel()[::stride]
         try:
             return {"normalized": True, "values": min_max_normalize(flat)}
         except DegenerateData:

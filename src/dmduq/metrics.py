@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, ShapeMismatch
+from .errors import DegenerateData, ShapeMismatch
 from .numerics import _one_blas_thread
 
 
@@ -55,9 +55,3 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
         raise DegenerateData("min-max scaling undefined for constant input")
     return (v - lo) / (hi - lo)
 
-
-def decimate(values: np.ndarray, stride: int) -> np.ndarray:
-    """Elements at indices 0, stride, 2*stride, ..."""
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    return np.asarray(values)[::stride]

@@ -282,11 +282,8 @@ def product_eigenvalues(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def sort_eigenvalue_rows(values: np.ndarray) -> np.ndarray:
     """Each row of stacked spectra (N, m) in order: |z| desc, then Im desc, then Re desc."""
     v = np.asarray(values, dtype=complex)
-    n_rows, m = v.shape
-    rows = np.repeat(np.arange(n_rows), m)
-    flat = v.ravel()
-    order = np.lexsort((-flat.real, -flat.imag, -np.abs(flat), rows))
-    return flat[order].reshape(n_rows, m)
+    order = np.lexsort((-v.real, -v.imag, -np.abs(v)), axis=-1)
+    return np.take_along_axis(v, order, axis=-1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

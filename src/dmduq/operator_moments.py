@@ -40,8 +40,8 @@ import numpy as np
 from .data_model import NoiseModel, SnapshotSet
 from .errors import ConfigError, DimensionMismatch, SingularGram
 from .numerics import (
-    RowTable, Spectrum, _one_blas_thread, product_eigenvalues, product_rows, row_blocks,
-    spd_inverses,
+    RowTable, Spectrum, _one_blas_thread, eigenvalue_rows, product_eigenvalues, product_rows,
+    row_blocks, spd_inverses,
 )
 from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
 
@@ -198,7 +198,7 @@ def check_outliers(first: np.ndarray, variance: np.ndarray) -> None:
             if rho == 0.0 or abs(rho - last) <= 1e-9 * rho:
                 break
             x = y / rho
-        radius, largest = np.sqrt(rho), float(np.abs(np.linalg.eigvals(first)).max())
+        radius, largest = np.sqrt(rho), float(np.abs(eigenvalue_rows(first[None])[0, 0]))
     if largest <= radius:
         logger.warning("no eigenvalue of the mean operator lies outside the noise bulk: bulk "
                        "radius sqrt(rho(V)) = %.4g, largest mean |lambda| = %.4g", radius, largest)

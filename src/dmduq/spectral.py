@@ -132,29 +132,19 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def _axis_kernel(
-    values: np.ndarray, bandwidth: float | None, grid_points: int, grid: np.ndarray | None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Bandwidth, grid and Gaussian kernel matrix (grid x samples) of one axis.
-
-    With ``bandwidth=None`` Silverman's rule is used; the default grid spans
-    the sample range padded by 4 bandwidths.
-    """
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 2 or not np.all(np.isfinite(v)):
-        raise TooFewSamples("need at least 2 finite values")
-    h = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        auto = "samples too concentrated for automatic bandwidth"
-        raise DegenerateData(auto if bandwidth is None else f"bandwidth must be positive, got {h}")
+    values: np.ndarray, h: float, grid_points: int, grid: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and Gaussian kernel matrix (grid x samples) of one axis at bandwidth ``h``; the
+    default grid spans the sample range padded by 4 bandwidths."""
     if grid is None:
-        grid = np.linspace(v.min() - 4.0 * h, v.max() + 4.0 * h, grid_points)
+        grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
-    kernel = np.subtract.outer(grid, v)  # exp(-0.5 * ((grid - v) / h) ** 2), in place
+    kernel = np.subtract.outer(grid, values)  # exp(-0.5 * ((grid - v) / h) ** 2), in place
     kernel /= h
     np.square(kernel, out=kernel)
     kernel *= -0.5
-    return h, grid, np.exp(kernel, out=kernel)
+    return grid, np.exp(kernel, out=kernel)
 
 
 def check_kde_size(gx: int, gy: int, samples: int) -> None:
@@ -172,21 +162,30 @@ def kde2d(
     grid_re: np.ndarray | None = None,
     grid_im: np.ndarray | None = None,
 ) -> Kde2d:
-    """Joint density over a product grid with per-axis Silverman bandwidths."""
+    """Joint density over a product grid.  Explicit ``bandwidths`` are used as given (each
+    must be positive).  Otherwise each axis takes Silverman's bandwidth, and an axis whose
+    bandwidth is 0 (an IQR of 0: most samples on one value) takes the other axis's."""
     if np.size(values_re) != np.size(values_im):
         raise DimensionMismatch("real and imaginary sample counts differ")
     gx, gy = (grid_points if grid is None else np.size(grid) for grid in (grid_re, grid_im))
     check_kde_size(gx, gy, np.size(values_re))
-    bw_re, bw_im = (None, None) if bandwidths is None else bandwidths
-    hx, grid_re, ex = _axis_kernel(values_re, bw_re, grid_points, grid_re)
-    hy, grid_im, ey = _axis_kernel(values_im, bw_im, grid_points, grid_im)
+    x, y = (np.asarray(values, dtype=float).ravel() for values in (values_re, values_im))
+    if x.size < 2 or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise TooFewSamples("need at least 2 finite values")
+    if bandwidths is None:
+        hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
+        hx, hy = hx or hy, hy or hx
+        if not hx > 0:
+            raise DegenerateData("samples too concentrated for automatic bandwidth")
+    else:
+        hx, hy = (float(h) for h in bandwidths)
+        for h in (hx, hy):
+            if not h > 0:
+                raise DegenerateData(f"bandwidth must be positive, got {h}")
+    grid_re, ex = _axis_kernel(x, hx, grid_points, grid_re)
+    grid_im, ey = _axis_kernel(y, hy, grid_points, grid_im)
     with _one_blas_thread():  # so the bits do not depend on the BLAS thread setting
         density = ex @ ey.T
     density /= ex.shape[1] * 2.0 * np.pi * hx * hy
     return Kde2d(grid_re, grid_im, density)
 
-
-def density_peak(curve: Kde2d) -> tuple[int, int]:
-    """Grid indices of the density maximum."""
-    flat = int(np.argmax(curve.density))
-    return np.unravel_index(flat, curve.density.shape)

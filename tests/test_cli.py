@@ -727,6 +727,43 @@ class TestSpectrum:
         assert error == {"error": "degenerate_data", "message": (
             "samples too concentrated for automatic bandwidth; 4 of 4 variances clamped to zero")}
 
+    def test_real_dominant_eigenvalue_gets_a_density(self, tmp_path):
+        # lambda1 = 0.9 is real in every sample, so Im(lambda1) has an IQR of 0 and Silverman's
+        # rule a bandwidth of 0: the imaginary axis takes the real axis's bandwidth.
+        moments = tmp_path / "moments.json"
+        moments.write_text(json.dumps({
+            "schema_version": cli.SCHEMA_VERSION, "variance_mode": "corrected",
+            "operator_first": [[0.9, 0.0], [0.0, 0.5]],
+            "operator_second_central": [[1e-6, 1e-6], [1e-6, 1e-6]],
+        }))
+        argv = ["spectrum", str(moments), "--samples", "50", "--out", str(tmp_path / "kde.csv")]
+        assert main(argv) == 0
+        kde = np.loadtxt(tmp_path / "kde.csv", delimiter=",", skiprows=1)
+        grid_re, grid_im = np.unique(kde[:, 0]), np.unique(kde[:, 1])
+        density = kde[:, 2].reshape(len(grid_re), len(grid_im))
+        mass = density.sum() * (grid_re[1] - grid_re[0]) * (grid_im[1] - grid_im[0])
+        assert mass == pytest.approx(1.0, abs=1e-3)
+        bands = (tmp_path / "kde_bands.csv").read_text().splitlines()
+        assert len(bands) == 1 + 2
+
+    def test_mean_eigendecomposition_failure_is_json_error(self, tmp_path, monkeypatch, capsys):
+        def boom(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        moments = tmp_path / "moments.json"
+        moments.write_text(json.dumps({
+            "schema_version": cli.SCHEMA_VERSION, "variance_mode": "corrected",
+            "operator_first": [[0.9, 0.1], [0.0, 0.5]],
+            "operator_second_central": [[1e-6, 1e-6], [1e-6, 1e-6]],
+        }))
+        monkeypatch.setattr(np.linalg, "eigvals", boom)
+        argv = ["spectrum", str(moments), "--samples", "10", "--out", str(tmp_path / "kde.csv")]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "convergence_failure", "message": (
+            "eigendecomposition failed at instance 0: Eigenvalues did not converge")}
+        assert not (tmp_path / "kde.csv").exists()
+
     def test_warns_when_no_eigenvalue_leaves_the_bulk(self, tmp_path):
         # Mean eigenvalues 0.4 +- sqrt(0.03) lie inside the bulk radius sqrt(rho(V)) = sqrt(2).
         (tmp_path / "moments.json").write_text(json.dumps({

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dmduq.errors import ConfigError, DegenerateData, ShapeMismatch
-from dmduq.metrics import compare, decimate, min_max_normalize
+from dmduq.errors import DegenerateData, ShapeMismatch
+from dmduq.metrics import compare, min_max_normalize
 
 
 class TestCompare:
@@ -74,20 +74,3 @@ class TestMinMaxNormalize:
             b = rng.standard_normal()
             assert np.allclose(min_max_normalize(a * v + b), min_max_normalize(v), atol=1e-12)
 
-
-class TestDecimate:
-    def test_identity(self):
-        v = np.arange(10.0)
-        assert np.array_equal(decimate(v, 1), v)
-
-    def test_stride_three(self):
-        assert np.array_equal(decimate(np.arange(10.0), 3), [0.0, 3.0, 6.0, 9.0])
-
-    @pytest.mark.parametrize("stride", [0, -3])
-    def test_bad_stride_is_config_error(self, stride):
-        with pytest.raises(ConfigError):
-            decimate(np.arange(10.0), stride)
-
-    def test_flattened_operator_count(self):
-        # 250 x 250 operator flattened, plotted every 900 elements.
-        assert decimate(np.zeros(62500), 900).size == 70

@@ -258,6 +258,41 @@ class TestSortEigenvalueRows:
         assert np.allclose(out[0], [3.0, 1.0])
         assert np.allclose(out[1], [2.0j, -2.0j])
 
+    @staticmethod
+    def flattened_lexsort(values):
+        """The oracle: one lexsort of the flattened rows, keyed last (so first) by row index."""
+        v = np.asarray(values, dtype=complex)
+        n_rows, m = v.shape
+        rows = np.repeat(np.arange(n_rows), m)
+        flat = v.ravel()
+        order = np.lexsort((-flat.real, -flat.imag, -np.abs(flat), rows))
+        return flat[order].reshape(n_rows, m)
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "zero_padded", "conjugate_duplicated"])
+    def test_matches_flattened_lexsort(self, kind):
+        # Same order, bit for bit, on rows with exact ties (signed zeros among them), on rows
+        # padded with zeros as product_eigenvalues pads them, and on repeated conjugate pairs.
+        rng = np.random.default_rng(0)
+        for _ in range(75):
+            n_rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 13))
+            shape = (n_rows, m)
+            if kind == "random":
+                rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            elif kind == "tied":  # few distinct values; +-0.0 on both parts
+                signs = rng.choice([-1.0, 1.0], size=(2,) + shape)
+                rows = (signs[0] * rng.integers(-1, 2, shape)
+                        + 1j * signs[1] * rng.integers(-1, 2, shape))
+            elif kind == "zero_padded":
+                rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                rows[:, rng.integers(0, m + 1):] = rng.choice([0.0, -0.0])
+            else:  # conjugate pairs, each repeated, and shuffled
+                half = rng.standard_normal((n_rows, m)) + 1j * rng.standard_normal((n_rows, m))
+                rows = np.concatenate([half, np.conj(half), half[:, ::-1]], axis=1)
+                rows = rng.permuted(rows, axis=1)
+            got, want = sort_eigenvalue_rows(rows), self.flattened_lexsort(rows)
+            assert np.array_equal(got.view(float), want.view(float))
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+
 
 class TestGaussLaguerre:
     def test_single_node_constant(self):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from dmduq import numerics, operator_moments
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, decimate_trajectory
 from dmduq.errors import (
-    ConfigError, DimensionMismatch, DmduqError, MomentComputationError, SingularGram,
+    ConfigError, ConvergenceFailure, DimensionMismatch, DmduqError, MomentComputationError,
+    SingularGram,
 )
 from dmduq.operator_moments import (
     CORRECTED,
@@ -486,6 +487,16 @@ class TestCheckOutliers:
         assert [r.getMessage() for r in caplog.records] == [
             "no eigenvalue of the mean operator lies outside the noise bulk: bulk radius "
             f"sqrt(rho(V)) = {radius:.4g}, largest mean |lambda| = {largest:.4g}"]
+
+    def test_eigendecomposition_failure_is_convergence_failure(self, monkeypatch):
+        # The mean's eigenvalues come from numerics.eigenvalue_rows, which names the failure.
+        def boom(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", boom)
+        with pytest.raises(ConvergenceFailure, match="^eigendecomposition failed at instance 0: "
+                                                     "Eigenvalues did not converge$"):
+            check_outliers(np.eye(3), np.ones((3, 3)))
 
 
 def residual_ratios(snapshots, variances):

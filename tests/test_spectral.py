@@ -20,7 +20,6 @@ from dmduq.numerics import eigenvalue_rows
 from dmduq.operator_moments import CORRECTED, check_outliers, check_tables
 from dmduq.spectral import (
     EigenSampleSet,
-    density_peak,
     eigen_moments,
     eigen_samples,
     kde2d,
@@ -332,7 +331,7 @@ class TestKde:
     def test_single_kernel_peak(self):
         # One kernel (both samples at the origin) peaks at 1 / (2 pi hx hy).
         out = kde2d(np.zeros(2), np.zeros(2), bandwidths=(1.0, 1.0), grid_points=201)
-        a, b = density_peak(out)
+        a, b = np.unravel_index(np.argmax(out.density), out.density.shape)
         assert out.grid_re[a] == pytest.approx(0.0, abs=1e-12)
         assert out.grid_im[b] == pytest.approx(0.0, abs=1e-12)
         assert out.density[a, b] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-9)
@@ -401,7 +400,7 @@ class TestKde2d:
         x = rng.normal(2.0, 0.1, size=5000)
         y = rng.normal(-1.0, 0.1, size=5000)
         out = kde2d(x, y)
-        a, b = density_peak(out)
+        a, b = np.unravel_index(np.argmax(out.density), out.density.shape)
         assert abs(out.grid_re[a] - 2.0) <= 0.05
         assert abs(out.grid_im[b] + 1.0) <= 0.05
 
@@ -413,5 +412,34 @@ class TestKde2d:
         assert out.density.shape == (64, 32)
 
     def test_degenerate_axis(self):
-        with pytest.raises(DegenerateData):
-            kde2d(np.full(10, 1.0), np.linspace(0, 1, 10))
+        # One flat axis takes the other axis's bandwidth; both flat leave none to take.
+        out = kde2d(np.full(10, 1.0), np.linspace(0, 1, 10))
+        assert np.all(np.isfinite(out.density)) and out.density.max() > 0
+        with pytest.raises(DegenerateData, match="^samples too concentrated for automatic "
+                                                 "bandwidth$"):
+            kde2d(np.full(10, 1.0), np.full(10, -2.0))
+
+    @pytest.mark.parametrize("flat", ["re", "im"])
+    def test_zero_iqr_axis_takes_the_other_bandwidth(self, flat):
+        # 40 of 50 samples on one value: the axis's IQR is 0, so Silverman's rule gives 0,
+        # though its std does not.  It takes the other axis's bandwidth and the density
+        # still integrates to 1.
+        rng = np.random.default_rng(9)
+        spread = rng.normal(0.98, 1e-3, size=50)
+        mostly_flat = np.zeros(50)
+        mostly_flat[:10] = rng.normal(0.0, 1e-3, size=10)
+        assert silverman_bandwidth(mostly_flat) == 0.0 < mostly_flat.std()
+        x, y = (mostly_flat, spread) if flat == "re" else (spread, mostly_flat)
+        h = silverman_bandwidth(spread)
+        out = kde2d(x, y)
+        assert np.array_equal(out.density, kde2d(x, y, bandwidths=(h, h)).density)
+        total = trapezoid(trapezoid(out.density, out.grid_im, axis=1), out.grid_re)
+        assert total == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("bandwidths", [(0.0, 0.1), (0.1, -1.0), (0.1, np.nan)])
+    def test_explicit_bandwidths_must_be_positive(self, bandwidths):
+        # An explicit pair is used as given: a flat axis's rule does not apply to it.
+        values = np.linspace(0.0, 1.0, 10)
+        bad = next(h for h in bandwidths if not h > 0)
+        with pytest.raises(DegenerateData, match=f"^bandwidth must be positive, got {bad}$"):
+            kde2d(values, values, bandwidths=bandwidths)
