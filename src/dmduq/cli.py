@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, numerics
 from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
-from .data_model import decimate_trajectory, load_csv, replacing, save_csv, write_csv
+from .data_model import TEXT_WIDTH, decimate_trajectory, load_csv, replacing, save_csv, write_csv
 from .errors import ConfigError, DegenerateData, DmduqError, ParseError, ShapeMismatch
 from .metrics import compare, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
@@ -445,7 +445,8 @@ def cmd_compare(args) -> int:
 
 def _kde_rows(curve) -> RowTable:
     """The ``grid_re, grid_im, density`` rows of a density curve, one per grid point with
-    ``grid_re`` the slower index, made a row block at a time from the grid axes."""
+    ``grid_re`` the slower index, made a row block at a time from the grid axes, cut as their
+    text is: copies, not products, so no bit depends on the cut."""
     density, width = curve.density.reshape(-1), len(curve.grid_im)
 
     def rows(a: int, b: int, out=None) -> np.ndarray:
@@ -454,7 +455,7 @@ def _kde_rows(curve) -> RowTable:
         out[:, 0], out[:, 1], out[:, 2] = curve.grid_re[i], curve.grid_im[j], density[a:b]
         return out
 
-    return RowTable((len(density), 3), rows)
+    return RowTable((len(density), 3), rows, TEXT_WIDTH * 3)
 
 
 def cmd_spectrum(args) -> int:

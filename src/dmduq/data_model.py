@@ -245,12 +245,16 @@ def format_rows(table: np.ndarray, precision: int = 17) -> list[str]:
     return [fmt % tuple(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
 
 
+TEXT_WIDTH = 16  # floats' worth of memory a formatted value holds: its text and temporaries
+
+
 def format_blocks(table, precision: int = 17):
     """:func:`format_rows` of a float array (1-D as one row) or of a ``RowTable`` by its row
     blocks, yielded as lists of row texts per :func:`numerics.row_blocks` block at width
-    ``16 * width`` (a value's text and temporaries), so no whole table's text is held."""
+    ``TEXT_WIDTH * width``, so no whole table's text is held.  A ``RowTable`` whose own cut
+    is at that width has each float block formed once and formatted whole."""
     for block in table.blocks() if isinstance(table, RowTable) else [np.atleast_2d(table)]:
-        for a, b in row_blocks(len(block), 16 * block.shape[1]):
+        for a, b in row_blocks(len(block), TEXT_WIDTH * block.shape[1]):
             yield format_rows(block[a:b], precision)
 
 

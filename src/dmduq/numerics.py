@@ -119,19 +119,28 @@ def check_table_size(values: float, request: str) -> None:
         raise ConfigError(f"{request} values, more than {_MAX_TABLE_VALUES}")
 
 
-def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
+def row_blocks(count: int, width: int, least: int = 1) -> list[tuple[int, int]]:
     """The row blocks ``(a, b)`` of a ``count`` x ``width`` table, in order: near-equal,
-    of at most ``_CHUNK_SCALARS / 32`` elements (or one row), cut by the shape alone.
-    The bounded loops are cut so, each ``width`` scaled by the temporaries a row holds."""
-    n_blocks = -(-count // max(1, _CHUNK_SCALARS // 32 // max(1, width)))
+    of at most ``_CHUNK_SCALARS / 32`` elements (or ``least`` rows), and of at least
+    ``least`` rows (or the whole table), cut by the shape alone.  The bounded loops are
+    cut so, each ``width`` scaled by the temporaries a row holds."""
+    most = max(least, _CHUNK_SCALARS // 32 // max(1, width))
+    n_blocks = min(-(-count // most), max(1, count // least))
     cuts = [count * k // n_blocks for k in range(n_blocks + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+# OpenBLAS (its AVX-512 builds) sends a gemm of at most this many multiply-adds to a
+# small-matrix kernel that rounds unlike its blocked gemm, so a row block of a larger
+# product keeps the product's bits only when it too is larger.
+_SMALL_PRODUCT = 100**3
+
+
 def product_rows(left: np.ndarray, right: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
     """Rows a:b of ``left @ right`` (over the last two axes), into ``out`` when given, rounded
-    as in the whole product: numpy sends a product of one row through gemv, which rounds
-    unlike gemm, so a lone row is taken from the product of it and a neighbour."""
+    as in the whole product when both take one gemm kernel: numpy sends a product of one row
+    through gemv, which rounds unlike gemm, so a lone row is taken from the product of it and
+    a neighbour."""
     if b - a > 1 or left.shape[-2] < 2:
         return np.matmul(left[..., a:b, :], right, out=out)
     lo = min(a, left.shape[-2] - 2)
@@ -143,15 +152,21 @@ def product_rows(left: np.ndarray, right: np.ndarray, a: int, b: int, out=None) 
 
 class RowTable(NamedTuple):
     """A ``shape`` table whose rows a:b are ``rows(a, b, out=None)`` (written into ``out`` when
-    given), read by :func:`row_blocks`, each block at one BLAS thread."""
+    given), read by :func:`row_blocks` at ``block_width`` (the row width when None), each
+    block at one BLAS thread.  Every reader takes the table's one cut: a product's rows round
+    by the size of the block they are made in (see ``_SMALL_PRODUCT``)."""
 
     shape: tuple
     rows: Callable
+    block_width: int | None = None
+
+    def _cuts(self) -> list[tuple[int, int]]:
+        return row_blocks(self.shape[0], self.block_width or self.shape[1])
 
     def blocks(self):
         """The row blocks in order, one at a time; BLAS is pinned while each is made, never
         across a ``yield``, so a consumer that stops or raises leaves no pin held."""
-        for a, b in row_blocks(*self.shape):
+        for a, b in self._cuts():
             with _one_blas_thread():
                 block = self.rows(a, b)
             yield block
@@ -159,7 +174,7 @@ class RowTable(NamedTuple):
     def __array__(self, dtype=None, copy=None):
         table = np.empty(self.shape)
         with _one_blas_thread():
-            for a, b in row_blocks(*self.shape):
+            for a, b in self._cuts():
                 self.rows(a, b, table[a:b])
         return table
 

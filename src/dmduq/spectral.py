@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegenerateData, DimensionMismatch, DmduqError, TooFewSamples
-from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, slice_workers
+from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, product_rows, slice_workers
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +53,10 @@ class Kde2d:
     density: np.ndarray  # shape (len(grid_re), len(grid_im))
 
 
-# np.linalg.eigvals holds the GIL on a stack of fewer than about this many matrix rows
-# (numpy 2.4: one to three 200 x 200 matrices, or one 400 x 400), so workers that each
-# took so few would take turns.
-_EIGVALS_ROWS = 1000
+# np.linalg.eigvals holds the GIL on a stack of 500 matrix rows or fewer (numpy 2.4: two
+# threads took 1.0-1.3 times the serial wall on 150-500 rows and 0.53-0.69 times on 501-502,
+# BENCH_38.json), so workers that each took so few would take turns.
+_EIGVALS_ROWS = 501
 
 
 def check_spectra_size(count: int, m: int) -> None:
@@ -131,20 +131,21 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * min(std, iqr / 1.34) * v.size ** (-0.2)
 
 
-def _axis_kernel(
-    values: np.ndarray, h: float, grid_points: int, grid: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and Gaussian kernel matrix (grid x samples) of one axis at bandwidth ``h``; the
-    default grid spans the sample range padded by 4 bandwidths."""
+def _axis_grid(values: np.ndarray, h: float, grid_points: int, grid) -> np.ndarray:
+    """The grid of one axis at bandwidth ``h``: by default, the sample range padded by 4
+    bandwidths."""
     if grid is None:
-        grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
+        return np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, grid_points)
+    return np.asarray(grid, dtype=float)
+
+
+def _axis_kernel(grid: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian kernel matrix (grid x samples) of one axis at bandwidth ``h``."""
     kernel = np.subtract.outer(grid, values)  # exp(-0.5 * ((grid - v) / h) ** 2), in place
     kernel /= h
     np.square(kernel, out=kernel)
     kernel *= -0.5
-    return grid, np.exp(kernel, out=kernel)
+    return np.exp(kernel, out=kernel)
 
 
 def check_kde_size(gx: int, gy: int, samples: int) -> None:
@@ -164,7 +165,12 @@ def kde2d(
 ) -> Kde2d:
     """Joint density over a product grid.  Explicit ``bandwidths`` are used as given (each
     must be positive).  Otherwise each axis takes Silverman's bandwidth, and an axis whose
-    bandwidth is 0 (an IQR of 0: most samples on one value) takes the other axis's."""
+    bandwidth is 0 (an IQR of 0: most samples on one value) takes the other axis's.
+
+    The density is the product of the Re-axis and Im-axis kernel matrices, bit for bit.  The
+    Im-axis kernel is held whole; the Re-axis kernel and the density are formed a
+    :func:`numerics.row_blocks` block of grid rows at a time, each block large enough to take
+    the whole product's gemm kernel (``numerics._SMALL_PRODUCT``)."""
     if np.size(values_re) != np.size(values_im):
         raise DimensionMismatch("real and imaginary sample counts differ")
     gx, gy = (grid_points if grid is None else np.size(grid) for grid in (grid_re, grid_im))
@@ -182,10 +188,17 @@ def kde2d(
         for h in (hx, hy):
             if not h > 0:
                 raise DegenerateData(f"bandwidth must be positive, got {h}")
-    grid_re, ex = _axis_kernel(x, hx, grid_points, grid_re)
-    grid_im, ey = _axis_kernel(y, hy, grid_points, grid_im)
+    grid_re = _axis_grid(x, hx, grid_points, grid_re)
+    grid_im = _axis_grid(y, hy, grid_points, grid_im)
+    ey_t = _axis_kernel(grid_im, y, hy).T
+    density = np.empty((gx, gy))
+    least = numerics._SMALL_PRODUCT // max(1, gy * x.size) + 1
     with _one_blas_thread():  # so the bits do not depend on the BLAS thread setting
-        density = ex @ ey.T
-    density /= ex.shape[1] * 2.0 * np.pi * hx * hy
+        for a, b in numerics.row_blocks(gx, x.size, least):
+            lo = max(0, min(a, gx - 2))  # a lone row is taken from two, as product_rows does
+            ex = _axis_kernel(grid_re[lo : max(b, lo + 2)], x, hx)
+            product_rows(ex, ey_t, a - lo, b - lo, out=density[a:b])
+            del ex  # before the next block's is formed
+    density /= x.size * 2.0 * np.pi * hx * hy
     return Kde2d(grid_re, grid_im, density)
 

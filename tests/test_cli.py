@@ -10,7 +10,7 @@ from dmduq import cli, monte_carlo, numerics, spectral
 from dmduq.cli import dumps_json, main
 from dmduq.config import PipelineConfig, load_config
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, format_rows, load_csv
-from dmduq.data_model import decimate_trajectory, save_csv
+from dmduq.data_model import decimate_trajectory, format_blocks, save_csv
 from dmduq.errors import ConfigError, ParseError, ShapeMismatch
 from dmduq.monte_carlo import SAMPLING_MODES, McConfig, sample_operator_instances
 from dmduq.pinv_moments import pinv_moments
@@ -854,9 +854,27 @@ class TestSpectrum:
         curve = spectral.Kde2d(curve.grid_re, curve.grid_im[:4], curve.density[:, :4].copy())
         grid_re, grid_im = np.meshgrid(curve.grid_re, curve.grid_im, indexing="ij")
         want = np.column_stack([grid_re.ravel(), grid_im.ravel(), curve.density.ravel()])
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 5 * 3)  # blocks of 5 rows
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 5 * 16 * 3)  # blocks of 5 rows
         assert np.array_equal(np.array(cli._kde_rows(curve)), want)
         assert np.array_equal(np.concatenate(list(cli._kde_rows(curve).blocks())), want)
+
+    def test_density_rows_formed_once_at_their_text_width(self, monkeypatch):
+        # kde.csv's rows are cut as their text is (16 floats a value): each float block is
+        # formed once and formatted whole, where a 1 MB block was held under 16 text blocks.
+        rng = np.random.default_rng(12)
+        curve = spectral.kde2d(rng.standard_normal(50), rng.standard_normal(50))
+        table, sizes, blocks = cli._kde_rows(curve), [], numerics.RowTable.blocks
+
+        def spy(self):
+            for block in blocks(self):
+                sizes.append(len(block))
+                yield block
+
+        monkeypatch.setattr(numerics.RowTable, "blocks", spy)
+        text = list(format_blocks(table))
+        assert [len(rows) for rows in text] == sizes and len(sizes) > 2
+        assert max(sizes) * 16 * 3 <= numerics._CHUNK_SCALARS // 32
+        assert [row for rows in text for row in rows] == format_rows(np.asarray(table))
 
     def test_variances_dropped_before_sampling(self, tmp_path, monkeypatch):
         # At m = 300 spectrum samples holding operator_first and the std table, not the

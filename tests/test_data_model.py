@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from dmduq.data_model import (
     build_snapshots,
     decimate_trajectory,
     estimate_noise,
+    format_blocks,
+    format_rows,
     load_csv,
     save_csv,
     write_csv,
@@ -171,6 +175,17 @@ class TestCsv:
             write_csv(tmp_path / "rows.csv", ["x", "y", "z"], source, index=index)
             write_csv(tmp_path / "whole.csv", ["x", "y", "z"], table, index=index)
             assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_product_table_text_is_its_array(self):
+        # A product's rows round by the size of the block they are made in (OpenBLAS's
+        # small-matrix kernel), so its text is read at the table's one cut, the one its array
+        # is made at: here 18-row blocks round unlike the whole 300-row product.
+        rng = np.random.default_rng(11)
+        left, right = rng.standard_normal((300, 34)), rng.standard_normal((34, 300))
+        rows = functools.partial(numerics.product_rows, left, right)
+        table = numerics.RowTable((300, 300), rows)
+        assert [row for rows in format_blocks(table) for row in rows] == format_rows(
+            np.asarray(table))
 
     def test_parse_simple(self, tmp_path):
         path = tmp_path / "t.csv"

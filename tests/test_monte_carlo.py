@@ -756,11 +756,11 @@ class TestTableSizeBound:
 
 class TestSampleOperatorSpectra:
     @pytest.mark.parametrize("m, count, calls", [
-        (200, 7, [5, 2]), (400, 7, [3, 3, 1]), (20, 400, [312, 88]),
+        (200, 7, [3, 3, 1]), (400, 7, [2, 2, 2, 1]), (20, 400, [312, 88]),
     ])
     def test_batch_size(self, monkeypatch, m, count, calls):
         # A table row block of instances (1.25e5 scalars: 312 at m = 20), but at least
-        # 1000 matrix rows: 5 instances at m = 200 and 3 at m = 400.
+        # 501 matrix rows: 3 instances at m = 200 and 2 at m = 400.
         seen, eigvals = [], np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(len(a)) or eigvals(a))
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))

@@ -375,18 +375,42 @@ class TestKde2d:
             kde2d(np.arange(11.0), np.arange(11.0), grid_points=10)
 
     def test_kernels_built_in_place(self):
-        # Each axis's grid x samples kernel is one array, made and transformed in place: the
-        # two kernels and the density, where the temporaries of a chained expression made
-        # the peak about 3.1 kernels.
+        # The Im-axis grid x samples kernel is one array, made and transformed in place, and
+        # the Re-axis kernel a row block at a time: the peak is one kernel, one block and the
+        # density, where both kernels made it 2.16 kernels (and the temporaries of a chained
+        # expression about 3.1).
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal(5000), rng.standard_normal(5000)
+        kde2d(x[:10], y[:10])  # lazy imports
         tracemalloc.start()
         try:
             kde2d(x, y, grid_points=256)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 256 * 5000 * 8
+        block = numerics._CHUNK_SCALARS // 32 * 8
+        assert peak < 256 * 5000 * 8 + 1.5 * block + 256 * 256 * 8
+
+    @pytest.mark.parametrize("count, grid_points, rows", [
+        (20_000, 64, 1), (20_000, 64, 3), (500, 64, 1), (40, 256, 2),
+    ])
+    def test_density_is_the_one_kernel_product(self, monkeypatch, count, grid_points, rows):
+        # Row blocks of `rows` rows under a patched budget.  A one-row block is taken from a
+        # two-row product (gemv rounds unlike gemm), and a block is never so small that
+        # OpenBLAS takes its small-matrix kernel where the whole product does not (the last
+        # two cases: blocks of 32 and 128 rows), so the density has the one product's bits.
+        rng = np.random.default_rng(10)
+        x, y = rng.standard_normal(count), rng.standard_normal(count)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * rows * count)
+        assert len(numerics.row_blocks(grid_points, count)) == -(-grid_points // rows)
+        out = kde2d(x, y, grid_points=grid_points)
+        hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
+        ex, ey = (np.exp(-0.5 * (np.subtract.outer(grid, v) / h) ** 2)
+                  for grid, v, h in ((out.grid_re, x, hx), (out.grid_im, y, hy)))
+        with numerics._one_blas_thread():
+            want = ex @ ey.T
+        want /= count * 2.0 * np.pi * hx * hy
+        assert np.array_equal(out.density, want)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(6)
