@@ -4,8 +4,8 @@ Commands are single deterministic processes: identical inputs, config, and seeds
 byte-identical outputs.  Structured results are JSON with floats printed at a fixed number of
 significant digits (17 by default, lossless for doubles); trajectories and density curves are
 CSV, all written a block of rows at a time.  ``compare`` and ``spectrum`` read their JSON inputs
-in one walk, a text block at a time: each table they use is made float arrays a block of rows at
-a time, joined once, and every other value is checked as ``json.load`` checks it and dropped.
+in one walk, a text block at a time: each table they use is made floats a row at a time, into
+one buffer copied once, and every other value is checked as ``json.load`` checks it and dropped.
 ``moments``, ``mc`` and ``pipeline`` warn on stderr when the recording is not the noisy linear
 map the moments assume.  Errors are emitted as machine-readable JSON on stderr, exit code 1.
 """
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, numerics
+from . import __version__
 from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
 from .data_model import TEXT_WIDTH, decimate_trajectory, load_csv, replacing, save_csv, write_csv
@@ -110,14 +110,6 @@ _CLOSE = {"[": "]", "{": "}"}
 _DECODER = json.JSONDecoder()
 
 
-def _float_rows(rows: list) -> np.ndarray:
-    """``np.array(rows, dtype=float)``, or an empty array for a string or ragged rows."""
-    try:
-        return np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        return np.empty(0)
-
-
 class _JsonReader:
     """The JSON text of ``handle``, read a text block at a time and checked as
     ``json.load`` checks it.  Each value is decoded by json's C scanner once the text at
@@ -195,10 +187,10 @@ class _JsonReader:
         """Check the next value and drop it: an object member by member, an array element by
         element (each decoded whole), any other value decoded whole.  With ``keep``, return
         it as ``np.array(value, dtype=float)`` makes it when that is 2-D, else an empty
-        array (a string, a ragged table) whose rest is still checked; its rows are made
-        float arrays about 1 MB of Python floats (32 bytes each with their list slot) at a
-        time, joined once at the end."""
-        opening, blocks, rows = self.peek(), [], []
+        array (a string, a ragged table) whose rest is still checked; each row is made floats
+        as soon as it is decoded and appended to one growing buffer, copied once at the end
+        so that the table holds none of the buffer's growth slack."""
+        opening, shapes, values = self.peek(), [], bytearray()
         if opening not in _CLOSE:
             self.decode()
             return np.empty(0)
@@ -207,19 +199,19 @@ class _JsonReader:
             if opening == "{":
                 self.value()
             elif keep:
-                rows.append(self.decode())
-                width = len(rows[0]) if isinstance(rows[0], list) else 1
-                if 4 * len(rows) * max(1, width) >= numerics._CHUNK_SCALARS // 32:
-                    blocks.append(_float_rows(rows))
-                    rows = []  # so one block of Python floats is held at a time
+                row = self.decode()
+                try:
+                    row = np.array(row, dtype=float)
+                except (TypeError, ValueError):  # a string or ragged lists: no row's shape
+                    row = np.empty((0, 0))
+                shapes.append(row.shape)
+                values += row.tobytes()
             else:
                 self.decode()
-        if rows:
-            blocks.append(_float_rows(rows))
-        # No rows (np.array([]) is 1-D), rows of a string, ragged rows or not all 2-D.
-        if not blocks or blocks[0].ndim != 2 or len({block.shape[1:] for block in blocks}) > 1:
+        # No rows (np.array([]) is 1-D), ragged rows, a row of no floats or rows not all 1-D.
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             return np.empty(0)
-        return np.concatenate(blocks)
+        return np.frombuffer(values).reshape(len(shapes), shapes[0][0]).copy()
 
     def finish(self) -> None:
         if self.peek():
@@ -477,9 +469,8 @@ def cmd_spectrum(args) -> int:
         raise ShapeMismatch(f"{args.moments}: 'variance_mode' {mode!r} is not in {VARIANCE_MODES}")
     check_spectra_size(args.samples, m)  # before kde2d's bound, which --samples also sizes
     check_kde_size(cfg.kde.grid_points, cfg.kde.grid_points, args.samples)
-    check_tables(data[keys[0]], data[keys[1]], mode)
+    clamped = check_tables(data[keys[0]], data[keys[1]], mode)
     check_outliers(data[keys[0]], data[keys[1]])
-    clamped = int(np.count_nonzero(data[keys[1]] < 0))
     samples = sample_operator_spectra(data.pop(keys[0]), data.pop(keys[1]), count=args.samples,
                                       seed=args.seed, clamp_negative=args.clamp_negative)
     table = eigen_moments(samples)

@@ -121,9 +121,10 @@ def check_table_size(values: float, request: str) -> None:
 
 def row_blocks(count: int, width: int, least: int = 1) -> list[tuple[int, int]]:
     """The row blocks ``(a, b)`` of a ``count`` x ``width`` table, in order: near-equal,
-    of at most ``_CHUNK_SCALARS / 32`` elements (or ``least`` rows), and of at least
-    ``least`` rows (or the whole table), cut by the shape alone.  The bounded loops are
-    cut so, each ``width`` scaled by the temporaries a row holds."""
+    of at least ``least`` rows (or the whole table), and of at most as many rows as hold
+    ``_CHUNK_SCALARS / 32`` elements or ``2 * least - 1`` rows, whichever is more, cut by the
+    shape alone.  The bounded loops are cut so, each ``width`` scaled by the temporaries a
+    row holds."""
     most = max(least, _CHUNK_SCALARS // 32 // max(1, width))
     n_blocks = min(-(-count // most), max(1, count // least))
     cuts = [count * k // n_blocks for k in range(n_blocks + 1)]
@@ -189,11 +190,6 @@ class Spectrum:
     """
 
     eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "eigenvalues", np.asarray(self.eigenvalues, dtype=complex)
-        )
 
 
 def spd_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

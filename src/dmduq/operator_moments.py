@@ -171,14 +171,15 @@ def _row_pass(shape, mode: str, first_rows, second_rows) -> tuple[int, float]:
     return negatives, low
 
 
-def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> None:
+def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> int:
     """Check dense moment tables as ``OperatorMoments`` checks its blocks: one non-empty
-    2-D shape, finite entries and, in corrected mode, no variance below -1e-12."""
+    2-D shape, finite entries and, in corrected mode, no variance below -1e-12.  Returns
+    the number of negative variances."""
     if first.shape != second_central.shape or first.ndim != 2 or not first.size:
         raise DimensionMismatch(f"moment tables {first.shape} and {second_central.shape} are "
                                 "not one non-empty 2-D shape")
-    _row_pass(first.shape, mode, lambda a, b, out: first[a:b],
-              lambda a, b, out: second_central[a:b])
+    return _row_pass(first.shape, mode, lambda a, b, out: first[a:b],
+                     lambda a, b, out: second_central[a:b])[0]
 
 
 def check_outliers(first: np.ndarray, variance: np.ndarray) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegenerateData, DimensionMismatch, DmduqError, TooFewSamples
-from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, product_rows, slice_workers
+from .numerics import _one_blas_thread, eigenvalue_rows, finite_stack, slice_workers
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,23 +68,21 @@ def check_spectra_size(count: int, m: int) -> None:
 def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
     """Sorted spectra of ``count`` m x m instances across the slices of ``slice_workers`` (the
     calling thread and its pool), each taking the next batch ``take(start, stop)`` under a
-    lock and checking and eigendecomposing it outside, with BLAS at one thread.  A batch is
-    about a table row block, and at least ``_EIGVALS_ROWS`` rows.  Failures name the instance
-    by its position; after one no batch is taken, those taken finish, and the lowest
-    instance's is raised."""
+    lock and checking and eigendecomposing it outside, with BLAS at one thread.  The batches
+    are the :func:`numerics.row_blocks` blocks of the instances, each at least
+    ``_EIGVALS_ROWS`` matrix rows.  Failures name the instance by its position; after one no
+    batch is taken, those taken finish, and the lowest instance's is raised."""
     check_spectra_size(count, m)
-    # Not numerics.row_blocks: a batch has the _EIGVALS_ROWS floor, however small the budget.
-    batch = max(numerics._CHUNK_SCALARS // 32 // (m * m), -(-_EIGVALS_ROWS // m))
-    lock, starts, failures = threading.Lock(), iter(range(0, count, batch)), []
+    blocks = numerics.row_blocks(count, m * m, -(-_EIGVALS_ROWS // m))
+    lock, batches, failures = threading.Lock(), iter(blocks), []
     samples = np.empty((count, m), dtype=complex)
 
     def pull(lo: int, hi: int) -> None:  # not a slice: batches are taken until none is left
         while True:
             with lock:
-                start = next(starts, None)
+                start, stop = next(batches, (None, None))
                 if start is None or failures:
                     return
-                stop = min(start + batch, count)
                 instances = take(start, stop)
             try:
                 samples[start:stop] = eigenvalue_rows(instances, start)
@@ -94,9 +92,9 @@ def pulled_spectra(count: int, m: int, take) -> EigenSampleSet:
 
     with slice_workers() as map_slices:
         try:
-            map_slices(pull, -(-count // batch))
+            map_slices(pull, len(blocks))
         finally:  # after an interrupt too, no batch is taken before the pool is shut down
-            starts = iter(())
+            batches = iter(())
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return EigenSampleSet(samples)
@@ -170,7 +168,8 @@ def kde2d(
     The density is the product of the Re-axis and Im-axis kernel matrices, bit for bit.  The
     Im-axis kernel is held whole; the Re-axis kernel and the density are formed a
     :func:`numerics.row_blocks` block of grid rows at a time, each block large enough to take
-    the whole product's gemm kernel (``numerics._SMALL_PRODUCT``)."""
+    the whole product's gemm kernel (``numerics._SMALL_PRODUCT``) and at least two rows (numpy
+    sends a product of one row through gemv, which rounds unlike gemm)."""
     if np.size(values_re) != np.size(values_im):
         raise DimensionMismatch("real and imaginary sample counts differ")
     gx, gy = (grid_points if grid is None else np.size(grid) for grid in (grid_re, grid_im))
@@ -192,13 +191,10 @@ def kde2d(
     grid_im = _axis_grid(y, hy, grid_points, grid_im)
     ey_t = _axis_kernel(grid_im, y, hy).T
     density = np.empty((gx, gy))
-    least = numerics._SMALL_PRODUCT // max(1, gy * x.size) + 1
+    least = max(2, numerics._SMALL_PRODUCT // max(1, gy * x.size) + 1)
     with _one_blas_thread():  # so the bits do not depend on the BLAS thread setting
         for a, b in numerics.row_blocks(gx, x.size, least):
-            lo = max(0, min(a, gx - 2))  # a lone row is taken from two, as product_rows does
-            ex = _axis_kernel(grid_re[lo : max(b, lo + 2)], x, hx)
-            product_rows(ex, ey_t, a - lo, b - lo, out=density[a:b])
-            del ex  # before the next block's is formed
+            np.matmul(_axis_kernel(grid_re[a:b], x, hx), ey_t, out=density[a:b])
     density /= x.size * 2.0 * np.pi * hx * hy
     return Kde2d(grid_re, grid_im, density)
 

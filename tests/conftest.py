@@ -74,7 +74,8 @@ def forbid_worker_threads(monkeypatch):
 
 
 def spectra_batches(monkeypatch, size, m):
-    """Make ``spectral.pulled_spectra`` take batches of ``size`` m x m instances."""
+    """Make ``spectral.pulled_spectra`` take near-equal batches of at most ``size`` m x m
+    instances."""
     monkeypatch.setattr(dmduq.numerics, "_CHUNK_SCALARS", 32 * size * m * m)
     monkeypatch.setattr(dmduq.spectral, "_EIGVALS_ROWS", 1)
 

@@ -315,6 +315,11 @@ def test_criterion_7_spectral_pipeline():
     (pa, pb), (ma, mb) = (np.unravel_index(np.argmax(kde.density), kde.density.shape)
                           for kde in (kde_p, kde_m))
     assert abs(pa - ma) <= 2 and abs(pb - mb) <= 2, "KDE peaks farther than 2 grid cells"
+    # A peak is the argmax cell of a flat-topped density; the lambda1 means carry a stated
+    # tolerance: within 3 combined standard errors, on Re and on Im.
+    z = [(p.mean() - q.mean()) / np.sqrt(p.var(ddof=1) / p.size + q.var(ddof=1) / q.size)
+         for p, q in ((p_l1.real, mc_l1.real), (p_l1.imag, mc_l1.imag))]
+    assert max(map(abs, z)) <= 3, f"lambda1 means differ by z = {z} combined SE"
 
     em_p = eigen_moments(proposed)
     em_m = eigen_moments(mc_set)
@@ -330,7 +335,8 @@ def test_criterion_7_spectral_pipeline():
             )
     print(
         f"\ncriterion 7 PASS: conjugate pair detected, KDE peak cells "
-        f"{abs(pa - ma), abs(pb - mb)} (<= 2), plus-minus-2-sigma bands overlap at all "
+        f"{abs(pa - ma), abs(pb - mb)} (<= 2), lambda1 mean z (Re, Im) = "
+        f"({z[0]:.2f}, {z[1]:.2f}) (|z| <= 3), plus-minus-2-sigma bands overlap at all "
         f"{lam.size} indices"
     )
 

@@ -160,8 +160,9 @@ class TestPayloadReader:
     @pytest.mark.parametrize("text_block", [1, 2, 3, 7, 64, None])
     @pytest.mark.parametrize("row_values", [3, None], ids=["row_per_block", "budget"])
     def test_reads_as_json_load(self, payloads, monkeypatch, text_block, row_values):
-        # Block edges fall inside numbers, strings, keys and rows; row blocks of one row
-        # are joined into each table.  None: the default size.
+        # Block edges fall inside numbers, strings, keys and rows.  None: the default size.
+        # The tables do not depend on the block budget, which the reader no longer reads:
+        # under a budget of a row or less they are the same.
         if text_block:
             monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
         if row_values:
@@ -247,6 +248,22 @@ class TestPayloadReader:
                    for key in tables)
         assert read[0]["operator_first"].shape == (300, 300)
         assert peak < 2 * size
+
+    def test_table_read_a_row_at_a_time(self, tmp_path):
+        # Each row is made floats as soon as it is decoded, so the peak is the table's buffer
+        # as it grows and a text block: 2.0 times the table, where blocks of rows held as
+        # Python floats took 4.6 times.
+        table = np.random.default_rng(3).standard_normal((200, 200))
+        path = tmp_path / "table.json"
+        cli._write_json(path, {"schema_version": "1.0", "operator_first": table}, 17)
+        tracemalloc.start()
+        try:
+            read = cli._load_json(path, ["operator_first"], ())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read["operator_first"].tobytes() == table.tobytes()
+        assert peak < 3.5 * table.nbytes
 
 
 # Float arrays covering the edge cases of %g formatting: signed zero,

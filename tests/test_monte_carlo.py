@@ -756,11 +756,11 @@ class TestTableSizeBound:
 
 class TestSampleOperatorSpectra:
     @pytest.mark.parametrize("m, count, calls", [
-        (200, 7, [3, 3, 1]), (400, 7, [2, 2, 2, 1]), (20, 400, [312, 88]),
+        (200, 7, [3, 4]), (400, 7, [2, 2, 3]), (20, 400, [200, 200]),
     ])
     def test_batch_size(self, monkeypatch, m, count, calls):
-        # A table row block of instances (1.25e5 scalars: 312 at m = 20), but at least
-        # 501 matrix rows: 3 instances at m = 200 and 2 at m = 400.
+        # The row_blocks blocks of the instances (1.25e5 scalars: 312 at m = 20), each at
+        # least 501 matrix rows: 3 instances at m = 200 and 2 at m = 400.
         seen, eigvals = [], np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(len(a)) or eigvals(a))
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(1))
@@ -770,7 +770,7 @@ class TestSampleOperatorSpectra:
 
     @pytest.mark.parametrize("chunk", [1, 3, 10])
     def test_equals_unchunked_reference(self, monkeypatch, chunk):
-        # Batches of 1, 3 (a short last batch) and all 10 instances must give
+        # Batches of 1, of 2 and 3 (near-equal) and of all 10 instances must give
         # the spectra of one draw of every instance, bit for bit.
         moments = _random_moments(5, seed=0)
         want = eigen_samples(sample_operator_instances(*moments, count=10, seed=4))
@@ -780,7 +780,7 @@ class TestSampleOperatorSpectra:
         assert np.array_equal(got.representative_lambda1, want.representative_lambda1)
 
     def test_failure_names_global_instance(self, monkeypatch):
-        # Instance 5 sits at position 2 of the second batch of 3.
+        # Instance 5 sits at the head of the third batch of 2, 3 and 3.
         moments = _random_moments(4, seed=1)
         target = sample_operator_instances(*moments, count=8, seed=2)[5]
         eigvals = np.linalg.eigvals

@@ -26,6 +26,7 @@ from dmduq.numerics import (
     eigenvalue_rows,
     gauss_laguerre_nodes,
     product_eigenvalues,
+    row_blocks,
     sort_eigenvalue_rows,
     spd_factors,
     spd_inverses,
@@ -365,6 +366,20 @@ class TestGaussLaguerre:
     def test_count_out_of_range(self, count):
         with pytest.raises(ConfigError, match=r"node count must be in \[1, 256\]"):
             gauss_laguerre_nodes(count)
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.integers(1, 3000), width=st.integers(0, 2 * 10**5),
+           least=st.integers(1, 700))
+    @example(count=7, width=40_000, least=3)  # a 4-row block: 160,000 elements
+    def test_cover_in_order_within_bounds(self, count, width, least):
+        blocks = row_blocks(count, width, least)
+        assert [0] + [b for _, b in blocks] == [a for a, _ in blocks] + [count]
+        most = max(least, numerics._CHUNK_SCALARS // 32 // max(1, width))
+        for a, b in blocks:
+            assert b - a >= least or blocks == [(0, count)]
+            assert b - a <= max(most, 2 * least - 1)
 
 
 class TestRowTable:

@@ -416,6 +416,13 @@ class TestOperatorMomentsChecks:
         with pytest.raises(DimensionMismatch, match=r"second_central\[4, 0\] = -inf"):
             estimate_operator_moments(snaps, noise, mode=PAPER_LITERAL, pinv=pinv)
 
+    def test_negative_variances_counted(self):
+        # -1e-13 is negative though corrected mode would pass it; a zero is not negative.
+        first, second = np.ones((3, 3)), np.full((3, 3), 0.01)
+        second[0, 1], second[2, 2], second[1, 0] = -1e-6, -1e-13, 0.0
+        assert check_tables(first, second, PAPER_LITERAL) == 2
+        assert check_tables(first, np.abs(second), CORRECTED) == 0
+
     def test_non_square_and_empty_rejected(self):
         for table in (np.zeros(3), np.zeros((0, 0))):
             with pytest.raises(DimensionMismatch, match="one non-empty 2-D shape"):

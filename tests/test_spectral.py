@@ -109,7 +109,7 @@ class TestParallelEigenSamples:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bits_independent_of_workers(self, monkeypatch, workers, count):
         # Each matrix eigendecomposed on its own is the reference; stacks of 1
-        # and 2 are shorter than 3 workers, and 7 makes 4 batches of 2.
+        # and 2 are shorter than 3 workers, and 7 makes batches of 1, 2, 2 and 2.
         instances = np.random.default_rng(count).standard_normal((count, 6, 6))
         want = np.concatenate([eigenvalue_rows(matrix[None]) for matrix in instances])
         monkeypatch.setattr(numerics, "_one_blas_thread", fixed_blas_workers(workers))
@@ -395,10 +395,10 @@ class TestKde2d:
         (20_000, 64, 1), (20_000, 64, 3), (500, 64, 1), (40, 256, 2),
     ])
     def test_density_is_the_one_kernel_product(self, monkeypatch, count, grid_points, rows):
-        # Row blocks of `rows` rows under a patched budget.  A one-row block is taken from a
-        # two-row product (gemv rounds unlike gemm), and a block is never so small that
-        # OpenBLAS takes its small-matrix kernel where the whole product does not (the last
-        # two cases: blocks of 32 and 128 rows), so the density has the one product's bits.
+        # A budget of `rows` rows.  No block is one row (gemv rounds unlike gemm), and a
+        # block is never so small that OpenBLAS takes its small-matrix kernel where the
+        # whole product does not (the last two cases: blocks of 32 and 128 rows), so the
+        # density has the one product's bits.
         rng = np.random.default_rng(10)
         x, y = rng.standard_normal(count), rng.standard_normal(count)
         monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * rows * count)
@@ -411,6 +411,19 @@ class TestKde2d:
             want = ex @ ey.T
         want /= count * 2.0 * np.pi * hx * hy
         assert np.array_equal(out.density, want)
+
+    def test_each_grid_row_formed_once(self, monkeypatch):
+        # Under a one-row budget no block is one row, so no row's kernel is formed twice:
+        # the Im-axis kernel whole, then the Re-axis rows in order, each once.
+        rng = np.random.default_rng(10)
+        x, y = rng.standard_normal(20_000), rng.standard_normal(20_000)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * x.size)
+        grids, axis_kernel = [], spectral._axis_kernel
+        monkeypatch.setattr(spectral, "_axis_kernel",
+                            lambda grid, *rest: grids.append(grid) or axis_kernel(grid, *rest))
+        out = kde2d(x, y, grid_points=64)
+        assert np.array_equal(grids[0], out.grid_im)
+        assert np.array_equal(np.concatenate(grids[1:]), out.grid_re)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(6)
