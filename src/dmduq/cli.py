@@ -469,10 +469,9 @@ def cmd_spectrum(args) -> int:
         raise ShapeMismatch(f"{args.moments}: 'variance_mode' {mode!r} is not in {VARIANCE_MODES}")
     check_spectra_size(args.samples, m)  # before kde2d's bound, which --samples also sizes
     check_kde_size(cfg.kde.grid_points, cfg.kde.grid_points, args.samples)
-    clamped = check_tables(data[keys[0]], data[keys[1]], mode)
+    clamped = check_tables(data[keys[0]], data[keys[1]], mode, args.clamp_negative)
     check_outliers(data[keys[0]], data[keys[1]])
-    samples = sample_operator_spectra(data.pop(keys[0]), data.pop(keys[1]), count=args.samples,
-                                      seed=args.seed, clamp_negative=args.clamp_negative)
+    samples = sample_operator_spectra(data.pop(keys[0]), data.pop(keys[1]), args.samples, args.seed)
     table = eigen_moments(samples)
     re, im, var_re, var_im = table.mean.real, table.mean.imag, table.variance_re, table.variance_im
     half_re, half_im = 2.0 * np.sqrt(var_re), 2.0 * np.sqrt(var_im)
@@ -579,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("moments")
     spec.add_argument("--samples", type=int, default=1000)
     spec.add_argument("--seed", type=int, default=0)
-    spec.add_argument("--clamp-negative", action="store_true")
+    spec.add_argument("--clamp-negative", action="store_true",
+                      help="sample negative variances as zero instead of refusing the tables")
     spec.add_argument("--config", default=None)
     spec.add_argument("--out", required=True)
     spec.set_defaults(func=cmd_spectrum)

@@ -40,13 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
-from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, SingularGram
+from .errors import ConfigError, DimensionMismatch, SingularGram
 from . import numerics
 from .numerics import (
     RowTable, product_eigenvalues, product_rows, row_blocks, slice_workers, spd_inverses,
 )
-from .operator_moments import gram_inverse
-from .pinv_moments import _check_inputs, gram_complement_inverses
+from .operator_moments import PAPER_LITERAL, check_tables, gram_inverse
+from .pinv_moments import JENSEN_SLACK, _check_inputs, gram_complement_inverses
 from .spectral import EigenSampleSet, pulled_spectra
 
 logger = logging.getLogger(__name__)
@@ -109,7 +109,7 @@ class McSummary:
 
     def __post_init__(self):
         jensen = self.pinv_second_raw - self.pinv_mean**2
-        if jensen.min() < -1e-12:
+        if jensen.min() < -JENSEN_SLACK:
             raise DimensionMismatch("sample second moments below squared means")
 
 
@@ -329,26 +329,17 @@ def _add_trials(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig, rid
     return kept
 
 
-def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,
-                    clamp_negative: bool):
-    """Validate the variances, then return ``take(start, stop)``, which draws the next
+def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, seed: int):
+    """Check ``count`` and ``seed``, then return ``take(start, stop)``, which draws the next
     ``stop - start`` of ``count`` instances from the one ``trial_rng(seed, 0)`` stream.
 
-    Entry (i, j) of each instance is N(first[i][j], second_central[i][j]), for
-    tables checked as by ``operator_moments.check_tables``.  Batches taken in
+    Entry (i, j) of each instance is N(first[i][j], max(second_central[i][j], 0)), for
+    tables passed by ``operator_moments.check_tables``.  Batches taken in
     order concatenate to a single draw of ``count`` instances bit for bit.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     _check_seed(seed, "seed")
-    negatives = int(np.count_nonzero(second_central < -1e-12))
-    if negatives and not clamp_negative:
-        raise NegativeVarianceInput(
-            f"{negatives} element(s) have variance below -1e-12; "
-            "enable clamping or use corrected mode"
-        )
-    if clamped := int(np.count_nonzero(second_central < 0)):  # np.clip zeroes every one
-        logger.warning("clamping %d negative variance element(s) to zero", clamped)
     std, rng = np.clip(second_central, 0.0, None), trial_rng(seed, 0)
     np.sqrt(std, out=std)
 
@@ -363,25 +354,23 @@ def _instance_draws(first: np.ndarray, second_central: np.ndarray, count: int, s
 
 def sample_operator_instances(first: np.ndarray, second_central: np.ndarray, count: int,
                               seed: int, clamp_negative: bool = False) -> np.ndarray:
-    """Draw operator instances with independent Gaussian entries.
-
-    Entry (i, j) of each instance is N(first[i][j], second_central[i][j]).
-    Negative variances beyond -1e-12 raise unless clamping is enabled, in
-    which case they are clamped to zero with a logged per-element count.
-    """
-    return _instance_draws(first, second_central, count, seed, clamp_negative)(0, count)
+    """Draw operator instances, entry (i, j) of each an independent N(first[i][j],
+    second_central[i][j]), once ``operator_moments.check_tables`` has passed the tables,
+    given ``clamp_negative``: a negative variance draws as zero."""
+    check_tables(first, second_central, PAPER_LITERAL, clamp_negative)
+    return _instance_draws(first, second_central, count, seed)(0, count)
 
 
-def sample_operator_spectra(first: np.ndarray, second_central: np.ndarray, count: int, seed: int,
-                            clamp_negative: bool = False) -> EigenSampleSet:
+def sample_operator_spectra(first: np.ndarray, second_central: np.ndarray, count: int,
+                            seed: int) -> EigenSampleSet:
     """Sorted spectra of ``count`` instances drawn as by :func:`sample_operator_instances`,
-    bit for bit ``eigen_samples(sample_operator_instances(...))``.
+    bit for bit ``eigen_samples(sample_operator_instances(...))``, of checked tables.
 
     Each slice of :func:`spectral.pulled_spectra` draws its own batch, in turn,
     so memory holds ``first``, the std table, a batch per slice and the ``count x m``
     spectra, whatever ``count`` is: ``second_central`` is dropped once the std table
     is formed, and freed then if the caller passed its last reference.
     """
-    take = _instance_draws(first, second_central, count, seed, clamp_negative)
+    take = _instance_draws(first, second_central, count, seed)
     del second_central
     return pulled_spectra(count, len(first), take)

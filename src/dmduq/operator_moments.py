@@ -38,12 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import NoiseModel, SnapshotSet
-from .errors import ConfigError, DimensionMismatch, SingularGram
+from .errors import ConfigError, DimensionMismatch, NegativeVarianceInput, SingularGram
 from .numerics import (
     RowTable, Spectrum, _one_blas_thread, eigenvalue_rows, product_eigenvalues, product_rows,
     row_blocks, spd_inverses,
 )
-from .pinv_moments import PinvMoments, QuadratureConfig, pinv_moments
+from .pinv_moments import JENSEN_SLACK, PinvMoments, QuadratureConfig, pinv_moments
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +129,7 @@ class OperatorMoments:
 
 def _certified(M1x: np.ndarray, M2x: np.ndarray, Y: np.ndarray, scale: np.ndarray) -> bool:
     """Whether the factors prove that ``_row_pass`` passes ``first`` and, with ``scale`` (c =
-    M2x @ var), the corrected ``second_central``: both finite, no variance below -1e-12."""
+    M2x @ var), the corrected ``second_central``: both finite, no variance below -JENSEN_SLACK."""
     with np.errstate(all="ignore"):
         y_max = np.abs(Y).max(axis=1)
         ysq, sq = y_max**2, M1x**2  # ysq[k] >= every rounded Y[k, j]**2
@@ -140,16 +140,16 @@ def _certified(M1x: np.ndarray, M2x: np.ndarray, Y: np.ndarray, scale: np.ndarra
         # disjoint parts of mag, two roundings), and that value is >= c + min(M2x - sq, 0)
         # @ ysq.  Rounding this bound costs gamma_n + 2u more, forming and subtracting
         # eta * mag u + O(n u**2): eta = 4 (n + 2) u, u = 2**-53, covers it all.  Underflow
-        # adds a few n 2**-1022 at most, below the spacing of doubles at -1e-12.
+        # adds a few n 2**-1022 at most, below the spacing of doubles at -JENSEN_SLACK.
         low = scale + np.minimum(M2x - sq, 0.0) @ ysq - 4 * (len(Y) + 2) * 2.0**-53 * mag
-        return bool((low >= -1e-12).all() and (first < 1e300).all() and (mag < 1e300).all())
+        return bool((low >= -JENSEN_SLACK).all() and (first < 1e300).all() and (mag < 1e300).all())
 
 
 def _row_pass(shape, mode: str, first_rows, second_rows) -> tuple[int, float]:
     """Check each row block of the ``shape`` tables ``first`` and ``second_central`` as it is
     made, in order at one BLAS thread: ``second_rows(a, b, out)`` may write over the checked
     ``first`` block ``out``.  Raises DimensionMismatch at the first non-finite entry, by
-    block, or a corrected-mode variance below -1e-12.  Returns the number of negative entries
+    block, or a corrected-mode variance below -JENSEN_SLACK.  Returns the number of negatives
     of ``second_central`` and its minimum."""
     if mode not in VARIANCE_MODES:
         raise ConfigError(f"unknown variance mode {mode!r}")
@@ -166,20 +166,29 @@ def _row_pass(shape, mode: str, first_rows, second_rows) -> tuple[int, float]:
                                             f"{name}[{a + row}, {col}] = {table[row, col]}")
             negatives += int(np.count_nonzero(table < 0)) if least < 0 else 0
             low = min(low, float(least))
-    if mode == CORRECTED and low < -1e-12:
+    if mode == CORRECTED and low < -JENSEN_SLACK:
         raise DimensionMismatch(f"corrected-mode variance is negative: min {low:.3e}")
     return negatives, low
 
 
-def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str) -> int:
-    """Check dense moment tables as ``OperatorMoments`` checks its blocks: one non-empty
-    2-D shape, finite entries and, in corrected mode, no variance below -1e-12.  Returns
-    the number of negative variances."""
+def check_tables(first: np.ndarray, second_central: np.ndarray, mode: str,
+                 clamp_negative: bool = False) -> int:
+    """Check dense moment tables before any eigendecomposition, as ``OperatorMoments`` checks
+    its blocks: one non-empty 2-D shape, finite entries, in corrected mode no variance below
+    -JENSEN_SLACK and, unless ``clamp_negative``, none below it in any mode (else it raises
+    NegativeVarianceInput).  Logs and returns the count of negative variances; changes no table."""
     if first.shape != second_central.shape or first.ndim != 2 or not first.size:
         raise DimensionMismatch(f"moment tables {first.shape} and {second_central.shape} are "
                                 "not one non-empty 2-D shape")
-    return _row_pass(first.shape, mode, lambda a, b, out: first[a:b],
-                     lambda a, b, out: second_central[a:b])[0]
+    negatives, low = _row_pass(first.shape, mode, lambda a, b, out: first[a:b],
+                               lambda a, b, out: second_central[a:b])
+    if low < -JENSEN_SLACK and not clamp_negative:
+        raise NegativeVarianceInput(
+            f"{np.count_nonzero(second_central < -JENSEN_SLACK)} element(s) have variance below "
+            f"{-JENSEN_SLACK:g}; enable clamping or use corrected mode")
+    if negatives:
+        logger.warning("clamping %d negative variance element(s) to zero", negatives)
+    return negatives
 
 
 def check_outliers(first: np.ndarray, variance: np.ndarray) -> None:

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .numerics import composite_legendre_nodes, gauss_laguerre_nodes, row_blocks, spd_inverses
 
-JENSEN_SLACK = 1e-12
+JENSEN_SLACK = 1e-12  # how far below zero a moment gap or variance may round
 
 GAUSS_LAGUERRE = "gauss_laguerre"
 ADAPTIVE_TRUNCATED = "adaptive_truncated"

@@ -744,6 +744,30 @@ class TestSpectrum:
         assert error == {"error": "degenerate_data", "message": (
             "samples too concentrated for automatic bandwidth; 4 of 4 variances clamped to zero")}
 
+    def test_negative_variance_refused_before_any_eigenvalue(self, tmp_path, capsys, caplog,
+                                                             monkeypatch):
+        # Without --clamp-negative the error is all that is printed: no bulk warning from a
+        # clamped table, and no m x m eigvals of the outlier check, before the refusal.
+        moments = tmp_path / "moments.json"
+        moments.write_text(json.dumps({
+            "schema_version": cli.SCHEMA_VERSION, "variance_mode": "paper_literal",
+            "operator_first": [[0.5, 0.1], [0.2, 0.3]],
+            "operator_second_central": [[1.0, -1e-6], [1.0, 1.0]],
+        }))
+        argv = ["spectrum", str(moments), "--samples", "20", "--out", str(tmp_path / "kde.csv")]
+        error = {"error": "negative_variance_input", "message": (
+            "1 element(s) have variance below -1e-12; enable clamping or use corrected mode")}
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [error]
+        for name in ("check_outliers", "sample_operator_spectra"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(name))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == error
+        assert not caplog.records
+        assert not (tmp_path / "kde.csv").exists()
+
     def test_real_dominant_eigenvalue_gets_a_density(self, tmp_path):
         # lambda1 = 0.9 is real in every sample, so Im(lambda1) has an IQR of 0 and Silverman's
         # rule a bandwidth of 0: the imaginary axis takes the real axis's bandwidth.
@@ -945,10 +969,8 @@ class TestSpectrum:
         argv = ["spectrum", str(moments), "--samples", "50", "--seed", "9", "--out"]
         assert main(argv + [str(tmp_path / "streamed.csv")]) == 0
 
-        def reference(first, second, count, seed, clamp_negative):
-            return eigen_samples(
-                sample_operator_instances(first, second, count, seed, clamp_negative)
-            )
+        def reference(first, second, count, seed):
+            return eigen_samples(sample_operator_instances(first, second, count, seed))
 
         monkeypatch.setattr(cli, "sample_operator_spectra", reference)
         assert main(argv + [str(tmp_path / "reference.csv")]) == 0

@@ -18,6 +18,7 @@ from dmduq.data_model import NoiseModel
 from dmduq.errors import (
     ConfigError,
     ConvergenceFailure,
+    DimensionMismatch,
     NegativeVarianceInput,
     SingularGram,
 )
@@ -718,11 +719,22 @@ class TestSampleOperatorInstances:
     def test_clamp_log_counts_every_entry_clamped(self, caplog):
         # -1e-13 passes the -1e-12 check but is clamped to zero with -1e-6.
         moments = np.zeros((1, 2)), np.array([[-1e-6, -1e-13]])
-        with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
+        with caplog.at_level(logging.WARNING, logger="dmduq.operator_moments"):
             out = sample_operator_instances(*moments, count=3, seed=0, clamp_negative=True)
         assert np.array_equal(out, np.zeros((3, 1, 2)))
         assert [r.getMessage() for r in caplog.records] == [
             "clamping 2 negative variance element(s) to zero"]
+
+    @pytest.mark.parametrize("first, second", [
+        (np.array([[0.5]]), np.full((2, 2), 0.01)),
+        (np.eye(2), np.array([[0.01, np.nan], [0.01, 0.01]])),
+        (np.array([[0.5, np.inf], [0.0, 0.5]]), np.full((2, 2), 0.01)),
+    ], ids=["mean_1x1_variance_2x2", "nan_variance", "infinite_mean"])
+    def test_tables_checked(self, first, second):
+        # The tables must pass operator_moments.check_tables: a 1 x 1 mean would broadcast
+        # over a 2 x 2 variance, and a non-finite entry would draw non-finite instances.
+        with pytest.raises(DimensionMismatch):
+            sample_operator_instances(first, second, count=3, seed=0)
 
 
 def _random_moments(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -853,15 +865,21 @@ class TestSampleOperatorSpectra:
             McConfig(master_seed=seed)
 
     def test_validation_once_per_call(self, monkeypatch, caplog):
+        # sample_operator_instances checks the tables, logging the clamp once; the spectra
+        # sampler takes checked tables, so over three batches it logs nothing.
         moments = np.eye(2), np.array([[-1e-6, 0.01], [0.01, 0.01]])
         with pytest.raises(NegativeVarianceInput):
-            sample_operator_spectra(*moments, count=6, seed=0)
+            sample_operator_instances(*moments, count=6, seed=0)
         with pytest.raises(ConfigError):
-            sample_operator_spectra(*moments, count=0, seed=0, clamp_negative=True)
-        spectra_batches(monkeypatch, 2, 2)
-        with caplog.at_level(logging.WARNING, logger="dmduq.monte_carlo"):
-            sample_operator_spectra(*moments, count=6, seed=0, clamp_negative=True)
-        assert len([r for r in caplog.records if "clamping" in r.message]) == 1
+            sample_operator_instances(*moments, count=0, seed=0, clamp_negative=True)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            instances = sample_operator_instances(*moments, count=6, seed=0, clamp_negative=True)
+            spectra_batches(monkeypatch, 2, 2)
+            got = sample_operator_spectra(*moments, count=6, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamping 1 negative variance element(s) to zero"]
+        assert np.array_equal(got.samples, eigen_samples(instances).samples)
 
     def test_one_chunk_held(self, monkeypatch):
         # 70 instances of 100 x 100 in batches of 10 over 2 workers: each worker

@@ -14,7 +14,7 @@ from dmduq import numerics, operator_moments
 from dmduq.data_model import NoiseModel, RawTrajectory, build_snapshots, decimate_trajectory
 from dmduq.errors import (
     ConfigError, ConvergenceFailure, DimensionMismatch, DmduqError, MomentComputationError,
-    SingularGram,
+    NegativeVarianceInput, SingularGram,
 )
 from dmduq.operator_moments import (
     CORRECTED,
@@ -368,7 +368,7 @@ class TestRowBlockAssembly:
             moments = OperatorMoments(pinv, snaps.shifted, noise.variances, mode)
             got = [moments.first, moments.second_central, dmd_point_estimate(snaps).operator]
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            check_tables(*got[:2], mode)
+            check_tables(*got[:2], mode, clamp_negative=True)
             got[1][5, 6] = np.nan
             with pytest.raises(DimensionMismatch, match=r"second_central\[5, 6\] = nan"):
                 check_tables(*got[:2], mode)
@@ -416,11 +416,20 @@ class TestOperatorMomentsChecks:
         with pytest.raises(DimensionMismatch, match=r"second_central\[4, 0\] = -inf"):
             estimate_operator_moments(snaps, noise, mode=PAPER_LITERAL, pinv=pinv)
 
-    def test_negative_variances_counted(self):
-        # -1e-13 is negative though corrected mode would pass it; a zero is not negative.
+    def test_negative_variances_counted(self, caplog):
+        # -1e-13 is negative though corrected mode would pass it; a zero is not negative.  Only
+        # -1e-6 is refused, and only without clamp_negative; the table is left as it is.
         first, second = np.ones((3, 3)), np.full((3, 3), 0.01)
         second[0, 1], second[2, 2], second[1, 0] = -1e-6, -1e-13, 0.0
-        assert check_tables(first, second, PAPER_LITERAL) == 2
+        kept = second.copy()
+        with pytest.raises(NegativeVarianceInput, match="^1 element.s. have variance below "
+                                                        "-1e-12; enable clamping or use"):
+            check_tables(first, second, PAPER_LITERAL)
+        assert not caplog.records
+        assert check_tables(first, second, PAPER_LITERAL, clamp_negative=True) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamping 2 negative variance element(s) to zero"]
+        assert np.array_equal(second, kept)
         assert check_tables(first, np.abs(second), CORRECTED) == 0
 
     def test_non_square_and_empty_rejected(self):
