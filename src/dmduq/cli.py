@@ -26,7 +26,7 @@ from .config import PipelineConfig, load_config
 from .data_model import NoiseModel, build_snapshots, estimate_noise, format_blocks, format_rows
 from .data_model import TEXT_WIDTH, decimate_trajectory, load_csv, replacing, save_csv, write_csv
 from .errors import ConfigError, DegenerateData, DmduqError, ParseError, ShapeMismatch
-from .metrics import compare, min_max_normalize
+from .metrics import agreement, compare, min_max_normalize
 from .monte_carlo import run_mc, sample_operator_spectra
 from .numerics import RowTable
 from .operator_moments import VARIANCE_MODES, check_outliers, check_residual, check_tables
@@ -41,6 +41,7 @@ from .systems import (
 )
 
 SCHEMA_VERSION = "1.0"
+REPORT_SCHEMA_VERSION = "1.1"  # 1.1: "agreement", in the Monte Carlo standard errors
 
 # (moments.json table, mc.json table) pairs that `compare` reports on.
 _COMPARED = (
@@ -213,6 +214,28 @@ class _JsonReader:
             return np.empty(0)
         return np.frombuffer(values).reshape(len(shapes), shapes[0][0]).copy()
 
+    def members(self, tables, keys) -> dict:
+        """The object whose '{' is next, with only its members named in ``tables``, kept as
+        :meth:`value` keeps them (``outer.inner`` names table ``inner`` of the object member
+        ``outer``), and in ``keys``, decoded; every other member is checked and dropped."""
+        inner = {}
+        for name in tables:
+            outer, dot, rest = name.partition(".")
+            if dot:
+                inner.setdefault(outer, []).append(rest)
+        self.pos += 1
+        value = {}
+        for key in self.elements("}"):
+            if key in tables:
+                value[key] = self.value(keep=True)
+            elif key in inner and self.peek() == "{":
+                value[key] = self.members(inner[key], ())
+            elif key in keys:
+                value[key] = self.decode()
+            else:
+                self.value()
+        return value
+
     def finish(self) -> None:
         if self.peek():
             self._fail("extra data")
@@ -220,7 +243,7 @@ class _JsonReader:
 
 def _load_json(path, tables, keys):
     """The JSON value in ``path``, read a text block at a time.  Of an object, only the
-    members named in ``tables`` (each as :meth:`_JsonReader.value` keeps it) and ``keys`` are
+    members named in ``tables`` (as :meth:`_JsonReader.members` keeps them) and ``keys`` are
     kept; an array is returned empty.  Every value is checked as ``json.load`` checks it, and
     a repeated key keeps its last value."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -228,15 +251,7 @@ def _load_json(path, tables, keys):
         try:
             first = reader.peek()
             if first == "{":
-                reader.pos += 1
-                value = {}
-                for key in reader.elements("}"):
-                    if key in tables:
-                        value[key] = reader.value(keep=True)
-                    elif key in keys:
-                        value[key] = reader.decode()
-                    else:
-                        reader.value()
+                value = reader.members(tables, keys)
             elif first == "[":
                 reader.value()
                 value = []
@@ -249,19 +264,27 @@ def _load_json(path, tables, keys):
 
 
 def _read_payload(path, tables, keys=()) -> dict:
-    """``tables`` (2-D float arrays), ``keys``, ``schema_version`` and any ``metadata`` of a
-    dmduq JSON output of a supported schema; its other members are checked and dropped."""
+    """``tables`` (2-D float arrays, ``outer.inner`` one in the object member ``outer``),
+    ``keys``, ``schema_version`` and any ``metadata`` of a dmduq JSON output of a supported
+    schema; its other members are checked and dropped."""
     data = _load_json(path, tables, {"schema_version", "metadata", *keys})
     if not isinstance(data, dict):
         raise ShapeMismatch(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = str(data.get("schema_version", ""))
     if version.split(".", 1)[0] != SCHEMA_VERSION.split(".", 1)[0]:
         raise ShapeMismatch(f"{path}: unsupported schema version {version!r} (supported major: 1)")
-    missing = [key for key in [*tables, *keys] if key not in data]
+
+    def member(name):  # a dotted name is a table in an object member
+        node = data
+        for part in name.split("."):
+            node = node.get(part) if isinstance(node, dict) else None
+        return node
+
+    missing = [key for key in tables if member(key) is None] + [k for k in keys if k not in data]
     if missing:
         raise ShapeMismatch(f"{path}: missing key(s) {missing}")
     for key in tables:
-        if data[key].ndim != 2:
+        if member(key).ndim != 2:
             raise ShapeMismatch(f"{path}: {key!r} is not a 2-D table of numbers")
     return data
 
@@ -382,8 +405,10 @@ def cmd_table(args) -> int:
 
 def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
     moments = {key: np.asarray(moments[key]) for key, _ in _COMPARED}
-    # Each row: "matrix", then the ComparisonReport fields in their order.
+    # Each row: "matrix", then the ComparisonReport (Agreement) fields in their order.
     comparisons = [{"matrix": a, **vars(compare(moments[a], mc[b]))} for a, b in _COMPARED]
+    agreements = [{"matrix": a, **vars(agreement(moments[a], mc[b], mc["standard_errors"][b]))}
+                  for a, b in _COMPARED]
     est_var = moments["operator_second_central"]
     mc_var = mc["operator_variance"]
     delta = np.abs(mc_var - est_var)
@@ -396,7 +421,7 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
             return {"normalized": False, "values": flat}
 
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "comparisons": comparisons,
         "delta_sigma2": delta,
         "curves": {
@@ -406,6 +431,7 @@ def _report_payload(moments: dict, mc: dict, stride: int) -> dict:
             "operator_first_estimated": curve(moments["operator_first"]),
             "operator_first_mc": curve(mc["operator_mean"]),
         },
+        "agreement": agreements,
     }
 
 
@@ -427,7 +453,8 @@ def _check_same_noise(payloads: dict) -> None:
 def cmd_compare(args) -> int:
     cfg = _load_pipeline_config(args)
     moments = _read_payload(args.moments, [est for est, _ in _COMPARED])
-    mc = _read_payload(args.mc, [ref for _, ref in _COMPARED])
+    mc = _read_payload(args.mc, [name for _, ref in _COMPARED
+                                 for name in (ref, f"standard_errors.{ref}")])
     _check_same_noise({args.moments: moments, args.mc: mc})
     payload = _report_payload(moments, mc, cfg.decimate_stride)
     _write_json(args.out, payload, cfg.output_precision)

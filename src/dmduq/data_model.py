@@ -245,7 +245,7 @@ def format_rows(table: np.ndarray, precision: int = 17) -> list[str]:
     return [fmt % tuple(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
 
 
-TEXT_WIDTH = 16  # floats' worth of memory a formatted value holds: its text and temporaries
+TEXT_WIDTH = 16  # floats' worth of memory a formatted value holds (6.7 measured at 34 columns)
 
 
 def format_blocks(table, precision: int = 17):
@@ -256,6 +256,7 @@ def format_blocks(table, precision: int = 17):
     for block in table.blocks() if isinstance(table, RowTable) else [np.atleast_2d(table)]:
         for a, b in row_blocks(len(block), TEXT_WIDTH * block.shape[1]):
             yield format_rows(block[a:b], precision)
+        del block  # before the next block is made
 
 
 @contextmanager

@@ -3,7 +3,8 @@
 Cosine similarity uses the standard normalized inner product of vectorized
 matrices, so it always lies in [-1, 1].  Inputs are taken in C order and norms
 and inner products run with BLAS held at one thread, so the bits depend on
-neither the memory layout nor the thread setting.
+neither the memory layout nor the thread setting.  ``agreement`` measures an
+estimate's distance from a Monte Carlo table in that table's standard errors.
 """
 
 from __future__ import annotations
@@ -45,6 +46,47 @@ def compare(estimated: np.ndarray, reference: np.ndarray) -> ComparisonReport:
         raise DegenerateData("cosine undefined for a zero matrix")
     cosine = inner / (norm_est * norm_ref)
     return ComparisonReport(rmse=rmse, mae=mae, frobenius=frob, cosine=cosine, shape=est.shape)
+
+
+@dataclass(frozen=True)
+class Agreement:
+    """Where an estimated table lies from a Monte Carlo one in the Monte Carlo standard
+    errors: ``z = (estimated - reference) / se`` over the elements whose ``se`` is positive.
+    The shares within 1, 2 and 3 SE, the median and the largest ``|z|`` (at its (i, j)) are
+    of those elements, None when there are none; ``zero_se`` counts the rest."""
+
+    within_1se: float | None
+    within_2se: float | None
+    within_3se: float | None
+    median_abs_z: float | None
+    max_abs_z: float | None
+    max_abs_z_at: tuple[int, int] | None
+    zero_se: int
+
+
+def agreement(estimated: np.ndarray, reference: np.ndarray,
+              standard_errors: np.ndarray) -> Agreement:
+    """The :class:`Agreement` of ``estimated`` with ``reference`` in ``standard_errors``,
+    three tables of one shape; element-wise, so its bits depend on no memory layout."""
+    est, ref, se = (np.atleast_2d(np.asarray(a, dtype=float))
+                    for a in (estimated, reference, standard_errors))
+    if not est.shape == ref.shape == se.shape:
+        raise ShapeMismatch(f"shapes differ: {est.shape}, {ref.shape} and {se.shape}")
+    if not all(np.isfinite(a).all() for a in (est, ref, se)):
+        raise ShapeMismatch("inputs must be finite")
+    positive = se > 0.0
+    count = int(np.count_nonzero(positive))
+    if not count:
+        return Agreement(None, None, None, None, None, None, se.size)
+    z = np.abs(est - ref)
+    np.divide(z, se, out=z, where=positive)
+    z[~positive] = -1.0  # never the largest
+    at = tuple(int(i) for i in np.unravel_index(int(np.argmax(z)), z.shape))
+    z = z[positive]  # at most one table of |z| and its copy are held at once
+    share = [np.count_nonzero(z <= k) / count for k in (1.0, 2.0, 3.0)]
+    largest = float(z.max())
+    return Agreement(*share, float(np.median(z, overwrite_input=True)), largest, at,
+                     se.size - count)
 
 
 def min_max_normalize(values: np.ndarray) -> np.ndarray:

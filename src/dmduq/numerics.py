@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -40,10 +41,32 @@ _OPENBLAS_THREADS = [
     (f"{lib}_get_num_threads{tail}", f"{lib}_set_num_threads{tail}")
     for lib in ("scipy_openblas", "openblas") for tail in ("64_", "")
 ]
-# Process-wide, as the OpenBLAS settings are: the callers inside _one_blas_thread and the
-# (setter, count) saved of each OpenBLAS, changed only under _PIN.
+# Process-wide, as the OpenBLAS settings are: the callers inside _one_blas_thread, the
+# (setter, count) saved of each OpenBLAS, and the (getter, setter) pairs found by the last
+# scan with the number of imported modules it saw; changed only under _PIN.
 _PIN = threading.Lock()
-_pin = {"entries": 0, "saved": []}
+_pin = {"entries": 0, "saved": [], "setters": [], "modules": -1}
+
+
+def _openblas_setters() -> list:
+    """The (getter, setter) of the thread count of every OpenBLAS mapped into this process,
+    found in ``/proc/self/maps``; none without ``/proc`` or a mapped path that opens."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+        libraries = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        libraries = []
+    found = []
+    for lib in libraries:
+        for get, set_ in _OPENBLAS_THREADS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                found.append((getter, setter))
+                break
+    return found
 
 
 @contextmanager
@@ -53,27 +76,19 @@ def _one_blas_thread():
     Yields 1 and changes nothing where no OpenBLAS thread setter is found
     (another BLAS, or no ``/proc``).  Nested and concurrent calls, from any
     thread, share one pin: the first entry saves each count and sets it to 1,
-    and the last exit restores them.
+    and the last exit restores them.  The setters are found by one scan of the
+    process's mapped libraries, made again only by a first entry that sees a
+    different number of imported modules than the last scan did, since an
+    import may have loaded another OpenBLAS (a library loaded by ``ctypes``
+    alone is found at the first entry after the next import).
     """
     with _PIN:
         if not _pin["entries"]:
-            try:
-                with open("/proc/self/maps", encoding="utf-8") as maps:
-                    paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-                libraries = [ctypes.CDLL(path) for path in paths]
-            except OSError:  # no /proc, or a mapped path that cannot be opened
-                libraries = []
-            saved = []
-            for lib in libraries:
-                for get, set_ in _OPENBLAS_THREADS:
-                    if hasattr(lib, get) and hasattr(lib, set_):
-                        getter, setter = getattr(lib, get), getattr(lib, set_)
-                        getter.argtypes, getter.restype = [], ctypes.c_int
-                        setter.argtypes, setter.restype = [ctypes.c_int], None
-                        saved.append((setter, getter()))
-                        setter(1)
-                        break
-            _pin["saved"] = saved
+            if len(sys.modules) != _pin["modules"]:
+                _pin["setters"], _pin["modules"] = _openblas_setters(), len(sys.modules)
+            _pin["saved"] = [(setter, getter()) for getter, setter in _pin["setters"]]
+            for setter, _ in _pin["saved"]:
+                setter(1)
         _pin["entries"] += 1
     try:  # _pin["saved"] is replaced only while no caller is inside
         yield max((count for _, count in _pin["saved"]), default=1)
@@ -162,6 +177,7 @@ class RowTable(NamedTuple):
     block_width: int | None = None
 
     def _cuts(self) -> list[tuple[int, int]]:
+        # A block read holds its rows alone: 1.00 rows of floats measured per row.
         return row_blocks(self.shape[0], self.block_width or self.shape[1])
 
     def blocks(self):
@@ -171,6 +187,7 @@ class RowTable(NamedTuple):
             with _one_blas_thread():
                 block = self.rows(a, b)
             yield block
+            del block  # so a consumer that drops it holds one block, not two
 
     def __array__(self, dtype=None, copy=None):
         table = np.empty(self.shape)
@@ -192,11 +209,13 @@ class Spectrum:
     eigenvalues: np.ndarray
 
 
-def spd_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def spd_factors(stack: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, ...]:
     """Cholesky factors ``(lower, inverse_lower, positive)`` of a stack (B, n, n) of symmetric
     positive definite matrices, read from their lower triangles.  ``positive[i]`` is False
     where matrix i has no factor; both its factors are NaN.  Each ``inverse_lower[i]`` comes
     from forward substitution on its own, so its bits do not depend on the rest of the stack.
+    With ``overwrite``, ``inverse_lower`` is written over a float64 ``stack``, which the
+    factorization no longer needs, so the call holds one new stack, not two.
     """
     a = np.asarray(stack, dtype=float)
     positive = np.ones(a.shape[0], dtype=bool)
@@ -209,22 +228,28 @@ def spd_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 lower[i] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 positive[i] = False
-    eye, inverse = np.eye(a.shape[-1]), np.zeros_like(lower)
+    # Row i is written whole from rows < i, so the buffer needs no zeros.
+    eye, inverse = np.eye(a.shape[-1]), a if overwrite else np.empty_like(lower)
     for i in range(a.shape[-1]):
         row = eye[i] - (lower[:, i : i + 1, :i] @ inverse[:, :i])[:, 0]
         inverse[:, i] = row / lower[:, i, i, None]
     return lower, inverse, positive
 
 
-def spd_inverses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of symmetric positive definite matrices, shape (B, n, n), and the
-    ``positive`` flags of :func:`spd_factors` (the inverse is NaN where False).  Each inverse
-    is ``inv(L).T @ inv(L)``, so rounding grows with cond(L) = sqrt(cond(V)), not with
-    cond(V) as in an LU solve of V itself.
+def spd_inverses(stack: np.ndarray, out: np.ndarray | None = None,
+                 overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of symmetric positive definite matrices, shape (B, n, n), written
+    into ``out`` when given, and the ``positive`` flags of :func:`spd_factors` (the inverse is
+    NaN where False), which ``overwrite`` passes on.  Each inverse is ``inv(L).T @ inv(L)``,
+    so rounding grows with cond(L) = sqrt(cond(V)), not with cond(V) as in an LU solve of V
+    itself.  Beside ``stack`` and the result a call holds two more stacks, one with
+    ``overwrite``: the product is formed over the spent factor ``L``.
     """
-    _, inv_lower, positive = spd_factors(stack)
-    inverses = inv_lower.transpose(0, 2, 1) @ inv_lower
-    return 0.5 * (inverses + inverses.transpose(0, 2, 1)), positive
+    lower, inv_lower, positive = spd_factors(stack, overwrite)
+    product = np.matmul(inv_lower.transpose(0, 2, 1), inv_lower, out=lower)
+    out = np.add(product, product.transpose(0, 2, 1), out=out)
+    out *= 0.5
+    return out, positive
 
 
 def finite_stack(stack: np.ndarray, first_index: int = 0) -> np.ndarray:

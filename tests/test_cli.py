@@ -619,6 +619,40 @@ class TestCompare:
         delta = np.array(report["delta_sigma2"])
         assert delta.max() <= 1e-10
 
+    def test_agreement_in_standard_errors(self, artifacts, config_path, tmp_path):
+        # At 400 trials the tables lie within 3 Monte Carlo standard errors at 98% or more
+        # of their elements; operator_first scaled by 1.1 does not, and the rest are as before.
+        moments, mc = artifacts
+        args = ["--config", str(config_path), "--out", str(tmp_path / "report.json")]
+        reports = []
+        data = json.loads(moments.read_text())
+        scaled = tmp_path / "scaled.json"
+        data["operator_first"] = (1.1 * np.array(data["operator_first"])).tolist()
+        scaled.write_text(json.dumps(data))
+        for path in (moments, scaled):
+            assert main(["compare", str(path), str(mc), *args]) == 0
+            reports.append(json.loads((tmp_path / "report.json").read_text()))
+        assert reports[0]["schema_version"] == cli.REPORT_SCHEMA_VERSION == "1.1"
+        rows, scaled_rows = ({row.pop("matrix"): row for row in r["agreement"]} for r in reports)
+        assert list(rows) == MOMENTS_TABLES
+        for row in rows.values():
+            assert row["within_1se"] <= row["within_2se"] <= row["within_3se"]
+            assert row["within_3se"] >= 0.98 and row["zero_se"] == 0
+            assert row["median_abs_z"] <= row["max_abs_z"] <= 5
+        assert scaled_rows.pop("operator_first")["within_3se"] < 0.98
+        assert scaled_rows == {key: rows[key] for key in scaled_rows}
+
+    def test_missing_standard_errors_is_shape_mismatch(self, artifacts, tmp_path, capsys):
+        moments, mc = artifacts
+        data = json.loads(mc.read_text())
+        del data["standard_errors"]["operator_variance"]
+        mc.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["compare", str(moments), str(mc), "--out", str(tmp_path / "r.json")]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "shape_mismatch"
+        assert "standard_errors.operator_variance" in error["message"]
+
     def test_unknown_schema_rejected(self, artifacts, tmp_path):
         moments, mc = artifacts
         bad = tmp_path / "bad.json"

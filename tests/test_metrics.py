@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmduq.errors import DegenerateData, ShapeMismatch
-from dmduq.metrics import compare, min_max_normalize
+from dmduq.metrics import Agreement, agreement, compare, min_max_normalize
 
 
 class TestCompare:
@@ -74,3 +74,21 @@ class TestMinMaxNormalize:
             b = rng.standard_normal()
             assert np.allclose(min_max_normalize(a * v + b), min_max_normalize(v), atol=1e-12)
 
+
+
+class TestAgreement:
+    def test_shares_median_and_largest_z(self):
+        # |z| = 0.5, 1.5, 2.5, 0 and 5; the element of zero SE is counted apart.
+        est = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        ref = est - np.array([[0.5, -1.5, 2.5], [0.0, 9.0, -10.0]])
+        se = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+        assert agreement(est, ref, se) == Agreement(0.4, 0.6, 0.8, 1.5, 5.0, (1, 2), 1)
+
+    def test_no_positive_standard_error(self):
+        m = np.ones((2, 2))
+        assert agreement(m, m, np.zeros((2, 2))) == Agreement(*[None] * 6, 4)
+
+    @pytest.mark.parametrize("se", [np.ones((2, 3)), np.array([[1.0, np.nan], [1.0, 1.0]])])
+    def test_shape_and_finiteness_checked(self, se):
+        with pytest.raises(ShapeMismatch):
+            agreement(np.ones((2, 2)), np.ones((2, 2)), se)

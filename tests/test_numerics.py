@@ -1,5 +1,7 @@
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -102,6 +104,22 @@ class TestSpdInverses:
         assert np.isnan(inverses[1:3]).all()
         for i, matrix in ((0, good[0]), (3, good[1])):
             assert np.array_equal(inverses[i], spd_inverses(matrix[None])[0][0])
+
+
+    def test_written_over_and_into_with_the_same_bits(self):
+        # With ``overwrite`` the inverse factors go over the stack, and ``out`` takes the
+        # inverses: the bits are those of a call that makes its own.
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((5, 7, 7))
+        stack = B @ B.transpose(0, 2, 1) + np.eye(7)
+        stack[2] = -np.eye(7)
+        want, positive = spd_inverses(stack)
+        _, inverse_lower, _ = spd_factors(stack)
+        spent, out = stack.copy(), np.empty_like(stack)
+        got, flags = spd_inverses(spent, out=out, overwrite=True)
+        assert got is out and np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(flags, positive)
+        assert np.array_equal(spent, inverse_lower, equal_nan=True)
 
 
 def eigenvalues(matrix):
@@ -437,6 +455,22 @@ class TestSliceWorkers:
         got = self.map_slices(monkeypatch, 1, lambda lo, hi: (lo, hi, threading.get_ident()), 5)
         assert got == [(0, 5, threading.get_ident())]
         assert started == []
+
+
+def test_setters_found_once_until_an_import(monkeypatch):
+    # The mapped libraries are scanned at the first entry, not again while no module is
+    # imported, and once more after an import, which may load another OpenBLAS.
+    scans, scan = [], numerics._openblas_setters
+    monkeypatch.setattr(numerics, "_openblas_setters", lambda: scans.append(1) or scan())
+    monkeypatch.setitem(numerics._pin, "modules", -1)  # no scan made yet
+    for _ in range(100):
+        with numerics._one_blas_thread(), numerics._one_blas_thread():
+            pass
+    assert len(scans) == 1
+    monkeypatch.setitem(sys.modules, "dmduq_test_imported", types.ModuleType("imported"))
+    with numerics._one_blas_thread() as threads:
+        assert threads >= 1
+    assert len(scans) == 2
 
 
 def test_overlapping_entries_share_the_pin():

@@ -26,6 +26,7 @@ from dmduq.errors import (
     SingularGram,
 )
 from dmduq.pinv_moments import (
+    GRAM_FLOATS,
     MgfContext,
     PinvMoments,
     QuadratureConfig,
@@ -539,13 +540,15 @@ class TestIntegrate:
 
 class TestGramComplementInverses:
     def test_groups_bound_memory_not_bits(self, monkeypatch):
-        # Filled 50 inverses at a time, the stack is the only thing of its size held;
-        # each inverse keeps the bits it has when the whole stack is one group.
-        n, m, group = 8, 1500, 50
+        # Filled 100 inverses at a time, the stack is the only thing of its size held: beside
+        # it a group holds at most 1.5 budgets, a budget being GRAM_FLOATS n x n stacks of
+        # the group (1.24 measured: the rest is a few rows per column and ufunc buffers),
+        # and each inverse keeps the bits it has when the whole stack is one group.
+        n, m, group = 16, 1500, 100
         X = np.random.default_rng(11).standard_normal((n, m))
         whole, singular = gram_complement_inverses(X, 0.0, np.arange(m))
         assert not singular
-        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * group * n * n)
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * GRAM_FLOATS * group * n * n)
         tracemalloc.start()
         try:
             grouped, _ = gram_complement_inverses(X, 0.0, np.arange(m))
@@ -553,7 +556,7 @@ class TestGramComplementInverses:
         finally:
             tracemalloc.stop()
         assert np.array_equal(grouped, whole)
-        assert peak < (m + 16 * group) * n * n * 8
+        assert peak < whole.nbytes + 1.5 * numerics._CHUNK_SCALARS // 32 * 8
 
 
 class TestQuadratureConfig:
