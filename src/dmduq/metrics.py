@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, ShapeMismatch
-from .numerics import _one_blas_thread
+from .numerics import _one_blas_thread, row_blocks
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,62 @@ class Agreement:
 def agreement(estimated: np.ndarray, reference: np.ndarray,
               standard_errors: np.ndarray) -> Agreement:
     """The :class:`Agreement` of ``estimated`` with ``reference`` in ``standard_errors``,
-    three tables of one shape; element-wise, so its bits depend on no memory layout."""
+    three tables of one shape; element-wise, so its bits depend on no memory layout.  The
+    ``|z|`` are made in row blocks, never a whole table of them: the median is found by
+    :func:`_order_statistic`, one pass over the blocks per 8 bits."""
     est, ref, se = (np.atleast_2d(np.asarray(a, dtype=float))
                     for a in (estimated, reference, standard_errors))
     if not est.shape == ref.shape == se.shape:
         raise ShapeMismatch(f"shapes differ: {est.shape}, {ref.shape} and {se.shape}")
     if not all(np.isfinite(a).all() for a in (est, ref, se)):
         raise ShapeMismatch("inputs must be finite")
-    positive = se > 0.0
-    count = int(np.count_nonzero(positive))
+    # A block's row holds its |z| and then the bits read from them: 2.08 rows of floats
+    # measured per row, while no two blocks are held at once.
+    cuts = row_blocks(len(se), 2 * se.shape[1])
+
+    def z_blocks():  # (first row, positive-SE mask, |z| of those elements), block by block
+        for a, b in cuts:
+            positive, z = se[a:b] > 0.0, np.subtract(est[a:b], ref[a:b])
+            z = np.abs(z, out=z)[positive]
+            yield a, positive, np.divide(z, se[a:b][positive], out=z)
+            del positive, z  # so a consumer that drops its block holds one, not two
+
+    count, within, largest, at = 0, np.zeros(3, dtype=int), -1.0, None
+    for a, positive, z in z_blocks():
+        count += z.size
+        within += [np.count_nonzero(z <= k) for k in (1.0, 2.0, 3.0)]
+        if z.size and z.max() > largest:  # the first largest in C order, as argmax takes
+            k = int(np.argmax(z))
+            largest, (i, j) = float(z[k]), divmod(int(np.flatnonzero(positive)[k]), se.shape[1])
+            at = (a + i, j)
+        del positive, z  # before the next block is made
     if not count:
         return Agreement(None, None, None, None, None, None, se.size)
-    z = np.abs(est - ref)
-    np.divide(z, se, out=z, where=positive)
-    z[~positive] = -1.0  # never the largest
-    at = tuple(int(i) for i in np.unravel_index(int(np.argmax(z)), z.shape))
-    z = z[positive]  # at most one table of |z| and its copy are held at once
-    share = [np.count_nonzero(z <= k) / count for k in (1.0, 2.0, 3.0)]
-    largest = float(z.max())
-    return Agreement(*share, float(np.median(z, overwrite_input=True)), largest, at,
+    middle = [_order_statistic(z_blocks, rank) for rank in {(count - 1) // 2, count // 2}]
+    return Agreement(*(within / count).tolist(), float(np.mean(middle)), largest, at,
                      se.size - count)
+
+
+def _order_statistic(z_blocks, rank: int) -> float:
+    """The value of rank ``rank`` (0 the least) among the nonnegative floats that the third
+    member of each item of ``z_blocks()`` holds.  Their bit patterns order as they do, so it
+    is found 8 bits at a time from the count of each next 8 bits among the elements whose
+    higher bits are those found so far."""
+    prefix = 0
+    for shift in range(56, -1, -8):
+        counts = np.zeros(256, dtype=np.int64)
+        for _, _, z in z_blocks():
+            bits = z.view(np.int64)
+            if shift < 56:
+                bits = bits[bits >> (shift + 8) == prefix]
+            bits = bits >> shift
+            counts += np.bincount(np.bitwise_and(bits, 0xFF, out=bits), minlength=256)
+            del z, bits  # before the next block is made
+        below = np.cumsum(counts)  # below[d]: elements whose next 8 bits are at most d
+        digit = int(np.searchsorted(below, rank, side="right"))
+        rank -= int(below[digit - 1]) if digit else 0
+        prefix = prefix << 8 | digit
+    return float(np.int64(prefix).view(np.float64))
 
 
 def min_max_normalize(values: np.ndarray) -> np.ndarray:

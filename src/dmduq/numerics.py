@@ -79,8 +79,11 @@ def _one_blas_thread():
     and the last exit restores them.  The setters are found by one scan of the
     process's mapped libraries, made again only by a first entry that sees a
     different number of imported modules than the last scan did, since an
-    import may have loaded another OpenBLAS (a library loaded by ``ctypes``
-    alone is found at the first entry after the next import).
+    import may have loaded another OpenBLAS.  That count is the only sign
+    read: an OpenBLAS loaded by ``ctypes`` alone, or by imports that leave the
+    count as it was (a module removed and another imported, an extension
+    reloaded), is left unpinned until the count next changes, and until then
+    its bits may depend on its thread count.
     """
     with _PIN:
         if not _pin["entries"]:
@@ -209,15 +212,15 @@ class Spectrum:
     eigenvalues: np.ndarray
 
 
-def spd_factors(stack: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, ...]:
+def spd_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cholesky factors ``(lower, inverse_lower, positive)`` of a stack (B, n, n) of symmetric
     positive definite matrices, read from their lower triangles.  ``positive[i]`` is False
     where matrix i has no factor; both its factors are NaN.  Each ``inverse_lower[i]`` comes
     from forward substitution on its own, so its bits do not depend on the rest of the stack.
-    With ``overwrite``, ``inverse_lower`` is written over a float64 ``stack``, which the
-    factorization no longer needs, so the call holds one new stack, not two.
+    ``inverse_lower`` is written over a writable float64 ``stack``, which the factorization
+    no longer needs, so a call holds one new stack, not two; pass a copy to keep it.
     """
-    a = np.asarray(stack, dtype=float)
+    a = np.require(stack, dtype=float, requirements="W")
     positive = np.ones(a.shape[0], dtype=bool)
     try:
         lower = np.linalg.cholesky(a)
@@ -228,28 +231,23 @@ def spd_factors(stack: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray,
                 lower[i] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 positive[i] = False
-    # Row i is written whole from rows < i, so the buffer needs no zeros.
-    eye, inverse = np.eye(a.shape[-1]), a if overwrite else np.empty_like(lower)
+    # Row i is written whole from rows < i, so the stack's old entries are never read.
+    eye, inverse = np.eye(a.shape[-1]), a
     for i in range(a.shape[-1]):
         row = eye[i] - (lower[:, i : i + 1, :i] @ inverse[:, :i])[:, 0]
         inverse[:, i] = row / lower[:, i, i, None]
     return lower, inverse, positive
 
 
-def spd_inverses(stack: np.ndarray, out: np.ndarray | None = None,
-                 overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def spd_inverses(stack: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack of symmetric positive definite matrices, shape (B, n, n), written
     into ``out`` when given, and the ``positive`` flags of :func:`spd_factors` (the inverse is
-    NaN where False), which ``overwrite`` passes on.  Each inverse is ``inv(L).T @ inv(L)``,
+    NaN where False), which writes over ``stack``.  Each inverse is ``inv(L).T @ inv(L)``,
     so rounding grows with cond(L) = sqrt(cond(V)), not with cond(V) as in an LU solve of V
-    itself.  Beside ``stack`` and the result a call holds two more stacks, one with
-    ``overwrite``: the product is formed over the spent factor ``L``.
+    itself; numpy forms a product of a matrix with its own transpose exactly symmetric.
     """
-    lower, inv_lower, positive = spd_factors(stack, overwrite)
-    product = np.matmul(inv_lower.transpose(0, 2, 1), inv_lower, out=lower)
-    out = np.add(product, product.transpose(0, 2, 1), out=out)
-    out *= 0.5
-    return out, positive
+    _, inv_lower, positive = spd_factors(stack)
+    return np.matmul(inv_lower.transpose(0, 2, 1), inv_lower, out=out), positive
 
 
 def finite_stack(stack: np.ndarray, first_index: int = 0) -> np.ndarray:

@@ -172,15 +172,15 @@ def gram_complement_inverses(
     # numpy forms X @ X.T exactly symmetric, so every V_t is too and needs no symmetrized copy.
     gram = X @ X.T if gram is None else gram
     R, positive = np.empty((len(columns), n, n)), np.empty(len(columns), dtype=bool)
-    # A column holds V_t, written over by its inverse factor, and the Cholesky factor, written
-    # over by their product, its inverse going straight into R: 2.04 n^2 floats measured at
-    # n = 34 (a few rows of the substitution and one ufunc buffer beside the two stacks).
+    # A column holds V_t, written over by its inverse factor, and the Cholesky factor, their
+    # product, its inverse, going straight into R: 2.04 n^2 floats measured at n = 34 (a few
+    # rows of the substitution and one ufunc buffer beside the two stacks).
     for a, b in row_blocks(len(columns), GRAM_FLOATS * n * n):
         x = X.T[columns[a:b]]
         V = np.einsum("bi,bj->bij", x, x)  # no ufunc buffers, unlike a broadcast multiply
         np.subtract(gram, V, out=V)
         V += ridge * np.eye(n)
-        _, positive[a:b] = spd_inverses(V, out=R[a:b], overwrite=True)
+        _, positive[a:b] = spd_inverses(V, out=R[a:b])
     singular = columns[~positive]
     if singular.size == 0:
         return R, []
@@ -348,8 +348,8 @@ def pinv_moments(
     failures: list[tuple[int, int | None, DmduqError]] = []
     nodes = max(rule[1].size for rule in rules)
     # One group of n x n inverses per call, held while its kernel blocks run: with what
-    # their build holds, GRAM_FLOATS + 1 n x n stacks per column (with a kernel block, 1.42
-    # budgets measured at n = 34).
+    # their build holds, GRAM_FLOATS + 1 n x n stacks per column.  Measured at n = 34: 1.39
+    # budgets, the group's inverses (a third of one) beside a kernel block (1.07).
     for a, b in row_blocks(m, (GRAM_FLOATS + 1) * n * n):
         Rs, singular = gram_complement_inverses(X, ridge, np.arange(a, b), gram)
         failures.extend((t, None, err) for t, err in singular)

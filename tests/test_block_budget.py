@@ -16,10 +16,11 @@ import pytest
 
 from dmduq import numerics, operator_moments
 from dmduq.data_model import NoiseModel, format_blocks
+from dmduq.metrics import agreement
 from dmduq.monte_carlo import McConfig, _add_trials, _chunk_size, _MomentAccumulator
 from dmduq.numerics import RowTable, product_rows
 from dmduq.operator_moments import PAPER_LITERAL, OperatorMoments, check_outliers, check_tables
-from dmduq.pinv_moments import PinvMoments, gram_complement_inverses, pinv_moments
+from dmduq.pinv_moments import GRAM_FLOATS, PinvMoments, gram_complement_inverses, pinv_moments
 
 from conftest import fixed_blas_workers, snapshots_from_trajectory_matrix
 
@@ -41,7 +42,10 @@ def _gram(monkeypatch, n=34, m=400):
 
 def _pinv_groups(monkeypatch, n=34, m=400):
     snaps, noise = _recording(n, m)
-    return lambda: pinv_moments(snaps, noise), 2 * m * n * F
+    # Held: the two (m, n) tables, and a group's n x n inverses, which its kernel blocks run
+    # beside (a third of a budget, by the group's cut), so that what is left is one block's.
+    group = max(b - a for a, b in numerics.row_blocks(m, (GRAM_FLOATS + 1) * n * n))
+    return lambda: pinv_moments(snaps, noise), (2 * m * n + group * n * n) * F
 
 
 def _pinv_kernel(monkeypatch, n=2, m=4000):
@@ -116,6 +120,14 @@ def _mc_trials(monkeypatch, n=34, m=400):
     return lambda: _add_trials(snaps, noise, config, 0.0, pinv_acc, op_acc, None), held
 
 
+def _agreement(monkeypatch, m=600):
+    rng = np.random.default_rng(8)
+    est, ref = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+    se = np.abs(rng.standard_normal((m, m)))
+    se[::7] = 0.0  # rows of zero SE, left out of |z|
+    return lambda: agreement(est, ref, se), 0
+
+
 SITES = {
     "pinv_moments.gram_complement_inverses": _gram,
     "pinv_moments.pinv_moments-groups": _pinv_groups,
@@ -127,6 +139,7 @@ SITES = {
     "data_model.format_blocks": _format_blocks,
     "monte_carlo.statistics": _statistics,
     "monte_carlo._add_trials": _mc_trials,
+    "metrics.agreement": _agreement,
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmduq import numerics
 from dmduq.errors import DegenerateData, ShapeMismatch
 from dmduq.metrics import Agreement, agreement, compare, min_max_normalize
 
@@ -92,3 +93,25 @@ class TestAgreement:
     def test_shape_and_finiteness_checked(self, se):
         with pytest.raises(ShapeMismatch):
             agreement(np.ones((2, 2)), np.ones((2, 2)), se)
+
+    @pytest.mark.parametrize("m", [40, 41])
+    def test_row_blocks_keep_the_whole_tables_statistics(self, monkeypatch, m):
+        # Cut into 3-row blocks, with ties, zero |z| and elements of zero SE, an even (m = 40)
+        # and an odd (m = 41) count: the statistics of the whole table of |z|.
+        rng = np.random.default_rng(m)
+        est = rng.standard_normal((m, m))
+        ref = est + rng.standard_normal((m, m))
+        ref[:4], ref[4:8] = est[:4], est[4:8] + 0.25  # ties at zero and at 0.25 or 0.5
+        se = rng.choice([0.0, 0.5, 1.0], size=(m, m))
+        if np.count_nonzero(se) % 2 != m % 2:
+            se[0, 0] = 0.5 - se[0, 0] if se[0, 0] < 1 else 0.0
+        monkeypatch.setattr(numerics, "_CHUNK_SCALARS", 32 * 2 * 3 * m)
+        positive = se > 0
+        z = np.abs(est - ref)[positive] / se[positive]
+        assert z.size % 2 == m % 2
+        table = np.full(se.shape, -1.0)
+        table[positive] = z
+        at = np.unravel_index(np.argmax(table), se.shape)
+        assert agreement(est, ref, se) == Agreement(
+            *[np.count_nonzero(z <= k) / z.size for k in (1, 2, 3)], float(np.median(z)),
+            float(z.max()), tuple(int(i) for i in at), int(np.count_nonzero(~positive)))

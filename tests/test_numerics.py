@@ -50,7 +50,7 @@ class TestSpdFactors:
         rng = np.random.default_rng(0)
         B = rng.standard_normal((6, 6))
         V = B @ B.T + np.eye(6)
-        (lower,), (inverse_lower,), (positive,) = spd_factors(V[None])
+        (lower,), (inverse_lower,), (positive,) = spd_factors(V[None].copy())
         noise = NoiseModel(variances=np.diag(V), full_covariance=V)
         assert positive
         for L, inv_L in ((lower, inverse_lower), (noise.covariance_factor, noise.inverse_factor)):
@@ -87,7 +87,7 @@ class TestSpdInverses:
         B = rng.standard_normal((n, n))
         A = B @ B.T + np.eye(n)
         b = rng.standard_normal(n)
-        (inverse,), (positive,) = spd_inverses(A[None])
+        (inverse,), (positive,) = spd_inverses(A[None].copy())
         assert positive
         x = inverse @ b
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
@@ -103,23 +103,28 @@ class TestSpdInverses:
         assert positive.tolist() == [True, False, False, True]
         assert np.isnan(inverses[1:3]).all()
         for i, matrix in ((0, good[0]), (3, good[1])):
-            assert np.array_equal(inverses[i], spd_inverses(matrix[None])[0][0])
+            assert np.array_equal(inverses[i], spd_inverses(matrix[None].copy())[0][0])
 
 
     def test_written_over_and_into_with_the_same_bits(self):
-        # With ``overwrite`` the inverse factors go over the stack, and ``out`` takes the
-        # inverses: the bits are those of a call that makes its own.
+        # The inverse factors go over a writable float64 stack, and ``out`` takes the
+        # inverses: the bits are those of a call on a read-only stack, which makes its own
+        # copy, and each inverse is exactly symmetric.
         rng = np.random.default_rng(4)
         B = rng.standard_normal((5, 7, 7))
         stack = B @ B.transpose(0, 2, 1) + np.eye(7)
         stack[2] = -np.eye(7)
-        want, positive = spd_inverses(stack)
-        _, inverse_lower, _ = spd_factors(stack)
+        frozen = stack.copy()
+        frozen.flags.writeable = False
+        want, positive = spd_inverses(frozen)
+        assert np.array_equal(frozen, stack)
+        _, inverse_lower, _ = spd_factors(stack.copy())
         spent, out = stack.copy(), np.empty_like(stack)
-        got, flags = spd_inverses(spent, out=out, overwrite=True)
+        got, flags = spd_inverses(spent, out=out)
         assert got is out and np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(flags, positive)
         assert np.array_equal(spent, inverse_lower, equal_nan=True)
+        assert np.array_equal(got, got.transpose(0, 2, 1), equal_nan=True)
 
 
 def eigenvalues(matrix):
